@@ -71,7 +71,8 @@ class MacdonaldCache:
                 mu = make_partition(entry["partition"])
                 coeffs[mu] = RatFuncQT.from_json(entry["value"])
             poly = SymPoly.from_coeffs(n, coeffs)
-        except (KeyError, ValueError, TypeError, json.JSONDecodeError):
+        except (KeyError, ValueError, TypeError, ZeroDivisionError,
+                json.JSONDecodeError):
             return None
         if not _principal_matches(poly, lam, n):
             return None

@@ -8,7 +8,13 @@ denominator up front, work with raw (non-symmetric) polynomial data, and
 divide the assembled numerator by the Vandermonde factors at the end.
 Both the exactness of that division and the symmetry of the quotient are
 verified on every application; failure of either means a bug, so they
-raise rather than warn.
+raise rather than warn.  Every such operator goes through _assemble, which
+multiplies each piece by a cached alternant (_alternant) before the one
+division.  apply_lower_alt (a literal division by x_i) and
+weight_from_shift1 (the weight operator read off the first shift
+operator) are oracles used only by tests.  They rebuild apply_lower and
+apply_weight along other routes and must not share the _assemble call of
+the operator they check, or the comparison would check nothing.
 
 The `invert` flag replaces q and t by their reciprocals inside an
 operator (prefactors, shifts and scalars alike).  Slot arguments such as
@@ -19,14 +25,14 @@ mean.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
-from .errors import ResourceGuardError
+from .errors import InexactDivisionError, ResourceGuardError
 from .partitions import Partition, rho_stat
 from .ratfunc import (ONE, Q, RatFuncQT, T, elementary_symmetric, poly_lcm,
-                      q_monomial, qt_monomial, rf, t_integer, t_monomial)
-from .sympoly import (Raw, SymPoly, basis_poly, raw_add_into, raw_div_binomial,
-                      raw_mul, raw_mul_var, raw_qderiv_var, raw_scale,
+                      q_monomial, qt_monomial, t_integer, t_monomial)
+from .sympoly import (MINUS_ONE, Raw, SymPoly, basis_poly, raw_add_into,
+                      raw_div_binomial, raw_mul, raw_mul_var, raw_qderiv_var,
                       raw_shift_subset, raw_shift_var)
 
 # subset symmetrization over S_n has n! * 2^n cost; past this it is a typo
@@ -41,63 +47,27 @@ def qt_vals(invert: bool) -> tuple[RatFuncQT, RatFuncQT]:
 
 
 # ---------------------------------------------------------------------------
-# cached Vandermonde data
+# alternants and the one assembly route
 
 @lru_cache(maxsize=None)
-def vandermonde_raw(n: int) -> "tuple":
-    """Product of (x_j - x_k) over j < k, as a frozen raw item list."""
-    cur: Raw = {(0,) * n: ONE}
-    for j in range(n):
-        for k in range(j + 1, n):
-            binom: Raw = {}
-            ej = [0] * n
-            ej[j] = 1
-            binom[tuple(ej)] = ONE
-            ek = [0] * n
-            ek[k] = 1
-            binom[tuple(ek)] = rf(-1)
-            cur = raw_mul(cur, binom)
-    return tuple(cur.items())
+def _alternant(n: int, subset: tuple[int, ...] = (), invert: bool = False) -> "tuple":
+    """prod_{j<k} (y_j - y_k) with y_j = t x_j on subset and y_j = x_j off
+    it (1/t instead of t when invert), as a frozen raw item list.
 
-
-def _vraw(n: int) -> Raw:
-    return dict(vandermonde_raw(n))
-
-
-@lru_cache(maxsize=None)
-def _cleared_prefactor(n: int, i: int, invert: bool) -> "tuple":
-    """Vandermonde times the i-th divided-difference prefactor (0-based).
-
-    Equals (-1)^i * prod_{j<k, j,k != i} (x_j - x_k) * prod_{j != i}
-    (t x_i - x_j); multiplying by it and later dividing by the full
-    Vandermonde implements the prefactor exactly.
+    The empty subset gives the Vandermonde.  A single variable i gives the
+    Vandermonde times the i-th divided-difference prefactor
+    prod_{j != i} (t x_i - x_j)/(x_i - x_j); a larger subset gives the
+    t-weighted alternant of the shift family.
     """
     _, tv = qt_vals(invert)
-    sign = ONE if i % 2 == 0 else rf(-1)
-    cur: Raw = {(0,) * n: sign}
-    for j in range(n):
-        for k in range(j + 1, n):
-            if j == i or k == i:
-                continue
-            binom: Raw = {}
-            ej = [0] * n
-            ej[j] = 1
-            ek = [0] * n
-            ek[k] = 1
-            binom[tuple(ej)] = ONE
-            binom[tuple(ek)] = rf(-1)
-            cur = raw_mul(cur, binom)
-    for j in range(n):
-        if j == i:
-            continue
-        binom = {}
-        ei = [0] * n
-        ei[i] = 1
-        ej = [0] * n
-        ej[j] = 1
-        binom[tuple(ei)] = tv
-        binom[tuple(ej)] = rf(-1)
-        cur = raw_mul(cur, binom)
+    cur: Raw = {(0,) * n: ONE}
+    # forms with integer coefficients first: the partial products stay cheap
+    for j, k in sorted(combinations(range(n), 2),
+                       key=lambda jk: jk[0] in subset or jk[1] in subset):
+        ej = (0,) * j + (1,) + (0,) * (n - 1 - j)
+        ek = (0,) * k + (1,) + (0,) * (n - 1 - k)
+        cur = raw_mul(cur, {ej: tv if j in subset else ONE,
+                            ek: -tv if k in subset else MINUS_ONE})
     return tuple(cur.items())
 
 
@@ -112,26 +82,16 @@ def divide_vandermonde(raw: Raw, n: int) -> Raw:
     return cur
 
 
+def _assemble(n: int, invert: bool, pieces) -> SymPoly:
+    """(1/V) * sum of alternant(subset) * piece over the (subset, piece) pairs."""
+    acc: Raw = {}
+    for subset, piece in pieces:
+        raw_add_into(acc, raw_mul(dict(_alternant(n, subset, invert)), piece))
+    return SymPoly.from_raw(divide_vandermonde(acc, n), n)
+
+
 # ---------------------------------------------------------------------------
 # first-order operators: sums of prefactor * shift over single variables
-
-def _assemble_single(f: SymPoly, invert: bool, mode: str) -> SymPoly:
-    n = f.n_vars
-    qv, tv = qt_vals(invert)
-    fraw = f.to_raw()
-    acc: Raw = {}
-    for i in range(n):
-        pre = dict(_cleared_prefactor(n, i, invert))
-        if mode == "shift":
-            piece = raw_shift_var(fraw, i, qv)
-        else:
-            piece = raw_qderiv_var(fraw, i, qv)
-            if mode == "deriv_x":
-                piece = raw_mul_var(piece, i)
-        raw_add_into(acc, raw_mul(pre, piece))
-    out = divide_vandermonde(acc, n)
-    return SymPoly.from_raw(out, n)
-
 
 def apply_lower(f: SymPoly, invert: bool = False) -> SymPoly:
     """Degree-lowering q-difference operator: sum of prefactor * q-derivative.
@@ -140,7 +100,10 @@ def apply_lower(f: SymPoly, invert: bool = False) -> SymPoly:
     it acts as a sum over the lower covers of the indexing partition with
     the cover coefficients as weights.
     """
-    return _assemble_single(f, invert, "deriv")
+    qv, _ = qt_vals(invert)
+    fraw = f.to_raw()
+    return _assemble(f.n_vars, invert, (((i,), raw_qderiv_var(fraw, i, qv))
+                                        for i in range(f.n_vars)))
 
 
 def apply_weight(f: SymPoly, invert: bool = False) -> SymPoly:
@@ -151,8 +114,10 @@ def apply_weight(f: SymPoly, invert: bool = False) -> SymPoly:
     lam (see rho_stat).
     """
     n = f.n_vars
-    _, tv = qt_vals(invert)
-    out = _assemble_single(f, invert, "deriv_x")
+    qv, tv = qt_vals(invert)
+    fraw = f.to_raw()
+    out = _assemble(n, invert, (((i,), raw_mul_var(raw_qderiv_var(fraw, i, qv), i))
+                                for i in range(n)))
     return out.scale_rf(tv ** (1 - n))
 
 
@@ -162,7 +127,10 @@ def apply_shift1(f: SymPoly, invert: bool = False) -> SymPoly:
     Triangular in the dominance order on the monomial basis; used to build
     the two-parameter basis by an eigenvector solve.
     """
-    return _assemble_single(f, invert, "shift")
+    qv, _ = qt_vals(invert)
+    fraw = f.to_raw()
+    return _assemble(f.n_vars, invert, (((i,), raw_shift_var(fraw, i, qv))
+                                        for i in range(f.n_vars)))
 
 
 def apply_lower_alt(f: SymPoly, invert: bool = False) -> SymPoly:
@@ -175,17 +143,16 @@ def apply_lower_alt(f: SymPoly, invert: bool = False) -> SymPoly:
     n = f.n_vars
     qv, _ = qt_vals(invert)
     fraw = f.to_raw()
-    vr = _vraw(n)
+    vf = raw_mul(dict(_alternant(n)), fraw)
     acc: Raw = {}
     for i in range(n):
-        pre = dict(_cleared_prefactor(n, i, invert))
+        pre = dict(_alternant(n, (i,), invert))
         num = raw_mul(pre, raw_shift_var(fraw, i, qv))
-        raw_add_into(num, raw_mul(vr, fraw), sign=-1)
+        raw_add_into(num, vf, sign=-1)
         # strip one power of x_i from every term; exactness is the point
         stripped: Raw = {}
         for e, c in num.items():
             if e[i] == 0:
-                from .errors import InexactDivisionError
                 raise InexactDivisionError(
                     "lowering-operator numerator not divisible by x_%d" % (i + 1))
             stripped[e[:i] + (e[i] - 1,) + e[i + 1:]] = c
@@ -203,33 +170,6 @@ def apply_raise1(f: SymPoly, invert: bool = False) -> SymPoly:
 
 # ---------------------------------------------------------------------------
 # the symmetrized shift family (generating-function operator in u)
-
-@lru_cache(maxsize=None)
-def _subset_alternant(n: int, subset: tuple[int, ...], invert: bool) -> "tuple":
-    """sum over w in S_n of sgn(w) * t^(sum of staircase exponents over the
-    subset) * x^(permuted staircase), as a frozen raw item list."""
-    _, tv = qt_vals(invert)
-    delta = tuple(n - 1 - i for i in range(n))
-    acc: dict[tuple[int, ...], RatFuncQT] = {}
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        # parity by counting inversions
-        inv = sum(1 for a in range(n) for b in range(a + 1, n)
-                  if seen[a] > seen[b])
-        sign = -1 if inv % 2 else 1
-        expo = tuple(delta[perm[i]] for i in range(n))
-        tpow = sum(expo[i] for i in subset)
-        c = tv ** tpow if tpow else ONE
-        if sign < 0:
-            c = -c
-        cur = acc.get(expo)
-        acc[expo] = c if cur is None else cur + c
-    out = {e: c for e, c in acc.items() if not c.is_zero()}
-    if not subset:
-        assert out == _vraw(n), "empty-subset alternant must be the Vandermonde"
-    return tuple(out.items())
-
 
 def apply_shift_family(f: SymPoly, invert: bool = False,
                        levels: "list[int] | None" = None) -> dict[int, SymPoly]:
@@ -253,13 +193,8 @@ def apply_shift_family(f: SymPoly, invert: bool = False,
         if l < 0 or l > n:
             out[l] = SymPoly.zero(n)
             continue
-        acc: Raw = {}
-        for subset in combinations(range(n), l):
-            alt = dict(_subset_alternant(n, subset, invert))
-            shifted = raw_shift_subset(fraw, subset, qv)
-            raw_add_into(acc, raw_mul(alt, shifted))
-        quo = divide_vandermonde(acc, n)
-        out[l] = SymPoly.from_raw(quo, n)
+        out[l] = _assemble(n, invert, ((subset, raw_shift_subset(fraw, subset, qv))
+                                       for subset in combinations(range(n), l)))
     return out
 
 
@@ -277,6 +212,18 @@ def apply_shift_genfun(f: SymPoly, uval: RatFuncQT, invert: bool = False) -> Sym
 # ---------------------------------------------------------------------------
 # iterated commutators
 
+def _ad(l: int, base, f: SymPoly, invert: bool, negate: bool) -> SymPoly:
+    """l-fold commutator [W, .] of the weight operator W around base, by
+    literal nesting; negate swaps each subtraction, i.e. uses -W."""
+    def rec(j: int, h: SymPoly) -> SymPoly:
+        if j == 0:
+            return base(h, invert)
+        outer = apply_weight(rec(j - 1, h), invert)
+        inner = rec(j - 1, apply_weight(h, invert))
+        return inner - outer if negate else outer - inner
+    return rec(l, f)
+
+
 def apply_ad_raise(l: int, f: SymPoly, invert: bool = False) -> SymPoly:
     """l-fold commutator of the weight operator acting on apply_raise1.
 
@@ -284,22 +231,12 @@ def apply_ad_raise(l: int, f: SymPoly, invert: bool = False) -> SymPoly:
     literal nesting so it stays an independent witness for the closed-form
     weights used elsewhere.
     """
-    def rec(j: int, h: SymPoly) -> SymPoly:
-        if j == 0:
-            return apply_raise1(h, invert)
-        return (apply_weight(rec(j - 1, h), invert)
-                - rec(j - 1, apply_weight(h, invert)))
-    return rec(l, f)
+    return _ad(l, apply_raise1, f, invert, negate=False)
 
 
 def apply_ad_lower(l: int, f: SymPoly, invert: bool = False) -> SymPoly:
     """l-fold commutator of the negated weight operator acting on apply_lower."""
-    def rec(j: int, h: SymPoly) -> SymPoly:
-        if j == 0:
-            return apply_lower(h, invert)
-        return (rec(j - 1, apply_weight(h, invert))
-                - apply_weight(rec(j - 1, h), invert))
-    return rec(l, f)
+    return _ad(l, apply_lower, f, invert, negate=True)
 
 
 # ---------------------------------------------------------------------------

@@ -315,9 +315,7 @@ def _pgcd(a: PolyDict, b: PolyDict) -> PolyDict:
     mt = min(min(e[1] for e in a), min(e[1] for e in b))
     if len(a) == 1 or len(b) == 1:
         # gcd with a monomial is a monomial
-        gq = min(min(e[0] for e in a), min(e[0] for e in b))
-        gt = min(min(e[1] for e in a), min(e[1] for e in b))
-        return {(gq, gt): _F1}
+        return {(mq, mt): _F1}
     ia = _bv_from_int_terms(_int_terms(a if not (mq or mt) else {(e[0] - mq, e[1] - mt): c for e, c in a.items()}))
     ib = _bv_from_int_terms(_int_terms(b if not (mq or mt) else {(e[0] - mq, e[1] - mt): c for e, c in b.items()}))
     g = _bv_gcd(ia, ib)
@@ -433,18 +431,6 @@ class PolyQT:
         self.terms = terms
 
     @classmethod
-    def from_terms(cls, terms) -> "PolyQT":
-        out: PolyDict = {}
-        for e, c in dict(terms).items():
-            dq, dt = int(e[0]), int(e[1])
-            if dq < 0 or dt < 0:
-                raise ValueError("polynomial exponents must be nonnegative")
-            c = Fraction(c)
-            if c:
-                out[(dq, dt)] = c
-        return cls(out)
-
-    @classmethod
     def zero(cls) -> "PolyQT":
         return cls({})
 
@@ -461,12 +447,6 @@ class PolyQT:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def sorted_terms(self) -> list[tuple[Term, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: _term_key(kv[0]))
-
-    def degree_q(self) -> int:
-        return max((e[0] for e in self.terms), default=-1)
 
     def degree_t(self) -> int:
         return max((e[1] for e in self.terms), default=-1)
@@ -553,10 +533,6 @@ class RatFuncQT:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_int(cls, n: int) -> "RatFuncQT":
-        return cls.from_fraction(Fraction(n))
-
-    @classmethod
     def from_fraction(cls, f) -> "RatFuncQT":
         f = Fraction(f)
         if not f:
@@ -584,9 +560,6 @@ class RatFuncQT:
 
     def is_one(self) -> bool:
         return self.num.terms == _PONE and self.den.terms == _PONE
-
-    def is_polynomial(self) -> bool:
-        return self.den.terms == _PONE
 
     def __bool__(self) -> bool:
         return bool(self.num.terms)
@@ -746,17 +719,11 @@ def _make(num: PolyDict, den: PolyDict) -> RatFuncQT:
     if mq or mt:
         num = {(e[0] - mq, e[1] - mt): c for e, c in num.items()}
         den = {(e[0] - mq, e[1] - mt): c for e, c in den.items()}
-    if den == _PONE or len(den) == 1 or len(num) == 1:
-        if den != _PONE and (len(den) == 1 or len(num) == 1):
-            g = _pgcd(num, den)
-            if g != _PONE:
-                num = _pdiv_exact(num, g)
-                den = _pdiv_exact(den, g)
-        return _make_reduced(num, den)
-    g = _pgcd(num, den)
-    if g != _PONE:
-        num = _pdiv_exact(num, g)
-        den = _pdiv_exact(den, g)
+    if den != _PONE:
+        g = _pgcd(num, den)
+        if g != _PONE:
+            num = _pdiv_exact(num, g)
+            den = _pdiv_exact(den, g)
     return _make_reduced(num, den)
 
 

@@ -10,22 +10,25 @@ lists; the "kaneko" flavor carries the extra per-partition factor
 Operators come in two routes everywhere, kept deliberately independent:
 assembled q-difference operators (via qops) versus closed-form eigenvalue
 or cover-sum data (via partitions/macdonald scalars).  The verification
-layer plays them against each other.
+layer plays them against each other.  eigen_ops_*_from_shifts (fixed
+shift-operator words), eigen_value_*_brute (cover sums) and
+product_series_one (infinite-product expansions) are oracles used only by
+tests and checks; they must not share the order-by-order inversion or the
+signed e_l-sum used by the transfer operators, or they would stop being
+independent witnesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import PoleError
+from .errors import MacHyperError, PoleError
 from .macdonald import (MacdonaldCache, binomial_by_expansion, default_cache,
                         jstar_principal, macdonald_forms)
 from .partitions import (Partition, enumerate_partitions, format_partition,
-                         length, lower_covers, make_partition, n_stat,
-                         n_stat_conj, partitions_of, pochhammer_list,
-                         pochhammer_qt, size, upper_covers)
-from .qops import (apply_ad_lower, apply_ad_raise, apply_lower, apply_raise1,
-                   apply_shift_family, apply_weight, qt_vals)
+                         lower_covers, make_partition, n_stat, n_stat_conj,
+                         pochhammer_list, size, upper_covers)
+from .qops import apply_ad_lower, apply_ad_raise, apply_shift_family, qt_vals
 from .ratfunc import (ONE, Q, RatFuncQT, T, elementary_symmetric, qt_monomial,
                       rf, t_integer, t_monomial)
 from .sympoly import BiSymPoly, SymPoly
@@ -198,78 +201,69 @@ def scale_alphabet_x(F: BiSymPoly, c: RatFuncQT) -> BiSymPoly:
 # ---------------------------------------------------------------------------
 # transfer operators (the annihilator components)
 
+def _signed_esum(values, images):
+    """The operator f -> sum over l of (-1)^l e_l(values) * images(f, r)[l],
+    where images(f, r) lists the images for l = 0..r and r = len(values)."""
+    es = elementary_symmetric([rf(v) for v in values])
+    def op(f: SymPoly) -> SymPoly:
+        out = SymPoly.zero(f.n_vars)
+        for l, img in enumerate(images(f, len(es) - 1)):
+            out = out + img.scale_rf(-es[l] if l % 2 else es[l])
+        return out
+    return op
+
+
 def transfer_lower(blist, n: int, invert: bool = False):
     """Degree-lowering transfer: sum over l of (-1)^l e_l(b) times the
     l-fold weight-commutator of the lowering operator."""
-    bs = [rf(b) for b in blist]
-    es = elementary_symmetric(bs)
-    def op(f: SymPoly) -> SymPoly:
-        out = SymPoly.zero(f.n_vars)
-        for l, e in enumerate(es):
-            term = apply_ad_lower(l, f, invert)
-            if l % 2:
-                term = term.scale_rf(-e)
-            else:
-                term = term.scale_rf(e)
-            out = out + term
-        return out
-    return op
+    return _signed_esum(blist, lambda f, r: [apply_ad_lower(l, f, invert)
+                                             for l in range(r + 1)])
 
 
 def transfer_raise(alist, n: int, invert: bool = False):
     """Degree-raising transfer: sum over l of (-1)^l e_l(a) times the
     l-fold weight-commutator of the raising operator."""
-    as_ = [rf(a) for a in alist]
-    es = elementary_symmetric(as_)
-    def op(f: SymPoly) -> SymPoly:
-        out = SymPoly.zero(f.n_vars)
-        for l, e in enumerate(es):
-            term = apply_ad_raise(l, f, invert)
-            if l % 2:
-                term = term.scale_rf(-e)
-            else:
-                term = term.scale_rf(e)
-            out = out + term
-        return out
-    return op
+    return _signed_esum(alist, lambda f, r: [apply_ad_raise(l, f, invert)
+                                             for l in range(r + 1)])
 
 
 # -- the diagonal families built from ratios of shift generating functions --
 
+def _genfun_ratio(f: SymPoly, top: int, num_base: RatFuncQT, den_base: RatFuncQT,
+                  invert: bool) -> list[SymPoly]:
+    """u^0..u^top coefficients of genfun(num_base * u) / genfun(den_base * u)
+    applied to f, with genfun the shift generating function.
+
+    The denominator is inverted order by order (w = genfun(den_base u)^-1 f),
+    and every shift family application serves both numerator and
+    denominator; the last row is only needed at level 0.
+    """
+    n = f.n_vars
+    fams = []
+    for k in range(top + 1):
+        wk = f if k == 0 else SymPoly.zero(n)
+        for m in range(1, min(k, n) + 1):
+            wk = wk - fams[k - m][m].scale_rf(den_base ** m)
+        fams.append(apply_shift_family(wk, invert) if k < top else {0: wk})
+    out = []
+    for l in range(top + 1):
+        acc = SymPoly.zero(n)
+        for m in range(min(l, n) + 1):
+            acc = acc + fams[l - m][m].scale_rf(num_base ** m)
+        out.append(acc)
+    return out
+
+
 def eigen_ops_raise(max_l: int, f: SymPoly, invert: bool = False) -> list[SymPoly]:
     """[G_0 f, ..., G_max_l f]: u-expansion of the normalized difference of
-    two shift generating functions (offsets t^-n and t^(1-n)).
-
-    Uses order-by-order inversion of the denominator series; every shift
-    family application is shared between the two roles it plays.
-    """
+    two shift generating functions (offsets t^-n and t^(1-n))."""
     n = f.n_vars
     qv, tv = qt_vals(invert)
     scal = ((ONE - qv) * (ONE - tv)).inverse()
-    den_base = -(tv ** (1 - n))     # denominator: genfun at -u t^(1-n)
-    num_base = -(tv ** (-n))        # numerator:   genfun at -u t^(-n)
-    w = [f]
-    fams = []
-    for k in range(0, max_l + 1):
-        if k > 0:
-            wk = SymPoly.zero(n)
-            for m in range(1, min(k, n) + 1):
-                wk = wk - fams[k - m][m].scale_rf(den_base ** m)
-            w.append(wk)
-        if k < max_l:
-            fams.append(apply_shift_family(w[k], invert))
-        else:
-            # only the m=0 term of the last row is ever used
-            fams.append({0: w[k]})
+    # numerator genfun at -u t^(-n), denominator genfun at -u t^(1-n)
+    ratio = _genfun_ratio(f, max_l, -(tv ** (-n)), -(tv ** (1 - n)), invert)
     out = []
-    for l in range(0, max_l + 1):
-        acc = SymPoly.zero(n)
-        for m in range(0, min(l, n) + 1):
-            fam = fams[l - m]
-            if m not in fam:
-                fam = apply_shift_family(w[l - m], invert)
-                fams[l - m] = fam
-            acc = acc + fam[m].scale_rf(num_base ** m)
+    for l, acc in enumerate(ratio):
         g = acc.scale_rf(-(tv ** n))
         if l == 0:
             g = g + f
@@ -280,43 +274,20 @@ def eigen_ops_raise(max_l: int, f: SymPoly, invert: bool = False) -> list[SymPol
 def eigen_ops_lower(max_l: int, f: SymPoly, invert: bool = False) -> list[SymPoly]:
     """[H_0 f, ..., H_max_l f]: u-expansion of the shifted ratio of shift
     generating functions (offsets 1/(q t^(n-2)) and 1/(q t^(n-1))),
-    including the 1/u pole cancellation, which is asserted."""
+    including the 1/u pole cancellation, which is checked."""
     n = f.n_vars
     qv, tv = qt_vals(invert)
     scal_h = tv * ((ONE - qv) * (ONE - tv)).inverse()
-    den_base = -(qv * tv ** (n - 1)).inverse()
-    num_base = -(qv * tv ** (n - 2)).inverse()
-    top = max_l + 1
-    w = [f]
-    fams = []
-    for k in range(0, top + 1):
-        if k > 0:
-            wk = SymPoly.zero(n)
-            for m in range(1, min(k, n) + 1):
-                wk = wk - fams[k - m][m].scale_rf(den_base ** m)
-            w.append(wk)
-        if k < top:
-            fams.append(apply_shift_family(w[k], invert))
-        else:
-            fams.append({0: w[k]})
-    bl = []
-    for l in range(0, top + 1):
-        acc = SymPoly.zero(n)
-        for m in range(0, min(l, n) + 1):
-            fam = fams[l - m]
-            if m not in fam:
-                fam = apply_shift_family(w[l - m], invert)
-                fams[l - m] = fam
-            acc = acc + fam[m].scale_rf(num_base ** m)
-        b = acc.scale_rf(tv ** (-n))
-        if l == 0:
-            b = b - f
-        bl.append(b)
+    ratio = _genfun_ratio(f, max_l + 1, -(qv * tv ** (n - 2)).inverse(),
+                          -(qv * tv ** (n - 1)).inverse(), invert)
+    bl = [acc.scale_rf(tv ** (-n)) for acc in ratio]
+    bl[0] = bl[0] - f
     # the 1/u coefficient must vanish identically:
     # -scal_h * q t^(n-1) * B_0 + q/(1-q) * [n]_t * f == 0
     nt = t_integer(n) if not invert else t_integer(n, tv)
     pole = -scal_h * qv * tv ** (n - 1) * (tv ** (-n) - ONE) + qv * nt / (ONE - qv)
-    assert pole.is_zero(), "1/u pole of the lowering eigen-family did not cancel"
+    if not pole.is_zero():
+        raise MacHyperError("1/u pole of the lowering eigen-family did not cancel")
     out = []
     for l in range(0, max_l + 1):
         h = (bl[l] - bl[l + 1].scale_rf(qv * tv ** (n - 1))).scale_rf(scal_h)
@@ -326,30 +297,12 @@ def eigen_ops_lower(max_l: int, f: SymPoly, invert: bool = False) -> list[SymPol
 
 def transfer_diag_raise(alist, n: int, invert: bool = False):
     """Diagonal transfer paired with raising: sum of (-1)^l e_l(a) G_l."""
-    as_ = [rf(a) for a in alist]
-    es = elementary_symmetric(as_)
-    def op(f: SymPoly) -> SymPoly:
-        gs = eigen_ops_raise(len(as_), f, invert)
-        out = SymPoly.zero(f.n_vars)
-        for l, e in enumerate(es):
-            term = gs[l].scale_rf(-e if l % 2 else e)
-            out = out + term
-        return out
-    return op
+    return _signed_esum(alist, lambda f, r: eigen_ops_raise(r, f, invert))
 
 
 def transfer_diag_lower(blist, n: int, invert: bool = False):
     """Diagonal transfer paired with lowering: sum of (-1)^l e_l(b) H_l."""
-    bs = [rf(b) for b in blist]
-    es = elementary_symmetric(bs)
-    def op(f: SymPoly) -> SymPoly:
-        hs = eigen_ops_lower(len(bs), f, invert)
-        out = SymPoly.zero(f.n_vars)
-        for l, e in enumerate(es):
-            term = hs[l].scale_rf(-e if l % 2 else e)
-            out = out + term
-        return out
-    return op
+    return _signed_esum(blist, lambda f, r: eigen_ops_lower(r, f, invert))
 
 
 # -- closed-form eigenvalues of the diagonal families -----------------------
@@ -393,7 +346,7 @@ def eigen_value_lower(l: int, lam: Partition, n: int, invert: bool = False) -> R
     """Closed-form eigenvalue of H_l on the integral element of lam.
 
     u-expansion of scal_h*(u - q t^(n-1))/u*(prod_i (1/t - u z_i/q)/(1 - u z_i/q) - 1)
-    plus the explicit 1/u counterterm; the pole cancellation is asserted."""
+    plus the explicit 1/u counterterm; the pole cancellation is checked."""
     sg = -1 if invert else 1
     qv, tv = qt_vals(invert)
     top = l + 1
@@ -411,7 +364,8 @@ def eigen_value_lower(l: int, lam: Partition, n: int, invert: bool = False) -> R
     scal_h = tv * ((ONE - qv) * (ONE - tv)).inverse()
     nt = t_integer(n) if not invert else t_integer(n, tv)
     pole = -scal_h * qv * tv ** (n - 1) * s_series[0] + qv * nt / (ONE - qv)
-    assert pole.is_zero(), "1/u pole of the closed-form eigenvalue did not cancel"
+    if not pole.is_zero():
+        raise MacHyperError("1/u pole of the closed-form eigenvalue did not cancel")
     return scal_h * (s_series[l] - qv * tv ** (n - 1) * s_series[l + 1])
 
 
@@ -553,9 +507,14 @@ def kaneko_transform(series: TruncatedSeries, cache: MacdonaldCache | None = Non
 # ---------------------------------------------------------------------------
 # univariate collapse (one variable, z-series)
 
+def _check_univariate(f: SymPoly) -> None:
+    if f.n_vars != 1:
+        raise ValueError(f"univariate operation on {f.n_vars} variables")
+
+
 def uv_shift(f: SymPoly, qval: RatFuncQT) -> SymPoly:
     """z -> qval * z on a one-variable polynomial."""
-    assert f.n_vars == 1
+    _check_univariate(f)
     return SymPoly(1, {lam: c * qval ** size(lam) for lam, c in f.coeffs.items()})
 
 
@@ -566,12 +525,12 @@ def uv_delta(aval: RatFuncQT, f: SymPoly, qval: RatFuncQT | None = None) -> SymP
 
 
 def uv_mul_z(f: SymPoly) -> SymPoly:
-    assert f.n_vars == 1
+    _check_univariate(f)
     return SymPoly(1, {(size(lam) + 1,): c for lam, c in f.coeffs.items()})
 
 
 def uv_div_z(f: SymPoly) -> SymPoly:
-    assert f.n_vars == 1
+    _check_univariate(f)
     out: dict[Partition, RatFuncQT] = {}
     for lam, c in f.coeffs.items():
         k = size(lam)
@@ -646,7 +605,8 @@ def product_coeffs(which: str, D: int, aval: RatFuncQT | None = None) -> list[Ra
         elif which == "dir":
             out.append(-qt_monomial(k - 1, 0) * prev / den)
         elif which == "ratio":
-            assert aval is not None
+            if aval is None:
+                raise ValueError('product "ratio" needs aval')
             out.append(prev * (ONE - aval * qt_monomial(k - 1, 0)) / den)
         else:
             raise ValueError(which)

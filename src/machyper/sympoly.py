@@ -11,7 +11,6 @@ variables, keyed by pairs of partitions.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
@@ -259,14 +258,6 @@ def raw_qderiv_var(a: Raw, i: int, qval: RatFuncQT) -> Raw:
 def raw_mul_var(a: Raw, i: int) -> Raw:
     return {e[:i] + (e[i] + 1,) + e[i + 1:]: c for e, c in a.items()}
 
-def raw_div_var(a: Raw, i: int) -> Raw:
-    out: Raw = {}
-    for e, c in a.items():
-        if e[i] == 0:
-            raise InexactDivisionError(f"raw polynomial not divisible by x_{i + 1}")
-        out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c
-    return out
-
 def raw_div_binomial(p: Raw, a: int, b: int) -> Raw:
     """Exact division by (x_a - x_b), 0-based variable indices."""
     if not p:
@@ -293,17 +284,6 @@ def raw_div_binomial(p: Raw, a: int, b: int) -> Raw:
     if rem:
         raise InexactDivisionError("division by difference of variables left a remainder")
     return quot
-
-def raw_eval_powers(a: Raw, values: list[RatFuncQT]) -> RatFuncQT:
-    """Evaluate at x_i = values[i]."""
-    out = ZERO
-    for e, c in a.items():
-        v = c
-        for i, k in enumerate(e):
-            if k:
-                v = v * values[i] ** k
-        out = out + v
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -500,13 +480,6 @@ class BiSymPoly:
         return BiSymPoly(self.n_vars,
                          {k: c for k, c in self.coeffs.items()
                           if sum(k[0]) == dx and sum(k[1]) == dy})
-
-    def nonzero_counts(self) -> dict[tuple[int, int], int]:
-        out: dict[tuple[int, int], int] = {}
-        for (lx, ly) in self.coeffs:
-            k = (sum(lx), sum(ly))
-            out[k] = out.get(k, 0) + 1
-        return out
 
     def eval_y(self, values: dict[Partition, RatFuncQT]) -> SymPoly:
         """Collapse the y alphabet using precomputed m_lambda(y) values."""

@@ -242,6 +242,15 @@ def test_cache_disk_round_trip(tmp_path):
     c4 = MacdonaldCache(d)
     assert c4.get_P((2,), 2) == p1
 
+    # a zero denominator cannot be parsed into a field element; rebuilt too
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["coeffs"][0]["value"]["den"] = []
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    c5 = MacdonaldCache(d)
+    assert c5.get_P((2,), 2) == p1
+
     assert c1.clear_disk() >= 1
     assert c1.list_disk() == []
 

@@ -123,7 +123,8 @@ def test_lower_alt_matches(n):
 def test_weight_from_shift1_matches(n):
     for lam in _all_partitions(3, n):
         f = basis_poly("m", lam, n)
-        assert weight_from_shift1(f) == apply_weight(f)
+        for invert in (False, True):
+            assert weight_from_shift1(f, invert) == apply_weight(f, invert)
 
 
 def test_shift_family_level_zero_and_slices():
@@ -137,9 +138,11 @@ def test_shift_family_level_zero_and_slices():
 
 
 def test_shift1_matches_family_level_one():
-    f = basis_poly("p", (2,), 3)
-    fam = apply_shift_family(f, levels=[1])
-    assert fam[1] == apply_shift1(f)
+    for n in (2, 3, 4):
+        f = basis_poly("p", (2,), n)
+        for invert in (False, True):
+            fam = apply_shift_family(f, invert, levels=[1])
+            assert fam[1] == apply_shift1(f, invert)
 
 
 def test_ad_level_zero():

@@ -2,6 +2,9 @@
 product oracles, transfer-operator actions, flavor transforms, and the
 univariate collapse."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,7 +26,7 @@ from machyper.series import (HyperParams, TruncatedSeries, check_lower_poles,
                              transfer_diag_lower, transfer_diag_lower_uv,
                              transfer_diag_raise, transfer_diag_raise_uv,
                              transfer_lower, transfer_lower_uv,
-                             transfer_raise, transfer_raise_uv)
+                             transfer_raise, transfer_raise_uv, uv_shift)
 from machyper.sympoly import SymPoly
 
 
@@ -214,6 +217,12 @@ def test_univariate_matches_full_operators():
     assert transfer_diag_lower_uv([b1], f) == transfer_diag_lower([b1], 1)(f)
 
 
+def test_univariate_rejects_several_variables():
+    f = SymPoly.from_coeffs(2, {(1,): ONE})
+    with pytest.raises(ValueError):
+        uv_shift(f, Q)
+
+
 # ---------------------------------------------------------------------------
 # two-alphabet rendering and serialization
 
@@ -239,3 +248,19 @@ def test_series_json_shape(cache):
     assert set(j) == {"n", "D", "flavor", "params", "coeffs"}
     assert [tuple(e["partition"]) for e in j["coeffs"]] == \
         list(enumerate_partitions(2, 2))
+
+
+# ---------------------------------------------------------------------------
+# interpreter flags
+
+@pytest.mark.skipif(sys.flags.optimize, reason="already running under -O")
+def test_module_passes_under_optimize():
+    # invariant checks are raised errors, so python -O must not weaken them
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(root, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "tests/test_series.py"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
