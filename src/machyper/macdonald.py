@@ -10,13 +10,20 @@ staircase point x_i = t^(n-i).
 A MacdonaldCache memoizes the expensive pieces (the monic basis and the
 shift-operator columns) and can persist the basis to disk as JSON, one
 file per (n, partition), validated against the closed-form principal
-evaluation whenever a file is read or written.
+evaluation whenever a file is read or written; a file is written to a
+temporary name and moved into place, so readers never see half of one.
+
+The forms at reciprocal q and t (macdonald_forms with invert=True) are
+the images of the plain forms under q -> 1/q, t -> 1/t, taken
+coefficientwise with invert_qt; every other function here works at q and
+t only.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,7 +34,7 @@ from .partitions import (Partition, SkewCover, dominates, format_partition,
 from .qops import apply_raise1, apply_shift1, eigen_shift
 from .ratfunc import (ONE, Q, RatFuncQT, T, invert_qt, qt_monomial, rf,
                       t_monomial)
-from .sympoly import BiSymPoly, SymPoly, basis_poly, orbit
+from .sympoly import BiSymPoly, SymPoly, basis_poly, invert_coeffs, orbit
 
 CACHE_ENV_VAR = "MACHYPER_CACHE_DIR"
 _FORMAT = 1
@@ -91,8 +98,17 @@ class MacdonaldCache:
                 {"partition": list(mu), "value": c.to_json()} for mu, c in items
             ],
         }
-        with open(self._path(lam, n), "w", encoding="utf-8") as fh:
-            json.dump(data, fh)
+        path = self._path(lam, n)
+        # one temporary name per writing thread; never listed as an entry
+        tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(data, fh)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
     def list_disk(self) -> list[str]:
         if not self.cache_dir or not os.path.isdir(self.cache_dir):
@@ -128,11 +144,11 @@ class MacdonaldCache:
         hit = self._columns.get(key)
         if hit is None:
             col = apply_shift1(basis_poly("m", nu, n)).coeffs
-            for mu in col:
-                # dominance triangularity of the shift operator
-                assert dominates(nu, mu), (nu, mu)
-            diag = col.get(nu)
-            assert diag is not None and diag == eigen_shift(1, nu, n), nu
+            # dominance triangularity of the shift operator
+            if not all(dominates(nu, mu) for mu in col):
+                raise MacHyperError(f"shift operator not triangular at {nu}")
+            if col.get(nu) != eigen_shift(1, nu, n):
+                raise MacHyperError(f"shift operator diagonal is wrong at {nu}")
             hit = col
             self._columns[key] = hit
         return hit
@@ -154,7 +170,8 @@ def _build_P(lam: Partition, n: int, cache: MacdonaldCache) -> SymPoly:
             f"partition {format_partition(lam)} has more parts than variables (n={n})")
     d = size(lam)
     downset = [mu for mu in partitions_of(d, n) if dominates(lam, mu)]
-    assert downset and downset[0] == lam
+    if not downset or downset[0] != lam:
+        raise MacHyperError(f"{lam} does not head its dominance downset")
     eig_top = eigen_shift(1, lam, n)
     coeffs: dict[Partition, RatFuncQT] = {lam: ONE}
     for mu in downset[1:]:
@@ -165,7 +182,8 @@ def _build_P(lam: Partition, n: int, cache: MacdonaldCache) -> SymPoly:
             if entry is not None:
                 num = num + c_nu * entry
         div = eig_top - eigen_shift(1, mu, n)
-        assert not div.is_zero(), (lam, mu)
+        if div.is_zero():
+            raise MacHyperError(f"degenerate shift eigenvalues at {lam}, {mu}")
         val = num / div
         if not val.is_zero():
             coeffs[mu] = val
@@ -195,16 +213,17 @@ def macdonald_forms(lam: Partition, n: int, cache: MacdonaldCache | None = None,
                     invert: bool = False) -> MacForms:
     """All normalizations at once.
 
-    invert=True returns the forms with q and t replaced by reciprocals
-    (coefficientwise inversion of the monic basis is legitimate: the
-    defining triangular eigenproblem maps onto itself under the swap).
+    invert=True returns the image of every form and scalar under
+    q -> 1/q, t -> 1/t (coefficientwise inversion of the monic basis is
+    legitimate: the defining triangular eigenproblem maps onto itself).
     """
     lam = make_partition(lam)
     P = macdonald_P(lam, n, cache)
+    c, cp, j = hook_products(lam)
+    principal = principal_J_closed(lam, n)
     if invert:
-        P = SymPoly.from_coeffs(n, {mu: invert_qt(c) for mu, c in P.coeffs.items()})
-    c, cp, j = hook_products(lam, invert)
-    principal = principal_J_closed(lam, n, invert)
+        P = invert_coeffs(P)
+        c, cp, j, principal = (invert_qt(x) for x in (c, cp, j, principal))
     J = P.scale_rf(c)
     Jstar = P.scale_rf(cp.inverse())
     Jnorm = J.scale_rf(principal.inverse())
@@ -217,32 +236,30 @@ def macdonald_forms(lam: Partition, n: int, cache: MacdonaldCache | None = None,
 # principal evaluation
 
 @lru_cache(maxsize=None)
-def principal_m(lam: Partition, n: int, invert: bool = False) -> RatFuncQT:
+def principal_m(lam: Partition, n: int) -> RatFuncQT:
     """Monomial basis element at the staircase x_i = t^(n-i)."""
-    s = -1 if invert else 1
     out = rf(0)
     for expo in orbit(lam, n):
         k = sum((n - 1 - i) * e for i, e in enumerate(expo))
-        out = out + t_monomial(s * k)
+        out = out + t_monomial(k)
     return out
 
 
-def principal_eval(f: SymPoly, invert: bool = False) -> RatFuncQT:
-    """Evaluate at the staircase point x_i = t^(n-i) (reciprocal if invert)."""
+def principal_eval(f: SymPoly) -> RatFuncQT:
+    """Evaluate at the staircase point x_i = t^(n-i)."""
     out = rf(0)
     for mu, c in f.coeffs.items():
-        out = out + c * principal_m(mu, f.n_vars, invert)
+        out = out + c * principal_m(mu, f.n_vars)
     return out
 
 
-def principal_J_closed(lam: Partition, n: int, invert: bool = False) -> RatFuncQT:
+def principal_J_closed(lam: Partition, n: int) -> RatFuncQT:
     """Closed form for the integral form at the staircase:
     t^(n(lam)) * prod over cells (1 - t^n q^(j-1) t^(1-i))."""
     from .partitions import pochhammer_qt
-    s = -1 if invert else 1
     if length(lam) > n:
         return rf(0)
-    return t_monomial(s * n_stat(lam)) * pochhammer_qt(t_monomial(s * n), lam, invert)
+    return t_monomial(n_stat(lam)) * pochhammer_qt(t_monomial(n), lam)
 
 
 def _principal_matches(P: SymPoly, lam: Partition, n: int) -> bool:
@@ -264,7 +281,8 @@ def expand_in_P(f: SymPoly, cache: MacdonaldCache | None = None) -> dict[Partiti
         c = rest.coeffs[kappa]
         out[kappa] = c
         rest = rest - macdonald_P(kappa, n, cache).scale_rf(c)
-        assert kappa not in rest.coeffs
+        if kappa in rest.coeffs:
+            raise MacHyperError(f"basis element {kappa} is not monic")
     return out
 
 
@@ -289,7 +307,7 @@ def binomial_by_expansion(upper: Partition, lower: Partition, n: int,
 
     Expands raise1 applied to the dual integral form of `lower` in the
     dual integral basis; the coefficient at `upper` equals
-    t^(row offset) times the cover coefficient.  Asserts that only upper
+    t^(row offset) times the cover coefficient.  Raises unless only upper
     covers of `lower` appear in the expansion.
     """
     upper = make_partition(upper)
@@ -300,8 +318,8 @@ def binomial_by_expansion(upper: Partition, lower: Partition, n: int,
     raised = apply_raise1(forms.Jstar)
     expansion = expand_in_Jstar(raised, cache)
     allowed = {cv.upper for cv in upper_covers(lower, max_length=n)}
-    for kappa, c in expansion.items():
-        assert kappa in allowed and not c.is_zero(), (kappa, lower)
+    if not all(kappa in allowed and c for kappa, c in expansion.items()):
+        raise MacHyperError(f"raising {lower} reaches beyond its upper covers")
     coeff = expansion.get(upper, rf(0))
     return coeff * t_monomial(-cover.n_skew)
 
@@ -345,10 +363,10 @@ def binomial_lowering_closed(upper: Partition, lower: Partition, n: int) -> RatF
     return (ONE - t_monomial(n - 1) * z[i0 - 1]) / (ONE - Q) * prod
 
 
-def jstar_principal(lam: Partition, n: int, invert: bool = False) -> RatFuncQT:
+def jstar_principal(lam: Partition, n: int) -> RatFuncQT:
     """Closed form for the dual integral form at the staircase point."""
-    _, _, j = hook_products(lam, invert)
-    return principal_J_closed(lam, n, invert) / j
+    _, _, j = hook_products(lam)
+    return principal_J_closed(lam, n) / j
 
 
 def _find_cover(upper: Partition, lower: Partition, n: int) -> SkewCover:
@@ -422,5 +440,6 @@ def cauchy_truncated(n: int, D: int, cache: MacdonaldCache | None = None,
             for ex in orbit(lx, n):
                 for ey in orbit(ly, n):
                     rebuilt[ex + ey] = c
-        assert rebuilt == raw, "product side is not bisymmetric"
+        if rebuilt != raw:
+            raise MacHyperError("product side is not bisymmetric")
     return sum_side, prod_side

@@ -153,19 +153,14 @@ def n_stat_conj(lam: Partition) -> int:
     """n of the conjugate, equal to sum_i binomial(lam_i, 2)."""
     return sum(p * (p - 1) // 2 for p in lam)
 
-def rho_stat(lam: Partition, invert: bool = False) -> RatFuncQT:
-    """Sum of q^(j-1) t^(1-i) over the cells of lam.
-
-    With invert=True the parameters are replaced by their reciprocals,
-    giving sum of q^(1-j) t^(i-1) instead.
-    """
-    s = -1 if invert else 1
+def rho_stat(lam: Partition) -> RatFuncQT:
+    """Sum of q^(j-1) t^(1-i) over the cells of lam."""
     out = rf(0)
     for i, p in enumerate(lam, start=1):
         if p:
             row = rf(0)
             for j in range(1, p + 1):
-                row = row + qt_monomial(s * (j - 1), s * (1 - i))
+                row = row + qt_monomial(j - 1, 1 - i)
             out = out + row
     return out
 
@@ -185,26 +180,21 @@ def z_stat(lam: Partition) -> int:
 # ---------------------------------------------------------------------------
 # (q,t)-Pochhammer and hook products
 
-def pochhammer_qt(u: RatFuncQT, lam: Partition, invert: bool = False) -> RatFuncQT:
-    """Product over cells of (1 - u q^(j-1) t^(1-i)).
-
-    With invert=True the cell factor becomes 1 - u q^(1-j) t^(i-1); the
-    slot value u itself is used as given.
-    """
-    s = -1 if invert else 1
+def pochhammer_qt(u: RatFuncQT, lam: Partition) -> RatFuncQT:
+    """Product over cells of (1 - u q^(j-1) t^(1-i))."""
     u = rf(u)
     out = ONE
     for i, p in enumerate(lam, start=1):
         row = ONE
         for j in range(1, p + 1):
-            row = row * (ONE - u * qt_monomial(s * (j - 1), s * (1 - i)))
+            row = row * (ONE - u * qt_monomial(j - 1, 1 - i))
         out = out * row
     return out
 
-def pochhammer_list(us, lam: Partition, invert: bool = False) -> RatFuncQT:
+def pochhammer_list(us, lam: Partition) -> RatFuncQT:
     out = ONE
     for u in us:
-        out = out * pochhammer_qt(u, lam, invert)
+        out = out * pochhammer_qt(u, lam)
     return out
 
 def poch_ratio_check(u: RatFuncQT, cover: SkewCover) -> bool:
@@ -214,13 +204,9 @@ def poch_ratio_check(u: RatFuncQT, cover: SkewCover) -> bool:
     rhs = pochhammer_qt(u, cover.lower) * (ONE - u * cover.rho_skew)
     return lhs == rhs
 
-def hook_products(lam: Partition, invert: bool = False) -> tuple[RatFuncQT, RatFuncQT, RatFuncQT]:
+def hook_products(lam: Partition) -> tuple[RatFuncQT, RatFuncQT, RatFuncQT]:
     """(c, c', j) hook products: c uses 1 - q^arm t^(leg+1), c' uses
-    1 - q^(arm+1) t^leg, and j = c * c'.
-
-    invert=True replaces q, t by their reciprocals in every factor.
-    """
-    s = -1 if invert else 1
+    1 - q^(arm+1) t^leg, and j = c * c'."""
     c = ONE
     cp = ONE
     conj = conjugate(lam)
@@ -228,8 +214,8 @@ def hook_products(lam: Partition, invert: bool = False) -> tuple[RatFuncQT, RatF
         for j in range(1, p + 1):
             a = p - j
             l = conj[j - 1] - i
-            c = c * (ONE - qt_monomial(s * a, s * (l + 1)))
-            cp = cp * (ONE - qt_monomial(s * (a + 1), s * l))
+            c = c * (ONE - qt_monomial(a, l + 1))
+            cp = cp * (ONE - qt_monomial(a + 1, l))
     return c, cp, c * cp
 
 def format_partition(lam: Partition) -> str:

@@ -16,10 +16,11 @@ operator) are oracles used only by tests.  They rebuild apply_lower and
 apply_weight along other routes and must not share the _assemble call of
 the operator they check, or the comparison would check nothing.
 
-The `invert` flag replaces q and t by their reciprocals inside an
-operator (prefactors, shifts and scalars alike).  Slot arguments such as
-concrete eigenvalue points are never transformed; callers pass what they
-mean.
+Every operator here is written at q and t.  Its image at reciprocal q
+and t is the conjugate f -> invert_coeffs(O(invert_coeffs(f))), since
+q -> 1/q, t -> 1/t is a field automorphism that leaves the variables
+alone; series builds the inverted transfers that way, so no operator
+carries a flag.  The named oracles above are unchanged by this.
 """
 
 from __future__ import annotations
@@ -30,44 +31,36 @@ from itertools import combinations
 from .errors import InexactDivisionError, ResourceGuardError
 from .partitions import Partition, rho_stat
 from .ratfunc import (ONE, Q, RatFuncQT, T, elementary_symmetric, poly_lcm,
-                      q_monomial, qt_monomial, t_integer, t_monomial)
+                      qt_monomial, t_integer)
 from .sympoly import (MINUS_ONE, Raw, SymPoly, basis_poly, raw_add_into,
                       raw_div_binomial, raw_mul, raw_mul_var, raw_qderiv_var,
-                      raw_shift_subset, raw_shift_var)
+                      raw_shift_subset)
 
 # subset symmetrization over S_n has n! * 2^n cost; past this it is a typo
 MAX_FULL_SYMMETRIZE = 6
-
-
-def qt_vals(invert: bool) -> tuple[RatFuncQT, RatFuncQT]:
-    """The working values of q and t: the monomials or their reciprocals."""
-    if invert:
-        return q_monomial(-1), t_monomial(-1)
-    return Q, T
 
 
 # ---------------------------------------------------------------------------
 # alternants and the one assembly route
 
 @lru_cache(maxsize=None)
-def _alternant(n: int, subset: tuple[int, ...] = (), invert: bool = False) -> "tuple":
+def _alternant(n: int, subset: tuple[int, ...] = ()) -> "tuple":
     """prod_{j<k} (y_j - y_k) with y_j = t x_j on subset and y_j = x_j off
-    it (1/t instead of t when invert), as a frozen raw item list.
+    it, as a frozen raw item list.
 
     The empty subset gives the Vandermonde.  A single variable i gives the
     Vandermonde times the i-th divided-difference prefactor
     prod_{j != i} (t x_i - x_j)/(x_i - x_j); a larger subset gives the
     t-weighted alternant of the shift family.
     """
-    _, tv = qt_vals(invert)
     cur: Raw = {(0,) * n: ONE}
     # forms with integer coefficients first: the partial products stay cheap
     for j, k in sorted(combinations(range(n), 2),
                        key=lambda jk: jk[0] in subset or jk[1] in subset):
         ej = (0,) * j + (1,) + (0,) * (n - 1 - j)
         ek = (0,) * k + (1,) + (0,) * (n - 1 - k)
-        cur = raw_mul(cur, {ej: tv if j in subset else ONE,
-                            ek: -tv if k in subset else MINUS_ONE})
+        cur = raw_mul(cur, {ej: T if j in subset else ONE,
+                            ek: -T if k in subset else MINUS_ONE})
     return tuple(cur.items())
 
 
@@ -82,31 +75,30 @@ def divide_vandermonde(raw: Raw, n: int) -> Raw:
     return cur
 
 
-def _assemble(n: int, invert: bool, pieces) -> SymPoly:
+def _assemble(n: int, pieces) -> SymPoly:
     """(1/V) * sum of alternant(subset) * piece over the (subset, piece) pairs."""
     acc: Raw = {}
     for subset, piece in pieces:
-        raw_add_into(acc, raw_mul(dict(_alternant(n, subset, invert)), piece))
+        raw_add_into(acc, raw_mul(dict(_alternant(n, subset)), piece))
     return SymPoly.from_raw(divide_vandermonde(acc, n), n)
 
 
 # ---------------------------------------------------------------------------
 # first-order operators: sums of prefactor * shift over single variables
 
-def apply_lower(f: SymPoly, invert: bool = False) -> SymPoly:
+def apply_lower(f: SymPoly) -> SymPoly:
     """Degree-lowering q-difference operator: sum of prefactor * q-derivative.
 
     Homogeneous of degree -1; on the principally normalized integral basis
     it acts as a sum over the lower covers of the indexing partition with
     the cover coefficients as weights.
     """
-    qv, _ = qt_vals(invert)
     fraw = f.to_raw()
-    return _assemble(f.n_vars, invert, (((i,), raw_qderiv_var(fraw, i, qv))
-                                        for i in range(f.n_vars)))
+    return _assemble(f.n_vars, (((i,), raw_qderiv_var(fraw, i))
+                                for i in range(f.n_vars)))
 
 
-def apply_weight(f: SymPoly, invert: bool = False) -> SymPoly:
+def apply_weight(f: SymPoly) -> SymPoly:
     """Degree-preserving operator, diagonal on the integral basis.
 
     t^(1-n) * sum of x_i * prefactor_i * q-derivative_i.  The eigenvalue on
@@ -114,26 +106,24 @@ def apply_weight(f: SymPoly, invert: bool = False) -> SymPoly:
     lam (see rho_stat).
     """
     n = f.n_vars
-    qv, tv = qt_vals(invert)
     fraw = f.to_raw()
-    out = _assemble(n, invert, (((i,), raw_mul_var(raw_qderiv_var(fraw, i, qv), i))
-                                for i in range(n)))
-    return out.scale_rf(tv ** (1 - n))
+    out = _assemble(n, (((i,), raw_mul_var(raw_qderiv_var(fraw, i), i))
+                        for i in range(n)))
+    return out.scale_rf(T ** (1 - n))
 
 
-def apply_shift1(f: SymPoly, invert: bool = False) -> SymPoly:
+def apply_shift1(f: SymPoly) -> SymPoly:
     """First symmetrized shift operator: sum of prefactor * q-shift.
 
     Triangular in the dominance order on the monomial basis; used to build
     the two-parameter basis by an eigenvector solve.
     """
-    qv, _ = qt_vals(invert)
     fraw = f.to_raw()
-    return _assemble(f.n_vars, invert, (((i,), raw_shift_var(fraw, i, qv))
-                                        for i in range(f.n_vars)))
+    return _assemble(f.n_vars, (((i,), raw_shift_subset(fraw, (i,)))
+                                for i in range(f.n_vars)))
 
 
-def apply_lower_alt(f: SymPoly, invert: bool = False) -> SymPoly:
+def apply_lower_alt(f: SymPoly) -> SymPoly:
     """Alternative assembly of apply_lower, kept as an independent oracle.
 
     Writes the operator as 1/(q-1) * sum_i (prefactor_i * shift_i - 1)/x_i;
@@ -141,13 +131,12 @@ def apply_lower_alt(f: SymPoly, invert: bool = False) -> SymPoly:
     at x_i = 0.
     """
     n = f.n_vars
-    qv, _ = qt_vals(invert)
     fraw = f.to_raw()
     vf = raw_mul(dict(_alternant(n)), fraw)
     acc: Raw = {}
     for i in range(n):
-        pre = dict(_alternant(n, (i,), invert))
-        num = raw_mul(pre, raw_shift_var(fraw, i, qv))
+        pre = dict(_alternant(n, (i,)))
+        num = raw_mul(pre, raw_shift_subset(fraw, (i,)))
         raw_add_into(num, vf, sign=-1)
         # strip one power of x_i from every term; exactness is the point
         stripped: Raw = {}
@@ -158,20 +147,19 @@ def apply_lower_alt(f: SymPoly, invert: bool = False) -> SymPoly:
             stripped[e[:i] + (e[i] - 1,) + e[i + 1:]] = c
         raw_add_into(acc, stripped)
     out = divide_vandermonde(acc, n)
-    return SymPoly.from_raw(out, n).scale_rf((qv - ONE).inverse())
+    return SymPoly.from_raw(out, n).scale_rf((Q - ONE).inverse())
 
 
-def apply_raise1(f: SymPoly, invert: bool = False) -> SymPoly:
+def apply_raise1(f: SymPoly) -> SymPoly:
     """Degree-raising operator: multiplication by e_1 scaled by 1/(1-q)."""
-    qv, _ = qt_vals(invert)
     e1 = basis_poly("m", (1,), f.n_vars)
-    return (f * e1).scale_rf((ONE - qv).inverse())
+    return (f * e1).scale_rf((ONE - Q).inverse())
 
 
 # ---------------------------------------------------------------------------
 # the symmetrized shift family (generating-function operator in u)
 
-def apply_shift_family(f: SymPoly, invert: bool = False,
+def apply_shift_family(f: SymPoly,
                        levels: "list[int] | None" = None) -> dict[int, SymPoly]:
     """All graded pieces of the generating-function shift operator.
 
@@ -185,7 +173,6 @@ def apply_shift_family(f: SymPoly, invert: bool = False,
         raise ResourceGuardError(
             f"shift family symmetrizes over all {n}! permutations; "
             f"n is limited to {MAX_FULL_SYMMETRIZE}")
-    qv, _ = qt_vals(invert)
     fraw = f.to_raw()
     want = list(range(n + 1)) if levels is None else sorted(set(levels))
     out: dict[int, SymPoly] = {}
@@ -193,14 +180,14 @@ def apply_shift_family(f: SymPoly, invert: bool = False,
         if l < 0 or l > n:
             out[l] = SymPoly.zero(n)
             continue
-        out[l] = _assemble(n, invert, ((subset, raw_shift_subset(fraw, subset, qv))
-                                       for subset in combinations(range(n), l)))
+        out[l] = _assemble(n, ((subset, raw_shift_subset(fraw, subset))
+                               for subset in combinations(range(n), l)))
     return out
 
 
-def apply_shift_genfun(f: SymPoly, uval: RatFuncQT, invert: bool = False) -> SymPoly:
+def apply_shift_genfun(f: SymPoly, uval: RatFuncQT) -> SymPoly:
     """The generating-function shift operator at a concrete parameter value."""
-    fam = apply_shift_family(f, invert)
+    fam = apply_shift_family(f)
     out = SymPoly.zero(f.n_vars)
     upow = ONE
     for l in range(f.n_vars + 1):
@@ -212,75 +199,71 @@ def apply_shift_genfun(f: SymPoly, uval: RatFuncQT, invert: bool = False) -> Sym
 # ---------------------------------------------------------------------------
 # iterated commutators
 
-def _ad(l: int, base, f: SymPoly, invert: bool, negate: bool) -> SymPoly:
+def _ad(l: int, base, f: SymPoly, negate: bool) -> SymPoly:
     """l-fold commutator [W, .] of the weight operator W around base, by
     literal nesting; negate swaps each subtraction, i.e. uses -W."""
     def rec(j: int, h: SymPoly) -> SymPoly:
         if j == 0:
-            return base(h, invert)
-        outer = apply_weight(rec(j - 1, h), invert)
-        inner = rec(j - 1, apply_weight(h, invert))
+            return base(h)
+        outer = apply_weight(rec(j - 1, h))
+        inner = rec(j - 1, apply_weight(h))
         return inner - outer if negate else outer - inner
     return rec(l, f)
 
 
-def apply_ad_raise(l: int, f: SymPoly, invert: bool = False) -> SymPoly:
+def apply_ad_raise(l: int, f: SymPoly) -> SymPoly:
     """l-fold commutator of the weight operator acting on apply_raise1.
 
     ad^0 = apply_raise1; ad^l(B) = [weight, ad^(l-1)(B)].  Assembled by
     literal nesting so it stays an independent witness for the closed-form
     weights used elsewhere.
     """
-    return _ad(l, apply_raise1, f, invert, negate=False)
+    return _ad(l, apply_raise1, f, negate=False)
 
 
-def apply_ad_lower(l: int, f: SymPoly, invert: bool = False) -> SymPoly:
+def apply_ad_lower(l: int, f: SymPoly) -> SymPoly:
     """l-fold commutator of the negated weight operator acting on apply_lower."""
-    return _ad(l, apply_lower, f, invert, negate=True)
+    return _ad(l, apply_lower, f, negate=True)
 
 
 # ---------------------------------------------------------------------------
 # spectra
 
-def spectral_values(lam: Partition, n: int, invert: bool = False) -> list[RatFuncQT]:
+def spectral_values(lam: Partition, n: int) -> list[RatFuncQT]:
     """The point q^(lam_i) t^(n-i), i = 1..n, that diagonalizes the family."""
-    s = -1 if invert else 1
     vals = []
     for i in range(1, n + 1):
         p = lam[i - 1] if i <= len(lam) else 0
-        vals.append(qt_monomial(s * p, s * (n - i)))
+        vals.append(qt_monomial(p, n - i))
     return vals
 
 
-def eigen_shift(l: int, lam: Partition, n: int, invert: bool = False) -> RatFuncQT:
+def eigen_shift(l: int, lam: Partition, n: int) -> RatFuncQT:
     """Eigenvalue of the l-th shift operator on the basis element for lam."""
-    return elementary_symmetric(spectral_values(lam, n, invert))[l]
+    return elementary_symmetric(spectral_values(lam, n))[l]
 
 
-def eigen_shift_genfun(lam: Partition, n: int, uval: RatFuncQT,
-                       invert: bool = False) -> RatFuncQT:
+def eigen_shift_genfun(lam: Partition, n: int, uval: RatFuncQT) -> RatFuncQT:
     """Eigenvalue of the generating-function operator: prod (1 + u * point)."""
     out = ONE
-    for v in spectral_values(lam, n, invert):
+    for v in spectral_values(lam, n):
         out = out * (ONE + uval * v)
     return out
 
 
-def eigen_weight(lam: Partition, invert: bool = False) -> RatFuncQT:
+def eigen_weight(lam: Partition) -> RatFuncQT:
     """Eigenvalue of the weight operator: the (q,t) cell-weight sum."""
-    return rho_stat(lam, invert)
+    return rho_stat(lam)
 
 
-def weight_from_shift1(f: SymPoly, invert: bool = False) -> SymPoly:
+def weight_from_shift1(f: SymPoly) -> SymPoly:
     """The weight operator assembled from the first shift operator.
 
     -(shift1 - [n]_t) / ((1-q) t^(n-1)); independent route used in tests.
     """
     n = f.n_vars
-    qv, tv = qt_vals(invert)
-    nt = t_integer(n, None if not invert else tv)
-    g = apply_shift1(f, invert) - f.scale_rf(nt)
-    scal = ((ONE - qv) * tv ** (n - 1)).inverse()
+    g = apply_shift1(f) - f.scale_rf(t_integer(n))
+    scal = ((ONE - Q) * T ** (n - 1)).inverse()
     return g.scale_rf(-scal)
 
 

@@ -738,9 +738,6 @@ def rf(x) -> RatFuncQT:
         return x
     return RatFuncQT.from_fraction(x)
 
-def q_monomial(k: int) -> RatFuncQT:
-    return RatFuncQT.monomial(k, 0)
-
 def t_monomial(k: int) -> RatFuncQT:
     return RatFuncQT.monomial(0, k)
 
@@ -763,10 +760,8 @@ def q_integer(m: int, qval: RatFuncQT | None = None) -> RatFuncQT:
         p = p * qval
     return out
 
-def t_integer(m: int, tval: RatFuncQT | None = None) -> RatFuncQT:
-    if tval is None:
-        return RatFuncQT.from_poly(PolyQT({(0, j): _F1 for j in range(m)}))
-    return q_integer(m, tval)
+def t_integer(m: int) -> RatFuncQT:
+    return RatFuncQT.from_poly(PolyQT({(0, j): _F1 for j in range(m)}))
 
 
 # ---------------------------------------------------------------------------
@@ -878,10 +873,17 @@ def limit_q1_weak(f: RatFuncQT, scale_order: int) -> Fraction:
     return num1[(0, 0)] / den1[(0, 0)]
 
 def invert_qt(f: RatFuncQT) -> RatFuncQT:
-    """Substitute q -> 1/q and t -> 1/t."""
-    qinv = RatFuncQT.monomial(-1, 0)
-    tinv = RatFuncQT.monomial(0, -1)
-    return substitute(f, qinv, tinv)
+    """Substitute q -> 1/q and t -> 1/t.
+
+    Both halves are reflected in the joint degree box; reciprocals of a
+    reduced pair stay coprime, and one of them keeps a constant term in
+    each variable, so the result is reduced without a gcd.
+    """
+    terms = (f.num.terms, f.den.terms)
+    bq = max(e[0] for p in terms for e in p)
+    bt = max(e[1] for p in terms for e in p)
+    num, den = ({(bq - e[0], bt - e[1]): c for e, c in p.items()} for p in terms)
+    return _make_reduced(num, den)
 
 def poly_lcm(a: PolyQT, b: PolyQT) -> PolyQT:
     """Least common multiple, primitive with positive leading coefficient."""

@@ -16,11 +16,18 @@ product_series_one (infinite-product expansions) are oracles used only by
 tests and checks; they must not share the order-by-order inversion or the
 signed e_l-sum used by the transfer operators, or they would stop being
 independent witnesses.
+
+Inversion (q -> 1/q, t -> 1/t, written iota) is conjugation by invert_qt:
+an inverted series is the iota-image of the plain series at iota(params),
+and an inverted transfer is f -> iota(T[iota(values)](iota f)) with T the
+plain transfer.  Nothing below that one conjugation step knows about it;
+the named oracles above are unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import MacHyperError, PoleError
 from .macdonald import (MacdonaldCache, binomial_by_expansion, default_cache,
@@ -28,10 +35,10 @@ from .macdonald import (MacdonaldCache, binomial_by_expansion, default_cache,
 from .partitions import (Partition, enumerate_partitions, format_partition,
                          lower_covers, make_partition, n_stat, n_stat_conj,
                          pochhammer_list, size, upper_covers)
-from .qops import apply_ad_lower, apply_ad_raise, apply_shift_family, qt_vals
-from .ratfunc import (ONE, Q, RatFuncQT, T, elementary_symmetric, qt_monomial,
-                      rf, t_integer, t_monomial)
-from .sympoly import BiSymPoly, SymPoly
+from .qops import apply_ad_lower, apply_ad_raise, apply_shift_family
+from .ratfunc import (ONE, Q, RatFuncQT, T, elementary_symmetric, invert_qt,
+                      qt_monomial, rf, t_integer, t_monomial)
+from .sympoly import BiSymPoly, SymPoly, invert_coeffs
 
 FLAVORS = ("macdonald", "kaneko")
 
@@ -57,9 +64,13 @@ class HyperParams:
     def s(self) -> int:
         return len(self.lower)
 
+    def inverted(self) -> "HyperParams":
+        """Both lists with q -> 1/q, t -> 1/t applied to every value."""
+        return HyperParams(tuple(map(invert_qt, self.upper)),
+                           tuple(map(invert_qt, self.lower)))
 
-def check_lower_poles(params: HyperParams, n: int, max_size: int,
-                      invert: bool = False) -> None:
+
+def check_lower_poles(params: HyperParams, n: int, max_size: int) -> None:
     """Reject lower parameters whose Pochhammer vanishes in the window.
 
     The cell factor is 1 - b q^(j-1) t^(1-i); it vanishes exactly when
@@ -68,11 +79,10 @@ def check_lower_poles(params: HyperParams, n: int, max_size: int,
     with at most n rows (the smallest partition through cell (i,j) is the
     hook (j, 1^(i-1))).
     """
-    sg = -1 if invert else 1
     for idx, b in enumerate(params.lower, start=1):
         for i in range(1, n + 1):
             for j in range(1, max_size - i + 2):
-                if b == qt_monomial(sg * (1 - j), sg * (i - 1)):
+                if b == qt_monomial(1 - j, i - 1):
                     hook = make_partition((j,) + (1,) * (i - 1))
                     raise PoleError(
                         f"lower parameter #{idx} = {b.render()} makes the "
@@ -84,12 +94,11 @@ def check_lower_poles(params: HyperParams, n: int, max_size: int,
 # ---------------------------------------------------------------------------
 # the truncated series
 
-def _kaneko_factor(lam: Partition, expo: int, invert: bool) -> RatFuncQT:
-    """((-1)^size q^(n-stat of conjugate) t^(-n-stat))^expo, reciprocals if invert."""
+def _kaneko_factor(lam: Partition, expo: int) -> RatFuncQT:
+    """((-1)^size q^(n-stat of conjugate) t^(-n-stat))^expo."""
     if expo == 0:
         return ONE
-    sg = -1 if invert else 1
-    f = qt_monomial(sg * expo * n_stat_conj(lam), -sg * expo * n_stat(lam))
+    f = qt_monomial(expo * n_stat_conj(lam), -expo * n_stat(lam))
     if (size(lam) * expo) % 2:
         f = -f
     return f
@@ -100,7 +109,8 @@ class TruncatedSeries:
     """All coefficients C_lam with |lam| <= D, length <= n.
 
     flavor "macdonald" or "kaneko"; invert=True means the series lives at
-    reciprocal q, t (slot values are taken as given either way).
+    reciprocal q, t (slot values are taken as given either way): it is the
+    image under q -> 1/q, t -> 1/t of the plain series at inverted params.
     """
     n: int
     D: int
@@ -114,20 +124,29 @@ class TruncatedSeries:
               invert: bool = False) -> "TruncatedSeries":
         if flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {flavor!r}")
+        if invert:
+            return cls.build(n, D, params.inverted(), flavor).inverted()
         # headroom: recursions and operator routes reach D+1; poles must
         # already be absent slightly beyond the truncation
-        check_lower_poles(params, n, D + 2, invert)
+        check_lower_poles(params, n, D + 2)
         expo = params.s + 1 - params.r if flavor == "kaneko" else 0
         coeffs: dict[Partition, RatFuncQT] = {}
         for lam in enumerate_partitions(D, n):
-            num = pochhammer_list(params.upper, lam, invert)
-            den = pochhammer_list(params.lower, lam, invert)
+            num = pochhammer_list(params.upper, lam)
+            den = pochhammer_list(params.lower, lam)
             c = num / den
             if expo:
-                c = c * _kaneko_factor(lam, expo, invert)
+                c = c * _kaneko_factor(lam, expo)
             coeffs[lam] = c
-        return cls(n=n, D=D, params=params, flavor=flavor, invert=invert,
-                   coeffs=coeffs)
+        return cls(n=n, D=D, params=params, flavor=flavor, coeffs=coeffs)
+
+    def inverted(self) -> "TruncatedSeries":
+        """The image under q -> 1/q, t -> 1/t: params and coefficients
+        inverted and the invert flag flipped.  An involution."""
+        return TruncatedSeries(
+            n=self.n, D=self.D, params=self.params.inverted(), flavor=self.flavor,
+            invert=not self.invert,
+            coeffs={lam: invert_qt(c) for lam, c in self.coeffs.items()})
 
     def mutate(self, lam: Partition, delta: RatFuncQT = ONE) -> "TruncatedSeries":
         """Perturb one stored coefficient; used by the sensitivity checks."""
@@ -144,22 +163,24 @@ class TruncatedSeries:
 
     def render_one(self, cache: MacdonaldCache | None = None) -> SymPoly:
         """Sum of C * t^(n-stat) * (dual integral form) in one alphabet."""
+        if self.invert:
+            return invert_coeffs(self.inverted().render_one(cache))
         cache = cache or default_cache()
-        sg = -1 if self.invert else 1
         out = SymPoly.zero(self.n)
         for lam, c in self.coeffs.items():
-            forms = macdonald_forms(lam, self.n, cache, self.invert)
-            out = out + forms.Jstar.scale_rf(c * t_monomial(sg * n_stat(lam)))
+            forms = macdonald_forms(lam, self.n, cache)
+            out = out + forms.Jstar.scale_rf(c * t_monomial(n_stat(lam)))
         return out
 
     def render_two(self, cache: MacdonaldCache | None = None) -> BiSymPoly:
         """Two-alphabet rendering: C * t^(n-stat) * Jnorm(x) * Jstar(y)."""
+        if self.invert:
+            return invert_coeffs(self.inverted().render_two(cache))
         cache = cache or default_cache()
-        sg = -1 if self.invert else 1
         out = BiSymPoly.zero(self.n)
         for lam, c in self.coeffs.items():
-            forms = macdonald_forms(lam, self.n, cache, self.invert)
-            scal = c * t_monomial(sg * n_stat(lam))
+            forms = macdonald_forms(lam, self.n, cache)
+            scal = c * t_monomial(n_stat(lam))
             out = out.add_product(scal, forms.Jnorm, forms.Jstar)
         return out
 
@@ -201,36 +222,43 @@ def scale_alphabet_x(F: BiSymPoly, c: RatFuncQT) -> BiSymPoly:
 # ---------------------------------------------------------------------------
 # transfer operators (the annihilator components)
 
-def _signed_esum(values, images):
+def _signed_esum(values, images, invert: bool):
     """The operator f -> sum over l of (-1)^l e_l(values) * images(f, r)[l],
-    where images(f, r) lists the images for l = 0..r and r = len(values)."""
-    es = elementary_symmetric([rf(v) for v in values])
+    where images(f, r) lists the images for l = 0..r and r = len(values).
+
+    With invert it is the conjugate f -> iota(plain op at iota(values))(iota f),
+    iota being q -> 1/q, t -> 1/t on coefficients.
+    """
+    values = [invert_qt(rf(v)) if invert else rf(v) for v in values]
+    es = elementary_symmetric(values)
     def op(f: SymPoly) -> SymPoly:
+        if invert:
+            f = invert_coeffs(f)
         out = SymPoly.zero(f.n_vars)
         for l, img in enumerate(images(f, len(es) - 1)):
             out = out + img.scale_rf(-es[l] if l % 2 else es[l])
-        return out
+        return invert_coeffs(out) if invert else out
     return op
 
 
 def transfer_lower(blist, n: int, invert: bool = False):
     """Degree-lowering transfer: sum over l of (-1)^l e_l(b) times the
     l-fold weight-commutator of the lowering operator."""
-    return _signed_esum(blist, lambda f, r: [apply_ad_lower(l, f, invert)
-                                             for l in range(r + 1)])
+    return _signed_esum(blist, lambda f, r: [apply_ad_lower(l, f)
+                                             for l in range(r + 1)], invert)
 
 
 def transfer_raise(alist, n: int, invert: bool = False):
     """Degree-raising transfer: sum over l of (-1)^l e_l(a) times the
     l-fold weight-commutator of the raising operator."""
-    return _signed_esum(alist, lambda f, r: [apply_ad_raise(l, f, invert)
-                                             for l in range(r + 1)])
+    return _signed_esum(alist, lambda f, r: [apply_ad_raise(l, f)
+                                             for l in range(r + 1)], invert)
 
 
 # -- the diagonal families built from ratios of shift generating functions --
 
-def _genfun_ratio(f: SymPoly, top: int, num_base: RatFuncQT, den_base: RatFuncQT,
-                  invert: bool) -> list[SymPoly]:
+def _genfun_ratio(f: SymPoly, top: int, num_base: RatFuncQT,
+                  den_base: RatFuncQT) -> list[SymPoly]:
     """u^0..u^top coefficients of genfun(num_base * u) / genfun(den_base * u)
     applied to f, with genfun the shift generating function.
 
@@ -244,7 +272,7 @@ def _genfun_ratio(f: SymPoly, top: int, num_base: RatFuncQT, den_base: RatFuncQT
         wk = f if k == 0 else SymPoly.zero(n)
         for m in range(1, min(k, n) + 1):
             wk = wk - fams[k - m][m].scale_rf(den_base ** m)
-        fams.append(apply_shift_family(wk, invert) if k < top else {0: wk})
+        fams.append(apply_shift_family(wk) if k < top else {0: wk})
     out = []
     for l in range(top + 1):
         acc = SymPoly.zero(n)
@@ -254,55 +282,58 @@ def _genfun_ratio(f: SymPoly, top: int, num_base: RatFuncQT, den_base: RatFuncQT
     return out
 
 
-def eigen_ops_raise(max_l: int, f: SymPoly, invert: bool = False) -> list[SymPoly]:
+def eigen_ops_raise(max_l: int, f: SymPoly) -> list[SymPoly]:
     """[G_0 f, ..., G_max_l f]: u-expansion of the normalized difference of
     two shift generating functions (offsets t^-n and t^(1-n))."""
     n = f.n_vars
-    qv, tv = qt_vals(invert)
-    scal = ((ONE - qv) * (ONE - tv)).inverse()
+    scal = ((ONE - Q) * (ONE - T)).inverse()
     # numerator genfun at -u t^(-n), denominator genfun at -u t^(1-n)
-    ratio = _genfun_ratio(f, max_l, -(tv ** (-n)), -(tv ** (1 - n)), invert)
+    ratio = _genfun_ratio(f, max_l, -(T ** (-n)), -(T ** (1 - n)))
     out = []
     for l, acc in enumerate(ratio):
-        g = acc.scale_rf(-(tv ** n))
+        g = acc.scale_rf(-(T ** n))
         if l == 0:
             g = g + f
         out.append(g.scale_rf(scal))
     return out
 
 
-def eigen_ops_lower(max_l: int, f: SymPoly, invert: bool = False) -> list[SymPoly]:
-    """[H_0 f, ..., H_max_l f]: u-expansion of the shifted ratio of shift
-    generating functions (offsets 1/(q t^(n-2)) and 1/(q t^(n-1))),
-    including the 1/u pole cancellation, which is checked."""
-    n = f.n_vars
-    qv, tv = qt_vals(invert)
-    scal_h = tv * ((ONE - qv) * (ONE - tv)).inverse()
-    ratio = _genfun_ratio(f, max_l + 1, -(qv * tv ** (n - 2)).inverse(),
-                          -(qv * tv ** (n - 1)).inverse(), invert)
-    bl = [acc.scale_rf(tv ** (-n)) for acc in ratio]
-    bl[0] = bl[0] - f
-    # the 1/u coefficient must vanish identically:
-    # -scal_h * q t^(n-1) * B_0 + q/(1-q) * [n]_t * f == 0
-    nt = t_integer(n) if not invert else t_integer(n, tv)
-    pole = -scal_h * qv * tv ** (n - 1) * (tv ** (-n) - ONE) + qv * nt / (ONE - qv)
+@lru_cache(maxsize=None)
+def _lower_scale(n: int) -> RatFuncQT:
+    """scal_h of the lowering family, once its 1/u coefficient is checked
+    to vanish identically: -scal_h * q t^(n-1) * B_0 + q/(1-q) * [n]_t * f."""
+    scal_h = T * ((ONE - Q) * (ONE - T)).inverse()
+    pole = -scal_h * Q * T ** (n - 1) * (T ** (-n) - ONE) + Q * t_integer(n) / (ONE - Q)
     if not pole.is_zero():
         raise MacHyperError("1/u pole of the lowering eigen-family did not cancel")
+    return scal_h
+
+
+def eigen_ops_lower(max_l: int, f: SymPoly) -> list[SymPoly]:
+    """[H_0 f, ..., H_max_l f]: u-expansion of the shifted ratio of shift
+    generating functions (offsets 1/(q t^(n-2)) and 1/(q t^(n-1))),
+    including the 1/u pole cancellation, which is checked once per n."""
+    n = f.n_vars
+    scal_h = _lower_scale(n)
+    ratio = _genfun_ratio(f, max_l + 1, -(Q * T ** (n - 2)).inverse(),
+                          -(Q * T ** (n - 1)).inverse())
+    bl = [acc.scale_rf(T ** (-n)) for acc in ratio]
+    bl[0] = bl[0] - f
     out = []
     for l in range(0, max_l + 1):
-        h = (bl[l] - bl[l + 1].scale_rf(qv * tv ** (n - 1))).scale_rf(scal_h)
+        h = (bl[l] - bl[l + 1].scale_rf(Q * T ** (n - 1))).scale_rf(scal_h)
         out.append(h)
     return out
 
 
 def transfer_diag_raise(alist, n: int, invert: bool = False):
     """Diagonal transfer paired with raising: sum of (-1)^l e_l(a) G_l."""
-    return _signed_esum(alist, lambda f, r: eigen_ops_raise(r, f, invert))
+    return _signed_esum(alist, lambda f, r: eigen_ops_raise(r, f), invert)
 
 
 def transfer_diag_lower(blist, n: int, invert: bool = False):
     """Diagonal transfer paired with lowering: sum of (-1)^l e_l(b) H_l."""
-    return _signed_esum(blist, lambda f, r: eigen_ops_lower(r, f, invert))
+    return _signed_esum(blist, lambda f, r: eigen_ops_lower(r, f), invert)
 
 
 # -- closed-form eigenvalues of the diagonal families -----------------------
@@ -319,54 +350,49 @@ def _useries_mul(a: list[RatFuncQT], b: list[RatFuncQT], top: int) -> list[RatFu
     return out
 
 
-def eigen_value_raise(l: int, mu: Partition, n: int, invert: bool = False) -> RatFuncQT:
+def eigen_value_raise(l: int, mu: Partition, n: int) -> RatFuncQT:
     """Closed-form eigenvalue of G_l on the dual integral element of mu.
 
     Coefficient of u^l in 1/((1-q)(1-t)) * (1 - prod_i (t - u z_i)/(1 - u z_i))
     with z_i the spectral point q^(mu_i) t^(1-i)."""
-    sg = -1 if invert else 1
-    qv, tv = qt_vals(invert)
     prod = [ONE] + [rf(0)] * l
     for i in range(1, n + 1):
         p = mu[i - 1] if i <= len(mu) else 0
-        z = qt_monomial(sg * p, sg * (1 - i))
+        z = qt_monomial(p, 1 - i)
         # (t - u z)/(1 - u z) = t + (t-1) * sum_{k>=1} (u z)^k
-        fac = [tv]
+        fac = [T]
         zk = ONE
         for k in range(1, l + 1):
             zk = zk * z
-            fac.append((tv - ONE) * zk)
+            fac.append((T - ONE) * zk)
         prod = _useries_mul(prod, fac, l)
-    scal = ((ONE - qv) * (ONE - tv)).inverse()
+    scal = ((ONE - Q) * (ONE - T)).inverse()
     base = ONE - prod[0] if l == 0 else -prod[l]
     return scal * base
 
 
-def eigen_value_lower(l: int, lam: Partition, n: int, invert: bool = False) -> RatFuncQT:
+def eigen_value_lower(l: int, lam: Partition, n: int) -> RatFuncQT:
     """Closed-form eigenvalue of H_l on the integral element of lam.
 
     u-expansion of scal_h*(u - q t^(n-1))/u*(prod_i (1/t - u z_i/q)/(1 - u z_i/q) - 1)
     plus the explicit 1/u counterterm; the pole cancellation is checked."""
-    sg = -1 if invert else 1
-    qv, tv = qt_vals(invert)
     top = l + 1
     prod = [ONE] + [rf(0)] * top
     for i in range(1, n + 1):
         p = lam[i - 1] if i <= len(lam) else 0
-        z = qt_monomial(sg * p, sg * (1 - i)) / qv
-        fac = [tv.inverse()]
+        z = qt_monomial(p, 1 - i) / Q
+        fac = [T.inverse()]
         zk = ONE
         for k in range(1, top + 1):
             zk = zk * z
-            fac.append((tv.inverse() - ONE) * zk)
+            fac.append((T.inverse() - ONE) * zk)
         prod = _useries_mul(prod, fac, top)
     s_series = [prod[0] - ONE] + prod[1:]
-    scal_h = tv * ((ONE - qv) * (ONE - tv)).inverse()
-    nt = t_integer(n) if not invert else t_integer(n, tv)
-    pole = -scal_h * qv * tv ** (n - 1) * s_series[0] + qv * nt / (ONE - qv)
+    scal_h = T * ((ONE - Q) * (ONE - T)).inverse()
+    pole = -scal_h * Q * T ** (n - 1) * s_series[0] + Q * t_integer(n) / (ONE - Q)
     if not pole.is_zero():
         raise MacHyperError("1/u pole of the closed-form eigenvalue did not cancel")
-    return scal_h * (s_series[l] - qv * tv ** (n - 1) * s_series[l + 1])
+    return scal_h * (s_series[l] - Q * T ** (n - 1) * s_series[l + 1])
 
 
 def eigen_value_raise_brute(l: int, mu: Partition, n: int,
@@ -547,42 +573,33 @@ def _uv_delta_chain(f: SymPoly, avals, qval: RatFuncQT) -> SymPoly:
     return out
 
 
-def transfer_lower_uv(blist, f: SymPoly, invert: bool = False) -> SymPoly:
+def transfer_lower_uv(blist, f: SymPoly) -> SymPoly:
     """One-variable collapse of the lowering transfer:
     (-1)^(s+1)/(1-q) * (1/z) * Delta_1 Delta_(b_1/q) ... Delta_(b_s/q)."""
-    qv, _ = qt_vals(invert)
-    chain = [ONE] + [rf(b) / qv for b in blist]
-    g = _uv_delta_chain(f, chain, qv)
-    sign = rf(-1) if len(blist) % 2 == 0 else ONE
-    return uv_div_z(g).scale_rf(sign / (ONE - qv))
+    return uv_div_z(transfer_diag_lower_uv(blist, f))
 
 
-def transfer_raise_uv(alist, f: SymPoly, invert: bool = False) -> SymPoly:
+def transfer_raise_uv(alist, f: SymPoly) -> SymPoly:
     """One-variable collapse of the raising transfer:
     (-1)^r/(1-q) * z * Delta_(a_1) ... Delta_(a_r)."""
-    qv, _ = qt_vals(invert)
-    g = _uv_delta_chain(f, [rf(a) for a in alist], qv)
-    sign = ONE if len(alist) % 2 == 0 else rf(-1)
-    return uv_mul_z(g).scale_rf(sign / (ONE - qv))
+    return uv_mul_z(transfer_diag_raise_uv(alist, f))
 
 
-def transfer_diag_raise_uv(alist, f: SymPoly, invert: bool = False) -> SymPoly:
+def transfer_diag_raise_uv(alist, f: SymPoly) -> SymPoly:
     """One-variable collapse of the raising-paired diagonal transfer:
     (-1)^r/(1-q) * Delta_(a_1) ... Delta_(a_r)."""
-    qv, _ = qt_vals(invert)
-    g = _uv_delta_chain(f, [rf(a) for a in alist], qv)
+    g = _uv_delta_chain(f, [rf(a) for a in alist], Q)
     sign = ONE if len(alist) % 2 == 0 else rf(-1)
-    return g.scale_rf(sign / (ONE - qv))
+    return g.scale_rf(sign / (ONE - Q))
 
 
-def transfer_diag_lower_uv(blist, f: SymPoly, invert: bool = False) -> SymPoly:
+def transfer_diag_lower_uv(blist, f: SymPoly) -> SymPoly:
     """One-variable collapse of the lowering-paired diagonal transfer:
     (-1)^(s+1)/(1-q) * Delta_1 Delta_(b_1/q) ... Delta_(b_s/q)."""
-    qv, _ = qt_vals(invert)
-    chain = [ONE] + [rf(b) / qv for b in blist]
-    g = _uv_delta_chain(f, chain, qv)
+    chain = [ONE] + [rf(b) / Q for b in blist]
+    g = _uv_delta_chain(f, chain, Q)
     sign = rf(-1) if len(blist) % 2 == 0 else ONE
-    return g.scale_rf(sign / (ONE - qv))
+    return g.scale_rf(sign / (ONE - Q))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from itertools import permutations
 
 from .errors import InexactDivisionError, NotSymmetricError
 from .partitions import Partition, partitions_of, z_stat
-from .ratfunc import ONE, Q, RatFuncQT, T, ZERO, q_integer, rf
+from .ratfunc import ONE, Q, RatFuncQT, T, ZERO, invert_qt, q_integer, rf
 
 Raw = dict[tuple[int, ...], RatFuncQT]
 
@@ -214,32 +214,20 @@ def raw_scale(a: Raw, c: RatFuncQT) -> Raw:
         return dict(a)
     return {e: v * c for e, v in a.items()}
 
-def raw_shift_var(a: Raw, i: int, qval: RatFuncQT) -> Raw:
-    """Substitute x_i -> qval * x_i (i is 0-based)."""
-    out: Raw = {}
-    pows: dict[int, RatFuncQT] = {0: ONE}
-    for e, c in a.items():
-        k = e[i]
-        p = pows.get(k)
-        if p is None:
-            p = qval ** k
-            pows[k] = p
-        out[e] = c * p if k else c
-    return out
-
-def raw_shift_subset(a: Raw, subset: tuple[int, ...], qval: RatFuncQT) -> Raw:
+def raw_shift_subset(a: Raw, subset: tuple[int, ...]) -> Raw:
+    """Substitute x_i -> q * x_i for every i in subset (0-based)."""
     out: Raw = {}
     pows: dict[int, RatFuncQT] = {0: ONE}
     for e, c in a.items():
         k = sum(e[i] for i in subset)
         p = pows.get(k)
         if p is None:
-            p = qval ** k
+            p = Q ** k
             pows[k] = p
         out[e] = c * p if k else c
     return out
 
-def raw_qderiv_var(a: Raw, i: int, qval: RatFuncQT) -> Raw:
+def raw_qderiv_var(a: Raw, i: int) -> Raw:
     """(T_{q,i} - 1) / ((q - 1) x_i) applied termwise; polynomial output."""
     out: Raw = {}
     qints: dict[int, RatFuncQT] = {}
@@ -249,7 +237,7 @@ def raw_qderiv_var(a: Raw, i: int, qval: RatFuncQT) -> Raw:
             continue
         s = qints.get(k)
         if s is None:
-            s = q_integer(k, None if qval is Q else qval)
+            s = q_integer(k)
             qints[k] = s
         e2 = e[:i] + (k - 1,) + e[i + 1:]
         out[e2] = c * s
@@ -496,3 +484,8 @@ class BiSymPoly:
 
     def __repr__(self):
         return f"BiSymPoly({self.n_vars}; {len(self.coeffs)} terms)"
+
+
+def invert_coeffs(f):
+    """q -> 1/q, t -> 1/t on every coefficient of a SymPoly or BiSymPoly."""
+    return type(f)(f.n_vars, {k: invert_qt(c) for k, c in f.coeffs.items()})

@@ -10,6 +10,11 @@ count as failures.
 All checks run over the exact coefficient field; there are no
 tolerances anywhere.  Parameter draws are seeded, so a fixed
 (selection, n, D, seed) reproduces byte-identical reports.
+
+A check handed a series at reciprocal q and t (invert=True) runs on its
+plain image series.inverted(): the inversion is a field automorphism, so
+it keeps every residual zero or nonzero and keeps its degree.  Reports
+still carry the caller's parameters.
 """
 
 from __future__ import annotations
@@ -18,16 +23,16 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import PoleError, ResourceGuardError
-from .ratfunc import (ONE, Q, RatFuncQT, T, invert_qt, limit_q1_weak, rf,
-                      substitute, t_integer, t_monomial)
+from .errors import MacHyperError, PoleError, ResourceGuardError
+from .ratfunc import (ONE, Q, RatFuncQT, T, limit_q1_weak, rf, substitute,
+                      t_integer, t_monomial)
 from .partitions import (Partition, arm, cells, enumerate_partitions,
                          format_partition, hook_products, leg, length,
                          lower_covers, make_partition, partitions_of, size,
                          upper_covers, z_stat)
 from .sympoly import BiSymPoly, SymPoly, basis_poly, to_power_sums
 from .qops import (apply_lower, apply_shift1, apply_shift_family,
-                   apply_shift_genfun, apply_weight, qt_vals)
+                   apply_shift_genfun, apply_weight)
 from .macdonald import (MacdonaldCache, binomial_raising_closed, default_cache,
                         macdonald_forms)
 from .series import (HyperParams, TruncatedSeries, _reciprocal_params,
@@ -158,16 +163,6 @@ def _cover_factor(rho: RatFuncQT, values) -> RatFuncQT:
     return out
 
 
-def _cover_rho(cv, invert: bool) -> RatFuncQT:
-    return invert_qt(cv.rho_skew) if invert else cv.rho_skew
-
-
-def _cover_binomial(upper: Partition, lower: Partition, n: int,
-                    cache: MacdonaldCache, invert: bool) -> RatFuncQT:
-    b = binomial_raising_closed(upper, lower, n, cache)
-    return invert_qt(b) if invert else b
-
-
 # ---------------------------------------------------------------------------
 # two-alphabet annihilation (and its alphabet-swapped variant)
 
@@ -183,11 +178,12 @@ def check_two_alphabet(series: TruncatedSeries,
     independent route.
     """
     cache = cache or default_cache()
+    shown = series.params
+    series = series.inverted() if series.invert else series
     n, D, p = series.n, series.D, series.params
-    inv = series.invert
     F = series.render_two(cache)
-    low = transfer_lower(p.lower, n, inv)
-    rai = transfer_raise(p.upper, n, inv)
+    low = transfer_lower(p.lower, n)
+    rai = transfer_raise(p.upper, n)
     if swapped:
         resid = F.apply_y(low) - F.apply_x(rai)
         def in_window(dx, dy):
@@ -214,10 +210,9 @@ def check_two_alphabet(series: TruncatedSeries,
         for lam in partitions_of(dsz, n):
             clam = series.coeffs[lam]
             for cv in lower_covers(lam):
-                rho = _cover_rho(cv, inv)
                 pairs += 1
-                if clam * _cover_factor(rho, p.lower) != \
-                        series.coeffs[cv.lower] * _cover_factor(rho, p.upper):
+                if clam * _cover_factor(cv.rho_skew, p.lower) != \
+                        series.coeffs[cv.lower] * _cover_factor(cv.rho_skew, p.upper):
                     rec_bad += 1
     if rec_bad:
         notes.append(f"cover recursion failed on {rec_bad} of {pairs} pairs")
@@ -226,7 +221,7 @@ def check_two_alphabet(series: TruncatedSeries,
 
     return TheoremReport(
         theorem="Aprime" if swapped else "A",
-        n=n, D=D, params=_params_json(p),
+        n=n, D=D, params=_params_json(shown),
         passed=not bad and rec_bad == 0,
         trusted=trusted,
         residual_degrees=[list(k) for k in observed],
@@ -250,23 +245,23 @@ def check_diagonal_match(series: TruncatedSeries,
     off-diagonal monomial term (the mutation hook).
     """
     cache = cache or default_cache()
+    shown = series.params
+    series = series.inverted() if series.invert else series
     n, D = series.n, series.D
-    inv = series.invert
-    _, tv = qt_vals(inv)
     F = series.render_two(cache)
     notes = []
     if cross is not None:
         F = F + BiSymPoly(n, {(make_partition(cross), ()): ONE})
         notes.append(f"off-diagonal term injected at {format_partition(cross)}")
 
+    # level 0 is the identity on both sides
+    level_ops = [lambda f, l=l: apply_shift_family(f, levels=[l])[l]
+                 for l in range(1, n + 1)]
     observed = set()
-    for l in range(1, n + 1):      # level 0 is the identity on both sides
-        def op(f, l=l):
-            return apply_shift_family(f, inv, levels=[l])[l]
-        resid = F.apply_x(op) - F.apply_y(op)
-        observed.update(_bi_degrees(resid))
+    for op in level_ops:
+        observed.update(_bi_degrees(F.apply_x(op) - F.apply_y(op)))
     sym_before = F.swap() == F
-    shifted = F.apply_x(lambda f: apply_shift_genfun(f, tv, inv))
+    shifted = F.apply_x(lambda f: apply_shift_genfun(f, T))
     sym_after = shifted.swap() == shifted
     if not sym_before:
         notes.append("swap invariance fails on the series itself")
@@ -274,19 +269,14 @@ def check_diagonal_match(series: TruncatedSeries,
         notes.append("swap invariance fails after the shift operator")
 
     # negative control: an off-diagonal product must be rejected
-    f1 = macdonald_forms((1,), n, cache, inv).J
-    f2 = macdonald_forms((2,), n, cache, inv).J
+    f1 = macdonald_forms((1,), n, cache).J
+    f2 = macdonald_forms((2,), n, cache).J
     neg = BiSymPoly.zero(n).add_product(ONE, f1, f2)
     control = neg.swap() != neg
     if not control:
         notes.append("negative control unexpectedly swap-invariant")
-    hit = False
-    for l in range(1, n + 1):
-        def op(f, l=l):
-            return apply_shift_family(f, inv, levels=[l])[l]
-        if not (neg.apply_x(op) - neg.apply_y(op)).is_zero():
-            hit = True
-            break
+    hit = any(not (neg.apply_x(op) - neg.apply_y(op)).is_zero()
+              for op in level_ops)
     if not hit:
         notes.append("negative control passed the level checks (it must not)")
     control = control and hit
@@ -296,7 +286,7 @@ def check_diagonal_match(series: TruncatedSeries,
     observed = sorted(observed)
     return TheoremReport(
         theorem="kernel",
-        n=n, D=D, params=_params_json(series.params),
+        n=n, D=D, params=_params_json(shown),
         passed=not observed and sym_before and sym_after and control,
         trusted="all bidegrees (degree-preserving operators)",
         residual_degrees=[list(k) for k in observed],
@@ -319,14 +309,12 @@ def _stability_walk(series: TruncatedSeries,
     one unknown.
     """
     n, D, p = series.n, series.D, series.params
-    inv = series.invert
-    _, tv = qt_vals(inv)
-    tn = tv ** n
+    tn = T ** n
     hooks: dict[Partition, RatFuncQT] = {}
 
     def jhook(lam: Partition) -> RatFuncQT:
         if lam not in hooks:
-            hooks[lam] = hook_products(lam, inv)[2]
+            hooks[lam] = hook_products(lam)[2]
         return hooks[lam]
 
     derived: dict[Partition, RatFuncQT] = {(): ONE}
@@ -339,19 +327,18 @@ def _stability_walk(series: TruncatedSeries,
             lm = length(mu)
             data = []
             for cv in upper_covers(mu, max_length=n):
-                rho = _cover_rho(cv, inv)
-                w = (t_monomial((-2 if inv else 2) * cv.n_skew)
-                     * _cover_binomial(cv.upper, mu, n, cache, inv)
+                rho = cv.rho_skew
+                w = (t_monomial(2 * cv.n_skew)
+                     * binomial_raising_closed(cv.upper, mu, n, cache)
                      * jhook(mu) / jhook(cv.upper))
                 data.append((cv.upper, rho,
                              w * _cover_factor(rho, p.upper),
                              w * _cover_factor(rho, p.lower),
                              cv.row))
             news = [d for d in data if d[0] not in derived]
-            for lam, _, _, _, row in news:
-                # the walk order guarantees fresh covers touch the tail only
-                assert row in (lm, lm + 1), \
-                    f"unexpected fresh cover {lam} at base {mu}"
+            # the walk order guarantees fresh covers touch the tail only
+            if any(row not in (lm, lm + 1) for _, _, _, _, row in news):
+                raise MacHyperError(f"unexpected fresh cover at base {mu}")
             if lm <= n - 1:
                 rhs1 = derived[mu] * sum((ka for _, _, ka, _, _ in data),
                                          start=ONE - ONE)
@@ -363,14 +350,15 @@ def _stability_walk(series: TruncatedSeries,
                         rhs2 = rhs2 - derived[lam] * kb * rho
                 if len(news) == 2:
                     (l1, r1, _, kb1, _), (l2, r2, _, kb2, _) = news
-                    det = kb1 * kb2 * (r2 - r1)
-                    assert not det.is_zero(), f"singular pair system at {mu}"
+                    if (kb1 * kb2 * (r2 - r1)).is_zero():
+                        raise MacHyperError(f"singular pair system at {mu}")
                     derived[l1] = (rhs1 * r2 - rhs2) / (kb1 * (r2 - r1))
                     derived[l2] = (rhs2 - rhs1 * r1) / (kb2 * (r2 - r1))
                     counts["pair"] += 1
                 elif len(news) == 1:
                     lam, r1, _, kb1, _ = news[0]
-                    assert not kb1.is_zero(), f"vanishing coefficient at {mu}"
+                    if kb1.is_zero():
+                        raise MacHyperError(f"vanishing coefficient at {mu}")
                     derived[lam] = rhs1 / kb1
                     if kb1 * r1 * derived[lam] != rhs2:
                         ok = False
@@ -386,7 +374,8 @@ def _stability_walk(series: TruncatedSeries,
             else:
                 # full-length base: single weighted equation; the factor
                 # 1 - t^n rho vanishes exactly on the over-long cover
-                assert len(news) <= 1, f"too many unknowns at full base {mu}"
+                if len(news) > 1:
+                    raise MacHyperError(f"too many unknowns at full base {mu}")
                 rhs = derived[mu] * sum((ka * (ONE - tn * rho)
                                          for _, rho, ka, _, _ in data),
                                         start=ONE - ONE)
@@ -396,7 +385,8 @@ def _stability_walk(series: TruncatedSeries,
                 if news:
                     lam, r1, _, kb1, _ = news[0]
                     coeff = kb1 * (ONE - tn * r1)
-                    assert not coeff.is_zero(), f"vanishing weight at {mu}"
+                    if coeff.is_zero():
+                        raise MacHyperError(f"vanishing weight at {mu}")
                     derived[lam] = rhs / coeff
                     counts["single"] += 1
                 else:
@@ -429,16 +419,16 @@ def check_stability(series: TruncatedSeries,
     walk re-derives all coefficients as the independent route.
     """
     cache = cache or default_cache()
+    shown = series.params
+    series = series.inverted() if series.invert else series
     n, D, p = series.n, series.D, series.params
-    inv = series.invert
     observed = set()
     bad = []
     for m in range(1, n + 1):
-        sm = series if m == n else TruncatedSeries.build(
-            m, D, p, series.flavor, inv)
+        sm = series if m == n else TruncatedSeries.build(m, D, p, series.flavor)
         Fm = sm.render_one(cache)
-        resid = (transfer_lower(p.lower, m, inv)(Fm)
-                 - transfer_diag_raise(p.upper, m, inv)(Fm))
+        resid = (transfer_lower(p.lower, m)(Fm)
+                 - transfer_diag_raise(p.upper, m)(Fm))
         for d in _sym_degrees(resid):
             observed.add(d)
             if d <= D - 1:
@@ -454,7 +444,7 @@ def check_stability(series: TruncatedSeries,
         notes.append("coefficient walk skipped (plain flavor only)")
     return TheoremReport(
         theorem="B",
-        n=n, D=D, params=_params_json(p),
+        n=n, D=D, params=_params_json(shown),
         passed=not bad and walk_ok,
         trusted="degrees <= D-1 at every variable count",
         residual_degrees=sorted(observed),
@@ -472,11 +462,12 @@ def check_single_alphabet(series: TruncatedSeries,
     downward cover recursion re-derives each coefficient.
     """
     cache = cache or default_cache()
+    shown = series.params
+    series = series.inverted() if series.invert else series
     n, D, p = series.n, series.D, series.params
-    inv = series.invert
     F = series.render_one(cache)
-    resid = (transfer_diag_lower(p.lower, n, inv)(F)
-             - transfer_raise(p.upper, n, inv)(F))
+    resid = (transfer_diag_lower(p.lower, n)(F)
+             - transfer_raise(p.upper, n)(F))
     observed = _sym_degrees(resid)
     bad = [d for d in observed if d <= D]
     notes = []
@@ -491,12 +482,12 @@ def check_single_alphabet(series: TruncatedSeries,
             num = ONE - ONE
             den = ONE - ONE
             for cv in lower_covers(lam):
-                rho = _cover_rho(cv, inv)
-                bino = _cover_binomial(lam, cv.lower, n, cache, inv)
+                bino = binomial_raising_closed(lam, cv.lower, n, cache)
                 num = num + series.coeffs[cv.lower] \
-                    * _cover_factor(rho, p.upper) * bino
-                den = den + _cover_factor(rho, p.lower) * bino
-            assert not den.is_zero(), f"vanishing diagonal value at {lam}"
+                    * _cover_factor(cv.rho_skew, p.upper) * bino
+                den = den + _cover_factor(cv.rho_skew, p.lower) * bino
+            if den.is_zero():
+                raise MacHyperError(f"vanishing diagonal value at {lam}")
             total += 1
             if num / den != series.coeffs[lam]:
                 rec_bad += 1
@@ -508,7 +499,7 @@ def check_single_alphabet(series: TruncatedSeries,
 
     return TheoremReport(
         theorem="C",
-        n=n, D=D, params=_params_json(p),
+        n=n, D=D, params=_params_json(shown),
         passed=not bad and rec_bad == 0,
         trusted="degrees <= D",
         residual_degrees=observed,
@@ -634,7 +625,8 @@ def check_inverted_theorems(params: HyperParams, inner: TruncatedSeries,
     """
     cache = cache or default_cache()
     n, D = inner.n, inner.D
-    assert inner.invert, "inner series must be built with invert=True"
+    if not inner.invert:
+        raise ValueError("inner series must be built with invert=True")
     recs = inner.params
     c = flavor_scale_one(params)
     d = flavor_scale_two(params, n)
@@ -674,7 +666,8 @@ def check_inverted_theorems(params: HyperParams, inner: TruncatedSeries,
 
     if params.r == 0 and params.s == 0:
         # closing identity: the empty-shape series is the falling q-product
-        assert c == Q ** -1
+        if c != Q ** -1:
+            raise MacHyperError("empty-shape scaling constant is not 1/q")
         if Fn == product_series_one("dir", n, D):
             notes.append("empty-shape rendering equals the falling q-product")
         else:
@@ -805,7 +798,8 @@ def jack_oracle(lam: Partition, k: int, n: int) -> SymPoly:
         done.append((P, Pp, _deformed_inner(Pp, Pp, alpha)))
         if nu == lam:
             target = P
-    assert target is not None
+    if target is None:
+        raise MacHyperError(f"Gram-Schmidt never reached {lam}")
     scal = alpha ** (-dsz)
     for (i, j) in cells(lam):
         scal = scal * (alpha * arm(lam, i, j) + leg(lam, i, j) + 1)

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import machyper.cli as cli
 from machyper.cli import (EXIT_PASS, EXIT_POLE, EXIT_RESOURCE, EXIT_USAGE,
                           EXIT_VERIFY_FAIL, ParamExprError, main,
                           parse_param_expr)
@@ -114,6 +115,22 @@ def test_json_outputs_byte_identical(capsys):
     assert main(args) == EXIT_PASS
     assert capsys.readouterr().out == first
     assert first.startswith("{") and '"coeffs"' in first
+
+
+def test_parser_reuse_keeps_calls_apart(capsys):
+    # the parser is built once per process; a repeatable flag given to one
+    # call must not leak into the next
+    with_a = ["compute", "series", "--n", "1", "--D", "2", "--a", "1/2"]
+    without = ["compute", "series", "--n", "1", "--D", "2"]
+    fresh = []
+    for args in (with_a, without):
+        cli._parser.cache_clear()
+        assert main(args) == EXIT_PASS
+        fresh.append(capsys.readouterr().out)
+    assert fresh[0] != fresh[1]
+    for args, want in zip((with_a, without, with_a), fresh + fresh[:1]):
+        assert main(args) == EXIT_PASS
+        assert capsys.readouterr().out == want
 
 
 # ---------------------------------------------------------------------------

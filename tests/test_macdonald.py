@@ -3,10 +3,14 @@ cover coefficients via three routes, principal values, disk cache."""
 
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import machyper.macdonald as macdonald
+from machyper.errors import MacHyperError
 from machyper.macdonald import (MacdonaldCache, binomial_by_expansion,
                                 binomial_lowering_closed,
                                 binomial_raising_closed, cauchy_truncated,
@@ -255,6 +259,33 @@ def test_cache_disk_round_trip(tmp_path):
     assert c1.list_disk() == []
 
 
+def test_cache_write_is_atomic(tmp_path, monkeypatch):
+    # a write that fails midway leaves the previous file loadable and
+    # removes its temporary file
+    d = str(tmp_path)
+    p1 = MacdonaldCache(d).get_P((2,), 2)
+
+    def broken_dump(data, fh):
+        fh.write('{"format": ')
+        raise OSError("device full")
+
+    monkeypatch.setattr(json, "dump", broken_dump)
+    with pytest.raises(OSError):
+        MacdonaldCache(d)._store_disk((2,), 2, p1)
+    monkeypatch.undo()
+    assert os.listdir(d) == ["P_n2_2.json"]
+    assert MacdonaldCache(d)._load_disk((2,), 2) == p1
+
+
+def test_broken_invariant_raises(monkeypatch):
+    # a wrong shift eigenvalue is a raised error, not an assert
+    real = macdonald.eigen_shift
+    monkeypatch.setattr(macdonald, "eigen_shift",
+                        lambda l, lam, n: real(l, lam, n) + ONE)
+    with pytest.raises(MacHyperError):
+        MacdonaldCache().shift1_column((1,), 2)
+
+
 def test_cache_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("MACHYPER_CACHE_DIR", str(tmp_path))
     c = MacdonaldCache()
@@ -263,3 +294,16 @@ def test_cache_env_var(tmp_path, monkeypatch):
     assert c.list_disk() == ["P_n2_1.json"]
     monkeypatch.delenv("MACHYPER_CACHE_DIR")
     assert MacdonaldCache().cache_dir is None
+
+
+@pytest.mark.skipif(sys.flags.optimize, reason="already running under -O")
+def test_module_passes_under_optimize():
+    # invariant checks are raised errors, so python -O must not weaken them
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(root, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "tests/test_macdonald.py"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]

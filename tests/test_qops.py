@@ -26,8 +26,8 @@ from machyper.qops import (
     apply_weight,
     weight_from_shift1,
 )
-from machyper.ratfunc import ONE, Q, T, ZERO, qt_monomial, rf
-from machyper.sympoly import SymPoly, basis_poly
+from machyper.ratfunc import ONE, Q, T, ZERO, invert_qt, qt_monomial, rf
+from machyper.sympoly import SymPoly, basis_poly, invert_coeffs
 
 
 def _all_partitions(max_size, max_len):
@@ -43,8 +43,8 @@ def _all_partitions(max_size, max_len):
 def test_spectral_values_frozen():
     assert spectral_values((1,), 2) == [Q * T, ONE]
     assert spectral_values((2, 1), 3) == [Q ** 2 * T ** 2, Q * T, ONE]
-    # invert flips every exponent sign
-    inv = spectral_values((1,), 2, invert=True)
+    # inversion flips every exponent sign
+    inv = [invert_qt(v) for v in spectral_values((1,), 2)]
     assert inv == [qt_monomial(-1, -1), ONE]
 
 
@@ -69,7 +69,6 @@ def test_eigen_shift_genfun_expands_in_levels():
 def test_eigen_weight_is_cell_statistic():
     for lam in _all_partitions(4, 4):
         assert eigen_weight(lam) == rho_stat(lam)
-        assert eigen_weight(lam, invert=True) == rho_stat(lam, invert=True)
 
 
 # ---------------------------------------------------------------------------
@@ -99,13 +98,14 @@ def test_shift_genfun_on_basis(cache):
 
 
 def test_weight_diagonal_inverted(cache):
-    # inverted parameters diagonalize the inverted-coefficient basis
+    # the weight operator conjugated by inversion diagonalizes the
+    # inverted-coefficient basis
     from machyper.macdonald import macdonald_forms
     n = 2
     for lam in _all_partitions(3, n):
         P = macdonald_forms(lam, n, cache, invert=True).P
-        assert apply_weight(P, invert=True) == P.scale_rf(
-            rho_stat(lam, invert=True))
+        assert invert_coeffs(apply_weight(invert_coeffs(P))) == P.scale_rf(
+            invert_qt(rho_stat(lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -116,15 +116,13 @@ def test_lower_alt_matches(n):
     for lam in _all_partitions(3, n):
         f = basis_poly("m", lam, n)
         assert apply_lower_alt(f) == apply_lower(f)
-        assert apply_lower_alt(f, invert=True) == apply_lower(f, invert=True)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_weight_from_shift1_matches(n):
     for lam in _all_partitions(3, n):
         f = basis_poly("m", lam, n)
-        for invert in (False, True):
-            assert weight_from_shift1(f, invert) == apply_weight(f, invert)
+        assert weight_from_shift1(f) == apply_weight(f)
 
 
 def test_shift_family_level_zero_and_slices():
@@ -140,9 +138,8 @@ def test_shift_family_level_zero_and_slices():
 def test_shift1_matches_family_level_one():
     for n in (2, 3, 4):
         f = basis_poly("p", (2,), n)
-        for invert in (False, True):
-            fam = apply_shift_family(f, invert, levels=[1])
-            assert fam[1] == apply_shift1(f, invert)
+        fam = apply_shift_family(f, levels=[1])
+        assert fam[1] == apply_shift1(f)
 
 
 def test_ad_level_zero():

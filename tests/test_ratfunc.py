@@ -172,6 +172,14 @@ def test_substitute_partial():
     assert z.as_fraction() == F(1, 2)
 
 
+@settings(max_examples=60, deadline=None)
+@given(field_values(), st.integers(-2, 2), st.integers(-2, 2))
+def test_invert_qt_matches_substitution(x, dq, dt):
+    # exponent reflection agrees with the literal substitution q -> 1/q, t -> 1/t
+    x = x * qt_monomial(dq, dt)
+    assert invert_qt(x) == substitute(x, qt_monomial(-1, 0), qt_monomial(0, -1))
+
+
 def test_invert_qt_involution():
     x = (ONE - Q ** 2 * T) / (rf(3) - T ** 2)
     assert invert_qt(invert_qt(x)) == x

@@ -68,6 +68,17 @@ def test_lower_pole_detection():
     check_lower_poles(HyperParams.make(lower=[rf(Fraction(1, 3))]), 3, 4)
 
 
+def test_inverted_build_pole_condition():
+    # at reciprocal q, t the cell factor 1 - b q^(1-j) t^(i-1) vanishes for
+    # b = q^(j-1) t^(1-i); the error names the parameter, cell and partition
+    hits = (([rf(Fraction(1, 3)), Q], r"#2 = .* cell \(1,2\), first hit by partition \[2\]"),
+            ([qt_monomial(0, -1)], r"#1 = .* cell \(2,1\), first hit by partition \[1,1\]"))
+    for lower, where in hits:
+        with pytest.raises(PoleError, match=where):
+            TruncatedSeries.build(2, 2, HyperParams.make(lower=lower), invert=True)
+        TruncatedSeries.build(2, 2, HyperParams.make(lower=lower))
+
+
 # ---------------------------------------------------------------------------
 # diagonal transfer operators
 
@@ -231,7 +242,7 @@ def test_render_two_principal_collapse(cache):
                               lower=[rf(Fraction(3, 7))])
     s = TruncatedSeries.build(2, 2, params)
     F = s.render_two(cache)
-    vals = {lam: principal_m(lam, 2, False) for lam in enumerate_partitions(2, 2)}
+    vals = {lam: principal_m(lam, 2) for lam in enumerate_partitions(2, 2)}
     collapsed = F.eval_y(vals)
     want = SymPoly.zero(2)
     for lam, c in s.coeffs.items():
