@@ -3,7 +3,8 @@
 Computes single objects, dumps tables, runs the verification suites, and
 manages the on-disk polynomial cache.  Exit codes: 0 success (all selected
 checks pass), 1 verification failure, 2 usage error (bad flags, expressions,
-or partitions), 3 resource guard, 4 parameter pole.
+or partitions), 3 resource guard, 4 parameter pole, 5 internal error (a
+broken invariant, never a failed check).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import PoleError, ResourceGuardError
+from .errors import MacHyperError, PoleError, ResourceGuardError
 from .macdonald import (MacdonaldCache, binomial_raising_closed,
                         macdonald_forms)
 from .partitions import (enumerate_partitions, format_partition,
@@ -29,6 +30,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_POLE = 4
+EXIT_INTERNAL = 5
 
 
 class UsageError(ValueError):
@@ -424,6 +426,9 @@ def main(argv=None) -> int:
     except (UsageError, ParamExprError, ZeroDivisionError, ValueError) as exc:
         print(f"machyper: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MacHyperError as exc:
+        print(f"machyper: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -272,11 +272,10 @@ def weight_from_shift1(f: SymPoly) -> SymPoly:
 
 def clear_denominators(f: SymPoly) -> tuple[SymPoly, RatFuncQT]:
     """(den * f, den) with den the lcm of the coefficient denominators."""
-    from .ratfunc import PolyQT, RatFuncQT as RF
-    L = PolyQT.one()
+    L = ONE.den
     for c in f.coeffs.values():
         L = poly_lcm(L, c.den)
-    den = RF.from_poly(L)
+    den = RatFuncQT.from_poly(L)
     if den.is_one():
         return f, ONE
     return f.scale_rf(den), den

@@ -3,8 +3,8 @@
 A polynomial in q and t with rational coefficients is stored sparsely as a
 dict mapping (deg_q, deg_t) to a nonzero Fraction.  The canonical term order
 is graded lexicographic on (deg_q, deg_t): first by total degree, then by
-deg_q, then by deg_t.  PolyQT is a thin immutable wrapper around such a dict;
-RatFuncQT is a reduced fraction of two PolyQT values.
+deg_q, then by deg_t.  RatFuncQT holds a reduced fraction of two such dicts
+as its num and den.
 
 Normal form of a RatFuncQT: gcd(num, den) = 1, den has integer coefficients
 with content 1, and the leading coefficient of den (canonical order) is
@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd
 
-from .errors import InexactDivisionError
+from .errors import InexactDivisionError, LimitError
 
 Term = tuple[int, int]
 PolyDict = dict[Term, Fraction]
@@ -46,16 +46,6 @@ def _padd(a: PolyDict, b: PolyDict) -> PolyDict:
     out = dict(a)
     for e, c in b.items():
         s = out.get(e, _F0) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-def _psub(a: PolyDict, b: PolyDict) -> PolyDict:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, _F0) - c
         if s:
             out[e] = s
         else:
@@ -419,60 +409,6 @@ def _normalize_primitive(a: PolyDict) -> PolyDict:
     return {e: Fraction(v) for e, v in ia.items()}
 
 
-# ---------------------------------------------------------------------------
-# PolyQT
-
-class PolyQT:
-    """Sparse polynomial in q and t over Q.  Treat as immutable."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: PolyDict):
-        self.terms = terms
-
-    @classmethod
-    def zero(cls) -> "PolyQT":
-        return cls({})
-
-    @classmethod
-    def one(cls) -> "PolyQT":
-        return cls({(0, 0): _F1})
-
-    @classmethod
-    def monomial(cls, dq: int, dt: int, c=1) -> "PolyQT":
-        c = Fraction(c)
-        if dq < 0 or dt < 0:
-            raise ValueError("polynomial exponents must be nonnegative")
-        return cls({(dq, dt): c} if c else {})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree_t(self) -> int:
-        return max((e[1] for e in self.terms), default=-1)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyQT) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "PolyQT") -> "PolyQT":
-        return PolyQT(_padd(self.terms, other.terms))
-
-    def __sub__(self, other: "PolyQT") -> "PolyQT":
-        return PolyQT(_psub(self.terms, other.terms))
-
-    def __neg__(self) -> "PolyQT":
-        return PolyQT(_pneg(self.terms))
-
-    def __mul__(self, other: "PolyQT") -> "PolyQT":
-        return PolyQT(_pmul(self.terms, other.terms))
-
-    def __repr__(self):
-        return f"PolyQT({render_poly(self.terms)})"
-
-
 _PONE: PolyDict = {(0, 0): _F1}
 
 
@@ -519,16 +455,17 @@ def poly_from_json(data) -> PolyDict:
 # RatFuncQT
 
 class RatFuncQT:
-    """Reduced fraction of two PolyQT values; field element of Q(q, t)."""
+    """Field element of Q(q, t): num/den, two term dicts in normal form.
+
+    The constructor stores the pair as given; _make (which reduces) and
+    _make_reduced (which rescales a coprime pair) canonicalise.  Treat both
+    dicts as immutable.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: PolyQT, den: PolyQT, _normalized: bool = False):
-        if not _normalized:
-            r = _make(num.terms, den.terms)
-            self.num, self.den = r.num, r.den
-        else:
-            self.num, self.den = num, den
+    def __init__(self, num: PolyDict, den: PolyDict):
+        self.num, self.den = num, den
 
     # -- constructors -------------------------------------------------------
 
@@ -537,11 +474,11 @@ class RatFuncQT:
         f = Fraction(f)
         if not f:
             return ZERO
-        return cls(PolyQT({(0, 0): f}), PolyQT(dict(_PONE)), _normalized=True)
+        return cls({(0, 0): f}, dict(_PONE))
 
     @classmethod
-    def from_poly(cls, p: PolyQT) -> "RatFuncQT":
-        return cls(PolyQT(dict(p.terms)), PolyQT(dict(_PONE)), _normalized=True)
+    def from_poly(cls, p: PolyDict) -> "RatFuncQT":
+        return cls(dict(p), dict(_PONE))
 
     @classmethod
     def monomial(cls, dq: int, dt: int, c=1) -> "RatFuncQT":
@@ -556,13 +493,13 @@ class RatFuncQT:
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.num.terms
+        return not self.num
 
     def is_one(self) -> bool:
-        return self.num.terms == _PONE and self.den.terms == _PONE
+        return self.num == _PONE and self.den == _PONE
 
     def __bool__(self) -> bool:
-        return bool(self.num.terms)
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFuncQT):
@@ -570,16 +507,16 @@ class RatFuncQT:
                 other = RatFuncQT.from_fraction(other)
             else:
                 return NotImplemented
-        return self.num.terms == other.num.terms and self.den.terms == other.den.terms
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((frozenset(self.num.terms.items()), frozenset(self.den.terms.items())))
+        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "RatFuncQT") -> "RatFuncQT":
-        a, b = self.num.terms, self.den.terms
-        c, d = other.num.terms, other.den.terms
+        a, b = self.num, self.den
+        c, d = other.num, other.den
         if not a:
             return other
         if not c:
@@ -606,13 +543,13 @@ class RatFuncQT:
         return self + (-other)
 
     def __neg__(self) -> "RatFuncQT":
-        if not self.num.terms:
+        if not self.num:
             return self
-        return RatFuncQT(PolyQT(_pneg(self.num.terms)), self.den, _normalized=True)
+        return RatFuncQT(_pneg(self.num), self.den)
 
     def __mul__(self, other: "RatFuncQT") -> "RatFuncQT":
-        a, b = self.num.terms, self.den.terms
-        c, d = other.num.terms, other.den.terms
+        a, b = self.num, self.den
+        c, d = other.num, other.den
         if not a or not c:
             return ZERO
         if b == _PONE and d == _PONE:
@@ -631,9 +568,9 @@ class RatFuncQT:
         return self * other.inverse()
 
     def inverse(self) -> "RatFuncQT":
-        if not self.num.terms:
+        if not self.num:
             raise ZeroDivisionError("inverse of zero rational function")
-        return _make_reduced(dict(self.den.terms), dict(self.num.terms))
+        return _make_reduced(dict(self.den), dict(self.num))
 
     def __pow__(self, k: int) -> "RatFuncQT":
         if k == 0:
@@ -647,39 +584,37 @@ class RatFuncQT:
                 out = base if out is None else out * base
             k >>= 1
             if k:
-                base = RatFuncQT(PolyQT(_pmul(base.num.terms, base.num.terms)),
-                                 PolyQT(_pmul(base.den.terms, base.den.terms)),
-                                 _normalized=True)
+                base = RatFuncQT(_pmul(base.num, base.num), _pmul(base.den, base.den))
         return out
 
     def scale(self, c) -> "RatFuncQT":
         c = Fraction(c)
-        if not c or not self.num.terms:
+        if not c or not self.num:
             return ZERO
-        return _make_reduced(_pscale(self.num.terms, c), dict(self.den.terms))
+        return _make_reduced(_pscale(self.num, c), dict(self.den))
 
     # -- conversions --------------------------------------------------------
 
     def as_fraction(self) -> Fraction:
         """The constant value, if this element is a rational constant."""
-        if not self.num.terms:
+        if not self.num:
             return _F0
-        if self.num.terms.keys() == {(0, 0)} and self.den.terms.keys() == {(0, 0)}:
-            return self.num.terms[(0, 0)] / self.den.terms[(0, 0)]
+        if self.num.keys() == {(0, 0)} and self.den.keys() == {(0, 0)}:
+            return self.num[(0, 0)] / self.den[(0, 0)]
         raise ValueError("not a constant: " + self.render())
 
     def render(self) -> str:
-        if not self.num.terms:
+        if not self.num:
             return "0"
-        nt = render_poly(self.num.terms)
-        if self.den.terms == _PONE:
+        nt = render_poly(self.num)
+        if self.den == _PONE:
             return nt
-        if len(self.num.terms) > 1:
+        if len(self.num) > 1:
             nt = f"({nt})"
-        return f"{nt}/({render_poly(self.den.terms)})"
+        return f"{nt}/({render_poly(self.den)})"
 
     def to_json(self) -> dict:
-        return {"num": poly_to_json(self.num.terms), "den": poly_to_json(self.den.terms)}
+        return {"num": poly_to_json(self.num), "den": poly_to_json(self.den)}
 
     @classmethod
     def from_json(cls, data) -> "RatFuncQT":
@@ -696,7 +631,7 @@ def _make_reduced(num: PolyDict, den: PolyDict) -> RatFuncQT:
     if not den:
         raise ZeroDivisionError("zero denominator")
     if den == _PONE:
-        return RatFuncQT(PolyQT(num), PolyQT(dict(_PONE)), _normalized=True)
+        return RatFuncQT(num, dict(_PONE))
     iden = _int_terms(den)
     lead = max(iden, key=_term_key)
     if iden[lead] < 0:
@@ -705,8 +640,7 @@ def _make_reduced(num: PolyDict, den: PolyDict) -> RatFuncQT:
     e0 = next(iter(den))
     ratio = Fraction(iden[e0], 1) / den[e0]     # den_int = ratio * den
     num = _pscale(num, ratio)
-    return RatFuncQT(PolyQT(num), PolyQT({e: Fraction(v) for e, v in iden.items()}),
-                     _normalized=True)
+    return RatFuncQT(num, {e: Fraction(v) for e, v in iden.items()})
 
 def _make(num: PolyDict, den: PolyDict) -> RatFuncQT:
     if not den:
@@ -727,10 +661,10 @@ def _make(num: PolyDict, den: PolyDict) -> RatFuncQT:
     return _make_reduced(num, den)
 
 
-ZERO = RatFuncQT(PolyQT({}), PolyQT(dict(_PONE)), _normalized=True)
-ONE = RatFuncQT(PolyQT(dict(_PONE)), PolyQT(dict(_PONE)), _normalized=True)
-Q = RatFuncQT(PolyQT({(1, 0): _F1}), PolyQT(dict(_PONE)), _normalized=True)
-T = RatFuncQT(PolyQT({(0, 1): _F1}), PolyQT(dict(_PONE)), _normalized=True)
+ZERO = RatFuncQT({}, dict(_PONE))
+ONE = RatFuncQT(dict(_PONE), dict(_PONE))
+Q = RatFuncQT({(1, 0): _F1}, dict(_PONE))
+T = RatFuncQT({(0, 1): _F1}, dict(_PONE))
 
 def rf(x) -> RatFuncQT:
     """Coerce an int, Fraction or RatFuncQT to RatFuncQT."""
@@ -744,24 +678,14 @@ def t_monomial(k: int) -> RatFuncQT:
 def qt_monomial(dq: int, dt: int, c=1) -> RatFuncQT:
     return RatFuncQT.monomial(dq, dt, c)
 
-def one_minus(x: RatFuncQT) -> RatFuncQT:
-    return ONE - x
-
-def q_integer(m: int, qval: RatFuncQT | None = None) -> RatFuncQT:
-    """1 + q + ... + q^(m-1), optionally at a substituted q value."""
+def q_integer(m: int) -> RatFuncQT:
+    """1 + q + ... + q^(m-1)."""
     if m < 0:
         raise ValueError("q-integer of negative order")
-    if qval is None:
-        return RatFuncQT.from_poly(PolyQT({(j, 0): _F1 for j in range(m)}))
-    out = ZERO
-    p = ONE
-    for _ in range(m):
-        out = out + p
-        p = p * qval
-    return out
+    return RatFuncQT.from_poly({(j, 0): _F1 for j in range(m)})
 
 def t_integer(m: int) -> RatFuncQT:
-    return RatFuncQT.from_poly(PolyQT({(0, j): _F1 for j in range(m)}))
+    return RatFuncQT.from_poly({(0, j): _F1 for j in range(m)})
 
 
 # ---------------------------------------------------------------------------
@@ -791,12 +715,12 @@ def substitute(f: RatFuncQT, qval: RatFuncQT | None = None,
     """
     qv = Q if qval is None else rf(qval)
     tv = T if tval is None else rf(tval)
-    den = _eval_poly(f.den.terms, qv, tv)
+    den = _eval_poly(f.den, qv, tv)
     if den.is_zero():
         raise ZeroDivisionError("substitution hits a pole of the denominator")
     if f.is_zero():
         return ZERO
-    return _eval_poly(f.num.terms, qv, tv) / den
+    return _eval_poly(f.num, qv, tv) / den
 
 def _strip_one_minus_q(terms: PolyDict) -> tuple[int, PolyDict]:
     """Write terms = (1-q)^k * rest with (1-q) not dividing rest."""
@@ -833,44 +757,37 @@ def _eval_at_q1(terms: PolyDict) -> "PolyDict":
             out.pop(e, None)
     return out
 
+def _q1_expansion(f: RatFuncQT) -> tuple[int, Fraction]:
+    """(v, c) with f = (1-q)^v * g and g(1) = c != 0, for a nonzero t-free f."""
+    if any(e[1] for p in (f.num, f.den) for e in p):
+        raise LimitError("limit_q1 requires an element of Q(q)")
+    vn, rn = _strip_one_minus_q(f.num)
+    vd, rd = _strip_one_minus_q(f.den)
+    return vn - vd, _eval_at_q1(rn)[(0, 0)] / _eval_at_q1(rd)[(0, 0)]
+
 def limit_q1(f: RatFuncQT, scale_order: int = 0) -> Fraction:
     """Value of f * (1-q)^scale_order at q = 1 for a t-free f.
 
     The scaled limit must be finite and nonzero; otherwise LimitError reports
     the actual (1-q)-valuation so the caller can adjust.
     """
-    from .errors import LimitError
-    if f.num.degree_t() > 0 or f.den.degree_t() > 0:
-        raise LimitError("limit_q1 requires an element of Q(q)")
     if f.is_zero():
         raise LimitError("limit of zero is zero at every order")
-    vn, rn = _strip_one_minus_q(f.num.terms)
-    vd, rd = _strip_one_minus_q(f.den.terms)
-    val = vn - vd + scale_order
-    if val != 0:
-        raise LimitError(
-            f"(1-q)-valuation is {vn - vd}, expected {-scale_order}")
-    num1 = _eval_at_q1(rn)
-    den1 = _eval_at_q1(rd)
-    return num1[(0, 0)] / den1[(0, 0)]
+    v, c = _q1_expansion(f)
+    if v + scale_order != 0:
+        raise LimitError(f"(1-q)-valuation is {v}, expected {-scale_order}")
+    return c
 
 def limit_q1_weak(f: RatFuncQT, scale_order: int) -> Fraction:
     """Like limit_q1 but a limit of zero is allowed (returns 0)."""
-    from .errors import LimitError
-    if f.num.degree_t() > 0 or f.den.degree_t() > 0:
-        raise LimitError("limit_q1 requires an element of Q(q)")
     if f.is_zero():
         return _F0
-    vn, rn = _strip_one_minus_q(f.num.terms)
-    vd, rd = _strip_one_minus_q(f.den.terms)
-    val = vn - vd + scale_order
-    if val > 0:
+    v, c = _q1_expansion(f)
+    if v + scale_order > 0:
         return _F0
-    if val < 0:
-        raise LimitError(f"(1-q)-valuation is {vn - vd}, pole of order {-val} remains")
-    num1 = _eval_at_q1(rn)
-    den1 = _eval_at_q1(rd)
-    return num1[(0, 0)] / den1[(0, 0)]
+    if v + scale_order < 0:
+        raise LimitError(f"(1-q)-valuation is {v}, pole of order {-v - scale_order} remains")
+    return c
 
 def invert_qt(f: RatFuncQT) -> RatFuncQT:
     """Substitute q -> 1/q and t -> 1/t.
@@ -879,19 +796,19 @@ def invert_qt(f: RatFuncQT) -> RatFuncQT:
     reduced pair stay coprime, and one of them keeps a constant term in
     each variable, so the result is reduced without a gcd.
     """
-    terms = (f.num.terms, f.den.terms)
+    terms = (f.num, f.den)
     bq = max(e[0] for p in terms for e in p)
     bt = max(e[1] for p in terms for e in p)
     num, den = ({(bq - e[0], bt - e[1]): c for e, c in p.items()} for p in terms)
     return _make_reduced(num, den)
 
-def poly_lcm(a: PolyQT, b: PolyQT) -> PolyQT:
+def poly_lcm(a: PolyDict, b: PolyDict) -> PolyDict:
     """Least common multiple, primitive with positive leading coefficient."""
-    if a.is_zero() or b.is_zero():
-        return PolyQT.zero()
-    g = _pgcd(a.terms, b.terms)
-    quo = _pdiv_exact(_normalize_primitive(a.terms), g)
-    return PolyQT(_normalize_primitive(_pmul(quo, _normalize_primitive(b.terms))))
+    if not a or not b:
+        return {}
+    g = _pgcd(a, b)
+    quo = _pdiv_exact(_normalize_primitive(a), g)
+    return _normalize_primitive(_pmul(quo, _normalize_primitive(b)))
 
 def elementary_symmetric(values: list[RatFuncQT]) -> list[RatFuncQT]:
     """[e_0, e_1, ..., e_r] of the given field elements."""

@@ -18,9 +18,9 @@ signed e_l-sum used by the transfer operators, or they would stop being
 independent witnesses.
 
 Inversion (q -> 1/q, t -> 1/t, written iota) is conjugation by invert_qt:
-an inverted series is the iota-image of the plain series at iota(params),
-and an inverted transfer is f -> iota(T[iota(values)](iota f)) with T the
-plain transfer.  Nothing below that one conjugation step knows about it;
+an inverted series is the iota-image of the plain series at iota(params).
+The transfer operators are plain only; a check on an inverted series runs
+on its plain image.  Nothing below TruncatedSeries knows about inversion;
 the named oracles above are unchanged.
 """
 
@@ -222,37 +222,30 @@ def scale_alphabet_x(F: BiSymPoly, c: RatFuncQT) -> BiSymPoly:
 # ---------------------------------------------------------------------------
 # transfer operators (the annihilator components)
 
-def _signed_esum(values, images, invert: bool):
+def _signed_esum(values, images):
     """The operator f -> sum over l of (-1)^l e_l(values) * images(f, r)[l],
-    where images(f, r) lists the images for l = 0..r and r = len(values).
-
-    With invert it is the conjugate f -> iota(plain op at iota(values))(iota f),
-    iota being q -> 1/q, t -> 1/t on coefficients.
-    """
-    values = [invert_qt(rf(v)) if invert else rf(v) for v in values]
-    es = elementary_symmetric(values)
+    where images(f, r) lists the images for l = 0..r and r = len(values)."""
+    es = elementary_symmetric([rf(v) for v in values])
     def op(f: SymPoly) -> SymPoly:
-        if invert:
-            f = invert_coeffs(f)
         out = SymPoly.zero(f.n_vars)
         for l, img in enumerate(images(f, len(es) - 1)):
             out = out + img.scale_rf(-es[l] if l % 2 else es[l])
-        return invert_coeffs(out) if invert else out
+        return out
     return op
 
 
-def transfer_lower(blist, n: int, invert: bool = False):
+def transfer_lower(blist, n: int):
     """Degree-lowering transfer: sum over l of (-1)^l e_l(b) times the
     l-fold weight-commutator of the lowering operator."""
     return _signed_esum(blist, lambda f, r: [apply_ad_lower(l, f)
-                                             for l in range(r + 1)], invert)
+                                             for l in range(r + 1)])
 
 
-def transfer_raise(alist, n: int, invert: bool = False):
+def transfer_raise(alist, n: int):
     """Degree-raising transfer: sum over l of (-1)^l e_l(a) times the
     l-fold weight-commutator of the raising operator."""
     return _signed_esum(alist, lambda f, r: [apply_ad_raise(l, f)
-                                             for l in range(r + 1)], invert)
+                                             for l in range(r + 1)])
 
 
 # -- the diagonal families built from ratios of shift generating functions --
@@ -326,14 +319,14 @@ def eigen_ops_lower(max_l: int, f: SymPoly) -> list[SymPoly]:
     return out
 
 
-def transfer_diag_raise(alist, n: int, invert: bool = False):
+def transfer_diag_raise(alist, n: int):
     """Diagonal transfer paired with raising: sum of (-1)^l e_l(a) G_l."""
-    return _signed_esum(alist, lambda f, r: eigen_ops_raise(r, f), invert)
+    return _signed_esum(alist, lambda f, r: eigen_ops_raise(r, f))
 
 
-def transfer_diag_lower(blist, n: int, invert: bool = False):
+def transfer_diag_lower(blist, n: int):
     """Diagonal transfer paired with lowering: sum of (-1)^l e_l(b) H_l."""
-    return _signed_esum(blist, lambda f, r: eigen_ops_lower(r, f), invert)
+    return _signed_esum(blist, lambda f, r: eigen_ops_lower(r, f))
 
 
 # -- closed-form eigenvalues of the diagonal families -----------------------
@@ -526,7 +519,7 @@ def kaneko_transform(series: TruncatedSeries, cache: MacdonaldCache | None = Non
         lhs = target.render_one(cache)
         rhs = scale_alphabet(mirrored.render_one(cache), c)
         if lhs != rhs:
-            raise AssertionError("flavor transform relation failed on the truncation")
+            raise MacHyperError("flavor transform relation failed on the truncation")
     return target
 
 

@@ -79,13 +79,7 @@ class SymPoly:
         if self.n_vars != other.n_vars:
             raise ValueError("variable counts differ")
         out = dict(self.coeffs)
-        for lam, c in other.coeffs.items():
-            s = out.get(lam)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(lam, None)
-            else:
-                out[lam] = s
+        raw_add_into(out, other.coeffs)
         return SymPoly(self.n_vars, out)
 
     def __sub__(self, other: "SymPoly") -> "SymPoly":
@@ -206,13 +200,6 @@ def raw_add_into(acc: Raw, b: Raw, sign: int = 1) -> None:
             acc.pop(e, None)
         else:
             acc[e] = s
-
-def raw_scale(a: Raw, c: RatFuncQT) -> Raw:
-    if c.is_zero():
-        return {}
-    if c.is_one():
-        return dict(a)
-    return {e: v * c for e, v in a.items()}
 
 def raw_shift_subset(a: Raw, subset: tuple[int, ...]) -> Raw:
     """Substitute x_i -> q * x_i for every i in subset (0-based)."""
@@ -406,13 +393,7 @@ class BiSymPoly:
 
     def __add__(self, other: "BiSymPoly") -> "BiSymPoly":
         out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+        raw_add_into(out, other.coeffs)
         return BiSymPoly(self.n_vars, out)
 
     def __sub__(self, other: "BiSymPoly") -> "BiSymPoly":

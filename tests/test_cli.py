@@ -8,9 +8,11 @@ import sys
 import pytest
 
 import machyper.cli as cli
-from machyper.cli import (EXIT_PASS, EXIT_POLE, EXIT_RESOURCE, EXIT_USAGE,
-                          EXIT_VERIFY_FAIL, ParamExprError, main,
+from machyper.cli import (EXIT_INTERNAL, EXIT_PASS, EXIT_POLE, EXIT_RESOURCE,
+                          EXIT_USAGE, EXIT_VERIFY_FAIL, ParamExprError, main,
                           parse_param_expr)
+from machyper.errors import (InexactDivisionError, LimitError, MacHyperError,
+                             NotSymmetricError)
 from machyper.ratfunc import ONE, Q, T, rf
 from machyper.verify import _draw_field_value
 
@@ -166,6 +168,20 @@ def test_exit_pole(capsys):
     assert main(["compute", "series", "--n", "2", "--D", "3",
                  "--b", "1/q"]) == EXIT_POLE
     assert "pole" in capsys.readouterr().err
+
+
+def test_exit_internal_error(monkeypatch, capsys):
+    # a broken invariant is an internal error, never a failed verification
+    for kind in (InexactDivisionError, NotSymmetricError, LimitError,
+                 MacHyperError):
+        def broken(*args, **kwargs):
+            raise kind("invariant broken")
+        monkeypatch.setattr(cli, "macdonald_forms", broken)
+        assert main(["compute", "P", "--partition", "[1]",
+                     "--n", "2"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "machyper: internal error: invariant broken\n"
 
 
 def test_exit_usage(capsys):

@@ -188,6 +188,6 @@ def test_clear_denominators():
     g, den = clear_denominators(f)
     assert g == f.scale_rf(den)
     for c in g.coeffs.values():
-        assert c.den.terms == {(0, 0): Fraction(1)}
+        assert c.den == {(0, 0): Fraction(1)}
     h, den2 = clear_denominators(g)
     assert den2 == ONE and h == g

@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from machyper.errors import LimitError
 from machyper.ratfunc import (ONE, Q, T, ZERO, RatFuncQT, elementary_symmetric,
-                              invert_qt, limit_q1, limit_q1_weak, one_minus,
-                              q_integer, qt_monomial, rf, substitute,
-                              t_integer, t_monomial)
+                              invert_qt, limit_q1, limit_q1_weak, q_integer,
+                              qt_monomial, rf, substitute, t_integer, t_monomial)
 from machyper.ratfunc import _normalize_primitive, _pdiv_exact, _pgcd, _pmul
 
 F = Fraction
@@ -29,7 +28,7 @@ def test_cancellation_to_polynomial():
     # (1 - q^2)/(1 - q) reduces to 1 + q, including the stored denominator
     x = (ONE - Q * Q) / (ONE - Q)
     assert x == ONE + Q
-    assert x.den.terms == ONE.den.terms
+    assert x.den == ONE.den
     assert x.render() == "1 + q"
 
 
@@ -37,8 +36,8 @@ def test_denominator_sign_normalization():
     # leading coefficient of the denominator is positive in graded-lex order
     x = ONE / (rf(-2) * (ONE - T))
     assert x * (rf(-2) * (ONE - T)) == ONE
-    lead = max(x.den.terms, key=lambda e: (e[0] + e[1], e))
-    assert x.den.terms[lead] > 0
+    lead = max(x.den, key=lambda e: (e[0] + e[1], e))
+    assert x.den[lead] > 0
 
 
 def test_render_canonical_examples():
@@ -123,10 +122,10 @@ def test_gcd_divides_and_contains(u, v, w):
     # gcd(u*w, v*w) is divisible by w and divides both products
     if u.is_zero() or v.is_zero() or w.is_zero():
         return
-    uw = _pmul(u.num.terms, w.num.terms)
-    vw = _pmul(v.num.terms, w.num.terms)
+    uw = _pmul(u.num, w.num)
+    vw = _pmul(v.num, w.num)
     g = _pgcd(uw, vw)
-    _pdiv_exact(g, _normalize_primitive(w.num.terms))  # raises if not divisible
+    _pdiv_exact(g, _normalize_primitive(w.num))  # raises if not divisible
     _pdiv_exact(uw, g)
     _pdiv_exact(vw, g)
 
@@ -154,14 +153,13 @@ def test_gcd_dense_inputs_fast():
 def test_monomials_and_one_minus():
     assert qt_monomial(2, 1, F(3, 2)) == rf(F(3, 2)) * Q * Q * T
     assert t_monomial(-1) * T == ONE
-    assert one_minus(Q) == ONE - Q
 
 
 def test_q_t_integers():
     assert q_integer(3) == ONE + Q + Q ** 2
     assert t_integer(2) == ONE + T
     assert q_integer(0) == ZERO
-    assert q_integer(4, T) == ONE + T + T ** 2 + T ** 3
+    assert t_integer(4) == ONE + T + T ** 2 + T ** 3
 
 
 def test_substitute_partial():

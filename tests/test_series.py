@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from machyper.errors import PoleError
+import machyper.series as series
+from machyper.errors import MacHyperError, PoleError
 from machyper.macdonald import (binomial_by_expansion, jstar_principal,
                                 macdonald_forms, principal_m)
 from machyper.partitions import (enumerate_partitions, lower_covers,
@@ -190,6 +191,16 @@ def test_kaneko_transform_round_trip(cache):
     back = kaneko_transform(k, cache)
     assert back.flavor == "macdonald"
     assert back.coeffs == s.coeffs
+
+
+def test_kaneko_transform_broken_relation_raises(cache, monkeypatch):
+    # a failed relation raises a MacHyperError, which python -O keeps
+    scale = series.flavor_scale_one
+    monkeypatch.setattr(series, "flavor_scale_one", lambda p: scale(p) * rf(2))
+    params = HyperParams.make(upper=[rf(Fraction(1, 2))],
+                              lower=[rf(Fraction(3, 7))])
+    with pytest.raises(MacHyperError, match="flavor transform relation"):
+        kaneko_transform(TruncatedSeries.build(1, 2, params), cache)
 
 
 def test_balanced_flavors_coincide(cache):

@@ -1,0 +1,19 @@
+"""Rules on the package source, checked on its syntax tree."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "machyper"
+
+
+def test_no_assert_in_package():
+    # invariants must raise under python -O, which strips assert statements
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert) or (
+                    isinstance(node, ast.Name) and node.id == "AssertionError"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
