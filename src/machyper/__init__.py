@@ -5,8 +5,9 @@ module replays the defining recursions and operator identities with zero
 tolerance.
 """
 
-from .errors import (InexactDivisionError, LimitError, MacHyperError,
-                     NotSymmetricError, PoleError, ResourceGuardError)
+from .errors import (GcdInterpolationError, InexactDivisionError, LimitError,
+                     MacHyperError, NotSymmetricError, PoleError,
+                     ResourceGuardError)
 from .ratfunc import ONE, Q, T, ZERO, RatFuncQT, rf
 from .partitions import (enumerate_partitions, format_partition,
                          make_partition, parse_partition)
@@ -21,6 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BiSymPoly",
+    "GcdInterpolationError",
     "HyperParams",
     "InexactDivisionError",
     "LimitError",

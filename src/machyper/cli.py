@@ -3,8 +3,10 @@
 Computes single objects, dumps tables, runs the verification suites, and
 manages the on-disk polynomial cache.  Exit codes: 0 success (all selected
 checks pass), 1 verification failure, 2 usage error (bad flags, expressions,
-or partitions), 3 resource guard, 4 parameter pole, 5 internal error (a
-broken invariant, never a failed check).
+or partitions, division by zero in an expression), 3 resource guard (a
+request beyond MAX_N, MAX_D, MAX_SIZE or MAX_EXPONENT, or beyond a library
+guard), 4 parameter pole, 5 internal error (a broken invariant or a
+division by zero inside the library, never a failed check).
 """
 
 from __future__ import annotations
@@ -32,6 +34,15 @@ EXIT_RESOURCE = 3
 EXIT_POLE = 4
 EXIT_INTERNAL = 5
 
+# Resource guards: compute, table and cache warm refuse larger requests
+# before any work starts.  Operator assembly grows like n! in the number of
+# variables, basis builds grow steeply with the partition size, and a
+# parameter power is expanded in full.
+MAX_N = 7
+MAX_D = 12
+MAX_SIZE = 10
+MAX_EXPONENT = 100
+
 
 class UsageError(ValueError):
     """Bad command-line input that argparse cannot express."""
@@ -44,6 +55,11 @@ class ParamExprError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (position {position})")
         self.position = position
+
+
+class ParamZeroDivisionError(ParamExprError, ZeroDivisionError):
+    """Division by an expression that reduces to the zero polynomial: bad
+    input (exit 2), unlike a ZeroDivisionError from inside the library."""
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -77,8 +93,10 @@ def parse_param_expr(text: str) -> RatFuncQT:
     Grammar: integers, the symbols ``q`` and ``t``, binary ``+ - * /``,
     integer exponents via ``^`` (optionally negative or parenthesized),
     and parentheses.  Raises ParamExprError with the offending position on
-    a syntax error, ZeroDivisionError on division by an expression that
-    reduces to the zero polynomial.
+    a syntax error, ParamZeroDivisionError (a ParamExprError and a
+    ZeroDivisionError) on division by an expression that reduces to the
+    zero polynomial, and ResourceGuardError on an exponent beyond
+    MAX_EXPONENT in absolute value.
     """
     toks = _tokenize(text)
     pos = 0
@@ -112,8 +130,8 @@ def parse_param_expr(text: str) -> RatFuncQT:
                 val = val * rhs
             else:
                 if rhs.is_zero():
-                    raise ZeroDivisionError(
-                        f"division by the zero polynomial (position {op[2]})")
+                    raise ParamZeroDivisionError(
+                        "division by the zero polynomial", op[2])
                 val = val / rhs
         return val
 
@@ -132,9 +150,13 @@ def parse_param_expr(text: str) -> RatFuncQT:
         if peek()[0] == "^":
             op = take("^")
             e = parse_exponent()
+            if abs(e) > MAX_EXPONENT:
+                raise ResourceGuardError(
+                    f"exponent {e} at position {op[2]} exceeds the limit of "
+                    f"{MAX_EXPONENT} in absolute value")
             if e < 0 and base.is_zero():
-                raise ZeroDivisionError(
-                    f"negative power of the zero polynomial (position {op[2]})")
+                raise ParamZeroDivisionError(
+                    "negative power of the zero polynomial", op[2])
             base = base ** e
         return base
 
@@ -207,6 +229,17 @@ def _parse_mutate(text: str):
     return parse_partition(s)
 
 
+def _guard(args, *names) -> None:
+    """Raise ResourceGuardError for a flag beyond its bound."""
+    limits = {"n": MAX_N, "D": MAX_D, "max_size": MAX_SIZE}
+    for name in names:
+        value = getattr(args, name)
+        if value > limits[name]:
+            flag = "--" + name.replace("_", "-")
+            raise ResourceGuardError(
+                f"{flag} {value} exceeds the limit of {limits[name]}")
+
+
 def _need(args, *names) -> None:
     for name in names:
         if getattr(args, name, None) is None:
@@ -217,6 +250,7 @@ def _need(args, *names) -> None:
 # commands
 
 def cmd_compute(args) -> int:
+    _guard(args, "n", "D")
     cache = _cache_from_args(args)
     obj = args.object
     if obj in ("P", "J", "Jstar"):
@@ -267,6 +301,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_table(args) -> int:
+    _guard(args, "n", "max_size")
     cache = _cache_from_args(args)
     rows = []
     if args.object in ("P", "J", "Jstar"):
@@ -324,6 +359,7 @@ def cmd_cache(args) -> int:
                              "(set MACHYPER_CACHE_DIR or pass --dir)")
         print(f"removed {cache.clear_disk()} cache files")
     else:  # warm
+        _guard(args, "n", "max_size")
         if not cache.cache_dir:
             raise UsageError("no cache directory configured "
                              "(set MACHYPER_CACHE_DIR or pass --dir)")
@@ -423,10 +459,10 @@ def main(argv=None) -> int:
     except PoleError as exc:
         print(f"machyper: parameter pole: {exc}", file=sys.stderr)
         return EXIT_POLE
-    except (UsageError, ParamExprError, ZeroDivisionError, ValueError) as exc:
+    except (UsageError, ParamExprError, ValueError) as exc:
         print(f"machyper: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MacHyperError as exc:
+    except (MacHyperError, ZeroDivisionError) as exc:
         print(f"machyper: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

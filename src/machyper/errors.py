@@ -25,5 +25,10 @@ class InexactDivisionError(MacHyperError):
     """
 
 
+class GcdInterpolationError(MacHyperError):
+    """The bivariate gcd found no certified candidate within its budget of
+    evaluation points; like InexactDivisionError, an implementation bug."""
+
+
 class NotSymmetricError(MacHyperError):
     """A raw polynomial expected to be symmetric is not."""

@@ -10,11 +10,26 @@ Both the exactness of that division and the symmetry of the quotient are
 verified on every application; failure of either means a bug, so they
 raise rather than warn.  Every such operator goes through _assemble, which
 multiplies each piece by a cached alternant (_alternant) before the one
-division.  apply_lower_alt (a literal division by x_i) and
-weight_from_shift1 (the weight operator read off the first shift
-operator) are oracles used only by tests.  They rebuild apply_lower and
-apply_weight along other routes and must not share the _assemble call of
-the operator they check, or the comparison would check nothing.
+division.
+
+Every operator is linear over Q(q,t), so each application also clears the
+coefficient denominators of its input once (clear_denominators) and runs
+on polynomial coefficients from start to finish: every field addition and
+multiplication inside the assembly takes the gcd-free path.  The one
+scalar (1/den, times the operator's own constant) is applied at the end.
+The iterated weight commutators use the binomial expansion
+ad^l(B) = sum_k (-1)^k C(l,k) W^(l-k) B W^k on the unscaled weight
+operator t^(n-1) W; the images W^k f and W^j B W^k f are computed once
+and shared by every level up to r, and each level's scalar is applied
+once.  That is still a literal assembly of the operators, so it stays an
+independent witness against the closed-form eigenvalues.
+
+apply_lower_alt (a literal division by x_i, on the input's own rational
+coefficients) and weight_from_shift1 (the weight operator read off the
+first shift operator) are oracles used only by tests.  They rebuild
+apply_lower and apply_weight along other routes and must not share the
+_assemble call of the operator they check, or the comparison would check
+nothing.
 
 Every operator here is written at q and t.  Its image at reciprocal q
 and t is the conjugate f -> invert_coeffs(O(invert_coeffs(f))), since
@@ -31,7 +46,7 @@ from itertools import combinations
 from .errors import InexactDivisionError, ResourceGuardError
 from .partitions import Partition, rho_stat
 from .ratfunc import (ONE, Q, RatFuncQT, T, elementary_symmetric, poly_lcm,
-                      qt_monomial, t_integer)
+                      qt_monomial, rf, t_integer, times_multiple)
 from .sympoly import (MINUS_ONE, Raw, SymPoly, basis_poly, raw_add_into,
                       raw_div_binomial, raw_mul, raw_mul_var, raw_qderiv_var,
                       raw_shift_subset)
@@ -76,15 +91,53 @@ def divide_vandermonde(raw: Raw, n: int) -> Raw:
 
 
 def _assemble(n: int, pieces) -> SymPoly:
-    """(1/V) * sum of alternant(subset) * piece over the (subset, piece) pairs."""
+    """(1/V) * sum of alternant(subset) * piece over the (subset, piece) pairs.
+
+    With polynomial coefficients in every piece (the alternants have them
+    too), every field operation here is gcd-free.
+    """
     acc: Raw = {}
     for subset, piece in pieces:
         raw_add_into(acc, raw_mul(dict(_alternant(n, subset)), piece))
     return SymPoly.from_raw(divide_vandermonde(acc, n), n)
 
 
+def _apply(op, f: SymPoly, scal: RatFuncQT = ONE) -> SymPoly:
+    """scal * op(f) for a linear op, run on the cleared input:
+    f = g / den, so the result is (scal / den) * op(g)."""
+    g, den = clear_denominators(f)
+    return op(g).scale_rf(scal / den)
+
+
 # ---------------------------------------------------------------------------
 # first-order operators: sums of prefactor * shift over single variables
+#
+# The underscored forms act on polynomial coefficients and keep them
+# polynomial; the public apply_* clear the input's denominators once.
+
+def _lower(g: SymPoly) -> SymPoly:
+    graw = g.to_raw()
+    return _assemble(g.n_vars, (((i,), raw_qderiv_var(graw, i))
+                                for i in range(g.n_vars)))
+
+
+def _weight(g: SymPoly) -> SymPoly:
+    """The unscaled weight operator t^(n-1) * W."""
+    graw = g.to_raw()
+    return _assemble(g.n_vars, (((i,), raw_mul_var(raw_qderiv_var(graw, i), i))
+                                for i in range(g.n_vars)))
+
+
+def _shift1(g: SymPoly) -> SymPoly:
+    graw = g.to_raw()
+    return _assemble(g.n_vars, (((i,), raw_shift_subset(graw, (i,)))
+                                for i in range(g.n_vars)))
+
+
+def _raise(g: SymPoly) -> SymPoly:
+    """The unscaled raising operator: multiplication by e_1."""
+    return g * basis_poly("m", (1,), g.n_vars)
+
 
 def apply_lower(f: SymPoly) -> SymPoly:
     """Degree-lowering q-difference operator: sum of prefactor * q-derivative.
@@ -93,9 +146,7 @@ def apply_lower(f: SymPoly) -> SymPoly:
     it acts as a sum over the lower covers of the indexing partition with
     the cover coefficients as weights.
     """
-    fraw = f.to_raw()
-    return _assemble(f.n_vars, (((i,), raw_qderiv_var(fraw, i))
-                                for i in range(f.n_vars)))
+    return _apply(_lower, f)
 
 
 def apply_weight(f: SymPoly) -> SymPoly:
@@ -105,11 +156,7 @@ def apply_weight(f: SymPoly) -> SymPoly:
     the basis element indexed by lam is the sum of (q,t) cell weights of
     lam (see rho_stat).
     """
-    n = f.n_vars
-    fraw = f.to_raw()
-    out = _assemble(n, (((i,), raw_mul_var(raw_qderiv_var(fraw, i), i))
-                        for i in range(n)))
-    return out.scale_rf(T ** (1 - n))
+    return _apply(_weight, f, T ** (1 - f.n_vars))
 
 
 def apply_shift1(f: SymPoly) -> SymPoly:
@@ -118,9 +165,7 @@ def apply_shift1(f: SymPoly) -> SymPoly:
     Triangular in the dominance order on the monomial basis; used to build
     the two-parameter basis by an eigenvector solve.
     """
-    fraw = f.to_raw()
-    return _assemble(f.n_vars, (((i,), raw_shift_subset(fraw, (i,)))
-                                for i in range(f.n_vars)))
+    return _apply(_shift1, f)
 
 
 def apply_lower_alt(f: SymPoly) -> SymPoly:
@@ -128,7 +173,7 @@ def apply_lower_alt(f: SymPoly) -> SymPoly:
 
     Writes the operator as 1/(q-1) * sum_i (prefactor_i * shift_i - 1)/x_i;
     each numerator is divisible by x_i because the prefactor evaluates to 1
-    at x_i = 0.
+    at x_i = 0.  Runs on the input's own coefficients, without clearing.
     """
     n = f.n_vars
     fraw = f.to_raw()
@@ -152,12 +197,31 @@ def apply_lower_alt(f: SymPoly) -> SymPoly:
 
 def apply_raise1(f: SymPoly) -> SymPoly:
     """Degree-raising operator: multiplication by e_1 scaled by 1/(1-q)."""
-    e1 = basis_poly("m", (1,), f.n_vars)
-    return (f * e1).scale_rf((ONE - Q).inverse())
+    return _apply(_raise, f, (ONE - Q).inverse())
 
 
 # ---------------------------------------------------------------------------
 # the symmetrized shift family (generating-function operator in u)
+
+def _shift_levels(f: SymPoly, levels) -> tuple[dict[int, SymPoly], RatFuncQT]:
+    """({l: D_l g}, 1/den) for the cleared input g = den * f."""
+    n = f.n_vars
+    if n > MAX_FULL_SYMMETRIZE:
+        raise ResourceGuardError(
+            f"shift family symmetrizes over all {n}! permutations; "
+            f"n is limited to {MAX_FULL_SYMMETRIZE}")
+    g, den = clear_denominators(f)
+    graw = g.to_raw()
+    want = list(range(n + 1)) if levels is None else sorted(set(levels))
+    out: dict[int, SymPoly] = {}
+    for l in want:
+        if l < 0 or l > n:
+            out[l] = SymPoly.zero(n)
+            continue
+        out[l] = _assemble(n, ((subset, raw_shift_subset(graw, subset))
+                               for subset in combinations(range(n), l)))
+    return out, den.inverse()
+
 
 def apply_shift_family(f: SymPoly,
                        levels: "list[int] | None" = None) -> dict[int, SymPoly]:
@@ -166,64 +230,92 @@ def apply_shift_family(f: SymPoly,
     Returns {l: D_l f} where the full operator at parameter u is
     sum_l u^l D_l f.  Each piece is 1/V times a signed sum over size-l
     variable subsets of a t-weighted alternant times the subset q-shift.
-    levels restricts which l are computed.
+    levels restricts which l are computed; the input is cleared once for
+    all of them.
     """
-    n = f.n_vars
-    if n > MAX_FULL_SYMMETRIZE:
-        raise ResourceGuardError(
-            f"shift family symmetrizes over all {n}! permutations; "
-            f"n is limited to {MAX_FULL_SYMMETRIZE}")
-    fraw = f.to_raw()
-    want = list(range(n + 1)) if levels is None else sorted(set(levels))
-    out: dict[int, SymPoly] = {}
-    for l in want:
-        if l < 0 or l > n:
-            out[l] = SymPoly.zero(n)
-            continue
-        out[l] = _assemble(n, ((subset, raw_shift_subset(fraw, subset))
-                               for subset in combinations(range(n), l)))
-    return out
+    fam, scal = _shift_levels(f, levels)
+    return {l: d.scale_rf(scal) for l, d in fam.items()}
 
 
 def apply_shift_genfun(f: SymPoly, uval: RatFuncQT) -> SymPoly:
     """The generating-function shift operator at a concrete parameter value."""
-    fam = apply_shift_family(f)
+    fam, scal = _shift_levels(f, None)
     out = SymPoly.zero(f.n_vars)
     upow = ONE
     for l in range(f.n_vars + 1):
         out = out + fam[l].scale_rf(upow)
         upow = upow * uval
-    return out
+    return out.scale_rf(scal)
 
 
 # ---------------------------------------------------------------------------
 # iterated commutators
 
-def _ad(l: int, base, f: SymPoly, negate: bool) -> SymPoly:
-    """l-fold commutator [W, .] of the weight operator W around base, by
-    literal nesting; negate swaps each subtraction, i.e. uses -W."""
-    def rec(j: int, h: SymPoly) -> SymPoly:
-        if j == 0:
-            return base(h)
-        outer = apply_weight(rec(j - 1, h))
-        inner = rec(j - 1, apply_weight(h))
-        return inner - outer if negate else outer - inner
-    return rec(l, f)
+def _ad_upto(r: int, f: SymPoly, base, scal: RatFuncQT,
+             sign: int) -> list[SymPoly]:
+    """[ad^0(B) f, ..., ad^r(B) f] for ad = [sign * W, .] and B = scal * base.
+
+    Binomial expansion ad^l(B) = sum_k (-1)^k C(l,k) V^(l-k) B V^k with
+    V = sign * W, on the cleared input g = den * f and the unscaled weight
+    operator t^(n-1) W.  The images W^k g and W^j base W^k g (j + k <= r)
+    are computed once and shared by every level; level l then carries the
+    one scalar (sign * t^(1-n))^l * scal / den.
+    """
+    n = f.n_vars
+    g, den = clear_denominators(f)
+    # rows[k][j] = W^j base W^k g
+    rows = []
+    wk = g
+    for k in range(r + 1):
+        if k:
+            wk = _weight(wk)
+        row = [base(wk)]
+        for _ in range(r - k):
+            row.append(_weight(row[-1]))
+        rows.append(row)
+    out = []
+    step = T ** (1 - n)
+    if sign < 0:
+        step = -step
+    scal = scal / den
+    for l in range(r + 1):
+        acc = SymPoly.zero(n)
+        binom = 1
+        for k in range(l + 1):
+            acc = acc + rows[k][l - k].scale_rf(rf(-binom if k % 2 else binom))
+            binom = binom * (l - k) // (k + 1)
+        out.append(acc.scale_rf(scal))
+        scal = scal * step
+    return out
+
+
+def apply_ad_raise_upto(r: int, f: SymPoly) -> list[SymPoly]:
+    """[ad^0, ..., ad^r] of the weight operator around apply_raise1, at f.
+
+    ad^0 = apply_raise1; ad^l(B) = [weight, ad^(l-1)(B)], assembled through
+    the binomial expansion with the operator images shared across levels
+    (see _ad_upto), so it stays an independent witness for the
+    closed-form weights used elsewhere.
+    """
+    return _ad_upto(r, f, _raise, (ONE - Q).inverse(), 1)
+
+
+def apply_ad_lower_upto(r: int, f: SymPoly) -> list[SymPoly]:
+    """[ad^0, ..., ad^r] of the negated weight operator around apply_lower,
+    at f; ad^l of -W is (-1)^l times ad^l of W."""
+    return _ad_upto(r, f, _lower, ONE, -1)
 
 
 def apply_ad_raise(l: int, f: SymPoly) -> SymPoly:
-    """l-fold commutator of the weight operator acting on apply_raise1.
-
-    ad^0 = apply_raise1; ad^l(B) = [weight, ad^(l-1)(B)].  Assembled by
-    literal nesting so it stays an independent witness for the closed-form
-    weights used elsewhere.
-    """
-    return _ad(l, apply_raise1, f, negate=False)
+    """l-fold commutator of the weight operator acting on apply_raise1
+    (level l of apply_ad_raise_upto)."""
+    return apply_ad_raise_upto(l, f)[l]
 
 
 def apply_ad_lower(l: int, f: SymPoly) -> SymPoly:
-    """l-fold commutator of the negated weight operator acting on apply_lower."""
-    return _ad(l, apply_lower, f, negate=True)
+    """l-fold commutator of the negated weight operator acting on apply_lower
+    (level l of apply_ad_lower_upto)."""
+    return apply_ad_lower_upto(l, f)[l]
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +366,10 @@ def clear_denominators(f: SymPoly) -> tuple[SymPoly, RatFuncQT]:
     """(den * f, den) with den the lcm of the coefficient denominators."""
     L = ONE.den
     for c in f.coeffs.values():
-        L = poly_lcm(L, c.den)
-    den = RatFuncQT.from_poly(L)
-    if den.is_one():
+        if c.den != L and c.den != ONE.den:
+            L = poly_lcm(L, c.den)
+    if L == ONE.den:
         return f, ONE
-    return f.scale_rf(den), den
+    return (SymPoly(f.n_vars, {lam: times_multiple(c, L)
+                               for lam, c in f.coeffs.items()}),
+            RatFuncQT.from_poly(L))

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd
 
-from .errors import InexactDivisionError, LimitError
+from .errors import GcdInterpolationError, InexactDivisionError, LimitError
 
 Term = tuple[int, int]
 PolyDict = dict[Term, Fraction]
@@ -375,7 +375,7 @@ def _bv_gcd_prim(fp: dict[int, list[int]], gp: dict[int, list[int]]) -> dict[int
             best, xs, images = -1, [], []  # unlucky points; retry with fresh ones
             continue
         return cand
-    raise ArithmeticError("bivariate gcd interpolation did not converge")
+    raise GcdInterpolationError("bivariate gcd interpolation did not converge")
 
 def _bv_gcd(f: dict[int, list[int]], g: dict[int, list[int]]) -> dict[int, list[int]]:
     cf = _bv_content(f)
@@ -809,6 +809,13 @@ def poly_lcm(a: PolyDict, b: PolyDict) -> PolyDict:
     g = _pgcd(a, b)
     quo = _pdiv_exact(_normalize_primitive(a), g)
     return _normalize_primitive(_pmul(quo, _normalize_primitive(b)))
+
+def times_multiple(f: RatFuncQT, m: PolyDict) -> RatFuncQT:
+    """f * m for a polynomial m that f's denominator divides: the product
+    is a polynomial, found by one exact division and no gcd."""
+    if f.den == m:
+        return RatFuncQT(f.num, dict(_PONE))
+    return RatFuncQT(_pmul(f.num, _pdiv_exact(m, f.den)), dict(_PONE))
 
 def elementary_symmetric(values: list[RatFuncQT]) -> list[RatFuncQT]:
     """[e_0, e_1, ..., e_r] of the given field elements."""

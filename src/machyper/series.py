@@ -35,7 +35,8 @@ from .macdonald import (MacdonaldCache, binomial_by_expansion, default_cache,
 from .partitions import (Partition, enumerate_partitions, format_partition,
                          lower_covers, make_partition, n_stat, n_stat_conj,
                          pochhammer_list, size, upper_covers)
-from .qops import apply_ad_lower, apply_ad_raise, apply_shift_family
+from .qops import (apply_ad_lower_upto, apply_ad_raise_upto,
+                   apply_shift_family)
 from .ratfunc import (ONE, Q, RatFuncQT, T, elementary_symmetric, invert_qt,
                       qt_monomial, rf, t_integer, t_monomial)
 from .sympoly import BiSymPoly, SymPoly, invert_coeffs
@@ -237,15 +238,13 @@ def _signed_esum(values, images):
 def transfer_lower(blist, n: int):
     """Degree-lowering transfer: sum over l of (-1)^l e_l(b) times the
     l-fold weight-commutator of the lowering operator."""
-    return _signed_esum(blist, lambda f, r: [apply_ad_lower(l, f)
-                                             for l in range(r + 1)])
+    return _signed_esum(blist, lambda f, r: apply_ad_lower_upto(r, f))
 
 
 def transfer_raise(alist, n: int):
     """Degree-raising transfer: sum over l of (-1)^l e_l(a) times the
     l-fold weight-commutator of the raising operator."""
-    return _signed_esum(alist, lambda f, r: [apply_ad_raise(l, f)
-                                             for l in range(r + 1)])
+    return _signed_esum(alist, lambda f, r: apply_ad_raise_upto(r, f))
 
 
 # -- the diagonal families built from ratios of shift generating functions --

@@ -8,11 +8,13 @@ import sys
 import pytest
 
 import machyper.cli as cli
+import machyper.ratfunc as ratfunc
 from machyper.cli import (EXIT_INTERNAL, EXIT_PASS, EXIT_POLE, EXIT_RESOURCE,
-                          EXIT_USAGE, EXIT_VERIFY_FAIL, ParamExprError, main,
+                          EXIT_USAGE, EXIT_VERIFY_FAIL, MAX_D, MAX_EXPONENT,
+                          MAX_N, MAX_SIZE, ParamExprError, main,
                           parse_param_expr)
 from machyper.errors import (InexactDivisionError, LimitError, MacHyperError,
-                             NotSymmetricError)
+                             NotSymmetricError, ResourceGuardError)
 from machyper.ratfunc import ONE, Q, T, rf
 from machyper.verify import _draw_field_value
 
@@ -184,6 +186,68 @@ def test_exit_internal_error(monkeypatch, capsys):
         assert captured.err == "machyper: internal error: invariant broken\n"
 
 
+def test_exit_internal_gcd_and_zero_division(monkeypatch, capsys):
+    # a gcd that does not converge and a ZeroDivisionError raised inside the
+    # library are internal errors too
+    def gcd_failure(*args, **kwargs):
+        def never_divides(a, b):
+            raise InexactDivisionError("unlucky")
+        with monkeypatch.context() as m:
+            m.setattr(ratfunc, "_pdiv_exact", never_divides)
+            # (q + t)(q + 1) and (q + t)(q - 1) as {q-degree: t-coefficients}:
+            # not coprime, so every candidate goes to the refused trial division
+            ratfunc._bv_gcd_prim({0: [0, 1], 1: [1, 1], 2: [1]},
+                                 {0: [0, -1], 1: [-1, 1], 2: [1]})
+
+    def zero_division(*args, **kwargs):
+        raise ZeroDivisionError("zero denominator")
+
+    for broken, text in ((gcd_failure,
+                          "bivariate gcd interpolation did not converge"),
+                         (zero_division, "zero denominator")):
+        monkeypatch.setattr(cli, "macdonald_forms", broken)
+        assert main(["compute", "P", "--partition", "[1]",
+                     "--n", "2"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"machyper: internal error: {text}\n"
+
+
+def test_resource_guards_before_work(monkeypatch, capsys):
+    # oversized --n, --D and --max-size stop before any computation
+    def unreachable(*args, **kwargs):
+        raise AssertionError("guarded request reached the computation")
+    monkeypatch.setattr(cli, "macdonald_forms", unreachable)
+    monkeypatch.setattr(cli, "binomial_raising_closed", unreachable)
+    monkeypatch.setattr(cli, "enumerate_partitions", unreachable)
+    monkeypatch.setattr(cli.TruncatedSeries, "build", unreachable)
+    monkeypatch.setattr(cli.MacdonaldCache, "get_P", unreachable)
+    cases = [
+        (["compute", "P", "--partition", "[1]", "--n", str(MAX_N + 1)], "--n"),
+        (["compute", "series", "--n", "1", "--D", str(MAX_D + 1)], "--D"),
+        (["table", "P", "--n", str(MAX_N + 1)], "--n"),
+        (["table", "binomial", "--max-size", str(MAX_SIZE + 1)], "--max-size"),
+        (["cache", "warm", "--dir", "unused", "--n", "2",
+          "--max-size", str(MAX_SIZE + 1)], "--max-size"),
+    ]
+    for argv, flag in cases:
+        assert main(argv) == EXIT_RESOURCE
+        assert capsys.readouterr().err.startswith(f"machyper: resource guard: {flag} ")
+
+
+def test_parse_exponent_guard(monkeypatch, capsys):
+    # the power is refused before it is expanded
+    def unreachable(self, k):
+        raise AssertionError("guarded power was expanded")
+    monkeypatch.setattr(ratfunc.RatFuncQT, "__pow__", unreachable)
+    for expr in (f"(1+q)^{MAX_EXPONENT + 1}", f"q^(-{MAX_EXPONENT + 1})"):
+        with pytest.raises(ResourceGuardError):
+            parse_param_expr(expr)
+    assert main(["compute", "series", "--n", "1", "--D", "2", "--a",
+                 f"t^{MAX_EXPONENT + 1}"]) == EXIT_RESOURCE
+    assert "resource guard" in capsys.readouterr().err
+
+
 def test_exit_usage(capsys):
     # --r disagrees with the number of --a flags
     assert main(["compute", "series", "--n", "1", "--D", "2",
@@ -193,6 +257,11 @@ def test_exit_usage(capsys):
     assert main(["compute", "series", "--n", "1", "--D", "2",
                  "--a", "1+"]) == EXIT_USAGE
     capsys.readouterr()
+    # division by zero in an expression is bad input, not an internal error
+    assert main(["compute", "series", "--n", "1", "--D", "2",
+                 "--a", "1/(1-1)"]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "machyper: division by the zero polynomial (position 1)\n")
     # malformed partition
     assert main(["compute", "P", "--partition", "nope"]) == EXIT_USAGE
     capsys.readouterr()

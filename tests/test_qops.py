@@ -5,13 +5,17 @@ from fractions import Fraction
 
 import pytest
 
+import machyper.qops as qops
+import machyper.ratfunc as ratfunc
 from machyper.errors import ResourceGuardError
-from machyper.macdonald import macdonald_P
+from machyper.macdonald import macdonald_P, macdonald_forms
 from machyper.partitions import partitions_of, rho_stat
 from machyper.qops import (
     MAX_FULL_SYMMETRIZE,
     apply_ad_lower,
+    apply_ad_lower_upto,
     apply_ad_raise,
+    apply_ad_raise_upto,
     apply_lower,
     apply_lower_alt,
     apply_raise1,
@@ -156,6 +160,77 @@ def test_ad_one_is_commutator():
     lhs = apply_ad_lower(1, f)
     rhs = apply_lower(apply_weight(f)) - apply_weight(apply_lower(f))
     assert lhs == rhs
+
+
+def _ad_nested(l, base, f, negate):
+    """l-fold commutator [W, .] of the weight operator W around base, by
+    literal nesting; negate swaps each subtraction, i.e. uses -W.  The
+    oracle for the binomial expansion in qops."""
+    def rec(j, h):
+        if j == 0:
+            return base(h)
+        outer = apply_weight(rec(j - 1, h))
+        inner = rec(j - 1, apply_weight(h))
+        return inner - outer if negate else outer - inner
+    return rec(l, f)
+
+
+@pytest.mark.parametrize("n,lam", [(2, (2,)), (3, (2, 1))])
+def test_ad_expansion_matches_nesting(n, lam, cache):
+    # P has coefficients with non-trivial denominators, so the input is
+    # cleared before the shared images are built
+    f = macdonald_forms(lam, n, cache).P
+    assert any(c.den != ONE.den for c in f.coeffs.values())
+    raise_levels = apply_ad_raise_upto(3, f)
+    lower_levels = apply_ad_lower_upto(3, f)
+    for l in (2, 3):
+        assert apply_ad_raise(l, f) == _ad_nested(l, apply_raise1, f, False)
+        assert apply_ad_lower(l, f) == _ad_nested(l, apply_lower, f, True)
+    for l in range(4):
+        assert raise_levels[l] == apply_ad_raise(l, f)
+        assert lower_levels[l] == apply_ad_lower(l, f)
+
+
+def test_assembly_is_gcd_free(monkeypatch, cache):
+    # every operator clears its input first, so the one assembly route only
+    # ever sees polynomial coefficients and never runs a polynomial gcd
+    f = macdonald_forms((2, 1), 3, cache).P
+    assert any(c.den != ONE.den for c in f.coeffs.values())
+    calls = {"assemble": 0, "gcd": 0}
+    inside = [False]
+    pgcd, assemble = ratfunc._pgcd, qops._assemble
+
+    def counting_pgcd(a, b):
+        calls["gcd"] += inside[0]
+        return pgcd(a, b)
+
+    def watched_assemble(n_vars, pieces):
+        calls["assemble"] += 1
+        inside[0] = True
+        try:
+            return assemble(n_vars, pieces)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(ratfunc, "_pgcd", counting_pgcd)
+    monkeypatch.setattr(qops, "_assemble", watched_assemble)
+    apply_lower(f)
+    apply_weight(f)
+    apply_shift1(f)
+    apply_shift_family(f)
+    apply_shift_genfun(f, rf(3))
+    apply_ad_raise_upto(2, f)
+    apply_ad_lower_upto(2, f)
+    assert calls["assemble"] > 0
+    assert calls["gcd"] == 0
+
+
+def test_lower_alt_matches_rational_input(cache):
+    # the oracle runs on the rational coefficients as given
+    for n, lam in ((2, (2,)), (3, (2, 1))):
+        f = macdonald_forms(lam, n, cache).P
+        assert any(c.den != ONE.den for c in f.coeffs.values())
+        assert apply_lower_alt(f) == apply_lower(f)
 
 
 # ---------------------------------------------------------------------------
