@@ -13,10 +13,8 @@ file per (n, partition), validated against the closed-form principal
 evaluation whenever a file is read or written; a file is written to a
 temporary name and moved into place, so readers never see half of one.
 
-The forms at reciprocal q and t (macdonald_forms with invert=True) are
-the images of the plain forms under q -> 1/q, t -> 1/t, taken
-coefficientwise with invert_qt; every other function here works at q and
-t only.
+Everything here works at q and t; the forms at reciprocal q and t are
+their images under sympoly.invert_coeffs.
 """
 
 from __future__ import annotations
@@ -32,9 +30,8 @@ from .partitions import (Partition, SkewCover, dominates, format_partition,
                          hook_products, length, lower_covers, make_partition,
                          n_stat, partitions_of, revlex_key, size, upper_covers)
 from .qops import apply_raise1, apply_shift1, eigen_shift
-from .ratfunc import (ONE, Q, RatFuncQT, T, invert_qt, qt_monomial, rf,
-                      t_monomial)
-from .sympoly import BiSymPoly, SymPoly, basis_poly, invert_coeffs, orbit
+from .ratfunc import ONE, Q, RatFuncQT, T, qt_monomial, rf, t_monomial
+from .sympoly import BiSymPoly, SymPoly, basis_poly, orbit
 
 CACHE_ENV_VAR = "MACHYPER_CACHE_DIR"
 _FORMAT = 1
@@ -209,21 +206,13 @@ class MacForms:
     principal_J: RatFuncQT    # J at the staircase point
 
 
-def macdonald_forms(lam: Partition, n: int, cache: MacdonaldCache | None = None,
-                    invert: bool = False) -> MacForms:
-    """All normalizations at once.
-
-    invert=True returns the image of every form and scalar under
-    q -> 1/q, t -> 1/t (coefficientwise inversion of the monic basis is
-    legitimate: the defining triangular eigenproblem maps onto itself).
-    """
+def macdonald_forms(lam: Partition, n: int,
+                    cache: MacdonaldCache | None = None) -> MacForms:
+    """All normalizations at once."""
     lam = make_partition(lam)
     P = macdonald_P(lam, n, cache)
     c, cp, j = hook_products(lam)
     principal = principal_J_closed(lam, n)
-    if invert:
-        P = invert_coeffs(P)
-        c, cp, j, principal = (invert_qt(x) for x in (c, cp, j, principal))
     J = P.scale_rf(c)
     Jstar = P.scale_rf(cp.inverse())
     Jnorm = J.scale_rf(principal.inverse())
@@ -380,14 +369,15 @@ def _find_cover(upper: Partition, lower: Partition, n: int) -> SkewCover:
 # ---------------------------------------------------------------------------
 # the reproducing-kernel identity, truncated
 
-def cauchy_truncated(n: int, D: int, cache: MacdonaldCache | None = None,
-                     check_product: bool = True) -> tuple[BiSymPoly, BiSymPoly]:
+def cauchy_truncated(n: int, D: int, cache: MacdonaldCache | None = None
+                     ) -> tuple[BiSymPoly, BiSymPoly]:
     """Both sides of the kernel identity through total degree D per alphabet.
 
     Sum side: sum over partitions of J(x) J(y) / hook_pair.  Product side:
     the double product of (t x_i y_j; q)-type factors, expanded from the
     one-variable coefficient recurrence g_k = g_(k-1)(1 - t q^(k-1))/(1 - q^k)
     coming from the functional equation (1-z) g(z) = (1 - t z) g(q z).
+    The expanded product is checked to be bisymmetric.
     """
     cache = cache or _DEFAULT_CACHE
     sum_side = BiSymPoly.zero(n)
@@ -423,7 +413,6 @@ def cauchy_truncated(n: int, D: int, cache: MacdonaldCache | None = None,
                         nxt[key] = tot
             raw = nxt
 
-    prod_side = BiSymPoly.zero(n)
     coeffs: dict[tuple[Partition, Partition], RatFuncQT] = {}
     for e, c in raw.items():
         ex, ey = e[:n], e[n:]
@@ -434,12 +423,11 @@ def cauchy_truncated(n: int, D: int, cache: MacdonaldCache | None = None,
             coeffs[(lx, ly)] = c
     prod_side = BiSymPoly(n, coeffs)
 
-    if check_product:
-        rebuilt: dict[tuple[int, ...], RatFuncQT] = {}
-        for (lx, ly), c in coeffs.items():
-            for ex in orbit(lx, n):
-                for ey in orbit(ly, n):
-                    rebuilt[ex + ey] = c
-        if rebuilt != raw:
-            raise MacHyperError("product side is not bisymmetric")
+    rebuilt: dict[tuple[int, ...], RatFuncQT] = {}
+    for (lx, ly), c in coeffs.items():
+        for ex in orbit(lx, n):
+            for ey in orbit(ly, n):
+                rebuilt[ex + ey] = c
+    if rebuilt != raw:
+        raise MacHyperError("product side is not bisymmetric")
     return sum_side, prod_side

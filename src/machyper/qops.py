@@ -177,12 +177,12 @@ def apply_lower_alt(f: SymPoly) -> SymPoly:
     """
     n = f.n_vars
     fraw = f.to_raw()
-    vf = raw_mul(dict(_alternant(n)), fraw)
+    minus_vf = {e: -c for e, c in raw_mul(dict(_alternant(n)), fraw).items()}
     acc: Raw = {}
     for i in range(n):
         pre = dict(_alternant(n, (i,)))
         num = raw_mul(pre, raw_shift_subset(fraw, (i,)))
-        raw_add_into(num, vf, sign=-1)
+        raw_add_into(num, minus_vf)
         # strip one power of x_i from every term; exactness is the point
         stripped: Raw = {}
         for e, c in num.items():

@@ -17,11 +17,11 @@ tests and checks; they must not share the order-by-order inversion or the
 signed e_l-sum used by the transfer operators, or they would stop being
 independent witnesses.
 
-Inversion (q -> 1/q, t -> 1/t, written iota) is conjugation by invert_qt:
-an inverted series is the iota-image of the plain series at iota(params).
-The transfer operators are plain only; a check on an inverted series runs
-on its plain image.  Nothing below TruncatedSeries knows about inversion;
-the named oracles above are unchanged.
+Every series and operator here lives at q and t.  Inversion (q -> 1/q,
+t -> 1/t, written iota) is conjugation by invert_qt and invert_coeffs:
+the series at reciprocal q, t and parameters p is the iota-image of the
+series at iota(p).  The flavor transform and the tilde identities compare
+a series with its mirror, the series at mirror_params(p) = iota(1/p).
 """
 
 from __future__ import annotations
@@ -109,24 +109,19 @@ def _kaneko_factor(lam: Partition, expo: int) -> RatFuncQT:
 class TruncatedSeries:
     """All coefficients C_lam with |lam| <= D, length <= n.
 
-    flavor "macdonald" or "kaneko"; invert=True means the series lives at
-    reciprocal q, t (slot values are taken as given either way): it is the
-    image under q -> 1/q, t -> 1/t of the plain series at inverted params.
+    flavor "macdonald" or "kaneko".
     """
     n: int
     D: int
     params: HyperParams
     flavor: str = "macdonald"
-    invert: bool = False
     coeffs: dict[Partition, RatFuncQT] = field(default_factory=dict)
 
     @classmethod
-    def build(cls, n: int, D: int, params: HyperParams, flavor: str = "macdonald",
-              invert: bool = False) -> "TruncatedSeries":
+    def build(cls, n: int, D: int, params: HyperParams,
+              flavor: str = "macdonald") -> "TruncatedSeries":
         if flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {flavor!r}")
-        if invert:
-            return cls.build(n, D, params.inverted(), flavor).inverted()
         # headroom: recursions and operator routes reach D+1; poles must
         # already be absent slightly beyond the truncation
         check_lower_poles(params, n, D + 2)
@@ -141,31 +136,20 @@ class TruncatedSeries:
             coeffs[lam] = c
         return cls(n=n, D=D, params=params, flavor=flavor, coeffs=coeffs)
 
-    def inverted(self) -> "TruncatedSeries":
-        """The image under q -> 1/q, t -> 1/t: params and coefficients
-        inverted and the invert flag flipped.  An involution."""
-        return TruncatedSeries(
-            n=self.n, D=self.D, params=self.params.inverted(), flavor=self.flavor,
-            invert=not self.invert,
-            coeffs={lam: invert_qt(c) for lam, c in self.coeffs.items()})
-
-    def mutate(self, lam: Partition, delta: RatFuncQT = ONE) -> "TruncatedSeries":
-        """Perturb one stored coefficient; used by the sensitivity checks."""
+    def mutate(self, lam: Partition) -> "TruncatedSeries":
+        """Add 1 to one stored coefficient; used by the sensitivity checks."""
         lam = make_partition(lam)
         if lam not in self.coeffs:
             raise ValueError(f"partition {format_partition(lam)} is outside the truncation")
         coeffs = dict(self.coeffs)
-        coeffs[lam] = coeffs[lam] + delta
+        coeffs[lam] = coeffs[lam] + ONE
         return TruncatedSeries(n=self.n, D=self.D, params=self.params,
-                               flavor=self.flavor, invert=self.invert,
-                               coeffs=coeffs)
+                               flavor=self.flavor, coeffs=coeffs)
 
     # -- renderings ---------------------------------------------------------
 
     def render_one(self, cache: MacdonaldCache | None = None) -> SymPoly:
         """Sum of C * t^(n-stat) * (dual integral form) in one alphabet."""
-        if self.invert:
-            return invert_coeffs(self.inverted().render_one(cache))
         cache = cache or default_cache()
         out = SymPoly.zero(self.n)
         for lam, c in self.coeffs.items():
@@ -175,8 +159,6 @@ class TruncatedSeries:
 
     def render_two(self, cache: MacdonaldCache | None = None) -> BiSymPoly:
         """Two-alphabet rendering: C * t^(n-stat) * Jnorm(x) * Jstar(y)."""
-        if self.invert:
-            return invert_coeffs(self.inverted().render_two(cache))
         cache = cache or default_cache()
         out = BiSymPoly.zero(self.n)
         for lam, c in self.coeffs.items():
@@ -205,11 +187,17 @@ class TruncatedSeries:
 # alphabet scaling
 
 def scale_alphabet(f: SymPoly, c: RatFuncQT) -> SymPoly:
-    """x -> c x: scale the degree-d component by c^d."""
-    out = SymPoly.zero(f.n_vars)
-    for d in f.degrees():
-        out = out + f.degree_component(d).scale_rf(c ** d)
-    return out
+    """x -> c x: multiply the coefficient of m_lam by c^|lam|."""
+    pows: dict[int, RatFuncQT] = {}
+    coeffs = {}
+    for lam, v in f.coeffs.items():
+        d = size(lam)
+        if d not in pows:
+            pows[d] = c ** d
+        v = v * pows[d]
+        if not v.is_zero():
+            coeffs[lam] = v
+    return SymPoly(f.n_vars, coeffs)
 
 
 def scale_alphabet_x(F: BiSymPoly, c: RatFuncQT) -> BiSymPoly:
@@ -483,7 +471,10 @@ def flavor_scale_two(params: HyperParams, n: int) -> RatFuncQT:
     return flavor_scale_one(params) / t_monomial(n - 1)
 
 
-def _reciprocal_params(params: HyperParams) -> HyperParams:
+def mirror_params(params: HyperParams) -> HyperParams:
+    """iota(1/p): the reciprocal of every parameter, at reciprocal q, t.
+    The flavor transform and the tilde identities compare the series at
+    params with the iota-image of the series at these parameters."""
     for idx, u in enumerate(params.upper, start=1):
         if u.is_zero():
             raise ValueError(f"upper parameter #{idx} is zero: flavor transform undefined")
@@ -491,34 +482,30 @@ def _reciprocal_params(params: HyperParams) -> HyperParams:
         if b.is_zero():
             raise ValueError(f"lower parameter #{idx} is zero: flavor transform undefined")
     return HyperParams(tuple(u.inverse() for u in params.upper),
-                       tuple(b.inverse() for b in params.lower))
+                       tuple(b.inverse() for b in params.lower)).inverted()
 
 
-def kaneko_transform(series: TruncatedSeries, cache: MacdonaldCache | None = None,
-                     check: bool = True) -> TruncatedSeries:
+def kaneko_transform(series: TruncatedSeries,
+                     cache: MacdonaldCache | None = None) -> TruncatedSeries:
     """The other flavor of the same series, verifying the defining relation.
 
-    One direction: the kaneko-flavor rendering equals the macdonald-flavor
-    series at reciprocal parameters and reciprocal q, t, with the alphabet
-    scaled by prod(a)/(q prod(b)).  The reverse direction holds with the
-    same constant and the flavors swapped.  check=True verifies the
-    relation exactly on the truncation (it is an identity; failure raises).
+    One direction: the kaneko-flavor rendering equals the iota-image of the
+    macdonald-flavor rendering at mirror_params, with the alphabet scaled
+    by prod(a)/(q prod(b)).  The reverse direction holds with the same
+    constant and the flavors swapped.  The relation is verified exactly on
+    the truncation (it is an identity; failure raises).
     """
-    if series.invert:
-        raise ValueError("flavor transform expects an ambient (non-inverted) series")
     cache = cache or default_cache()
     other = "kaneko" if series.flavor == "macdonald" else "macdonald"
-    target = TruncatedSeries.build(series.n, series.D, series.params,
-                                   flavor=other, invert=False)
-    if check:
-        c = flavor_scale_one(series.params)
-        mirrored = TruncatedSeries.build(
-            series.n, series.D, _reciprocal_params(series.params),
-            flavor=series.flavor, invert=True)
-        lhs = target.render_one(cache)
-        rhs = scale_alphabet(mirrored.render_one(cache), c)
-        if lhs != rhs:
-            raise MacHyperError("flavor transform relation failed on the truncation")
+    target = TruncatedSeries.build(series.n, series.D, series.params, flavor=other)
+    mirror = TruncatedSeries.build(series.n, series.D,
+                                   mirror_params(series.params),
+                                   flavor=series.flavor)
+    lhs = target.render_one(cache)
+    rhs = scale_alphabet(invert_coeffs(mirror.render_one(cache)),
+                         flavor_scale_one(series.params))
+    if lhs != rhs:
+        raise MacHyperError("flavor transform relation failed on the truncation")
     return target
 
 
@@ -533,13 +520,12 @@ def _check_univariate(f: SymPoly) -> None:
 def uv_shift(f: SymPoly, qval: RatFuncQT) -> SymPoly:
     """z -> qval * z on a one-variable polynomial."""
     _check_univariate(f)
-    return SymPoly(1, {lam: c * qval ** size(lam) for lam, c in f.coeffs.items()})
+    return scale_alphabet(f, qval)
 
 
-def uv_delta(aval: RatFuncQT, f: SymPoly, qval: RatFuncQT | None = None) -> SymPoly:
+def uv_delta(aval: RatFuncQT, f: SymPoly) -> SymPoly:
     """a F(qz) - F(z)."""
-    qval = qval if qval is not None else Q
-    return uv_shift(f, qval).scale_rf(rf(aval)) - f
+    return uv_shift(f, Q).scale_rf(rf(aval)) - f
 
 
 def uv_mul_z(f: SymPoly) -> SymPoly:
@@ -558,10 +544,11 @@ def uv_div_z(f: SymPoly) -> SymPoly:
     return SymPoly(1, out)
 
 
-def _uv_delta_chain(f: SymPoly, avals, qval: RatFuncQT) -> SymPoly:
+def uv_delta_chain(f: SymPoly, avals) -> SymPoly:
+    """Delta_(a_1) ... Delta_(a_k) F, with Delta_a F = a F(qz) - F(z)."""
     out = f
     for a in avals:
-        out = uv_delta(rf(a), out, qval)
+        out = uv_delta(rf(a), out)
     return out
 
 
@@ -580,7 +567,7 @@ def transfer_raise_uv(alist, f: SymPoly) -> SymPoly:
 def transfer_diag_raise_uv(alist, f: SymPoly) -> SymPoly:
     """One-variable collapse of the raising-paired diagonal transfer:
     (-1)^r/(1-q) * Delta_(a_1) ... Delta_(a_r)."""
-    g = _uv_delta_chain(f, [rf(a) for a in alist], Q)
+    g = uv_delta_chain(f, [rf(a) for a in alist])
     sign = ONE if len(alist) % 2 == 0 else rf(-1)
     return g.scale_rf(sign / (ONE - Q))
 
@@ -589,7 +576,7 @@ def transfer_diag_lower_uv(blist, f: SymPoly) -> SymPoly:
     """One-variable collapse of the lowering-paired diagonal transfer:
     (-1)^(s+1)/(1-q) * Delta_1 Delta_(b_1/q) ... Delta_(b_s/q)."""
     chain = [ONE] + [rf(b) / Q for b in blist]
-    g = _uv_delta_chain(f, chain, Q)
+    g = uv_delta_chain(f, chain)
     sign = rf(-1) if len(blist) % 2 == 0 else ONE
     return g.scale_rf(sign / (ONE - Q))
 

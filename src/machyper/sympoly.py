@@ -125,7 +125,9 @@ class SymPoly:
         return out
 
     @classmethod
-    def from_raw(cls, raw: Raw, n: int, check: bool = True) -> "SymPoly":
+    def from_raw(cls, raw: Raw, n: int) -> "SymPoly":
+        """Collect a raw polynomial; raises NotSymmetricError unless it is
+        symmetric."""
         coeffs: dict[Partition, RatFuncQT] = {}
         for e, c in raw.items():
             lam = tuple(sorted(e, reverse=True))
@@ -135,11 +137,9 @@ class SymPoly:
                 if not c.is_zero():
                     coeffs[lam] = c
         out = cls(n, coeffs)
-        if check:
-            ra = out.to_raw()
-            clean = {e: c for e, c in raw.items() if not c.is_zero()}
-            if ra != clean:
-                raise NotSymmetricError("raw polynomial is not symmetric")
+        clean = {e: c for e, c in raw.items() if not c.is_zero()}
+        if out.to_raw() != clean:
+            raise NotSymmetricError("raw polynomial is not symmetric")
         return out
 
     def render(self) -> str:
@@ -190,10 +190,8 @@ def raw_mul(a: Raw, b: Raw) -> Raw:
                 out[e] = s
     return out
 
-def raw_add_into(acc: Raw, b: Raw, sign: int = 1) -> None:
+def raw_add_into(acc: Raw, b: Raw) -> None:
     for e, c in b.items():
-        if sign < 0:
-            c = -c
         s = acc.get(e)
         s = c if s is None else s + c
         if s.is_zero():
@@ -427,16 +425,11 @@ class BiSymPoly:
         for (lx, ly), c in self.coeffs.items():
             groups.setdefault(ly, {})[lx] = c
         out: dict[tuple[Partition, Partition], RatFuncQT] = {}
+        # each slice writes its own keys, and images hold no zeros
         for ly, slice_x in groups.items():
             img = op(SymPoly(self.n_vars, slice_x))
             for lx, c in img.coeffs.items():
-                k = (lx, ly)
-                s = out.get(k)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+                out[(lx, ly)] = c
         return BiSymPoly(self.n_vars, out)
 
     def apply_y(self, op) -> "BiSymPoly":

@@ -11,10 +11,10 @@ All checks run over the exact coefficient field; there are no
 tolerances anywhere.  Parameter draws are seeded, so a fixed
 (selection, n, D, seed) reproduces byte-identical reports.
 
-A check handed a series at reciprocal q and t (invert=True) runs on its
-plain image series.inverted(): the inversion is a field automorphism, so
-it keeps every residual zero or nonzero and keeps its degree.  Reports
-still carry the caller's parameters.
+The tilde identities concern the series at reciprocal q, t and
+reciprocal parameters.  They run on its iota-image, the series at
+mirror_params(p): the inversion iota is a field automorphism, so it keeps
+every residual zero or nonzero and keeps its degree.
 """
 
 from __future__ import annotations
@@ -36,13 +36,13 @@ from .qops import (apply_lower, apply_shift1, apply_shift_family,
                    apply_shift_genfun, apply_weight)
 from .macdonald import (MacdonaldCache, binomial_raising_closed, default_cache,
                         macdonald_forms)
-from .series import (HyperParams, TruncatedSeries, _reciprocal_params,
-                     _uv_delta_chain, check_lower_poles, flavor_scale_one,
-                     flavor_scale_two, product_series_one, scale_alphabet,
-                     scale_alphabet_x, transfer_diag_lower,
-                     transfer_diag_lower_uv, transfer_diag_raise,
-                     transfer_diag_raise_uv, transfer_lower, transfer_lower_uv,
-                     transfer_raise, transfer_raise_uv, uv_mul_z, uv_shift)
+from .series import (HyperParams, TruncatedSeries, check_lower_poles,
+                     flavor_scale_one, flavor_scale_two, mirror_params,
+                     product_series_one, scale_alphabet, scale_alphabet_x,
+                     transfer_diag_lower, transfer_diag_lower_uv,
+                     transfer_diag_raise, transfer_diag_raise_uv,
+                     transfer_lower, transfer_lower_uv, transfer_raise,
+                     transfer_raise_uv, uv_delta_chain, uv_mul_z, uv_shift)
 
 SUITE_ORDER = ("A", "Aprime", "kernel", "B", "C", "kaneko", "tilde",
                "univariate", "jack")
@@ -54,6 +54,8 @@ PARAM_GRID = ((0, 0), (1, 0), (1, 1), (2, 1))
 DEFAULT_SEED = 20240801
 
 MAX_SUITE_VARS = 4
+MAX_SUITE_DEGREE = 8
+MAX_SUITE_DRAWS = 10
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +181,6 @@ def check_two_alphabet(series: TruncatedSeries,
     independent route.
     """
     cache = cache or default_cache()
-    shown = series.params
-    series = series.inverted() if series.invert else series
     n, D, p = series.n, series.D, series.params
     F = series.render_two(cache)
     low = transfer_lower(p.lower, n)
@@ -222,7 +222,7 @@ def check_two_alphabet(series: TruncatedSeries,
 
     return TheoremReport(
         theorem="Aprime" if swapped else "A",
-        n=n, D=D, params=_params_json(shown),
+        n=n, D=D, params=_params_json(p),
         passed=not bad and rec_bad == 0,
         trusted=trusted,
         residual_degrees=[list(k) for k in observed],
@@ -246,8 +246,6 @@ def check_diagonal_match(series: TruncatedSeries,
     off-diagonal monomial term (the mutation hook).
     """
     cache = cache or default_cache()
-    shown = series.params
-    series = series.inverted() if series.invert else series
     n, D = series.n, series.D
     F = series.render_two(cache)
     notes = []
@@ -287,7 +285,7 @@ def check_diagonal_match(series: TruncatedSeries,
     observed = sorted(observed)
     return TheoremReport(
         theorem="kernel",
-        n=n, D=D, params=_params_json(shown),
+        n=n, D=D, params=_params_json(series.params),
         passed=not observed and sym_before and sym_after and control,
         trusted="all bidegrees (degree-preserving operators)",
         residual_degrees=[list(k) for k in observed],
@@ -420,8 +418,6 @@ def check_stability(series: TruncatedSeries,
     walk re-derives all coefficients as the independent route.
     """
     cache = cache or default_cache()
-    shown = series.params
-    series = series.inverted() if series.invert else series
     n, D, p = series.n, series.D, series.params
     observed = set()
     bad = []
@@ -445,7 +441,7 @@ def check_stability(series: TruncatedSeries,
         notes.append("coefficient walk skipped (plain flavor only)")
     return TheoremReport(
         theorem="B",
-        n=n, D=D, params=_params_json(shown),
+        n=n, D=D, params=_params_json(p),
         passed=not bad and walk_ok,
         trusted="degrees <= D-1 at every variable count",
         residual_degrees=sorted(observed),
@@ -463,8 +459,6 @@ def check_single_alphabet(series: TruncatedSeries,
     downward cover recursion re-derives each coefficient.
     """
     cache = cache or default_cache()
-    shown = series.params
-    series = series.inverted() if series.invert else series
     n, D, p = series.n, series.D, series.params
     F = series.render_one(cache)
     resid = (transfer_diag_lower(p.lower, n)(F)
@@ -500,7 +494,7 @@ def check_single_alphabet(series: TruncatedSeries,
 
     return TheoremReport(
         theorem="C",
-        n=n, D=D, params=_params_json(shown),
+        n=n, D=D, params=_params_json(p),
         passed=not bad and rec_bad == 0,
         trusted="degrees <= D",
         residual_degrees=observed,
@@ -611,28 +605,22 @@ def check_factored_form(series: TruncatedSeries,
 # ---------------------------------------------------------------------------
 # inverted-parameter forms
 
-def check_inverted_theorems(params: HyperParams, inner: TruncatedSeries,
+def check_inverted_theorems(params: HyperParams, plain: TruncatedSeries,
                             cache: MacdonaldCache | None = None) -> TheoremReport:
     """The three annihilation identities transported to the series with
     inverted q, t and reciprocal parameters, with the alphabet-scaling
     constants that the transport introduces.
 
-    `params` holds the plain parameter lists; `inner` is the series
-    built from their reciprocals with invert=True.  The one-alphabet
-    rendering is scaled by prod(a)/(q prod(b)); the two-alphabet one
-    scales its first alphabet by the same constant divided by t^(n-1).
-    At the empty parameter shape the scaled rendering must equal the
-    falling q-product, which is checked directly.
-
-    The identities run on the plain image inner.inverted() with the
-    inverted constants; the inversion keeps every residual degree.
+    `params` holds the plain parameter lists; `plain` is the iota-image of
+    the transported series, the series at mirror_params(params).  The
+    one-alphabet rendering is scaled by iota(prod(a)/(q prod(b))); the
+    two-alphabet one scales its first alphabet by the same constant
+    times t^(n-1).  At the empty parameter shape the iota-image of the
+    scaled rendering must equal the falling q-product, which is checked
+    directly.  The inversion keeps every residual degree.
     """
     cache = cache or default_cache()
-    n, D = inner.n, inner.D
-    if not inner.invert:
-        raise ValueError("inner series must be built with invert=True")
-    plain = inner.inverted()
-    p = plain.params
+    n, D, p = plain.n, plain.D, plain.params
     c = invert_qt(flavor_scale_one(params))
     d = invert_qt(flavor_scale_two(params, n))
     notes = []
@@ -727,8 +715,8 @@ def check_single_variable(series: TruncatedSeries,
 
     F = series.render_one(cache)
     shift = Q ** (p.s + 1 - p.r)
-    lhs = _uv_delta_chain(F, [ONE] + [b / Q for b in p.lower], Q)
-    rhs = uv_mul_z(_uv_delta_chain(uv_shift(F, shift), list(p.upper), Q))
+    lhs = uv_delta_chain(F, [ONE] + [b / Q for b in p.lower])
+    rhs = uv_mul_z(uv_delta_chain(uv_shift(F, shift), list(p.upper)))
     resid = lhs - rhs
     observed = _sym_degrees(resid)
     bad = [dg for dg in observed if dg <= D]
@@ -868,11 +856,16 @@ def run_suite(selection="all", n: int = 2, D: int = 4,
     perturbs one series coefficient (and injects an off-diagonal term
     into the kernel check) to demonstrate detection power; a mutated run
     must fail.  Variable counts above 4 are refused: the operator routes
-    symmetrize over n! terms.
+    symmetrize over n! terms.  Degrees above 8 and more than 10 draws are
+    refused too: the work grows steeply with D (n = 3, D = 5 already takes
+    minutes) and linearly with draws.
     """
-    if n >= MAX_SUITE_VARS + 1:
-        raise ResourceGuardError(
-            f"verification suites are capped at n <= {MAX_SUITE_VARS}")
+    for name, value, cap in (("n", n, MAX_SUITE_VARS),
+                             ("D", D, MAX_SUITE_DEGREE),
+                             ("draws", draws, MAX_SUITE_DRAWS)):
+        if value > cap:
+            raise ResourceGuardError(
+                f"verification suites are capped at {name} <= {cap}")
     if n < 1 or D < 1 or draws < 1:
         raise ValueError("need n >= 1, D >= 1, draws >= 1")
     names = _resolve_selection(selection)
@@ -921,11 +914,10 @@ def run_suite(selection="all", n: int = 2, D: int = 4,
                     reports.append(check_factored_form(plain_series(i), cache))
         elif name == "tilde":
             for i, p in enumerate(combos):
-                inner = TruncatedSeries.build(n, D, _reciprocal_params(p),
-                                              invert=True)
+                ser = TruncatedSeries.build(n, D, mirror_params(p))
                 if _fits(mut, n, D):
-                    inner = inner.mutate(mut)
-                reports.append(check_inverted_theorems(p, inner, cache))
+                    ser = ser.mutate(mut)
+                reports.append(check_inverted_theorems(p, ser, cache))
         elif name == "univariate":
             for p in combos:
                 if (p.r, p.s) == (2, 1):

@@ -16,7 +16,8 @@ from machyper.cli import (EXIT_INTERNAL, EXIT_PASS, EXIT_POLE, EXIT_RESOURCE,
 from machyper.errors import (InexactDivisionError, LimitError, MacHyperError,
                              NotSymmetricError, ResourceGuardError)
 from machyper.ratfunc import ONE, Q, T, rf
-from machyper.verify import _draw_field_value
+from machyper.verify import (MAX_SUITE_DEGREE, MAX_SUITE_DRAWS, MAX_SUITE_VARS,
+                             _draw_field_value)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +234,32 @@ def test_resource_guards_before_work(monkeypatch, capsys):
     for argv, flag in cases:
         assert main(argv) == EXIT_RESOURCE
         assert capsys.readouterr().err.startswith(f"machyper: resource guard: {flag} ")
+
+
+def test_verify_guards_before_work(monkeypatch, capsys):
+    # oversized --n, --D and --draws stop before any draw or check runs
+    import machyper.verify as verify
+    def unreachable(*args, **kwargs):
+        raise AssertionError("guarded verification reached the work")
+    for name in ("draw_hyper_params", "check_two_alphabet",
+                 "check_diagonal_match", "check_stability",
+                 "check_single_alphabet", "check_factored_form",
+                 "check_inverted_theorems", "check_single_variable",
+                 "check_classical_limit"):
+        monkeypatch.setattr(verify, name, unreachable)
+    monkeypatch.setattr(verify.TruncatedSeries, "build", unreachable)
+    sizes = {"n": 2, "D": 2, "draws": 1}
+    for name, cap in (("n", MAX_SUITE_VARS), ("D", MAX_SUITE_DEGREE),
+                      ("draws", MAX_SUITE_DRAWS)):
+        argv = ["verify", "all"]
+        for key, value in dict(sizes, **{name: cap + 1}).items():
+            argv += [f"--{key}", str(value)]
+        assert main(argv) == EXIT_RESOURCE
+        assert capsys.readouterr().err == (
+            f"machyper: resource guard: verification suites are capped at "
+            f"{name} <= {cap}\n")
+    assert main(["verify", "A", "--n", "2", "--D", "12", "--draws", "1"]) \
+        == EXIT_RESOURCE
 
 
 def test_parse_exponent_guard(monkeypatch, capsys):

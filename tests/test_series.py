@@ -76,7 +76,7 @@ def test_inverted_build_pole_condition():
             ([qt_monomial(0, -1)], r"#1 = .* cell \(2,1\), first hit by partition \[1,1\]"))
     for lower, where in hits:
         with pytest.raises(PoleError, match=where):
-            TruncatedSeries.build(2, 2, HyperParams.make(lower=lower), invert=True)
+            TruncatedSeries.build(2, 2, HyperParams.make(lower=lower).inverted())
         TruncatedSeries.build(2, 2, HyperParams.make(lower=lower))
 
 

@@ -17,3 +17,18 @@ def test_no_assert_in_package():
                     isinstance(node, ast.Name) and node.id == "AssertionError"):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_invert_parameter():
+    # q -> 1/q, t -> 1/t is a function call (invert_qt, invert_coeffs),
+    # never a flag that a caller sets and the callee undoes
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                a = node.args
+                for arg in a.posonlyargs + a.args + a.kwonlyargs:
+                    if arg.arg == "invert":
+                        found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -6,12 +6,11 @@ import random
 import pytest
 
 from machyper.errors import PoleError, ResourceGuardError
-from machyper.ratfunc import ONE, T, rf
-from machyper.series import HyperParams, TruncatedSeries, check_lower_poles
+from machyper.ratfunc import ONE, rf
+from machyper.series import HyperParams, check_lower_poles
 from machyper.sympoly import basis_poly
 from machyper.verify import (DEFAULT_SEED, MAX_SUITE_VARS, PARAM_GRID,
                              SUITE_ORDER, check_classical_limit,
-                             check_stability, check_two_alphabet,
                              draw_hyper_params, jack_oracle, run_suite,
                              suite_passed)
 
@@ -103,25 +102,13 @@ def test_seed_determinism(cache):
 
 
 def test_mutation_flips_fast_suites(cache):
-    sel = ("kernel", "B", "C", "kaneko", "univariate", "jack")
+    sel = ("kernel", "B", "C", "kaneko", "tilde", "univariate", "jack")
     good = run_suite(sel, n=2, D=3, draws=1, cache=cache)
     bad = run_suite(sel, n=2, D=3, draws=1, cache=cache, mutate=(1,))
     assert suite_passed(good)
     assert len(bad) == len(good)
     for r in bad:
         assert not r.passed
-
-
-def test_checks_on_inverted_series(cache):
-    # a series at reciprocal q, t is checked through its plain image; the
-    # report keeps the caller's parameters and a mutation still shows
-    params = HyperParams.make(upper=[rf(2) * T], lower=[rf(3)])
-    inner = TruncatedSeries.build(2, 2, params, invert=True)
-    for check in (check_two_alphabet, check_stability):
-        rep = check(inner, cache)
-        assert rep.passed, rep.render_text()
-        assert rep.params == {"a": ["2*t"], "b": ["3"]}
-        assert not check(inner.mutate((1,)), cache).passed
 
 
 # ---------------------------------------------------------------------------
