@@ -3,15 +3,25 @@
 The monic basis P is built as the eigenbasis of the first symmetrized
 shift operator, by a triangular solve over the dominance order in the
 monomial basis.  The integral form J multiplies P by the lower hook
-product; the dual integral form divides by the upper hook product; the
+product c; the dual integral form divides by the upper hook product; the
 principally normalized form divides J by its own evaluation at the
-staircase point x_i = t^(n-i).
+staircase point x_i = t^(n-i).  J has polynomial coefficients (Macdonald,
+Symmetric Functions and Hall Polynomials, VI (8.18)), so each denominator
+of P divides c and J is formed by one exact division per coefficient,
+with no gcd.
 
-A MacdonaldCache memoizes the expensive pieces (the monic basis and the
-shift-operator columns) and can persist the basis to disk as JSON, one
-file per (n, partition), validated against the closed-form principal
-evaluation whenever a file is read or written; a file is written to a
-temporary name and moved into place, so readers never see half of one.
+macdonald_forms fetches P at once and serves the other forms on demand:
+each is computed on first access and kept, and the forms of one element
+are made once per cache.
+
+A MacdonaldCache memoizes the expensive pieces (the monic basis, its
+forms and the shift-operator columns) and can persist the basis to disk
+as JSON, one file per (n, partition).  The principal-value audit runs on
+J, on polynomials only: it compares J at the staircase point with its
+closed form whenever a basis element is built or a file is read, and a
+read file must also be monic and dominance-triangular; a file that fails
+is rebuilt.  A file is written to a temporary name and moved into place,
+so readers never see half of one.
 
 Everything here works at q and t; the forms at reciprocal q and t are
 their images under sympoly.invert_coeffs.
@@ -22,15 +32,15 @@ from __future__ import annotations
 import json
 import os
 import threading
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .errors import MacHyperError
+from .errors import InexactDivisionError, MacHyperError
 from .partitions import (Partition, SkewCover, dominates, format_partition,
                          hook_products, length, lower_covers, make_partition,
                          n_stat, partitions_of, revlex_key, size, upper_covers)
 from .qops import apply_raise1, apply_shift1, eigen_shift
-from .ratfunc import ONE, Q, RatFuncQT, T, qt_monomial, rf, t_monomial
+from .ratfunc import (ONE, Q, RatFuncQT, T, qt_monomial, rf, t_monomial,
+                      times_multiple)
 from .sympoly import BiSymPoly, SymPoly, basis_poly, orbit
 
 CACHE_ENV_VAR = "MACHYPER_CACHE_DIR"
@@ -38,7 +48,7 @@ _FORMAT = 1
 
 
 class MacdonaldCache:
-    """Memo store for the monic basis, keyed by (n, partition).
+    """Memo store for the monic basis and its forms, keyed by (n, partition).
 
     cache_dir of None falls back to the MACHYPER_CACHE_DIR environment
     variable; if neither is set the cache is memory-only.
@@ -49,6 +59,7 @@ class MacdonaldCache:
             cache_dir = os.environ.get(CACHE_ENV_VAR) or None
         self.cache_dir = cache_dir
         self._P: dict[tuple[int, Partition], SymPoly] = {}
+        self._forms: dict[tuple[int, Partition], MacForms] = {}
         self._columns: dict[tuple[int, Partition], dict[Partition, RatFuncQT]] = {}
 
     # -- disk layout: one JSON file per entry ------------------------------
@@ -78,7 +89,7 @@ class MacdonaldCache:
         except (KeyError, ValueError, TypeError, ZeroDivisionError,
                 json.JSONDecodeError):
             return None
-        if not _principal_matches(poly, lam, n):
+        if not _monic_triangular(poly, lam) or not _principal_matches(poly, lam, n):
             return None
         return poly
 
@@ -135,6 +146,13 @@ class MacdonaldCache:
             self._store_disk(lam, n, poly)
         self._P[key] = poly
         return poly
+
+    def get_forms(self, lam: Partition, n: int) -> MacForms:
+        key = (n, lam)
+        hit = self._forms.get(key)
+        if hit is None:
+            hit = self._forms[key] = MacForms(lam, n, self.get_P(lam, n))
+        return hit
 
     def shift1_column(self, nu: Partition, n: int) -> dict[Partition, RatFuncQT]:
         key = (n, nu)
@@ -193,32 +211,64 @@ def macdonald_P(lam: Partition, n: int, cache: MacdonaldCache | None = None) -> 
     return cache.get_P(make_partition(lam), n)
 
 
-@dataclass(frozen=True)
 class MacForms:
-    """The four normalizations of one basis element plus its scalars."""
-    P: SymPoly
-    J: SymPoly
-    Jstar: SymPoly
-    Jnorm: SymPoly
-    hook_lower: RatFuncQT     # J = hook_lower * P
-    hook_upper: RatFuncQT     # Jstar = P / hook_upper
-    hook_pair: RatFuncQT      # product of the two
-    principal_J: RatFuncQT    # J at the staircase point
+    """The four normalizations of one basis element plus its scalars.
+
+    P is given; every other attribute is computed on first access and
+    then kept.
+    """
+
+    def __init__(self, lam: Partition, n: int, P: SymPoly):
+        self.lam, self.n, self.P = lam, n, P
+
+    @cached_property
+    def hook_lower(self) -> RatFuncQT:    # J = hook_lower * P
+        return hook_products(self.lam)[0]
+
+    @cached_property
+    def hook_upper(self) -> RatFuncQT:    # Jstar = P / hook_upper
+        return hook_products(self.lam)[1]
+
+    @cached_property
+    def hook_pair(self) -> RatFuncQT:     # product of the two
+        return hook_products(self.lam)[2]
+
+    @cached_property
+    def principal_J(self) -> RatFuncQT:   # J at the staircase point
+        return principal_J_closed(self.lam, self.n)
+
+    @cached_property
+    def J(self) -> SymPoly:
+        return _integral_form(self.P, self.lam)
+
+    @cached_property
+    def Jstar(self) -> SymPoly:
+        return self.P.scale_rf(self.hook_upper.inverse())
+
+    @cached_property
+    def Jnorm(self) -> SymPoly:
+        return self.J.scale_rf(self.principal_J.inverse())
 
 
 def macdonald_forms(lam: Partition, n: int,
                     cache: MacdonaldCache | None = None) -> MacForms:
-    """All normalizations at once."""
-    lam = make_partition(lam)
-    P = macdonald_P(lam, n, cache)
-    c, cp, j = hook_products(lam)
-    principal = principal_J_closed(lam, n)
-    J = P.scale_rf(c)
-    Jstar = P.scale_rf(cp.inverse())
-    Jnorm = J.scale_rf(principal.inverse())
-    return MacForms(P=P, J=J, Jstar=Jstar, Jnorm=Jnorm,
-                    hook_lower=c, hook_upper=cp, hook_pair=j,
-                    principal_J=principal)
+    """All normalizations of one basis element, made once per cache.
+
+    P is fetched here, so a bad request raises here; the other forms are
+    computed when first read.
+    """
+    cache = cache or _DEFAULT_CACHE
+    return cache.get_forms(make_partition(lam), n)
+
+
+def _integral_form(P: SymPoly, lam: Partition) -> SymPoly:
+    """J = c * P with c the lower hook product, a polynomial.
+
+    Each coefficient's denominator divides c, so one exact division per
+    coefficient replaces the gcd; InexactDivisionError when one does not.
+    """
+    c = hook_products(lam)[0].num
+    return SymPoly(P.n_vars, {mu: times_multiple(v, c) for mu, v in P.coeffs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +302,24 @@ def principal_J_closed(lam: Partition, n: int) -> RatFuncQT:
 
 
 def _principal_matches(P: SymPoly, lam: Partition, n: int) -> bool:
-    c, _, _ = hook_products(lam)
-    return principal_eval(P) * c == principal_J_closed(lam, n)
+    """The principal-value audit, on the polynomial coefficients of J.
+
+    A coefficient of P whose denominator does not divide the lower hook
+    product fails it.
+    """
+    try:
+        J = _integral_form(P, lam)
+    except InexactDivisionError:
+        return False
+    return principal_eval(J) == principal_J_closed(lam, n)
+
+
+def _monic_triangular(P: SymPoly, lam: Partition) -> bool:
+    """Coefficient 1 at lam, and lam dominates every other partition."""
+    if P.coeffs.get(lam) != ONE:
+        return False
+    d = size(lam)
+    return all(size(mu) == d and dominates(lam, mu) for mu in P.coeffs)
 
 
 # ---------------------------------------------------------------------------

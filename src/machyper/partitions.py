@@ -204,6 +204,7 @@ def poch_ratio_check(u: RatFuncQT, cover: SkewCover) -> bool:
     rhs = pochhammer_qt(u, cover.lower) * (ONE - u * cover.rho_skew)
     return lhs == rhs
 
+@lru_cache(maxsize=None)
 def hook_products(lam: Partition) -> tuple[RatFuncQT, RatFuncQT, RatFuncQT]:
     """(c, c', j) hook products: c uses 1 - q^arm t^(leg+1), c' uses
     1 - q^(arm+1) t^leg, and j = c * c'."""

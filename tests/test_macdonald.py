@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import machyper.macdonald as macdonald
-from machyper.errors import MacHyperError
+from machyper.errors import InexactDivisionError, MacHyperError
 from machyper.macdonald import (MacdonaldCache, binomial_by_expansion,
                                 binomial_lowering_closed,
                                 binomial_raising_closed, cauchy_truncated,
@@ -18,10 +18,10 @@ from machyper.macdonald import (MacdonaldCache, binomial_by_expansion,
                                 jstar_principal, macdonald_P, macdonald_forms,
                                 principal_J_closed, principal_eval)
 from machyper.partitions import (conjugate, dominates, enumerate_partitions,
-                                 length, lower_covers, partitions_of,
-                                 upper_covers)
+                                 hook_products, length, lower_covers,
+                                 partitions_of, upper_covers)
 from machyper.qops import apply_shift1, eigen_shift
-from machyper.ratfunc import ONE, Q, T, rf, substitute
+from machyper.ratfunc import ONE, Q, T, rf, substitute, times_multiple
 from machyper.sympoly import SymPoly, basis_poly, hall_inner
 
 F = Fraction
@@ -132,15 +132,55 @@ def test_q_one_gives_elementary_of_conjugate(cache):
 # -- forms and principal values -------------------------------------------------
 
 def test_forms_normalizations(cache):
-    n = 2
-    for lam in enumerate_partitions(3, n):
-        f = macdonald_forms(lam, n, cache)
-        assert f.J == f.P.scale_rf(f.hook_lower)
-        assert f.Jstar == f.P.scale_rf(f.hook_upper.inverse())
-        assert f.hook_pair == f.hook_lower * f.hook_upper
-        assert f.Jnorm == f.J.scale_rf(f.principal_J.inverse())
-        assert principal_eval(f.J) == f.principal_J
-        assert principal_eval(f.Jstar) == jstar_principal(lam, n)
+    for n in (1, 2, 3):
+        for lam in enumerate_partitions(4, n):
+            f = macdonald_forms(lam, n, cache)
+            # made once per cache
+            assert macdonald_forms(lam, n, cache) is f
+            # the field-arithmetic formulas are the independent route
+            assert f.J == f.P.scale_rf(f.hook_lower)
+            assert f.Jstar == f.P.scale_rf(f.hook_upper.inverse())
+            assert f.hook_pair == f.hook_lower * f.hook_upper
+            assert f.Jnorm == f.J.scale_rf(f.principal_J.inverse())
+            assert principal_eval(f.J) == f.principal_J
+            assert principal_eval(f.Jstar) == jstar_principal(lam, n)
+            # the integral form has polynomial coefficients
+            assert all(c.den == ONE.den for c in f.J.coeffs.values()), (lam, n)
+    # the forms fetch P at once, so a bad request raises at the call
+    with pytest.raises(ValueError):
+        macdonald_forms((2, 1), 1, MacdonaldCache())
+
+
+def _principal_by_field(P, lam, n):
+    # the audit in field arithmetic: P at the staircase times the hook product
+    return principal_eval(P) * hook_products(lam)[0] == principal_J_closed(lam, n)
+
+
+def test_principal_audit_matches_field_route(cache):
+    # the gcd-free audit on J gives the field route's verdict on every
+    # element of |lam| <= 6, n in {2, 3, 4}, and on tampered copies of them
+    elements = [(lam, n) for n in (2, 3, 4) for lam in enumerate_partitions(6, n)]
+    assert len(elements) == 66
+    not_dividing = (ONE + Q + T).inverse()    # divides no hook product
+    tampered = 0
+    for lam, n in elements:
+        P = macdonald_P(lam, n, cache)
+        assert macdonald._principal_matches(P, lam, n)
+        assert _principal_by_field(P, lam, n)
+        lower = [mu for mu in P.coeffs if mu != lam]
+        if not lower:
+            continue
+        mu = min(lower)
+        changed = P.coeffs[mu] + ONE
+        foreign = P.coeffs[mu] * not_dividing
+        with pytest.raises(InexactDivisionError):
+            times_multiple(foreign, hook_products(lam)[0].num)
+        for value in (changed, foreign):
+            bad = SymPoly(n, {**P.coeffs, mu: value})
+            assert not macdonald._principal_matches(bad, lam, n), (lam, n)
+            assert not _principal_by_field(bad, lam, n), (lam, n)
+            tampered += 1
+    assert tampered == 2 * 45    # the elements with terms below lam
 
 
 def test_principal_closed_form(cache):
@@ -243,6 +283,25 @@ def test_cache_disk_round_trip(tmp_path):
         json.dump(data, fh)
     c5 = MacdonaldCache(d)
     assert c5.get_P((2,), 2) == p1
+
+    # changes that keep the principal value but break triangularity or the
+    # leading 1 are rebuilt too
+    lam, n = (2, 1), 3
+    p2 = c1.get_P(lam, n)
+    top_term = dict(p2.coeffs)
+    top_term[(3,)] = T ** 3
+    top_term[(1, 1, 1)] = top_term[(1, 1, 1)] - (ONE + T ** 3 + T ** 6)
+    not_monic = dict(p2.coeffs)
+    not_monic[lam] = ONE + T ** 2
+    not_monic[(1, 1, 1)] = not_monic[(1, 1, 1)] - (
+        ONE + T.scale(2) + (T ** 3).scale(2) + T ** 4)
+    for coeffs in (top_term, not_monic):
+        bad = SymPoly(n, coeffs)
+        assert principal_eval(bad) == principal_eval(p2)
+        c1._store_disk(lam, n, bad)
+        assert MacdonaldCache(d)._load_disk(lam, n) is None
+        assert MacdonaldCache(d).get_P(lam, n) == p2
+        assert MacdonaldCache(d)._load_disk(lam, n) == p2
 
     assert c1.clear_disk() >= 1
     assert c1.list_disk() == []

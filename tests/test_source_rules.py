@@ -1,6 +1,8 @@
-"""Rules on the package source, checked on its syntax tree."""
+"""Rules on the package source: checked on its syntax tree, and against
+the private names the benchmark hooks."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "machyper"
@@ -32,3 +34,24 @@ def test_no_invert_parameter():
                     if arg.arg == "invert":
                         found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _load_bench_module(name):
+    path = SRC.parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_perfbench_hooks_resolve():
+    # the benchmark's counters hook some private names of the package; a
+    # renamed one would leave its metric at zero without failing the run
+    tracer = _load_bench_module("tracer")
+    worker = _load_bench_module("worker")
+    tr = tracer.Tracer()
+    try:
+        missing = tr.install(worker.trace_specs())
+    finally:
+        tr.uninstall()
+    assert missing == []
