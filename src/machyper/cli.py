@@ -267,7 +267,7 @@ def cmd_compute(args) -> int:
         _need(args, "upper", "lower")
         upper = parse_partition(args.upper)
         lower = parse_partition(args.lower)
-        val = binomial_raising_closed(upper, lower, args.n, cache)
+        val = binomial_raising_closed(upper, lower, args.n)
         if args.format == "json":
             print(_dumps({"object": obj, "upper": list(upper),
                           "lower": list(lower), "n": args.n,
@@ -318,7 +318,7 @@ def cmd_table(args) -> int:
     else:  # binomial
         for mu in enumerate_partitions(max(args.max_size - 1, 0), args.n):
             for cv in upper_covers(mu, args.n):
-                val = binomial_raising_closed(cv.upper, mu, args.n, cache)
+                val = binomial_raising_closed(cv.upper, mu, args.n)
                 rows.append((cv.upper, mu, val))
         if args.format == "json":
             print(_dumps([{"upper": list(up), "lower": list(mu),

@@ -36,7 +36,7 @@ from functools import cached_property, lru_cache
 
 from .errors import InexactDivisionError, MacHyperError
 from .partitions import (Partition, SkewCover, dominates, format_partition,
-                         hook_products, length, lower_covers, make_partition,
+                         hook_products, length, make_partition,
                          n_stat, partitions_of, revlex_key, size, upper_covers)
 from .qops import apply_raise1, apply_shift1, eigen_shift
 from .ratfunc import (ONE, Q, RatFuncQT, T, qt_monomial, rf, t_monomial,
@@ -379,13 +379,11 @@ def binomial_by_expansion(upper: Partition, lower: Partition, n: int,
     return coeff * t_monomial(-cover.n_skew)
 
 
-def binomial_raising_closed(upper: Partition, lower: Partition, n: int,
-                            cache: MacdonaldCache | None = None) -> RatFuncQT:
+def binomial_raising_closed(upper: Partition, lower: Partition, n: int) -> RatFuncQT:
     """Cover coefficient from the closed product over spectral points of
     the lower partition (the raising-direction evaluation)."""
     upper = make_partition(upper)
     lower = make_partition(lower)
-    cache = cache or _DEFAULT_CACHE
     cover = _find_cover(upper, lower, n)
     i0 = cover.row
     z = [qt_monomial(lower[i - 1] if i <= len(lower) else 0, 1 - i)

@@ -10,8 +10,12 @@ Normal form of a RatFuncQT: gcd(num, den) = 1, den has integer coefficients
 with content 1, and the leading coefficient of den (canonical order) is
 positive.  Structural equality of normal forms is field equality.
 
-The gcd is computed by content / primitive-part recursion: polynomials are
-viewed in Z[t][q] and reduced with a primitive pseudo-remainder sequence.
+The gcd views polynomials in Z[t][q].  It splits off the common monomial
+factor and the content in Z[t]; the gcd of the primitive parts comes from
+evaluation (_bv_gcd_prim): at integer values of t it takes univariate gcds
+in q (primitive pseudo-remainder sequences over Z), interpolates the images
+over Fraction, certifies the candidate by trial division, and retries with
+fresh points when an evaluation point was unlucky.
 Everything here is pure Python on Fraction and int; no external algebra
 package is involved.
 """

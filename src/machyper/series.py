@@ -70,6 +70,10 @@ class HyperParams:
         return HyperParams(tuple(map(invert_qt, self.upper)),
                            tuple(map(invert_qt, self.lower)))
 
+    def to_json(self) -> dict:
+        return {"a": [u.render() for u in self.upper],
+                "b": [b.render() for b in self.lower]}
+
 
 def check_lower_poles(params: HyperParams, n: int, max_size: int) -> None:
     """Reject lower parameters whose Pochhammer vanishes in the window.
@@ -172,10 +176,7 @@ class TruncatedSeries:
             "n": self.n,
             "D": self.D,
             "flavor": self.flavor,
-            "params": {
-                "a": [u.render() for u in self.params.upper],
-                "b": [b.render() for b in self.params.lower],
-            },
+            "params": self.params.to_json(),
             "coeffs": [
                 {"partition": list(lam), "value": self.coeffs[lam].render()}
                 for lam in enumerate_partitions(self.D, self.n)
@@ -223,13 +224,13 @@ def _signed_esum(values, images):
     return op
 
 
-def transfer_lower(blist, n: int):
+def transfer_lower(blist):
     """Degree-lowering transfer: sum over l of (-1)^l e_l(b) times the
     l-fold weight-commutator of the lowering operator."""
     return _signed_esum(blist, lambda f, r: apply_ad_lower_upto(r, f))
 
 
-def transfer_raise(alist, n: int):
+def transfer_raise(alist):
     """Degree-raising transfer: sum over l of (-1)^l e_l(a) times the
     l-fold weight-commutator of the raising operator."""
     return _signed_esum(alist, lambda f, r: apply_ad_raise_upto(r, f))
@@ -306,12 +307,12 @@ def eigen_ops_lower(max_l: int, f: SymPoly) -> list[SymPoly]:
     return out
 
 
-def transfer_diag_raise(alist, n: int):
+def transfer_diag_raise(alist):
     """Diagonal transfer paired with raising: sum of (-1)^l e_l(a) G_l."""
     return _signed_esum(alist, lambda f, r: eigen_ops_raise(r, f))
 
 
-def transfer_diag_lower(blist, n: int):
+def transfer_diag_lower(blist):
     """Diagonal transfer paired with lowering: sum of (-1)^l e_l(b) H_l."""
     return _signed_esum(blist, lambda f, r: eigen_ops_lower(r, f))
 

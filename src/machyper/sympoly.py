@@ -400,6 +400,8 @@ class BiSymPoly:
     def scale_rf(self, c: RatFuncQT) -> "BiSymPoly":
         if c.is_zero():
             return BiSymPoly(self.n_vars, {})
+        if c.is_one():
+            return self
         return BiSymPoly(self.n_vars, {k: v * c for k, v in self.coeffs.items()})
 
     def add_product(self, c: RatFuncQT, fx: SymPoly, gy: SymPoly) -> "BiSymPoly":

@@ -7,6 +7,11 @@ from scratch and compared against the stored values.  Residual degrees
 observed outside the window (truncation leakage) are reported but never
 count as failures.
 
+The paper's three operators are defined once each: A^(x,y) in _resid_A
+(two alphabets), B^(x) and C^(x) in _resid_B and _resid_C (one
+alphabet).  The plain, alphabet-swapped, Kaneko and tilde checks all
+apply them through these functions.
+
 All checks run over the exact coefficient field; there are no
 tolerances anywhere.  Parameter draws are seeded, so a fixed
 (selection, n, D, seed) reproduces byte-identical reports.
@@ -98,25 +103,40 @@ class TheoremReport:
         return "\n".join(lines)
 
 
-def _params_json(params: HyperParams) -> dict:
-    return {"a": [u.render() for u in params.upper],
-            "b": [b.render() for b in params.lower]}
+# ---------------------------------------------------------------------------
+# the paper's operators A, B and C, applied to a rendering
+#
+# The tilde identities carry an alphabet-scaling constant c; the plain
+# ones use c = 1.
+
+def _resid_A(F: BiSymPoly, p: HyperParams, c: RatFuncQT = ONE) -> BiSymPoly:
+    """A^(x,y) F: (1/c) times the lowering transfer on x, minus the
+    raising transfer on y."""
+    return (F.apply_x(transfer_lower(p.lower)).scale_rf(c.inverse())
+            - F.apply_y(transfer_raise(p.upper)))
 
 
-def _sym_degrees(f: SymPoly) -> list[int]:
-    out = set()
-    for lam, c in f.coeffs.items():
-        if not c.is_zero():
-            out.add(size(lam))
-    return sorted(out)
+def _resid_B(f: SymPoly, p: HyperParams, c: RatFuncQT = ONE) -> SymPoly:
+    """B^(x) f: the raising-paired diagonal transfer, minus (1/c) times
+    the lowering transfer.  At (r, s) = (2, 1) this is Kaneko's operator."""
+    return (transfer_diag_raise(p.upper)(f)
+            - transfer_lower(p.lower)(f).scale_rf(c.inverse()))
 
 
-def _bi_degrees(F: BiSymPoly) -> list[tuple[int, int]]:
-    out = set()
-    for (lx, ly), c in F.coeffs.items():
-        if not c.is_zero():
-            out.add((size(lx), size(ly)))
-    return sorted(out)
+def _resid_C(f: SymPoly, p: HyperParams, c: RatFuncQT = ONE) -> SymPoly:
+    """C^(x) f: the lowering-paired diagonal transfer, minus c times the
+    raising transfer."""
+    return (transfer_diag_lower(p.lower)(f)
+            - transfer_raise(p.upper)(f).scale_rf(c))
+
+
+def _renderings(series: TruncatedSeries, cache: MacdonaldCache):
+    """(m, one-alphabet rendering in m variables) for m = 1..n; the
+    series itself serves m = n, smaller counts are rebuilt unchanged."""
+    for m in range(1, series.n + 1):
+        sm = series if m == series.n else TruncatedSeries.build(
+            m, series.D, series.params, series.flavor)
+        yield m, sm.render_one(cache)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +192,8 @@ def _cover_factor(rho: RatFuncQT, values) -> RatFuncQT:
 def check_two_alphabet(series: TruncatedSeries,
                        cache: MacdonaldCache | None = None,
                        swapped: bool = False) -> TheoremReport:
-    """Lowering transfer on one alphabet minus raising transfer on the
-    other kills the two-alphabet rendering.
+    """A kills the two-alphabet rendering; swapped, A acts with the
+    alphabets exchanged.
 
     Trusted bidegrees: the lowering side reaches (e, e+1) only for
     e <= D-1, so the single expected leak is (D, D+1) (mirrored when
@@ -183,19 +203,17 @@ def check_two_alphabet(series: TruncatedSeries,
     cache = cache or default_cache()
     n, D, p = series.n, series.D, series.params
     F = series.render_two(cache)
-    low = transfer_lower(p.lower, n)
-    rai = transfer_raise(p.upper, n)
     if swapped:
-        resid = F.apply_y(low) - F.apply_x(rai)
+        resid = _resid_A(F.swap(), p).swap()
         def in_window(dx, dy):
             return dx == dy + 1 and dy <= D - 1
         trusted = "bidegrees (e+1, e) with e <= D-1"
     else:
-        resid = F.apply_x(low) - F.apply_y(rai)
+        resid = _resid_A(F, p)
         def in_window(dx, dy):
             return dy == dx + 1 and dx <= D - 1
         trusted = "bidegrees (e, e+1) with e <= D-1"
-    observed = _bi_degrees(resid)
+    observed = resid.bidegrees()
     bad = [k for k in observed if in_window(*k)]
     notes = []
     leaks = [k for k in observed if not in_window(*k)]
@@ -222,7 +240,7 @@ def check_two_alphabet(series: TruncatedSeries,
 
     return TheoremReport(
         theorem="Aprime" if swapped else "A",
-        n=n, D=D, params=_params_json(p),
+        n=n, D=D, params=p.to_json(),
         passed=not bad and rec_bad == 0,
         trusted=trusted,
         residual_degrees=[list(k) for k in observed],
@@ -258,7 +276,7 @@ def check_diagonal_match(series: TruncatedSeries,
                  for l in range(1, n + 1)]
     observed = set()
     for op in level_ops:
-        observed.update(_bi_degrees(F.apply_x(op) - F.apply_y(op)))
+        observed.update((F.apply_x(op) - F.apply_y(op)).bidegrees())
     sym_before = F.swap() == F
     shifted = F.apply_x(lambda f: apply_shift_genfun(f, T))
     sym_after = shifted.swap() == shifted
@@ -285,7 +303,7 @@ def check_diagonal_match(series: TruncatedSeries,
     observed = sorted(observed)
     return TheoremReport(
         theorem="kernel",
-        n=n, D=D, params=_params_json(series.params),
+        n=n, D=D, params=series.params.to_json(),
         passed=not observed and sym_before and sym_after and control,
         trusted="all bidegrees (degree-preserving operators)",
         residual_degrees=[list(k) for k in observed],
@@ -295,8 +313,7 @@ def check_diagonal_match(series: TruncatedSeries,
 # ---------------------------------------------------------------------------
 # diagonal/lowering annihilation with the variable-count loop
 
-def _stability_walk(series: TruncatedSeries,
-                    cache: MacdonaldCache) -> tuple[bool, list[str]]:
+def _stability_walk(series: TruncatedSeries) -> tuple[bool, list[str]]:
     """Re-derive every coefficient from the two cover-sum equations.
 
     Partitions are visited by size and then in descending lexicographic
@@ -328,7 +345,7 @@ def _stability_walk(series: TruncatedSeries,
             for cv in upper_covers(mu, max_length=n):
                 rho = cv.rho_skew
                 w = (t_monomial(2 * cv.n_skew)
-                     * binomial_raising_closed(cv.upper, mu, n, cache)
+                     * binomial_raising_closed(cv.upper, mu, n)
                      * jhook(mu) / jhook(cv.upper))
                 data.append((cv.upper, rho,
                              w * _cover_factor(rho, p.upper),
@@ -410,8 +427,8 @@ def _stability_walk(series: TruncatedSeries,
 
 def check_stability(series: TruncatedSeries,
                     cache: MacdonaldCache | None = None) -> TheoremReport:
-    """Lowering minus raising-paired diagonal transfer kills the
-    one-alphabet rendering at every variable count m = 1..n.
+    """B kills the one-alphabet rendering at every variable count
+    m = 1..n.
 
     The lowering side reaches degree d only from d+1 <= D, so degrees
     <= D-1 are trusted and the expected leak is at D.  The cover-sum
@@ -421,12 +438,8 @@ def check_stability(series: TruncatedSeries,
     n, D, p = series.n, series.D, series.params
     observed = set()
     bad = []
-    for m in range(1, n + 1):
-        sm = series if m == n else TruncatedSeries.build(m, D, p, series.flavor)
-        Fm = sm.render_one(cache)
-        resid = (transfer_lower(p.lower, m)(Fm)
-                 - transfer_diag_raise(p.upper, m)(Fm))
-        for d in _sym_degrees(resid):
+    for m, Fm in _renderings(series, cache):
+        for d in _resid_B(Fm, p).degrees():
             observed.add(d)
             if d <= D - 1:
                 bad.append((m, d))
@@ -434,14 +447,14 @@ def check_stability(series: TruncatedSeries,
     if bad:
         notes.append(f"in-window residuals at (m, degree) {sorted(bad)}")
     if series.flavor == "macdonald":
-        walk_ok, walk_notes = _stability_walk(series, cache)
+        walk_ok, walk_notes = _stability_walk(series)
         notes.extend(walk_notes)
     else:
         walk_ok = True
         notes.append("coefficient walk skipped (plain flavor only)")
     return TheoremReport(
         theorem="B",
-        n=n, D=D, params=_params_json(p),
+        n=n, D=D, params=p.to_json(),
         passed=not bad and walk_ok,
         trusted="degrees <= D-1 at every variable count",
         residual_degrees=sorted(observed),
@@ -453,17 +466,13 @@ def check_stability(series: TruncatedSeries,
 
 def check_single_alphabet(series: TruncatedSeries,
                           cache: MacdonaldCache | None = None) -> TheoremReport:
-    """Lowering-paired diagonal transfer minus raising transfer kills the
-    one-alphabet rendering; the raising side only adds degrees above the
-    truncation, so every degree <= D is trusted (leak at D+1).  The
-    downward cover recursion re-derives each coefficient.
+    """C kills the one-alphabet rendering; the raising side only adds
+    degrees above the truncation, so every degree <= D is trusted (leak
+    at D+1).  The downward cover recursion re-derives each coefficient.
     """
     cache = cache or default_cache()
     n, D, p = series.n, series.D, series.params
-    F = series.render_one(cache)
-    resid = (transfer_diag_lower(p.lower, n)(F)
-             - transfer_raise(p.upper, n)(F))
-    observed = _sym_degrees(resid)
+    observed = _resid_C(series.render_one(cache), p).degrees()
     bad = [d for d in observed if d <= D]
     notes = []
     leaks = [d for d in observed if d > D]
@@ -477,7 +486,7 @@ def check_single_alphabet(series: TruncatedSeries,
             num = ONE - ONE
             den = ONE - ONE
             for cv in lower_covers(lam):
-                bino = binomial_raising_closed(lam, cv.lower, n, cache)
+                bino = binomial_raising_closed(lam, cv.lower, n)
                 num = num + series.coeffs[cv.lower] \
                     * _cover_factor(cv.rho_skew, p.upper) * bino
                 den = den + _cover_factor(cv.rho_skew, p.lower) * bino
@@ -494,7 +503,7 @@ def check_single_alphabet(series: TruncatedSeries,
 
     return TheoremReport(
         theorem="C",
-        n=n, D=D, params=_params_json(p),
+        n=n, D=D, params=p.to_json(),
         passed=not bad and rec_bad == 0,
         trusted="degrees <= D",
         residual_degrees=observed,
@@ -539,11 +548,10 @@ def _factored_second_order(f: SymPoly, a: RatFuncQT, b: RatFuncQT,
 
 def check_factored_form(series: TruncatedSeries,
                         cache: MacdonaldCache | None = None) -> TheoremReport:
-    """The literal second-order operator equals the transfer combination
-    (raising-paired diagonal with both numerator parameters, minus the
-    one-parameter lowering transfer) up to the stated scalar, as
-    operators on every monomial symmetric polynomial of degree <= 4; and
-    it annihilates the (2,1) series in degrees <= D-1.
+    """The literal second-order operator equals B at (a, b; c) up to the
+    stated scalar, as operators on every monomial symmetric polynomial
+    of degree <= 4, and at (0, 0; c) on two of them; and it annihilates
+    the (2,1) series in degrees <= D-1.
     """
     cache = cache or default_cache()
     n, D, p = series.n, series.D, series.params
@@ -557,14 +565,12 @@ def check_factored_form(series: TruncatedSeries,
     scal = -(ONE - Q) / t_monomial(n - 1)
     notes = []
 
-    diag = transfer_diag_raise([a, b], n)
-    lowc = transfer_lower([c], n)
     op_bad = 0
     inputs = enumerate_partitions(4, n)
     for lam in inputs:
         f = basis_poly("m", lam, n)
         lhs = _factored_second_order(f, a, b, c, n).scale_rf(scal)
-        if lhs != diag(f) - lowc(f):
+        if lhs != _resid_B(f, p):
             op_bad += 1
     if op_bad:
         notes.append(f"operator identity failed on {op_bad} of {len(inputs)} "
@@ -576,18 +582,18 @@ def check_factored_form(series: TruncatedSeries,
     # numerator parameters switched off: the identity must survive the
     # collapse of every a,b-proportional term
     zero = ONE - ONE
+    p0 = HyperParams((zero, zero), p.lower)
     col_bad = 0
     for lam in ((1,), (2, 1)):
         f = basis_poly("m", lam, n)
         lhs = _factored_second_order(f, zero, zero, c, n).scale_rf(scal)
-        if lhs != transfer_diag_raise([zero, zero], n)(f) - lowc(f):
+        if lhs != _resid_B(f, p0):
             col_bad += 1
     notes.append("zero-parameter collapse "
                  + ("verified" if col_bad == 0 else "FAILED"))
 
     F = series.render_one(cache)
-    resid = _factored_second_order(F, a, b, c, n)
-    observed = _sym_degrees(resid)
+    observed = _factored_second_order(F, a, b, c, n).degrees()
     bad = [d for d in observed if d <= D - 1]
     leaks = [d for d in observed if d > D - 1]
     if leaks:
@@ -595,7 +601,7 @@ def check_factored_form(series: TruncatedSeries,
 
     return TheoremReport(
         theorem="kaneko",
-        n=n, D=D, params=_params_json(p),
+        n=n, D=D, params=p.to_json(),
         passed=op_bad == 0 and col_bad == 0 and not bad,
         trusted="degrees <= D-1 (annihilation part)",
         residual_degrees=observed,
@@ -627,31 +633,24 @@ def check_inverted_theorems(params: HyperParams, plain: TruncatedSeries,
     bad = []
     observed = set()
 
-    # two-alphabet form: (1/d) lowering on x minus raising on y
+    # two-alphabet form: A with the constant d
     F2 = scale_alphabet_x(plain.render_two(cache), d)
-    resid2 = (F2.apply_x(transfer_lower(p.lower, n)).scale_rf(ONE / d)
-              - F2.apply_y(transfer_raise(p.upper, n)))
-    for dx, dy in _bi_degrees(resid2):
+    for dx, dy in _resid_A(F2, p, d).bidegrees():
         observed.add((dx, dy))
         if dy == dx + 1 and dx <= D - 1:
             bad.append(("xy", dx, dy))
 
-    # variable-count loop: diagonal minus (1/c) lowering at each m
-    for m in range(1, n + 1):
-        sm = plain if m == n else TruncatedSeries.build(m, D, p, plain.flavor)
-        Fm = scale_alphabet(sm.render_one(cache), c)
-        resid = (transfer_diag_raise(p.upper, m)(Fm)
-                 - transfer_lower(p.lower, m)(Fm).scale_rf(ONE / c))
-        for dg in _sym_degrees(resid):
+    # variable-count loop: B with the constant c at each m
+    for m, Fm in _renderings(plain, cache):
+        Fc = scale_alphabet(Fm, c)
+        for dg in _resid_B(Fc, p, c).degrees():
             observed.add((m, dg))
             if dg <= D - 1:
                 bad.append(("loop", m, dg))
 
-    # one-alphabet raising form: c * raising minus diagonal
-    Fn = scale_alphabet(plain.render_one(cache), c)
-    residc = (transfer_raise(p.upper, n)(Fn).scale_rf(c)
-              - transfer_diag_lower(p.lower, n)(Fn))
-    for dg in _sym_degrees(residc):
+    # one-alphabet raising form: C with the constant c, on the scaled
+    # rendering at m = n, where the loop ended
+    for dg in _resid_C(Fc, p, c).degrees():
         observed.add(("raise", dg))
         if dg <= D:
             bad.append(("raise", dg))
@@ -660,7 +659,7 @@ def check_inverted_theorems(params: HyperParams, plain: TruncatedSeries,
         # closing identity: the empty-shape series is the falling q-product
         if c != Q:
             raise MacHyperError("empty-shape scaling constant is not 1/q")
-        if invert_coeffs(Fn) == product_series_one("dir", n, D):
+        if invert_coeffs(Fc) == product_series_one("dir", n, D):
             notes.append("empty-shape rendering equals the falling q-product")
         else:
             bad.append(("product", 0))
@@ -671,7 +670,7 @@ def check_inverted_theorems(params: HyperParams, plain: TruncatedSeries,
         notes.append(f"in-window residuals: {bad}")
     return TheoremReport(
         theorem="tilde",
-        n=n, D=D, params=_params_json(params),
+        n=n, D=D, params=params.to_json(),
         passed=not bad,
         trusted="mirrors the plain windows (two-alphabet e <= D-1, "
                 "loop <= D-1, raising <= D)",
@@ -699,12 +698,10 @@ def check_single_variable(series: TruncatedSeries,
     for k in range(D + 1):
         f = SymPoly(1, {((k,) if k else ()): ONE})
         checks = (
-            (transfer_lower_uv(p.lower, f), transfer_lower(p.lower, 1)(f)),
-            (transfer_raise_uv(p.upper, f), transfer_raise(p.upper, 1)(f)),
-            (transfer_diag_raise_uv(p.upper, f),
-             transfer_diag_raise(p.upper, 1)(f)),
-            (transfer_diag_lower_uv(p.lower, f),
-             transfer_diag_lower(p.lower, 1)(f)),
+            (transfer_lower_uv(p.lower, f), transfer_lower(p.lower)(f)),
+            (transfer_raise_uv(p.upper, f), transfer_raise(p.upper)(f)),
+            (transfer_diag_raise_uv(p.upper, f), transfer_diag_raise(p.upper)(f)),
+            (transfer_diag_lower_uv(p.lower, f), transfer_diag_lower(p.lower)(f)),
         )
         form_bad += sum(1 for lhs, rhs in checks if lhs != rhs)
     if form_bad:
@@ -717,8 +714,7 @@ def check_single_variable(series: TruncatedSeries,
     shift = Q ** (p.s + 1 - p.r)
     lhs = uv_delta_chain(F, [ONE] + [b / Q for b in p.lower])
     rhs = uv_mul_z(uv_delta_chain(uv_shift(F, shift), list(p.upper)))
-    resid = lhs - rhs
-    observed = _sym_degrees(resid)
+    observed = (lhs - rhs).degrees()
     bad = [dg for dg in observed if dg <= D]
     leaks = [dg for dg in observed if dg > D]
     if leaks:
@@ -726,7 +722,7 @@ def check_single_variable(series: TruncatedSeries,
 
     return TheoremReport(
         theorem="univariate",
-        n=1, D=D, params=_params_json(p),
+        n=1, D=D, params=p.to_json(),
         passed=form_bad == 0 and not bad,
         trusted="z-degrees <= D (q-difference equation)",
         residual_degrees=observed,
@@ -819,7 +815,7 @@ def check_classical_limit(k: int, max_size: int = 3,
         notes.append("input perturbed by the scaled constant (mutation hook)")
     return TheoremReport(
         theorem="jack",
-        n=n, D=max_size, params={"a": [], "b": []},
+        n=n, D=max_size, params=HyperParams().to_json(),
         passed=not bad,
         trusted="exact limits (no truncation window)",
         residual_degrees=[size(m) for m in bad],
@@ -842,6 +838,13 @@ def _resolve_selection(selection) -> tuple[str, ...]:
 
 def _fits(mut: Partition | None, n: int, D: int) -> bool:
     return mut is not None and length(mut) <= n and size(mut) <= D
+
+
+def _suite_series(n: int, D: int, params: HyperParams, mut: Partition | None,
+                  flavor: str = "macdonald") -> TruncatedSeries:
+    """The series a check runs on, mutated at `mut` when that fits."""
+    ser = TruncatedSeries.build(n, D, params, flavor)
+    return ser.mutate(mut) if _fits(mut, n, D) else ser
 
 
 def run_suite(selection="all", n: int = 2, D: int = 4,
@@ -880,55 +883,37 @@ def run_suite(selection="all", n: int = 2, D: int = 4,
 
     plain: dict[int, TruncatedSeries] = {}
 
-    def plain_series(i: int) -> TruncatedSeries:
+    def at(i: int) -> TruncatedSeries:
         if i not in plain:
-            ser = TruncatedSeries.build(n, D, combos[i])
-            if _fits(mut, n, D):
-                ser = ser.mutate(mut)
-            plain[i] = ser
+            plain[i] = _suite_series(n, D, combos[i], mut)
         return plain[i]
 
+    every = range(len(combos))
+    shape21 = [i for i, p in enumerate(combos) if (p.r, p.s) == (2, 1)]
+    cross = mut if _fits(mut, n, D) else None
+    # each entry: (what it runs over, one check call); the check_* names
+    # are looked up when called, not bound here
+    runs = {
+        "A": (every, lambda i: check_two_alphabet(at(i), cache)),
+        "Aprime": (every, lambda i: check_two_alphabet(at(i), cache,
+                                                       swapped=True)),
+        "kernel": (every, lambda i: check_diagonal_match(at(i), cache,
+                                                         cross=cross)),
+        "B": (every, lambda i: check_stability(at(i), cache)),
+        "C": (every, lambda i: check_single_alphabet(at(i), cache)),
+        "kaneko": (shape21, lambda i: check_factored_form(at(i), cache)),
+        "tilde": (every, lambda i: check_inverted_theorems(
+            combos[i], _suite_series(n, D, mirror_params(combos[i]), mut),
+            cache)),
+        "univariate": (shape21, lambda i: check_single_variable(
+            _suite_series(1, D, combos[i], mut, "kaneko"), cache)),
+        "jack": ((1, 2, 3), lambda k: check_classical_limit(
+            k, 3, cache, mutate=mut is not None)),
+    }
     reports: list[TheoremReport] = []
     for name in names:
-        if name == "A":
-            reports.extend(check_two_alphabet(plain_series(i), cache)
-                           for i in range(len(combos)))
-        elif name == "Aprime":
-            reports.extend(check_two_alphabet(plain_series(i), cache,
-                                              swapped=True)
-                           for i in range(len(combos)))
-        elif name == "kernel":
-            cross = mut if _fits(mut, n, D) else None
-            reports.extend(check_diagonal_match(plain_series(i), cache,
-                                                cross=cross)
-                           for i in range(len(combos)))
-        elif name == "B":
-            reports.extend(check_stability(plain_series(i), cache)
-                           for i in range(len(combos)))
-        elif name == "C":
-            reports.extend(check_single_alphabet(plain_series(i), cache)
-                           for i in range(len(combos)))
-        elif name == "kaneko":
-            for i, p in enumerate(combos):
-                if (p.r, p.s) == (2, 1):
-                    reports.append(check_factored_form(plain_series(i), cache))
-        elif name == "tilde":
-            for i, p in enumerate(combos):
-                ser = TruncatedSeries.build(n, D, mirror_params(p))
-                if _fits(mut, n, D):
-                    ser = ser.mutate(mut)
-                reports.append(check_inverted_theorems(p, ser, cache))
-        elif name == "univariate":
-            for p in combos:
-                if (p.r, p.s) == (2, 1):
-                    ser = TruncatedSeries.build(1, D, p, flavor="kaneko")
-                    if _fits(mut, 1, D):
-                        ser = ser.mutate(mut)
-                    reports.append(check_single_variable(ser, cache))
-        elif name == "jack":
-            reports.extend(check_classical_limit(kk, 3, cache,
-                                                 mutate=mut is not None)
-                           for kk in (1, 2, 3))
+        domain, run = runs[name]
+        reports.extend(run(x) for x in domain)
     return reports
 
 

@@ -71,7 +71,7 @@ def test_criterion_02_binomial_three_way(cache):
                 for lam in partitions_of(d, n):
                     for cv in lower_covers(lam):
                         b1 = binomial_by_expansion(lam, cv.lower, n, cache)
-                        b2 = binomial_raising_closed(lam, cv.lower, n, cache)
+                        b2 = binomial_raising_closed(lam, cv.lower, n)
                         b3 = binomial_lowering_closed(lam, cv.lower, n)
                         assert b1 == b2 == b3
 

@@ -199,22 +199,22 @@ def test_binomial_three_routes_agree(cache):
         for mu in enumerate_partitions(3, n):
             for cv in upper_covers(mu, max_length=n):
                 b1 = binomial_by_expansion(cv.upper, mu, n, cache)
-                b2 = binomial_raising_closed(cv.upper, mu, n, cache)
+                b2 = binomial_raising_closed(cv.upper, mu, n)
                 b3 = binomial_lowering_closed(cv.upper, mu, n)
                 assert b1 == b2 == b3, (cv.upper, mu, n)
 
 
 def test_binomial_frozen_values(cache):
     assert binomial_by_expansion((1,), (), 2, cache) == ONE
-    got = binomial_raising_closed((2, 1), (1, 1), 3, cache)
+    got = binomial_raising_closed((2, 1), (1, 1), 3)
     assert got == (ONE - Q ** 2 * T) / (ONE - Q * T)
     # adding the first box is independent of where the series truncates
-    assert binomial_raising_closed((1,), (), 1, cache) == ONE
+    assert binomial_raising_closed((1,), (), 1) == ONE
 
 
 def test_binomial_rejects_non_cover(cache):
     with pytest.raises(ValueError):
-        binomial_raising_closed((3,), (1, 1), 3, cache)
+        binomial_raising_closed((3,), (1, 1), 3)
 
 
 # -- basis expansions -------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Rules on the package source: checked on its syntax tree, and against
-the private names the benchmark hooks."""
+"""Rules on the package source: checked on its syntax tree, against the
+private names the benchmark hooks, and against the way the benchmark times
+each verification check."""
 
 import ast
 import importlib.util
@@ -34,6 +35,90 @@ def test_no_invert_parameter():
                     if arg.arg == "invert":
                         found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# signatures shared with a sibling function, where one argument is unused
+UNREAD_EXEMPT = {("partitions.py", "coarm"), ("partitions.py", "coleg")}
+
+
+def _receivers(tree):
+    # the first parameter of a method (self, cls) is fixed by the call
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                first = (fn.args.posonlyargs + fn.args.args)[:1]
+                if first and not any(isinstance(d, ast.Name)
+                                     and d.id == "staticmethod"
+                                     for d in fn.decorator_list):
+                    out.add((id(fn), first[0].arg))
+    return out
+
+
+def test_every_parameter_is_read():
+    # a parameter no code reads is an option without an effect; `x = x or
+    # default` only rebinds it, so that alone does not count as a read
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        receivers = _receivers(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            name = getattr(node, "name", "<lambda>")
+            if (path.name, name) in UNREAD_EXEMPT:
+                continue
+            a = node.args
+            params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs
+                      + [a.vararg, a.kwarg] if x is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            rebinds = set()
+            for stmt in body:
+                for sub in ast.walk(stmt):
+                    if isinstance(sub, ast.Assign):
+                        targets = {t.id for t in sub.targets
+                                   if isinstance(t, ast.Name)}
+                        rebinds.update(id(v) for v in ast.walk(sub.value)
+                                       if isinstance(v, ast.Name)
+                                       and v.id in targets)
+            reads = {sub.id for stmt in body for sub in ast.walk(stmt)
+                     if isinstance(sub, ast.Name)
+                     and isinstance(sub.ctx, ast.Load) and id(sub) not in rebinds}
+            found.extend(f"{path.name}:{node.lineno} {name}({p})"
+                         for p in params
+                         if p not in reads and (id(node), p) not in receivers)
+    assert found == []
+
+
+def test_suite_reports_come_from_the_checks(monkeypatch, cache):
+    # the benchmark times each report by wrapping every module-level check_*
+    # of verify (perfbench/workloads.py, VerifySuite.batch) and requires the
+    # reports of run_suite to be exactly what the wrappers returned: so
+    # run_suite must look the checks up when it calls them, and a check_*
+    # must return a TheoremReport
+    import machyper.verify as verify
+    returned = []
+
+    def wrap(fn):
+        def call(*args, **kwargs):
+            report = fn(*args, **kwargs)
+            returned.append(report)
+            return report
+        return call
+
+    names = [name for name, fn in vars(verify).items()
+             if name.startswith("check_") and getattr(
+                 fn, "__wrapped__", fn).__module__ == verify.__name__]
+    assert names
+    for name in names:
+        monkeypatch.setattr(verify, name, wrap(getattr(verify, name)))
+    reports = verify.run_suite("all", n=2, D=1, draws=1, cache=cache)
+    assert [id(r) for r in reports] == [id(r) for r in returned]
+    assert all(isinstance(r, verify.TheoremReport) for r in returned)
+    assert {r.theorem for r in reports} == set(verify.SUITE_ORDER)
 
 
 def _load_bench_module(name):

@@ -1,7 +1,9 @@
 """Tests for the verification suites: selection handling, seeded draws,
 mutation sensitivity, and the classical-limit oracle."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,9 @@ from machyper.verify import (DEFAULT_SEED, MAX_SUITE_VARS, PARAM_GRID,
                              SUITE_ORDER, check_classical_limit,
                              draw_hyper_params, jack_oracle, run_suite,
                              suite_passed)
+
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _json_list(reports):
@@ -109,6 +114,18 @@ def test_mutation_flips_fast_suites(cache):
     assert len(bad) == len(good)
     for r in bad:
         assert not r.passed
+
+
+def test_reports_frozen(cache):
+    # every report of a small full run, plain and mutated, in JSON and in
+    # text, exactly as recorded in the data file
+    want = json.loads((DATA / "verify_reports_n2_D2_seed5.json").read_text())
+    for key, mutate in (("plain", None), ("mutate_1", (1,))):
+        reports = run_suite("all", n=2, D=2, draws=1, seed=5, cache=cache,
+                            mutate=mutate)
+        got = json.loads(json.dumps(_json_list(reports)))
+        assert got == want[key]["json"], key
+        assert [r.render_text() for r in reports] == want[key]["text"], key
 
 
 # ---------------------------------------------------------------------------
