@@ -1,14 +1,16 @@
 """Exact arithmetic over the field Q(q, t).
 
-A polynomial in q and t with rational coefficients is stored sparsely as a
-dict mapping (deg_q, deg_t) to a nonzero Fraction.  The canonical term order
-is graded lexicographic on (deg_q, deg_t): first by total degree, then by
-deg_q, then by deg_t.  RatFuncQT holds a reduced fraction of two such dicts
-as its num and den.
+A polynomial in q and t is stored sparsely as a dict mapping (deg_q, deg_t)
+to a nonzero coefficient.  The canonical term order is graded lexicographic
+on (deg_q, deg_t): first by total degree, then by deg_q, then by deg_t.
 
-Normal form of a RatFuncQT: gcd(num, den) = 1, den has integer coefficients
-with content 1, and the leading coefficient of den (canonical order) is
-positive.  Structural equality of normal forms is field equality.
+RatFuncQT stores a/b, two such dicts with int coefficients, so the field
+arithmetic creates no Fraction.  Normal form: a and b are coprime in Z[q, t],
+integer content included, and the leading coefficient of b (canonical order)
+is positive.  The pair is then unique, so structural equality is field
+equality.  The read-only views num = a / content(b) (Fraction coefficients
+where needed) and den = b / content(b) (integer-primitive) are the rational
+normal form that render, to_json and the cache files are written from.
 
 The gcd views polynomials in Z[t][q].  It splits off the common monomial
 factor and the content in Z[t]; the gcd of the primitive parts comes from
@@ -16,22 +18,22 @@ evaluation (_bv_gcd_prim): at integer values of t it takes univariate gcds
 in q (primitive pseudo-remainder sequences over Z), interpolates the images
 over Fraction, certifies the candidate by trial division, and retries with
 fresh points when an evaluation point was unlucky.
-Everything here is pure Python on Fraction and int; no external algebra
+Everything here is pure Python on int and Fraction; no external algebra
 package is involved.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm as int_lcm
+from operator import itemgetter
 
 from .errors import GcdInterpolationError, InexactDivisionError, LimitError
 
 Term = tuple[int, int]
-PolyDict = dict[Term, Fraction]
+PolyDict = dict[Term, int | Fraction]
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 def _term_key(e: Term) -> tuple[int, int, int]:
@@ -49,7 +51,7 @@ def _padd(a: PolyDict, b: PolyDict) -> PolyDict:
         return dict(a)
     out = dict(a)
     for e, c in b.items():
-        s = out.get(e, _F0) + c
+        s = out.get(e, 0) + c
         if s:
             out[e] = s
         else:
@@ -59,9 +61,9 @@ def _padd(a: PolyDict, b: PolyDict) -> PolyDict:
 def _pneg(a: PolyDict) -> PolyDict:
     return {e: -c for e, c in a.items()}
 
-def _pscale(a: PolyDict, c: Fraction) -> PolyDict:
-    if not c:
-        return {}
+def _pscale(a: PolyDict, c: int) -> PolyDict:
+    if c == 1:
+        return a
     return {e: c * x for e, x in a.items()}
 
 def _pmul(a: PolyDict, b: PolyDict) -> PolyDict:
@@ -81,7 +83,7 @@ def _pmul(a: PolyDict, b: PolyDict) -> PolyDict:
     for (ea, eta), ca in a.items():
         for (eb, etb), cb in b.items():
             e = (ea + eb, eta + etb)
-            s = out.get(e, _F0) + ca * cb
+            s = out.get(e, 0) + ca * cb
             if s:
                 out[e] = s
             else:
@@ -91,8 +93,25 @@ def _pmul(a: PolyDict, b: PolyDict) -> PolyDict:
 def _plead(a: PolyDict) -> Term:
     return max(a, key=_term_key)
 
+_deg_t = itemgetter(1)
+
+def _mono_gcd(a: PolyDict, b: PolyDict) -> Term:
+    """Exponents of the largest monomial dividing both (nonzero) a and b."""
+    return (min(min(a)[0], min(b)[0]),
+            min(min(a, key=_deg_t)[1], min(b, key=_deg_t)[1]))
+
+def _cdiv(x, y):
+    """x / y for coefficients: exact in Z on ints, else over Q."""
+    v, r = divmod(x, y)
+    if not r:
+        return v
+    if type(r) is int:
+        raise InexactDivisionError("coefficient does not divide")
+    return x / y
+
 def _pdiv_exact(a: PolyDict, b: PolyDict) -> PolyDict:
-    """Quotient a/b when b divides a exactly; raises otherwise."""
+    """Quotient a/b when b divides a exactly; raises otherwise.  On int
+    input it must lie in Z[q, t], as it does for a primitive b (Gauss)."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if not a:
@@ -103,7 +122,7 @@ def _pdiv_exact(a: PolyDict, b: PolyDict) -> PolyDict:
         for (aq, at), ca in a.items():
             if aq < eq or at < et:
                 raise InexactDivisionError("monomial does not divide term")
-            out[(aq - eq, at - et)] = ca / c
+            out[(aq - eq, at - et)] = _cdiv(ca, c)
         return out
     lb = _plead(b)
     cb = b[lb]
@@ -114,11 +133,11 @@ def _pdiv_exact(a: PolyDict, b: PolyDict) -> PolyDict:
         eq, et = la[0] - lb[0], la[1] - lb[1]
         if eq < 0 or et < 0:
             raise InexactDivisionError("leading term not divisible")
-        c = rem[la] / cb
+        c = _cdiv(rem[la], cb)
         quot[(eq, et)] = c
         for (bq, bt), cbb in b.items():
             e = (bq + eq, bt + et)
-            s = rem.get(e, _F0) - c * cbb
+            s = rem.get(e, 0) - c * cbb
             if s:
                 rem[e] = s
             else:
@@ -252,8 +271,8 @@ def _bv_eval_t(f: dict[int, list[int]], e: int) -> list[int]:
 def _bv_deg_t(f: dict[int, list[int]]) -> int:
     return max(len(col) for col in f.values()) - 1
 
-def _bv_to_frac(f: dict[int, list[int]]) -> PolyDict:
-    return {(dq, dt): Fraction(c) for dq, col in f.items() for dt, c in enumerate(col) if c}
+def _bv_to_terms(f: dict[int, list[int]]) -> PolyDict:
+    return {(dq, dt): c for dq, col in f.items() for dt, c in enumerate(col) if c}
 
 def _interp_coeffs(xs: list[int], ys: list[Fraction]) -> list[Fraction]:
     """Newton interpolation through (xs[i], ys[i]); power-basis coefficients."""
@@ -264,7 +283,7 @@ def _interp_coeffs(xs: list[int], ys: list[Fraction]) -> list[Fraction]:
             dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
     poly = [dd[m - 1]]
     for i in range(m - 2, -1, -1):
-        nxt = [_F0] * (len(poly) + 1)
+        nxt = [0] * (len(poly) + 1)
         for k, c in enumerate(poly):
             nxt[k + 1] += c
             nxt[k] -= c * xs[i]
@@ -280,21 +299,25 @@ def _bv_primitive(f: dict[int, list[int]]) -> dict[int, list[int]]:
         return f
     return _bv_map(f, lambda col: _uv_div_exact(col, cont))
 
-def _int_terms(a: PolyDict) -> dict[Term, int]:
-    """Scale a Fraction polynomial to coprime integer coefficients."""
-    lcm = 1
-    for c in a.values():
-        d = c.denominator
-        lcm = lcm // int_gcd(lcm, d) * d
-    out = {e: int(c * lcm) for e, c in a.items()}
+def _content(a: PolyDict) -> int:
+    """gcd of the integer coefficients of a; 0 for the zero polynomial."""
     g = 0
-    for v in out.values():
+    for v in a.values():
         g = int_gcd(g, v)
         if g == 1:
-            return out
-    if g > 1:
-        out = {e: v // g for e, v in out.items()}
-    return out
+            break
+    return g
+
+def _int_terms(a: PolyDict) -> dict[Term, int]:
+    """The integer-primitive multiple of a with the same sign.
+
+    a may have Fraction coefficients (a num view); those are cleared first.
+    """
+    if any(type(c) is not int for c in a.values()):
+        m = int_lcm(*(c.denominator for c in a.values()))
+        a = {e: int(c * m) for e, c in a.items()}
+    g = _content(a)
+    return a if g == 1 else {e: v // g for e, v in a.items()}
 
 def _pgcd(a: PolyDict, b: PolyDict) -> PolyDict:
     """gcd of two polynomials, integer-primitive with positive leading coeff."""
@@ -305,20 +328,14 @@ def _pgcd(a: PolyDict, b: PolyDict) -> PolyDict:
     if a == b:
         return _normalize_primitive(a)
     # common monomial factor first; it also lowers the working degrees
-    mq = min(min(e[0] for e in a), min(e[0] for e in b))
-    mt = min(min(e[1] for e in a), min(e[1] for e in b))
+    mq, mt = _mono_gcd(a, b)
     if len(a) == 1 or len(b) == 1:
         # gcd with a monomial is a monomial
-        return {(mq, mt): _F1}
+        return {(mq, mt): 1}
     ia = _bv_from_int_terms(_int_terms(a if not (mq or mt) else {(e[0] - mq, e[1] - mt): c for e, c in a.items()}))
     ib = _bv_from_int_terms(_int_terms(b if not (mq or mt) else {(e[0] - mq, e[1] - mt): c for e, c in b.items()}))
     g = _bv_gcd(ia, ib)
-    out: PolyDict = {}
-    for dq, col in g.items():
-        for dt, c in enumerate(col):
-            if c:
-                out[(dq + mq, dt + mt)] = Fraction(c)
-    return out
+    return {(dq + mq, dt + mt): c for dq, col in g.items() for dt, c in enumerate(col) if c}
 
 def _bv_gcd_prim(fp: dict[int, list[int]], gp: dict[int, list[int]]) -> dict[int, list[int]]:
     """gcd of two primitive bivariate integer polys of positive q-degree.
@@ -336,7 +353,7 @@ def _bv_gcd_prim(fp: dict[int, list[int]], gp: dict[int, list[int]]) -> dict[int
     # images interpolate to an honest polynomial in t
     gamma = _uv_gcd(fp[dq_f], gp[dq_g])
     need = min(_bv_deg_t(fp), _bv_deg_t(gp)) + len(gamma)
-    pf, pg = _bv_to_frac(fp), _bv_to_frac(gp)
+    pf, pg = _bv_to_terms(fp), _bv_to_terms(gp)
     best = -1
     xs: list[int] = []
     images: list[list[Fraction]] = []
@@ -373,8 +390,8 @@ def _bv_gcd_prim(fp: dict[int, list[int]], gp: dict[int, list[int]]) -> dict[int
                 cand[k] = icol
         cand = _bv_primitive(cand)
         try:
-            _pdiv_exact(pf, _bv_to_frac(cand))
-            _pdiv_exact(pg, _bv_to_frac(cand))
+            _pdiv_exact(pf, _bv_to_terms(cand))
+            _pdiv_exact(pg, _bv_to_terms(cand))
         except InexactDivisionError:
             best, xs, images = -1, [], []  # unlucky points; retry with fresh ones
             continue
@@ -408,12 +425,10 @@ def _normalize_primitive(a: PolyDict) -> PolyDict:
         return {}
     ia = _int_terms(a)
     lead = max(ia, key=_term_key)
-    if ia[lead] < 0:
-        ia = {e: -v for e, v in ia.items()}
-    return {e: Fraction(v) for e, v in ia.items()}
+    return _pneg(ia) if ia[lead] < 0 else ia
 
 
-_PONE: PolyDict = {(0, 0): _F1}
+_PONE: PolyDict = {(0, 0): 1}
 
 
 def _poly_text_term(e: Term, c: Fraction) -> str:
@@ -458,52 +473,79 @@ def poly_from_json(data) -> PolyDict:
 # ---------------------------------------------------------------------------
 # RatFuncQT
 
-class RatFuncQT:
-    """Field element of Q(q, t): num/den, two term dicts in normal form.
+def _ratio(c) -> tuple[int, int]:
+    """(numerator, denominator) of an int, a Fraction or a Fraction string."""
+    if not isinstance(c, (int, Fraction)):
+        c = Fraction(c)
+    return c.numerator, c.denominator
 
-    The constructor stores the pair as given; _make (which reduces) and
-    _make_reduced (which rescales a coprime pair) canonicalise.  Treat both
-    dicts as immutable.
+def _cleared(num: PolyDict, den: PolyDict) -> tuple[PolyDict, PolyDict]:
+    """Integer term dicts with the quotient num/den of two rational ones."""
+    m = int_lcm(*(c.denominator for p in (num, den) for c in p.values()))
+    return ({e: int(c * m) for e, c in num.items()},
+            {e: int(c * m) for e, c in den.items()})
+
+
+class RatFuncQT:
+    """Field element of Q(q, t): a/b, two int term dicts in normal form.
+
+    The constructor stores the pair as given; _make (which reduces),
+    _make_reduced (which takes out the common integer content of a coprime
+    pair) and _signed (which fixes the sign) canonicalise.  num and den are
+    read-only views in the rational normal form.  Treat every dict as
+    immutable.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_a", "_b")
 
-    def __init__(self, num: PolyDict, den: PolyDict):
-        self.num, self.den = num, den
+    def __init__(self, a: PolyDict, b: PolyDict):
+        self._a, self._b = a, b
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_fraction(cls, f) -> "RatFuncQT":
-        f = Fraction(f)
-        if not f:
+        p, d = _ratio(f)
+        if not p:
             return ZERO
-        return cls({(0, 0): f}, dict(_PONE))
+        return cls({(0, 0): p}, {(0, 0): d})
 
     @classmethod
     def from_poly(cls, p: PolyDict) -> "RatFuncQT":
-        return cls(dict(p), dict(_PONE))
+        return _make(*_cleared(p, _PONE))
 
     @classmethod
     def monomial(cls, dq: int, dt: int, c=1) -> "RatFuncQT":
         """c * q^dq * t^dt with exponents of either sign."""
-        c = Fraction(c)
-        if not c:
+        p, d = _ratio(c)
+        if not p:
             return ZERO
-        num = {(max(dq, 0), max(dt, 0)): c}
-        den = {(max(-dq, 0), max(-dt, 0)): _F1}
-        return _make_reduced(num, den)
+        return cls({(max(dq, 0), max(dt, 0)): p}, {(max(-dq, 0), max(-dt, 0)): d})
+
+    # -- views --------------------------------------------------------------
+
+    @property
+    def num(self) -> PolyDict:
+        """a / content(b): the numerator over den."""
+        g = _content(self._b)
+        return self._a if g == 1 else {e: Fraction(v, g) for e, v in self._a.items()}
+
+    @property
+    def den(self) -> PolyDict:
+        """b / content(b): integer-primitive, positive leading coefficient."""
+        g = _content(self._b)
+        return self._b if g == 1 else {e: v // g for e, v in self._b.items()}
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._a
 
     def is_one(self) -> bool:
-        return self.num == _PONE and self.den == _PONE
+        return self._a == _PONE and self._b == _PONE
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return bool(self._a)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFuncQT):
@@ -511,16 +553,16 @@ class RatFuncQT:
                 other = RatFuncQT.from_fraction(other)
             else:
                 return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self._a == other._a and self._b == other._b
 
     def __hash__(self):
-        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
+        return hash((frozenset(self._a.items()), frozenset(self._b.items())))
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "RatFuncQT") -> "RatFuncQT":
-        a, b = self.num, self.den
-        c, d = other.num, other.den
+        a, b = self._a, self._b
+        c, d = other._a, other._b
         if not a:
             return other
         if not c:
@@ -528,7 +570,7 @@ class RatFuncQT:
         if b == d:
             s = _padd(a, c)
             if b == _PONE:
-                return _make_reduced(s, dict(_PONE))
+                return RatFuncQT(s, _PONE) if s else ZERO
             return _make(s, b)
         g0 = _pgcd(b, d)
         if g0 == _PONE:
@@ -547,17 +589,17 @@ class RatFuncQT:
         return self + (-other)
 
     def __neg__(self) -> "RatFuncQT":
-        if not self.num:
+        if not self._a:
             return self
-        return RatFuncQT(_pneg(self.num), self.den)
+        return RatFuncQT(_pneg(self._a), self._b)
 
     def __mul__(self, other: "RatFuncQT") -> "RatFuncQT":
-        a, b = self.num, self.den
-        c, d = other.num, other.den
+        a, b = self._a, self._b
+        c, d = other._a, other._b
         if not a or not c:
             return ZERO
         if b == _PONE and d == _PONE:
-            return _make_reduced(_pmul(a, c), dict(_PONE))
+            return RatFuncQT(_pmul(a, c), _PONE)
         g1 = _pgcd(a, d)
         g2 = _pgcd(c, b)
         if g1 != _PONE:
@@ -572,9 +614,9 @@ class RatFuncQT:
         return self * other.inverse()
 
     def inverse(self) -> "RatFuncQT":
-        if not self.num:
+        if not self._a:
             raise ZeroDivisionError("inverse of zero rational function")
-        return _make_reduced(dict(self.den), dict(self.num))
+        return _signed(self._b, self._a)
 
     def __pow__(self, k: int) -> "RatFuncQT":
         if k == 0:
@@ -588,63 +630,71 @@ class RatFuncQT:
                 out = base if out is None else out * base
             k >>= 1
             if k:
-                base = RatFuncQT(_pmul(base.num, base.num), _pmul(base.den, base.den))
+                base = RatFuncQT(_pmul(base._a, base._a), _pmul(base._b, base._b))
         return out
 
     def scale(self, c) -> "RatFuncQT":
-        c = Fraction(c)
-        if not c or not self.num:
+        p, d = _ratio(c)
+        if not p or not self._a:
             return ZERO
-        return _make_reduced(_pscale(self.num, c), dict(self.den))
+        return _make_reduced(_pscale(self._a, p), _pscale(self._b, d))
 
     # -- conversions --------------------------------------------------------
 
     def as_fraction(self) -> Fraction:
         """The constant value, if this element is a rational constant."""
-        if not self.num:
+        a, b = self._a, self._b
+        if not a:
             return _F0
-        if self.num.keys() == {(0, 0)} and self.den.keys() == {(0, 0)}:
-            return self.num[(0, 0)] / self.den[(0, 0)]
+        if a.keys() == {(0, 0)} and b.keys() == {(0, 0)}:
+            return Fraction(a[(0, 0)], b[(0, 0)])
         raise ValueError("not a constant: " + self.render())
 
     def render(self) -> str:
-        if not self.num:
+        if not self._a:
             return "0"
-        nt = render_poly(self.num)
-        if self.den == _PONE:
+        num, den = self.num, self.den
+        nt = render_poly(num)
+        if den == _PONE:
             return nt
-        if len(self.num) > 1:
+        if len(num) > 1:
             nt = f"({nt})"
-        return f"{nt}/({render_poly(self.den)})"
+        return f"{nt}/({render_poly(den)})"
 
     def to_json(self) -> dict:
-        return {"num": poly_to_json(self.num), "den": poly_to_json(self.den)}
+        num, den = self.num, self.den
+        return {"num": poly_to_json(num), "den": poly_to_json(den)}
 
     @classmethod
     def from_json(cls, data) -> "RatFuncQT":
-        return _make(poly_from_json(data["num"]), poly_from_json(data["den"]))
+        return _make(*_cleared(poly_from_json(data["num"]), poly_from_json(data["den"])))
 
     def __repr__(self):
         return f"RatFuncQT({self.render()})"
 
 
+def _signed(a: PolyDict, b: PolyDict) -> RatFuncQT:
+    """a/b from a coprime pair: the sign moves so that b leads positive."""
+    if b[_plead(b)] < 0:
+        return RatFuncQT(_pneg(a), _pneg(b))
+    return RatFuncQT(a, b)
+
 def _make_reduced(num: PolyDict, den: PolyDict) -> RatFuncQT:
-    """Build from an already gcd-reduced pair; only rescales the denominator."""
+    """Build from a pair coprime over Q: takes out the common integer content."""
     if not num:
         return ZERO
     if not den:
         raise ZeroDivisionError("zero denominator")
-    if den == _PONE:
-        return RatFuncQT(num, dict(_PONE))
-    iden = _int_terms(den)
-    lead = max(iden, key=_term_key)
-    if iden[lead] < 0:
-        iden = {e: -v for e, v in iden.items()}
-    # num picks up the inverse of the rescaling applied to den
-    e0 = next(iter(den))
-    ratio = Fraction(iden[e0], 1) / den[e0]     # den_int = ratio * den
-    num = _pscale(num, ratio)
-    return RatFuncQT(num, {e: Fraction(v) for e, v in iden.items()})
+    g = _content(den)
+    if g != 1:
+        for v in num.values():
+            g = int_gcd(g, v)
+            if g == 1:
+                break
+        else:
+            num = {e: v // g for e, v in num.items()}
+            den = {e: v // g for e, v in den.items()}
+    return _signed(num, den)
 
 def _make(num: PolyDict, den: PolyDict) -> RatFuncQT:
     if not den:
@@ -652,8 +702,7 @@ def _make(num: PolyDict, den: PolyDict) -> RatFuncQT:
     if not num:
         return ZERO
     # strip the joint monomial content
-    mq = min(min(e[0] for e in num), min(e[0] for e in den))
-    mt = min(min(e[1] for e in num), min(e[1] for e in den))
+    mq, mt = _mono_gcd(num, den)
     if mq or mt:
         num = {(e[0] - mq, e[1] - mt): c for e, c in num.items()}
         den = {(e[0] - mq, e[1] - mt): c for e, c in den.items()}
@@ -665,10 +714,10 @@ def _make(num: PolyDict, den: PolyDict) -> RatFuncQT:
     return _make_reduced(num, den)
 
 
-ZERO = RatFuncQT({}, dict(_PONE))
-ONE = RatFuncQT(dict(_PONE), dict(_PONE))
-Q = RatFuncQT({(1, 0): _F1}, dict(_PONE))
-T = RatFuncQT({(0, 1): _F1}, dict(_PONE))
+ZERO = RatFuncQT({}, _PONE)
+ONE = RatFuncQT(_PONE, _PONE)
+Q = RatFuncQT({(1, 0): 1}, _PONE)
+T = RatFuncQT({(0, 1): 1}, _PONE)
 
 def rf(x) -> RatFuncQT:
     """Coerce an int, Fraction or RatFuncQT to RatFuncQT."""
@@ -686,10 +735,10 @@ def q_integer(m: int) -> RatFuncQT:
     """1 + q + ... + q^(m-1)."""
     if m < 0:
         raise ValueError("q-integer of negative order")
-    return RatFuncQT.from_poly({(j, 0): _F1 for j in range(m)})
+    return RatFuncQT.from_poly({(j, 0): 1 for j in range(m)})
 
 def t_integer(m: int) -> RatFuncQT:
-    return RatFuncQT.from_poly({(0, j): _F1 for j in range(m)})
+    return RatFuncQT.from_poly({(0, j): 1 for j in range(m)})
 
 
 # ---------------------------------------------------------------------------
@@ -719,12 +768,12 @@ def substitute(f: RatFuncQT, qval: RatFuncQT | None = None,
     """
     qv = Q if qval is None else rf(qval)
     tv = T if tval is None else rf(tval)
-    den = _eval_poly(f.den, qv, tv)
+    den = _eval_poly(f._b, qv, tv)
     if den.is_zero():
         raise ZeroDivisionError("substitution hits a pole of the denominator")
     if f.is_zero():
         return ZERO
-    return _eval_poly(f.num, qv, tv) / den
+    return _eval_poly(f._a, qv, tv) / den
 
 def _strip_one_minus_q(terms: PolyDict) -> tuple[int, PolyDict]:
     """Write terms = (1-q)^k * rest with (1-q) not dividing rest."""
@@ -732,7 +781,7 @@ def _strip_one_minus_q(terms: PolyDict) -> tuple[int, PolyDict]:
     cur = terms
     while cur:
         # exact division by (1-q), column by column in t
-        cols: dict[int, dict[int, Fraction]] = {}
+        cols: dict[int, dict[int, int]] = {}
         for (dq, dt), c in cur.items():
             cols.setdefault(dt, {})[dq] = c
         ok = all(sum(col.values()) == 0 for col in cols.values())
@@ -740,10 +789,10 @@ def _strip_one_minus_q(terms: PolyDict) -> tuple[int, PolyDict]:
             return k, cur
         nxt: PolyDict = {}
         for dt, col in cols.items():
-            run = _F0
+            run = 0
             top = max(col)
             for dq in range(top):
-                run += col.get(dq, _F0)
+                run += col.get(dq, 0)
                 if run:
                     nxt[(dq, dt)] = run
         cur = nxt
@@ -754,7 +803,7 @@ def _eval_at_q1(terms: PolyDict) -> "PolyDict":
     out: PolyDict = {}
     for (dq, dt), c in terms.items():
         e = (0, dt)
-        s = out.get(e, _F0) + c
+        s = out.get(e, 0) + c
         if s:
             out[e] = s
         else:
@@ -763,11 +812,11 @@ def _eval_at_q1(terms: PolyDict) -> "PolyDict":
 
 def _q1_expansion(f: RatFuncQT) -> tuple[int, Fraction]:
     """(v, c) with f = (1-q)^v * g and g(1) = c != 0, for a nonzero t-free f."""
-    if any(e[1] for p in (f.num, f.den) for e in p):
+    if any(e[1] for p in (f._a, f._b) for e in p):
         raise LimitError("limit_q1 requires an element of Q(q)")
-    vn, rn = _strip_one_minus_q(f.num)
-    vd, rd = _strip_one_minus_q(f.den)
-    return vn - vd, _eval_at_q1(rn)[(0, 0)] / _eval_at_q1(rd)[(0, 0)]
+    vn, rn = _strip_one_minus_q(f._a)
+    vd, rd = _strip_one_minus_q(f._b)
+    return vn - vd, Fraction(_eval_at_q1(rn)[(0, 0)], _eval_at_q1(rd)[(0, 0)])
 
 def limit_q1(f: RatFuncQT, scale_order: int = 0) -> Fraction:
     """Value of f * (1-q)^scale_order at q = 1 for a t-free f.
@@ -798,13 +847,14 @@ def invert_qt(f: RatFuncQT) -> RatFuncQT:
 
     Both halves are reflected in the joint degree box; reciprocals of a
     reduced pair stay coprime, and one of them keeps a constant term in
-    each variable, so the result is reduced without a gcd.
+    each variable, so the result is reduced without a gcd; only the sign
+    of the leading coefficient may move.
     """
-    terms = (f.num, f.den)
+    terms = (f._a, f._b)
     bq = max(e[0] for p in terms for e in p)
     bt = max(e[1] for p in terms for e in p)
     num, den = ({(bq - e[0], bt - e[1]): c for e, c in p.items()} for p in terms)
-    return _make_reduced(num, den)
+    return _signed(num, den) if num else ZERO
 
 def poly_lcm(a: PolyDict, b: PolyDict) -> PolyDict:
     """Least common multiple, primitive with positive leading coefficient."""
@@ -815,11 +865,14 @@ def poly_lcm(a: PolyDict, b: PolyDict) -> PolyDict:
     return _normalize_primitive(_pmul(quo, _normalize_primitive(b)))
 
 def times_multiple(f: RatFuncQT, m: PolyDict) -> RatFuncQT:
-    """f * m for a polynomial m that f's denominator divides: the product
-    is a polynomial, found by one exact division and no gcd."""
-    if f.den == m:
-        return RatFuncQT(f.num, dict(_PONE))
-    return RatFuncQT(_pmul(f.num, _pdiv_exact(m, f.den)), dict(_PONE))
+    """f * m for an integer polynomial m that f's denominator divides: the
+    product is a polynomial, found by one exact division and no gcd."""
+    a, b = f._a, f._b
+    g = _content(b)
+    den = b if g == 1 else {e: v // g for e, v in b.items()}
+    if den == m:
+        return RatFuncQT(a, {(0, 0): g})
+    return _make_reduced(_pmul(a, _pdiv_exact(m, den)), {(0, 0): g})
 
 def elementary_symmetric(values: list[RatFuncQT]) -> list[RatFuncQT]:
     """[e_0, e_1, ..., e_r] of the given field elements."""

@@ -872,6 +872,8 @@ def run_suite(selection="all", n: int = 2, D: int = 4,
     if n < 1 or D < 1 or draws < 1:
         raise ValueError("need n >= 1, D >= 1, draws >= 1")
     names = _resolve_selection(selection)
+    if "kaneko" in names and n < 2:
+        raise ValueError("factored second-order check needs n >= 2")
     cache = cache or default_cache()
     mut = make_partition(mutate) if mutate is not None else None
 

@@ -262,6 +262,21 @@ def test_verify_guards_before_work(monkeypatch, capsys):
         == EXIT_RESOURCE
 
 
+def test_verify_refuses_kaneko_at_one_variable(monkeypatch, capsys):
+    # a selection with the kaneko suite at n = 1 is refused before any suite
+    import machyper.verify as verify
+    def unreachable(*args, **kwargs):
+        raise AssertionError("refused selection ran a suite")
+    monkeypatch.setattr(verify, "check_two_alphabet", unreachable)
+    for suite in ("all", "kaneko"):
+        assert main(["verify", suite, "--n", "1", "--D", "8",
+                     "--draws", "3"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("machyper: factored second-order check "
+                                "needs n >= 2\n")
+
+
 def test_parse_exponent_guard(monkeypatch, capsys):
     # the power is refused before it is expanded
     def unreachable(self, k):

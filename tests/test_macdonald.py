@@ -307,6 +307,29 @@ def test_cache_disk_round_trip(tmp_path):
     assert c1.list_disk() == []
 
 
+FROZEN_CACHE = os.path.join(os.path.dirname(__file__), "data", "cache")
+FROZEN_ENTRIES = (((2, 1), 3), ((3, 2, 1), 4), ((2, 2, 1, 1), 4))
+
+
+def test_cache_bytes_frozen(tmp_path):
+    # get_P writes the recorded files byte for byte, and the recorded files
+    # load back, audits included, equal to a fresh build
+    fresh = MacdonaldCache(str(tmp_path))
+    for lam, n in FROZEN_ENTRIES:
+        fresh.get_P(lam, n)
+    names = sorted(os.listdir(FROZEN_CACHE))
+    assert fresh.list_disk() == names
+    for name in names:
+        with open(os.path.join(FROZEN_CACHE, name), "rb") as fh:
+            recorded = fh.read()
+        with open(os.path.join(str(tmp_path), name), "rb") as fh:
+            assert fh.read() == recorded, name
+    recorded = MacdonaldCache(FROZEN_CACHE)
+    for lam, n in FROZEN_ENTRIES:
+        loaded = recorded._load_disk(lam, n)
+        assert loaded is not None and loaded == fresh.get_P(lam, n), (lam, n)
+
+
 def test_cache_write_is_atomic(tmp_path, monkeypatch):
     # a write that fails midway leaves the previous file loadable and
     # removes its temporary file

@@ -2,6 +2,7 @@
 
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 from machyper.errors import LimitError
 from machyper.ratfunc import (ONE, Q, T, ZERO, RatFuncQT, elementary_symmetric,
                               invert_qt, limit_q1, limit_q1_weak, q_integer,
-                              qt_monomial, rf, substitute, t_integer, t_monomial)
-from machyper.ratfunc import _normalize_primitive, _pdiv_exact, _pgcd, _pmul
+                              qt_monomial, rf, substitute, t_integer, t_monomial,
+                              times_multiple)
+from machyper.ratfunc import (_content, _normalize_primitive, _pdiv_exact, _pgcd,
+                              _pmul, _term_key)
 
 F = Fraction
 
@@ -146,6 +149,66 @@ def test_gcd_dense_inputs_fast():
     assert (s - y) == x
     assert p / y == x
     assert time.time() - t0 < 10.0
+
+
+# -- integer storage ---------------------------------------------------------
+
+def assert_integer_normal_form(x):
+    # stored pair: int coefficients, coprime in Z[q,t], b leads positive
+    a, b = x._a, x._b
+    assert all(type(v) is int for p in (a, b) for v in p.values())
+    assert b[max(b, key=_term_key)] > 0
+    if a:
+        assert _pgcd(a, b) == {(0, 0): 1}
+        assert gcd(_content(a), _content(b)) == 1
+    else:
+        assert b == {(0, 0): 1}
+    # views: den integer-primitive and leading positive, num/den the value
+    num, den = x.num, x.den
+    assert all(type(v) is int for v in den.values())
+    assert _content(den) == 1 and den[max(den, key=_term_key)] > 0
+    assert RatFuncQT.from_poly(num) / RatFuncQT.from_poly(den) == x
+
+
+STEPS = ("add", "sub", "mul", "div", "pow", "inverse", "scale", "constant",
+         "invert_qt", "times_multiple", "json")
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_values(), st.lists(st.tuples(st.sampled_from(STEPS), field_values(),
+                                          st.integers(-2, 2), fracs),
+                                max_size=6))
+def test_storage_is_integer_normal_form(x, steps):
+    assert_integer_normal_form(x)
+    for step, y, k, c in steps:
+        if step == "add":
+            x = x + y
+        elif step == "sub":
+            x = x - y
+        elif step == "mul":
+            x = x * y
+        elif step == "div" and y:
+            x = x / y
+        elif step == "pow" and (x or k >= 0):
+            x = x ** k
+        elif step == "inverse" and x:
+            x = x.inverse()
+        elif step == "scale":
+            x = x.scale(c)
+        elif step == "constant":
+            x = x + rf(c)
+        elif step == "invert_qt":
+            x = invert_qt(x)
+        elif step == "times_multiple":
+            m = _pmul(x.den, y.den)
+            z = times_multiple(x, m)
+            assert z == x * RatFuncQT.from_poly(m)
+            x = z
+        elif step == "json":
+            z = RatFuncQT.from_json(x.to_json())
+            assert z == x
+            x = z
+        assert_integer_normal_form(x)
 
 
 # -- helpers -------------------------------------------------------------------
