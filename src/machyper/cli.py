@@ -3,10 +3,11 @@
 Computes single objects, dumps tables, runs the verification suites, and
 manages the on-disk polynomial cache.  Exit codes: 0 success (all selected
 checks pass), 1 verification failure, 2 usage error (bad flags, expressions,
-or partitions, division by zero in an expression), 3 resource guard (a
-request beyond MAX_N, MAX_D, MAX_SIZE or MAX_EXPONENT, or beyond a library
-guard), 4 parameter pole, 5 internal error (a broken invariant or a
-division by zero inside the library, never a failed check).
+or partitions, division by zero in an expression, a negative level), 3
+resource guard (a request beyond MAX_N, MAX_D, MAX_SIZE, MAX_LEVEL or
+MAX_EXPONENT, or beyond a library guard), 4 parameter pole, 5 internal
+error (a broken invariant or a division by zero inside the library, never a
+failed check).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import MacHyperError, PoleError, ResourceGuardError
@@ -37,10 +37,12 @@ EXIT_INTERNAL = 5
 # Resource guards: compute, table and cache warm refuse larger requests
 # before any work starts.  Operator assembly grows like n! in the number of
 # variables, basis builds grow steeply with the partition size, and a
-# parameter power is expanded in full.
+# parameter power is expanded in full, and so is an eigenvalue's u-series up
+# to its level.
 MAX_N = 7
 MAX_D = 12
 MAX_SIZE = 10
+MAX_LEVEL = 12
 MAX_EXPONENT = 100
 
 
@@ -181,7 +183,7 @@ def parse_param_expr(text: str) -> RatFuncQT:
         tok = peek()
         if tok[0] == "int":
             take("int")
-            return rf(Fraction(int(tok[1])))
+            return rf(int(tok[1]))
         if tok[0] == "sym":
             take("sym")
             return Q if tok[1] == "q" else T
@@ -231,7 +233,7 @@ def _parse_mutate(text: str):
 
 def _guard(args, *names) -> None:
     """Raise ResourceGuardError for a flag beyond its bound."""
-    limits = {"n": MAX_N, "D": MAX_D, "max_size": MAX_SIZE}
+    limits = {"n": MAX_N, "D": MAX_D, "max_size": MAX_SIZE, "level": MAX_LEVEL}
     for name in names:
         value = getattr(args, name)
         if value > limits[name]:
@@ -286,6 +288,7 @@ def cmd_compute(args) -> int:
             for lam in enumerate_partitions(args.D, args.n):
                 print(f"  C{format_partition(lam)} = {ser.coeffs[lam].render()}")
     elif obj == "eigen":
+        _guard(args, "level")
         _need(args, "partition")
         lam = parse_partition(args.partition)
         fn = eigen_value_raise if args.direction == "raise" else eigen_value_lower

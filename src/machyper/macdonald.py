@@ -77,7 +77,8 @@ class MacdonaldCache:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            if data.get("format") != _FORMAT or data.get("n") != n:
+            if (not isinstance(data, dict) or data.get("format") != _FORMAT
+                    or data.get("n") != n):
                 return None
             if make_partition(data.get("partition", [])) != lam:
                 return None

@@ -16,10 +16,12 @@ The gcd views polynomials in Z[t][q].  It splits off the common monomial
 factor and the content in Z[t]; the gcd of the primitive parts comes from
 evaluation (_bv_gcd_prim): at integer values of t it takes univariate gcds
 in q (primitive pseudo-remainder sequences over Z), interpolates the images
-over Fraction, certifies the candidate by trial division, and retries with
-fresh points when an evaluation point was unlucky.
-Everything here is pure Python on int and Fraction; no external algebra
-package is involved.
+over Z, certifies the candidate by trial division, and retries with fresh
+points when an evaluation point was unlucky.
+All polynomial arithmetic runs on int.  Fraction appears only where values
+enter or leave: constants and JSON coming in, the num view, as_fraction,
+substitution, the q -> 1 limits and rendering.  No external algebra package
+is involved.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ from operator import itemgetter
 from .errors import GcdInterpolationError, InexactDivisionError, LimitError
 
 Term = tuple[int, int]
-PolyDict = dict[Term, int | Fraction]
+PolyDict = dict[Term, int]
+# a polynomial over Q, as the num view and JSON input hold it
+QPolyDict = dict[Term, int | Fraction]
 
 _F0 = Fraction(0)
 
@@ -100,18 +104,16 @@ def _mono_gcd(a: PolyDict, b: PolyDict) -> Term:
     return (min(min(a)[0], min(b)[0]),
             min(min(a, key=_deg_t)[1], min(b, key=_deg_t)[1]))
 
-def _cdiv(x, y):
-    """x / y for coefficients: exact in Z on ints, else over Q."""
+def _cdiv(x: int, y: int) -> int:
+    """x / y for integer coefficients; raises unless y divides x."""
     v, r = divmod(x, y)
-    if not r:
-        return v
-    if type(r) is int:
+    if r:
         raise InexactDivisionError("coefficient does not divide")
-    return x / y
+    return v
 
 def _pdiv_exact(a: PolyDict, b: PolyDict) -> PolyDict:
-    """Quotient a/b when b divides a exactly; raises otherwise.  On int
-    input it must lie in Z[q, t], as it does for a primitive b (Gauss)."""
+    """Quotient a/b when it lies in Z[q, t], as it does whenever a primitive
+    b divides a (Gauss); raises InexactDivisionError otherwise."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if not a:
@@ -274,13 +276,16 @@ def _bv_deg_t(f: dict[int, list[int]]) -> int:
 def _bv_to_terms(f: dict[int, list[int]]) -> PolyDict:
     return {(dq, dt): c for dq, col in f.items() for dt, c in enumerate(col) if c}
 
-def _interp_coeffs(xs: list[int], ys: list[Fraction]) -> list[Fraction]:
-    """Newton interpolation through (xs[i], ys[i]); power-basis coefficients."""
+def _interp_coeffs(xs: list[int], ys: list[int]) -> list[int]:
+    """Newton interpolation through (xs[i], ys[i]) over Z; power-basis
+    coefficients.  The divided differences of an integer polynomial at
+    integer points are integers, so an inexact one raises
+    InexactDivisionError: no such polynomial of degree < len(xs) exists."""
     m = len(xs)
     dd = list(ys)
     for j in range(1, m):
         for i in range(m - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
+            dd[i] = _cdiv(dd[i] - dd[i - 1], xs[i] - xs[i - j])
     poly = [dd[m - 1]]
     for i in range(m - 2, -1, -1):
         nxt = [0] * (len(poly) + 1)
@@ -292,9 +297,11 @@ def _interp_coeffs(xs: list[int], ys: list[Fraction]) -> list[Fraction]:
     return poly
 
 def _bv_primitive(f: dict[int, list[int]]) -> dict[int, list[int]]:
-    if not f:
-        return f
-    cont = _bv_content(f)
+    """f over its content in Z[t], integer content included."""
+    g = 0
+    for col in f.values():
+        g = int_gcd(g, _uv_content(col))
+    cont = [g * c for c in _bv_content(f)]
     if cont == [1]:
         return f
     return _bv_map(f, lambda col: _uv_div_exact(col, cont))
@@ -308,14 +315,8 @@ def _content(a: PolyDict) -> int:
             break
     return g
 
-def _int_terms(a: PolyDict) -> dict[Term, int]:
-    """The integer-primitive multiple of a with the same sign.
-
-    a may have Fraction coefficients (a num view); those are cleared first.
-    """
-    if any(type(c) is not int for c in a.values()):
-        m = int_lcm(*(c.denominator for c in a.values()))
-        a = {e: int(c * m) for e, c in a.items()}
+def _int_terms(a: PolyDict) -> PolyDict:
+    """a over its integer content: integer-primitive, with the same sign."""
     g = _content(a)
     return a if g == 1 else {e: v // g for e, v in a.items()}
 
@@ -341,22 +342,26 @@ def _bv_gcd_prim(fp: dict[int, list[int]], gp: dict[int, list[int]]) -> dict[int
     """gcd of two primitive bivariate integer polys of positive q-degree.
 
     Evaluates both at integer t values, takes univariate gcds in q, and
-    interpolates the images; a trial division certifies the candidate, so
-    unlucky evaluation points only cost a retry.  A single point whose gcd
-    image is constant already proves the inputs coprime, which is the
-    common case when reducing fractions.
+    interpolates the images over Z; a trial division certifies the
+    candidate.  An image that does not divide gamma, an inexact divided
+    difference or a failed trial division marks unlucky evaluation points,
+    which only cost a retry.  A single point whose gcd image is constant
+    already proves the inputs coprime, which is the common case when
+    reducing fractions.
     """
     if fp == gp:
         return {dq: col[:] for dq, col in fp.items()}
     dq_f, dq_g = max(fp), max(gp)
-    # the gcd's leading q-coefficient divides gamma, so gamma-scaled monic
-    # images interpolate to an honest polynomial in t
-    gamma = _uv_gcd(fp[dq_f], gp[dq_g])
+    lf, lg = fp[dq_f], gp[dq_g]
+    # the gcd's leading q-coefficient divides gamma in Z[t] (_uv_gcd drops
+    # the integer content, so it goes back in): the images scaled to lead
+    # with gamma(e) are values of one polynomial in Z[t][q]
+    gamma = [int_gcd(_uv_content(lf), _uv_content(lg)) * c for c in _uv_gcd(lf, lg)]
     need = min(_bv_deg_t(fp), _bv_deg_t(gp)) + len(gamma)
     pf, pg = _bv_to_terms(fp), _bv_to_terms(gp)
     best = -1
     xs: list[int] = []
-    images: list[list[Fraction]] = []
+    images: list[list[int]] = []
     e = 0
     for _ in range(1000):
         e = 1 - e if e <= 0 else -e  # 1, -1, 2, -2, ...
@@ -369,27 +374,20 @@ def _bv_gcd_prim(fp: dict[int, list[int]], gp: dict[int, list[int]]) -> dict[int
         h = _uv_gcd(fe, ge)
         if len(h) == 1:
             return {0: [1]}
+        s, r = divmod(_uv_eval(gamma, e), h[-1])
+        if r:
+            continue  # h is no associate of the gcd's image: unlucky point
         if best < 0 or len(h) - 1 < best:
             best, xs, images = len(h) - 1, [], []
         if len(h) - 1 == best:
-            s = Fraction(_uv_eval(gamma, e), h[-1])
             xs.append(e)
             images.append([c * s for c in h])
         if len(xs) < need:
             continue
-        cols = [_interp_coeffs(xs, [img[k] for img in images]) for k in range(best + 1)]
-        den = 1
-        for col in cols:
-            for c in col:
-                d = c.denominator
-                den = den // int_gcd(den, d) * d
-        cand: dict[int, list[int]] = {}
-        for k, col in enumerate(cols):
-            icol = _uv_trim([int(c * den) for c in col])
-            if icol:
-                cand[k] = icol
-        cand = _bv_primitive(cand)
         try:
+            cand = _bv_primitive(_bv_map(
+                {k: _interp_coeffs(xs, [img[k] for img in images])
+                 for k in range(best + 1)}, _uv_trim))
             _pdiv_exact(pf, _bv_to_terms(cand))
             _pdiv_exact(pg, _bv_to_terms(cand))
         except InexactDivisionError:
@@ -431,7 +429,7 @@ def _normalize_primitive(a: PolyDict) -> PolyDict:
 _PONE: PolyDict = {(0, 0): 1}
 
 
-def _poly_text_term(e: Term, c: Fraction) -> str:
+def _poly_text_term(e: Term, c: int | Fraction) -> str:
     dq, dt = e
     parts = []
     if dq:
@@ -446,7 +444,7 @@ def _poly_text_term(e: Term, c: Fraction) -> str:
         return mono
     return f"{ac}*{mono}"
 
-def render_poly(terms: PolyDict) -> str:
+def render_poly(terms: QPolyDict) -> str:
     """Canonical text form, graded-lex ascending: ``1 - 2*q*t + q^2*t^2``."""
     if not terms:
         return "0"
@@ -460,11 +458,11 @@ def render_poly(terms: PolyDict) -> str:
             out.append((" + " if c > 0 else " - ") + body)
     return "".join(out)
 
-def poly_to_json(terms: PolyDict) -> list[list]:
+def poly_to_json(terms: QPolyDict) -> list[list]:
     return [[e[0], e[1], str(c)] for e, c in sorted(terms.items(), key=lambda kv: _term_key(kv[0]))]
 
-def poly_from_json(data) -> PolyDict:
-    out: PolyDict = {}
+def poly_from_json(data) -> QPolyDict:
+    out: QPolyDict = {}
     for dq, dt, c in data:
         out[(int(dq), int(dt))] = Fraction(c)
     return out
@@ -479,7 +477,7 @@ def _ratio(c) -> tuple[int, int]:
         c = Fraction(c)
     return c.numerator, c.denominator
 
-def _cleared(num: PolyDict, den: PolyDict) -> tuple[PolyDict, PolyDict]:
+def _cleared(num: QPolyDict, den: QPolyDict) -> tuple[PolyDict, PolyDict]:
     """Integer term dicts with the quotient num/den of two rational ones."""
     m = int_lcm(*(c.denominator for p in (num, den) for c in p.values()))
     return ({e: int(c * m) for e, c in num.items()},
@@ -511,7 +509,7 @@ class RatFuncQT:
         return cls({(0, 0): p}, {(0, 0): d})
 
     @classmethod
-    def from_poly(cls, p: PolyDict) -> "RatFuncQT":
+    def from_poly(cls, p: QPolyDict) -> "RatFuncQT":
         return _make(*_cleared(p, _PONE))
 
     @classmethod
@@ -525,7 +523,7 @@ class RatFuncQT:
     # -- views --------------------------------------------------------------
 
     @property
-    def num(self) -> PolyDict:
+    def num(self) -> QPolyDict:
         """a / content(b): the numerator over den."""
         g = _content(self._b)
         return self._a if g == 1 else {e: Fraction(v, g) for e, v in self._a.items()}
@@ -533,8 +531,7 @@ class RatFuncQT:
     @property
     def den(self) -> PolyDict:
         """b / content(b): integer-primitive, positive leading coefficient."""
-        g = _content(self._b)
-        return self._b if g == 1 else {e: v // g for e, v in self._b.items()}
+        return _int_terms(self._b)
 
     # -- predicates ---------------------------------------------------------
 

@@ -335,7 +335,9 @@ def eigen_value_raise(l: int, mu: Partition, n: int) -> RatFuncQT:
     """Closed-form eigenvalue of G_l on the dual integral element of mu.
 
     Coefficient of u^l in 1/((1-q)(1-t)) * (1 - prod_i (t - u z_i)/(1 - u z_i))
-    with z_i the spectral point q^(mu_i) t^(1-i)."""
+    with z_i the spectral point q^(mu_i) t^(1-i).  ValueError for l < 0."""
+    if l < 0:
+        raise ValueError(f"eigen operator level {l} is negative")
     prod = [ONE] + [rf(0)] * l
     for i in range(1, n + 1):
         p = mu[i - 1] if i <= len(mu) else 0
@@ -356,7 +358,10 @@ def eigen_value_lower(l: int, lam: Partition, n: int) -> RatFuncQT:
     """Closed-form eigenvalue of H_l on the integral element of lam.
 
     u-expansion of scal_h*(u - q t^(n-1))/u*(prod_i (1/t - u z_i/q)/(1 - u z_i/q) - 1)
-    plus the explicit 1/u counterterm; the pole cancellation is checked."""
+    plus the explicit 1/u counterterm; the pole cancellation is checked.
+    ValueError for l < 0."""
+    if l < 0:
+        raise ValueError(f"eigen operator level {l} is negative")
     top = l + 1
     prod = [ONE] + [rf(0)] * top
     for i in range(1, n + 1):

@@ -6,13 +6,15 @@ dicts mapping exponent tuples of length n_vars to RatFuncQT; the operator
 layer works on raws and collects back at the end.
 
 BiSymPoly is the same thing for two alphabets x and y with equally many
-variables, keyed by pairs of partitions.
+variables, keyed by pairs of partitions.  Their common base
+MonomialExpansion holds the linear arithmetic.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
+from typing import Self
 
 from .errors import InexactDivisionError, NotSymmetricError
 from .partitions import Partition, partitions_of, z_stat
@@ -30,18 +32,50 @@ def orbit(lam: Partition, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(set(permutations(padded))))
 
 
-class SymPoly:
-    """Symmetric polynomial, coefficients on the m-basis.  Immutable."""
+class MonomialExpansion:
+    """Field coefficients on the monomial basis in n_vars variables, keyed
+    by partitions (SymPoly) or pairs of them (BiSymPoly): the linear
+    arithmetic both share.  Immutable."""
 
     __slots__ = ("n_vars", "coeffs")
 
-    def __init__(self, n_vars: int, coeffs: dict[Partition, RatFuncQT] | None = None):
+    def __init__(self, n_vars: int, coeffs: dict | None = None):
         self.n_vars = n_vars
         self.coeffs = {} if coeffs is None else coeffs
 
     @classmethod
-    def zero(cls, n: int) -> "SymPoly":
+    def zero(cls, n: int) -> Self:
         return cls(n, {})
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self.n_vars == other.n_vars
+                and self.coeffs == other.coeffs)
+
+    def __add__(self, other: Self) -> Self:
+        if self.n_vars != other.n_vars:
+            raise ValueError("variable counts differ")
+        out = dict(self.coeffs)
+        raw_add_into(out, other.coeffs)
+        return type(self)(self.n_vars, out)
+
+    def __sub__(self, other: Self) -> Self:
+        return self + other.scale_rf(MINUS_ONE)
+
+    def scale_rf(self, c: RatFuncQT) -> Self:
+        if c.is_zero():
+            return type(self)(self.n_vars, {})
+        if c.is_one():
+            return self
+        return type(self)(self.n_vars, {k: v * c for k, v in self.coeffs.items()})
+
+
+class SymPoly(MonomialExpansion):
+    """Symmetric polynomial, coefficients on the m-basis.  Immutable."""
+
+    __slots__ = ()
 
     @classmethod
     def one(cls, n: int) -> "SymPoly":
@@ -65,32 +99,8 @@ class SymPoly:
                 out[lam] = c
         return cls(n, out)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SymPoly) and self.n_vars == other.n_vars
-                and self.coeffs == other.coeffs)
-
     def __hash__(self):
         return hash((self.n_vars, frozenset(self.coeffs.keys())))
-
-    def __add__(self, other: "SymPoly") -> "SymPoly":
-        if self.n_vars != other.n_vars:
-            raise ValueError("variable counts differ")
-        out = dict(self.coeffs)
-        raw_add_into(out, other.coeffs)
-        return SymPoly(self.n_vars, out)
-
-    def __sub__(self, other: "SymPoly") -> "SymPoly":
-        return self + other.scale_rf(MINUS_ONE)
-
-    def scale_rf(self, c: RatFuncQT) -> "SymPoly":
-        if c.is_zero():
-            return SymPoly(self.n_vars, {})
-        if c.is_one():
-            return self
-        return SymPoly(self.n_vars, {lam: v * c for lam, v in self.coeffs.items()})
 
     def __mul__(self, other: "SymPoly") -> "SymPoly":
         if self.n_vars != other.n_vars:
@@ -369,40 +379,10 @@ def hall_inner(f: SymPoly, g: SymPoly) -> RatFuncQT:
 # ---------------------------------------------------------------------------
 # two alphabets
 
-class BiSymPoly:
+class BiSymPoly(MonomialExpansion):
     """Polynomial symmetric in x and in y separately, m x m basis."""
 
-    __slots__ = ("n_vars", "coeffs")
-
-    def __init__(self, n_vars: int, coeffs: dict[tuple[Partition, Partition], RatFuncQT] | None = None):
-        self.n_vars = n_vars
-        self.coeffs = {} if coeffs is None else coeffs
-
-    @classmethod
-    def zero(cls, n: int) -> "BiSymPoly":
-        return cls(n, {})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, BiSymPoly) and self.n_vars == other.n_vars
-                and self.coeffs == other.coeffs)
-
-    def __add__(self, other: "BiSymPoly") -> "BiSymPoly":
-        out = dict(self.coeffs)
-        raw_add_into(out, other.coeffs)
-        return BiSymPoly(self.n_vars, out)
-
-    def __sub__(self, other: "BiSymPoly") -> "BiSymPoly":
-        return self + other.scale_rf(MINUS_ONE)
-
-    def scale_rf(self, c: RatFuncQT) -> "BiSymPoly":
-        if c.is_zero():
-            return BiSymPoly(self.n_vars, {})
-        if c.is_one():
-            return self
-        return BiSymPoly(self.n_vars, {k: v * c for k, v in self.coeffs.items()})
+    __slots__ = ()
 
     def add_product(self, c: RatFuncQT, fx: SymPoly, gy: SymPoly) -> "BiSymPoly":
         out = dict(self.coeffs)

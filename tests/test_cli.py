@@ -11,7 +11,7 @@ import machyper.cli as cli
 import machyper.ratfunc as ratfunc
 from machyper.cli import (EXIT_INTERNAL, EXIT_PASS, EXIT_POLE, EXIT_RESOURCE,
                           EXIT_USAGE, EXIT_VERIFY_FAIL, MAX_D, MAX_EXPONENT,
-                          MAX_N, MAX_SIZE, ParamExprError, main,
+                          MAX_LEVEL, MAX_N, MAX_SIZE, ParamExprError, main,
                           parse_param_expr)
 from machyper.errors import (InexactDivisionError, LimitError, MacHyperError,
                              NotSymmetricError, ResourceGuardError)
@@ -215,10 +215,13 @@ def test_exit_internal_gcd_and_zero_division(monkeypatch, capsys):
 
 
 def test_resource_guards_before_work(monkeypatch, capsys):
-    # oversized --n, --D and --max-size stop before any computation
+    # oversized --n, --D, --max-size and --level stop before any computation
     def unreachable(*args, **kwargs):
         raise AssertionError("guarded request reached the computation")
     monkeypatch.setattr(cli, "macdonald_forms", unreachable)
+    monkeypatch.setattr(cli, "eigen_value_raise", unreachable)
+    monkeypatch.setattr(cli, "eigen_value_lower", unreachable)
+    monkeypatch.setattr(cli, "parse_partition", unreachable)
     monkeypatch.setattr(cli, "binomial_raising_closed", unreachable)
     monkeypatch.setattr(cli, "enumerate_partitions", unreachable)
     monkeypatch.setattr(cli.TruncatedSeries, "build", unreachable)
@@ -230,6 +233,10 @@ def test_resource_guards_before_work(monkeypatch, capsys):
         (["table", "binomial", "--max-size", str(MAX_SIZE + 1)], "--max-size"),
         (["cache", "warm", "--dir", "unused", "--n", "2",
           "--max-size", str(MAX_SIZE + 1)], "--max-size"),
+        (["compute", "eigen", "--partition", "[1]", "--n", "7",
+          "--level", str(MAX_LEVEL + 1)], "--level"),
+        (["compute", "eigen", "--partition", "[1]", "--direction", "lower",
+          "--level", str(MAX_LEVEL + 1)], "--level"),
     ]
     for argv, flag in cases:
         assert main(argv) == EXIT_RESOURCE
@@ -310,6 +317,13 @@ def test_exit_usage(capsys):
     # missing required flag for the object
     assert main(["compute", "P"]) == EXIT_USAGE
     capsys.readouterr()
+    # a negative eigen operator level, in either direction
+    for level, direction in (("-1", "raise"), ("-2", "raise"),
+                             ("-1", "lower"), ("-2", "lower")):
+        assert main(["compute", "eigen", "--partition", "[2,1]", "--n", "3",
+                     "--level", level, "--direction", direction]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"machyper: eigen operator level {level} is negative\n")
     # unknown subcommand (argparse)
     assert main(["frobnicate"]) == EXIT_USAGE
     capsys.readouterr()

@@ -265,6 +265,11 @@ def test_cache_disk_round_trip(tmp_path):
     assert c3.get_P((2,), 2) == p1
     with open(path, "r", encoding="utf-8") as fh:
         json.load(fh)  # rebuilt file is valid again
+    # valid JSON that is not an object is corrupt as well
+    for text in ("[]", "null"):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert MacdonaldCache(d).get_P((2,), 2) == p1
 
     # tampered coefficients fail the principal-value audit and are rebuilt
     with open(path, "r", encoding="utf-8") as fh:

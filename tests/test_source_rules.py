@@ -140,3 +140,40 @@ def test_perfbench_hooks_resolve():
     finally:
         tr.uninstall()
     assert missing == []
+
+
+# where a rational number may enter or leave the field layer; everything
+# else in ratfunc computes over Z
+RATIONAL_SCOPES = {
+    "_poly_text_term", "poly_from_json", "_ratio", "_cleared",
+    "RatFuncQT.num", "RatFuncQT.__eq__", "RatFuncQT.as_fraction",
+    "substitute", "_q1_expansion", "limit_q1", "limit_q1_weak",
+}
+
+
+def test_field_layer_computes_over_the_integers():
+    # Fraction, .numerator, .denominator and the operator / appear only at
+    # module level and in the functions that convert at the boundary; a
+    # nested function counts as part of the function that holds it
+    path = SRC / "ratfunc.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def visit(node, scope, in_class):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Name) and child.id == "Fraction"
+                    or isinstance(child, ast.Attribute)
+                    and child.attr in ("numerator", "denominator")
+                    or isinstance(child, ast.BinOp)
+                    and isinstance(child.op, ast.Div)):
+                if scope and scope not in RATIONAL_SCOPES:
+                    found.append(f"ratfunc.py:{child.lineno} {scope}")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)) and (not scope or in_class):
+                visit(child, f"{scope}.{child.name}".lstrip("."),
+                      isinstance(child, ast.ClassDef))
+            else:
+                visit(child, scope, in_class)
+
+    visit(tree, "", False)
+    assert found == []
