@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
-from typing import Self
 
 from .errors import InexactDivisionError, NotSymmetricError
 from .partitions import Partition, partitions_of, z_stat
@@ -44,7 +43,7 @@ class MonomialExpansion:
         self.coeffs = {} if coeffs is None else coeffs
 
     @classmethod
-    def zero(cls, n: int) -> Self:
+    def zero(cls, n: int) -> MonomialExpansion:
         return cls(n, {})
 
     def is_zero(self) -> bool:
@@ -54,17 +53,17 @@ class MonomialExpansion:
         return (type(other) is type(self) and self.n_vars == other.n_vars
                 and self.coeffs == other.coeffs)
 
-    def __add__(self, other: Self) -> Self:
+    def __add__(self, other: MonomialExpansion) -> MonomialExpansion:
         if self.n_vars != other.n_vars:
             raise ValueError("variable counts differ")
         out = dict(self.coeffs)
         raw_add_into(out, other.coeffs)
         return type(self)(self.n_vars, out)
 
-    def __sub__(self, other: Self) -> Self:
+    def __sub__(self, other: MonomialExpansion) -> MonomialExpansion:
         return self + other.scale_rf(MINUS_ONE)
 
-    def scale_rf(self, c: RatFuncQT) -> Self:
+    def scale_rf(self, c: RatFuncQT) -> MonomialExpansion:
         if c.is_zero():
             return type(self)(self.n_vars, {})
         if c.is_one():

@@ -177,3 +177,35 @@ def test_field_layer_computes_over_the_integers():
 
     visit(tree, "", False)
     assert found == []
+
+
+# standard-library names that Python 3.11 or later added; pyproject.toml
+# declares requires-python >= 3.10, so the package imports none of them
+NEWER_THAN_310 = {
+    "tomllib": None,
+    "typing": {"Self", "LiteralString", "Never", "NotRequired", "Required",
+               "TypeVarTuple", "Unpack", "assert_never", "assert_type",
+               "reveal_type", "dataclass_transform", "get_overloads",
+               "clear_overloads", "override", "TypeAliasType"},
+    "enum": {"StrEnum", "ReprEnum", "verify", "EnumCheck", "FlagBoundary"},
+    "datetime": {"UTC"},
+}
+
+
+def test_source_runs_on_python_310():
+    # the syntax must parse at 3.10 and the imports must exist there
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path),
+                         feature_version=(3, 10))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found += [f"{path.name}:{node.lineno} {a.name}"
+                          for a in node.names if a.name in NEWER_THAN_310
+                          and NEWER_THAN_310[a.name] is None]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                newer = NEWER_THAN_310.get(node.module, ())
+                found += [f"{path.name}:{node.lineno} {node.module}.{a.name}"
+                          for a in node.names
+                          if newer is None or a.name in newer]
+    assert found == []
