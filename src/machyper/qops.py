@@ -12,17 +12,23 @@ raise rather than warn.  Every such operator goes through _assemble, which
 multiplies each piece by a cached alternant (_alternant) before the one
 division.
 
-Every operator is linear over Q(q,t), so each application also clears the
-coefficient denominators of its input once (clear_denominators) and runs
-on polynomial coefficients from start to finish: every field addition and
-multiplication inside the assembly takes the gcd-free path.  The one
-scalar (1/den, times the operator's own constant) is applied at the end.
-The iterated weight commutators use the binomial expansion
+Every operator is linear over Q(q,t), and the operator layer passes its
+values around as scaled images: a pair (g, s) of a SymPoly g whose
+coefficients are integer polynomials (denominator 1) and one RatFuncQT
+scalar s, standing for s * g.  An input is cleared once (_scaled: g is f
+times the lcm in Z[q,t] of its coefficient denominators), and every field
+addition and multiplication inside an assembly is then an integer
+polynomial operation without a gcd.  Operators on scaled images return
+scaled images; _combine adds several over the lcm of their scalars'
+denominators, so the gcds it runs are one per term, on scalars, never
+one per coefficient.  Only _unscale divides a coefficient by its
+scalar, and a public apply_* is that normalization of its private pair
+form.  The iterated weight commutators use the binomial expansion
 ad^l(B) = sum_k (-1)^k C(l,k) W^(l-k) B W^k on the unscaled weight
-operator t^(n-1) W; the images W^k f and W^j B W^k f are computed once
-and shared by every level up to r, and each level's scalar is applied
-once.  That is still a literal assembly of the operators, so it stays an
-independent witness against the closed-form eigenvalues.
+operator t^(n-1) W; the images W^k g and W^j B W^k g are computed once
+and shared by every level up to r, and each level carries its own
+scalar.  That is still a literal assembly of the operators, so it stays
+an independent witness against the closed-form eigenvalues.
 
 apply_lower_alt (a literal division by x_i, on the input's own rational
 coefficients) and weight_from_shift1 (the weight operator read off the
@@ -45,8 +51,8 @@ from itertools import combinations
 
 from .errors import InexactDivisionError, ResourceGuardError
 from .partitions import Partition, rho_stat
-from .ratfunc import (ONE, Q, RatFuncQT, T, elementary_symmetric, poly_lcm,
-                      qt_monomial, rf, t_integer, times_multiple)
+from .ratfunc import (ONE, Q, RatFuncQT, T, elementary_symmetric,
+                      over_common_denominator, qt_monomial, rf, t_integer)
 from .sympoly import (MINUS_ONE, Raw, SymPoly, basis_poly, raw_add_into,
                       raw_div_binomial, raw_mul, raw_mul_var, raw_qderiv_var,
                       raw_shift_subset)
@@ -102,11 +108,50 @@ def _assemble(n: int, pieces) -> SymPoly:
     return SymPoly.from_raw(divide_vandermonde(acc, n), n)
 
 
+# ---------------------------------------------------------------------------
+# scaled images: (g, s) with integer-polynomial coefficients in g, worth s * g
+
+Scaled = tuple[SymPoly, RatFuncQT]
+
+
+def _scaled(f: SymPoly) -> Scaled:
+    """f as a scaled image (den * f, 1/den), with den the lcm in Z[q,t] of
+    the coefficient denominators."""
+    vals, s = over_common_denominator(list(f.coeffs.values()))
+    return SymPoly(f.n_vars, dict(zip(f.coeffs, vals))), s
+
+
+def _unscale(gs: Scaled) -> SymPoly:
+    """The value s * g of a scaled image: one gcd-reduced product per
+    coefficient."""
+    g, s = gs
+    return g.scale_rf(s)
+
+
+def _combine(n: int, terms) -> Scaled:
+    """sum of c * s * g over the (c, (g, s)) terms, as one scaled image.
+
+    Each scalar c * s is one field product; the images are then added
+    over the lcm of those scalars' denominators, with integer polynomial
+    multiples, so no coefficient runs a gcd.
+    """
+    scals, imgs = [], []
+    for c, (g, s) in terms:
+        if g.coeffs and not c.is_zero():
+            scals.append(c * s)
+            imgs.append(g)
+    mults, s = over_common_denominator(scals)
+    acc: dict = {}
+    for m, g in zip(mults, imgs):
+        raw_add_into(acc, g.coeffs if m.is_one()
+                     else {k: v * m for k, v in g.coeffs.items()})
+    return SymPoly(n, acc), s
+
+
 def _apply(op, f: SymPoly, scal: RatFuncQT = ONE) -> SymPoly:
-    """scal * op(f) for a linear op, run on the cleared input:
-    f = g / den, so the result is (scal / den) * op(g)."""
-    g, den = clear_denominators(f)
-    return op(g).scale_rf(scal / den)
+    """scal * op(f) for a linear op on integer-polynomial coefficients."""
+    g, s = _scaled(f)
+    return op(g).scale_rf(scal * s)
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +248,15 @@ def apply_raise1(f: SymPoly) -> SymPoly:
 # ---------------------------------------------------------------------------
 # the symmetrized shift family (generating-function operator in u)
 
-def _shift_levels(f: SymPoly, levels) -> tuple[dict[int, SymPoly], RatFuncQT]:
-    """({l: D_l g}, 1/den) for the cleared input g = den * f."""
-    n = f.n_vars
+def _shift_levels(gs: Scaled, levels) -> tuple[dict[int, SymPoly], RatFuncQT]:
+    """({l: D_l g}, s) for the scaled image gs = (g, s): every level shares
+    the input's scalar."""
+    g, s = gs
+    n = g.n_vars
     if n > MAX_FULL_SYMMETRIZE:
         raise ResourceGuardError(
             f"shift family symmetrizes over all {n}! permutations; "
             f"n is limited to {MAX_FULL_SYMMETRIZE}")
-    g, den = clear_denominators(f)
     graw = g.to_raw()
     want = list(range(n + 1)) if levels is None else sorted(set(levels))
     out: dict[int, SymPoly] = {}
@@ -220,7 +266,7 @@ def _shift_levels(f: SymPoly, levels) -> tuple[dict[int, SymPoly], RatFuncQT]:
             continue
         out[l] = _assemble(n, ((subset, raw_shift_subset(graw, subset))
                                for subset in combinations(range(n), l)))
-    return out, den.inverse()
+    return out, s
 
 
 def apply_shift_family(f: SymPoly,
@@ -233,36 +279,33 @@ def apply_shift_family(f: SymPoly,
     levels restricts which l are computed; the input is cleared once for
     all of them.
     """
-    fam, scal = _shift_levels(f, levels)
-    return {l: d.scale_rf(scal) for l, d in fam.items()}
+    fam, s = _shift_levels(_scaled(f), levels)
+    return {l: d.scale_rf(s) for l, d in fam.items()}
 
 
 def apply_shift_genfun(f: SymPoly, uval: RatFuncQT) -> SymPoly:
     """The generating-function shift operator at a concrete parameter value."""
-    fam, scal = _shift_levels(f, None)
-    out = SymPoly.zero(f.n_vars)
-    upow = ONE
-    for l in range(f.n_vars + 1):
-        out = out + fam[l].scale_rf(upow)
-        upow = upow * uval
-    return out.scale_rf(scal)
+    fam, s = _shift_levels(_scaled(f), None)
+    return _unscale(_combine(f.n_vars, ((uval ** l, (fam[l], s))
+                                        for l in range(f.n_vars + 1))))
 
 
 # ---------------------------------------------------------------------------
 # iterated commutators
 
-def _ad_upto(r: int, f: SymPoly, base, scal: RatFuncQT,
-             sign: int) -> list[SymPoly]:
-    """[ad^0(B) f, ..., ad^r(B) f] for ad = [sign * W, .] and B = scal * base.
+def _ad_upto(r: int, gs: Scaled, base, scal: RatFuncQT,
+             sign: int) -> list[Scaled]:
+    """[ad^0(B) gs, ..., ad^r(B) gs] for ad = [sign * W, .] and
+    B = scal * base, on the scaled image gs = (g, s).
 
     Binomial expansion ad^l(B) = sum_k (-1)^k C(l,k) V^(l-k) B V^k with
-    V = sign * W, on the cleared input g = den * f and the unscaled weight
-    operator t^(n-1) W.  The images W^k g and W^j base W^k g (j + k <= r)
-    are computed once and shared by every level; level l then carries the
-    one scalar (sign * t^(1-n))^l * scal / den.
+    V = sign * W, on g and the unscaled weight operator t^(n-1) W.  The
+    images W^k g and W^j base W^k g (j + k <= r) are computed once and
+    shared by every level; level l carries the one scalar
+    (sign * t^(1-n))^l * scal * s.
     """
-    n = f.n_vars
-    g, den = clear_denominators(f)
+    g, s = gs
+    n = g.n_vars
     # rows[k][j] = W^j base W^k g
     rows = []
     wk = g
@@ -277,16 +320,24 @@ def _ad_upto(r: int, f: SymPoly, base, scal: RatFuncQT,
     step = T ** (1 - n)
     if sign < 0:
         step = -step
-    scal = scal / den
+    scal = scal * s
     for l in range(r + 1):
         acc = SymPoly.zero(n)
         binom = 1
         for k in range(l + 1):
             acc = acc + rows[k][l - k].scale_rf(rf(-binom if k % 2 else binom))
             binom = binom * (l - k) // (k + 1)
-        out.append(acc.scale_rf(scal))
+        out.append((acc, scal))
         scal = scal * step
     return out
+
+
+def _ad_raise_upto(r: int, gs: Scaled) -> list[Scaled]:
+    return _ad_upto(r, gs, _raise, (ONE - Q).inverse(), 1)
+
+
+def _ad_lower_upto(r: int, gs: Scaled) -> list[Scaled]:
+    return _ad_upto(r, gs, _lower, ONE, -1)
 
 
 def apply_ad_raise_upto(r: int, f: SymPoly) -> list[SymPoly]:
@@ -297,13 +348,13 @@ def apply_ad_raise_upto(r: int, f: SymPoly) -> list[SymPoly]:
     (see _ad_upto), so it stays an independent witness for the
     closed-form weights used elsewhere.
     """
-    return _ad_upto(r, f, _raise, (ONE - Q).inverse(), 1)
+    return [_unscale(img) for img in _ad_raise_upto(r, _scaled(f))]
 
 
 def apply_ad_lower_upto(r: int, f: SymPoly) -> list[SymPoly]:
     """[ad^0, ..., ad^r] of the negated weight operator around apply_lower,
     at f; ad^l of -W is (-1)^l times ad^l of W."""
-    return _ad_upto(r, f, _lower, ONE, -1)
+    return [_unscale(img) for img in _ad_lower_upto(r, _scaled(f))]
 
 
 def apply_ad_raise(l: int, f: SymPoly) -> SymPoly:
@@ -357,19 +408,3 @@ def weight_from_shift1(f: SymPoly) -> SymPoly:
     g = apply_shift1(f) - f.scale_rf(t_integer(n))
     scal = ((ONE - Q) * T ** (n - 1)).inverse()
     return g.scale_rf(-scal)
-
-
-# ---------------------------------------------------------------------------
-# misc
-
-def clear_denominators(f: SymPoly) -> tuple[SymPoly, RatFuncQT]:
-    """(den * f, den) with den the lcm of the coefficient denominators."""
-    L = ONE.den
-    for c in f.coeffs.values():
-        if c.den != L and c.den != ONE.den:
-            L = poly_lcm(L, c.den)
-    if L == ONE.den:
-        return f, ONE
-    return (SymPoly(f.n_vars, {lam: times_multiple(c, L)
-                               for lam, c in f.coeffs.items()}),
-            RatFuncQT.from_poly(L))

@@ -27,6 +27,7 @@ is involved.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd, lcm as int_lcm
 from operator import itemgetter
 
@@ -129,21 +130,34 @@ def _pdiv_exact(a: PolyDict, b: PolyDict) -> PolyDict:
     lb = _plead(b)
     cb = b[lb]
     rem = dict(a)
+    # max-heap of the remainder's terms in graded-lex order; a cancelled
+    # term leaves a stale entry, skipped when popped.  The order is a
+    # monomial order, so every term a step adds lies below the one it
+    # cancels and a popped leading term never comes back.
+    heap = [(-e[0] - e[1], -e[0], -e[1]) for e in rem]
+    heapify(heap)
     quot: PolyDict = {}
-    while rem:
-        la = _plead(rem)
+    while heap:
+        _, mq, mt = heappop(heap)
+        la = (-mq, -mt)
+        ca = rem.get(la)
+        if ca is None:
+            continue
         eq, et = la[0] - lb[0], la[1] - lb[1]
         if eq < 0 or et < 0:
             raise InexactDivisionError("leading term not divisible")
-        c = _cdiv(rem[la], cb)
+        c = _cdiv(ca, cb)
         quot[(eq, et)] = c
         for (bq, bt), cbb in b.items():
             e = (bq + eq, bt + et)
-            s = rem.get(e, 0) - c * cbb
+            old = rem.get(e)
+            s = (old or 0) - c * cbb
             if s:
                 rem[e] = s
-            else:
-                rem.pop(e, None)
+                if old is None:
+                    heappush(heap, (-e[0] - e[1], -e[0], -e[1]))
+            elif old is not None:
+                del rem[e]
     return quot
 
 
@@ -636,6 +650,11 @@ class RatFuncQT:
             return ZERO
         return _make_reduced(_pscale(self._a, p), _pscale(self._b, d))
 
+    def parts(self) -> tuple["RatFuncQT", "RatFuncQT"]:
+        """(a, b) with self = a / b: the stored coprime integer polynomials,
+        each as an element with denominator 1."""
+        return RatFuncQT(self._a, _PONE), RatFuncQT(self._b, _PONE)
+
     # -- conversions --------------------------------------------------------
 
     def as_fraction(self) -> Fraction:
@@ -853,13 +872,44 @@ def invert_qt(f: RatFuncQT) -> RatFuncQT:
     num, den = ({(bq - e[0], bt - e[1]): c for e, c in p.items()} for p in terms)
     return _signed(num, den) if num else ZERO
 
-def poly_lcm(a: PolyDict, b: PolyDict) -> PolyDict:
-    """Least common multiple, primitive with positive leading coefficient."""
-    if not a or not b:
-        return {}
-    g = _pgcd(a, b)
-    quo = _pdiv_exact(_normalize_primitive(a), g)
-    return _normalize_primitive(_pmul(quo, _normalize_primitive(b)))
+def _zlcm(a: PolyDict, b: PolyDict) -> PolyDict:
+    """Least common multiple in Z[q, t] of two nonzero integer polynomials
+    with positive leading coefficients, integer content included."""
+    q = _pdiv_exact(b, _pgcd(a, b))
+    k = int_gcd(_content(a), _content(b))
+    if k != 1:
+        q = {e: v // k for e, v in q.items()}
+    return _pmul(a, q)
+
+def over_common_denominator(values: list[RatFuncQT]) -> tuple[list[RatFuncQT], RatFuncQT]:
+    """([v * L for v in values], 1 / L) with L the least common multiple
+    in Z[q, t] of the denominators: every v * L is an integer polynomial.
+
+    A denominator that divides L or that L divides costs a trial division
+    or two, any other one gcd; each multiple is one exact division.
+    """
+    L = _PONE
+    for v in values:
+        b = v._b
+        if b == L or b == _PONE:
+            continue
+        if L == _PONE:
+            L = b
+            continue
+        for big, small in ((L, b), (b, L)):
+            try:
+                _pdiv_exact(big, small)
+            except InexactDivisionError:
+                continue
+            L = big
+            break
+        else:
+            L = _zlcm(L, b)
+    if L == _PONE:
+        return list(values), ONE
+    return ([RatFuncQT(v._a if v._b == L else _pmul(v._a, _pdiv_exact(L, v._b)),
+                       _PONE) for v in values],
+            RatFuncQT(_PONE, L))
 
 def times_multiple(f: RatFuncQT, m: PolyDict) -> RatFuncQT:
     """f * m for an integer polynomial m that f's denominator divides: the

@@ -17,6 +17,14 @@ tests and checks; they must not share the order-by-order inversion or the
 signed e_l-sum used by the transfer operators, or they would stop being
 independent witnesses.
 
+The transfers and eigen-operator families act on scaled images, the
+operator layer's (integer-polynomial image, one field scalar) pairs (see
+qops): each level is one scaled image, and a sum of levels is combined
+over the lcm of their scalars' denominators, so the coefficients never
+run a gcd.  The public transfer_* and eigen_ops_* clear their input and
+normalize the resulting pair once; verify reads residuals off the pairs
+without normalizing.
+
 Every series and operator here lives at q and t.  Inversion (q -> 1/q,
 t -> 1/t, written iota) is conjugation by invert_qt and invert_coeffs:
 the series at reciprocal q, t and parameters p is the iota-image of the
@@ -35,8 +43,8 @@ from .macdonald import (MacdonaldCache, binomial_by_expansion, default_cache,
 from .partitions import (Partition, enumerate_partitions, format_partition,
                          lower_covers, make_partition, n_stat, n_stat_conj,
                          pochhammer_list, size, upper_covers)
-from .qops import (apply_ad_lower_upto, apply_ad_raise_upto,
-                   apply_shift_family)
+from .qops import (Scaled, _ad_lower_upto, _ad_raise_upto, _combine,
+                   _scaled, _shift_levels, _unscale, apply_shift_family)
 from .ratfunc import (ONE, Q, RatFuncQT, T, elementary_symmetric, invert_qt,
                       qt_monomial, rf, t_integer, t_monomial)
 from .sympoly import BiSymPoly, SymPoly, invert_coeffs
@@ -120,6 +128,10 @@ class TruncatedSeries:
     params: HyperParams
     flavor: str = "macdonald"
     coeffs: dict[Partition, RatFuncQT] = field(default_factory=dict)
+    # renderings made so far, by (alphabets, basis cache): the series is
+    # immutable, so each is made once
+    _rendered: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     @classmethod
     def build(cls, n: int, D: int, params: HyperParams,
@@ -155,21 +167,27 @@ class TruncatedSeries:
     def render_one(self, cache: MacdonaldCache | None = None) -> SymPoly:
         """Sum of C * t^(n-stat) * (dual integral form) in one alphabet."""
         cache = cache or default_cache()
-        out = SymPoly.zero(self.n)
-        for lam, c in self.coeffs.items():
-            forms = macdonald_forms(lam, self.n, cache)
-            out = out + forms.Jstar.scale_rf(c * t_monomial(n_stat(lam)))
-        return out
+        key = ("one", cache)
+        if key not in self._rendered:
+            out = SymPoly.zero(self.n)
+            for lam, c in self.coeffs.items():
+                forms = macdonald_forms(lam, self.n, cache)
+                out = out + forms.Jstar.scale_rf(c * t_monomial(n_stat(lam)))
+            self._rendered[key] = out
+        return self._rendered[key]
 
     def render_two(self, cache: MacdonaldCache | None = None) -> BiSymPoly:
         """Two-alphabet rendering: C * t^(n-stat) * Jnorm(x) * Jstar(y)."""
         cache = cache or default_cache()
-        out = BiSymPoly.zero(self.n)
-        for lam, c in self.coeffs.items():
-            forms = macdonald_forms(lam, self.n, cache)
-            scal = c * t_monomial(n_stat(lam))
-            out = out.add_product(scal, forms.Jnorm, forms.Jstar)
-        return out
+        key = ("two", cache)
+        if key not in self._rendered:
+            out = BiSymPoly.zero(self.n)
+            for lam, c in self.coeffs.items():
+                forms = macdonald_forms(lam, self.n, cache)
+                scal = c * t_monomial(n_stat(lam))
+                out = out.add_product(scal, forms.Jnorm, forms.Jstar)
+            self._rendered[key] = out
+        return self._rendered[key]
 
     def to_json(self) -> dict:
         return {
@@ -213,70 +231,85 @@ def scale_alphabet_x(F: BiSymPoly, c: RatFuncQT) -> BiSymPoly:
 # transfer operators (the annihilator components)
 
 def _signed_esum(values, images):
-    """The operator f -> sum over l of (-1)^l e_l(values) * images(f, r)[l],
-    where images(f, r) lists the images for l = 0..r and r = len(values)."""
+    """The operator on scaled images gs -> sum over l of
+    (-1)^l e_l(values) * images(r, gs)[l], where images(r, gs) lists the
+    scaled images for l = 0..r and r = len(values); the levels are
+    combined over the lcm of their scalars' denominators."""
     es = elementary_symmetric([rf(v) for v in values])
-    def op(f: SymPoly) -> SymPoly:
-        out = SymPoly.zero(f.n_vars)
-        for l, img in enumerate(images(f, len(es) - 1)):
-            out = out + img.scale_rf(-es[l] if l % 2 else es[l])
-        return out
+    def op(gs: Scaled) -> Scaled:
+        return _combine(gs[0].n_vars,
+                        ((-es[l] if l % 2 else es[l], img)
+                         for l, img in enumerate(images(len(es) - 1, gs))))
     return op
+
+
+def _on_values(op):
+    """A map of scaled images as a map of SymPoly values."""
+    return lambda f: _unscale(op(_scaled(f)))
+
+
+def _transfer_lower(blist):
+    return _signed_esum(blist, _ad_lower_upto)
+
+
+def _transfer_raise(alist):
+    return _signed_esum(alist, _ad_raise_upto)
 
 
 def transfer_lower(blist):
     """Degree-lowering transfer: sum over l of (-1)^l e_l(b) times the
     l-fold weight-commutator of the lowering operator."""
-    return _signed_esum(blist, lambda f, r: apply_ad_lower_upto(r, f))
+    return _on_values(_transfer_lower(blist))
 
 
 def transfer_raise(alist):
     """Degree-raising transfer: sum over l of (-1)^l e_l(a) times the
     l-fold weight-commutator of the raising operator."""
-    return _signed_esum(alist, lambda f, r: apply_ad_raise_upto(r, f))
+    return _on_values(_transfer_raise(alist))
 
 
 # -- the diagonal families built from ratios of shift generating functions --
 
-def _genfun_ratio(f: SymPoly, top: int, num_base: RatFuncQT,
-                  den_base: RatFuncQT) -> list[SymPoly]:
+def _genfun_ratio(gs: Scaled, top: int, num_base: RatFuncQT,
+                  den_base: RatFuncQT) -> list[Scaled]:
     """u^0..u^top coefficients of genfun(num_base * u) / genfun(den_base * u)
-    applied to f, with genfun the shift generating function.
+    applied to the scaled image gs, with genfun the shift generating
+    function.
 
     The denominator is inverted order by order (w = genfun(den_base u)^-1 f),
     and every shift family application serves both numerator and
-    denominator; the last row is only needed at level 0.
+    denominator; the last row is only needed at level 0.  Each w_k and
+    each output is one scaled image combined from the levels it sums.
     """
-    n = f.n_vars
+    n = gs[0].n_vars
+    den_pows = [den_base ** m for m in range(n + 1)]
+    num_pows = [num_base ** m for m in range(n + 1)]
     fams = []
     for k in range(top + 1):
-        wk = f if k == 0 else SymPoly.zero(n)
-        for m in range(1, min(k, n) + 1):
-            wk = wk - fams[k - m][m].scale_rf(den_base ** m)
-        fams.append(apply_shift_family(wk) if k < top else {0: wk})
-    out = []
-    for l in range(top + 1):
-        acc = SymPoly.zero(n)
-        for m in range(min(l, n) + 1):
-            acc = acc + fams[l - m][m].scale_rf(num_base ** m)
-        out.append(acc)
-    return out
+        wk = gs if k == 0 else _combine(n, (
+            (-den_pows[m], (fams[k - m][0][m], fams[k - m][1]))
+            for m in range(1, min(k, n) + 1)))
+        fams.append(_shift_levels(wk, None) if k < top else ({0: wk[0]}, wk[1]))
+    return [_combine(n, ((num_pows[m], (fams[l - m][0][m], fams[l - m][1]))
+                         for m in range(min(l, n) + 1)))
+            for l in range(top + 1)]
+
+
+def _eigen_ops_raise(max_l: int, gs: Scaled) -> list[Scaled]:
+    n = gs[0].n_vars
+    scal = ((ONE - Q) * (ONE - T)).inverse()
+    # numerator genfun at -u t^(-n), denominator genfun at -u t^(1-n);
+    # G_l = scal * (-t^n * ratio_l + [l = 0] f)
+    ratio = _genfun_ratio(gs, max_l, -(T ** (-n)), -(T ** (1 - n)))
+    c = -(T ** n) * scal
+    return [_combine(n, [(c, img)] + ([(scal, gs)] if l == 0 else []))
+            for l, img in enumerate(ratio)]
 
 
 def eigen_ops_raise(max_l: int, f: SymPoly) -> list[SymPoly]:
     """[G_0 f, ..., G_max_l f]: u-expansion of the normalized difference of
     two shift generating functions (offsets t^-n and t^(1-n))."""
-    n = f.n_vars
-    scal = ((ONE - Q) * (ONE - T)).inverse()
-    # numerator genfun at -u t^(-n), denominator genfun at -u t^(1-n)
-    ratio = _genfun_ratio(f, max_l, -(T ** (-n)), -(T ** (1 - n)))
-    out = []
-    for l, acc in enumerate(ratio):
-        g = acc.scale_rf(-(T ** n))
-        if l == 0:
-            g = g + f
-        out.append(g.scale_rf(scal))
-    return out
+    return [_unscale(img) for img in _eigen_ops_raise(max_l, _scaled(f))]
 
 
 @lru_cache(maxsize=None)
@@ -290,31 +323,43 @@ def _lower_scale(n: int) -> RatFuncQT:
     return scal_h
 
 
+def _eigen_ops_lower(max_l: int, gs: Scaled) -> list[Scaled]:
+    n = gs[0].n_vars
+    scal_h = _lower_scale(n)
+    ratio = _genfun_ratio(gs, max_l + 1, -(Q * T ** (n - 2)).inverse(),
+                          -(Q * T ** (n - 1)).inverse())
+    # with b_l = t^(-n) ratio_l - [l = 0] f:
+    # H_l = scal_h * (b_l - q t^(n-1) b_(l+1))
+    here = scal_h * T ** (-n)
+    ahead = -scal_h * Q / T
+    return [_combine(n, [(here, ratio[l]), (ahead, ratio[l + 1])]
+                     + ([(-scal_h, gs)] if l == 0 else []))
+            for l in range(max_l + 1)]
+
+
 def eigen_ops_lower(max_l: int, f: SymPoly) -> list[SymPoly]:
     """[H_0 f, ..., H_max_l f]: u-expansion of the shifted ratio of shift
     generating functions (offsets 1/(q t^(n-2)) and 1/(q t^(n-1))),
     including the 1/u pole cancellation, which is checked once per n."""
-    n = f.n_vars
-    scal_h = _lower_scale(n)
-    ratio = _genfun_ratio(f, max_l + 1, -(Q * T ** (n - 2)).inverse(),
-                          -(Q * T ** (n - 1)).inverse())
-    bl = [acc.scale_rf(T ** (-n)) for acc in ratio]
-    bl[0] = bl[0] - f
-    out = []
-    for l in range(0, max_l + 1):
-        h = (bl[l] - bl[l + 1].scale_rf(Q * T ** (n - 1))).scale_rf(scal_h)
-        out.append(h)
-    return out
+    return [_unscale(img) for img in _eigen_ops_lower(max_l, _scaled(f))]
+
+
+def _transfer_diag_raise(alist):
+    return _signed_esum(alist, _eigen_ops_raise)
+
+
+def _transfer_diag_lower(blist):
+    return _signed_esum(blist, _eigen_ops_lower)
 
 
 def transfer_diag_raise(alist):
     """Diagonal transfer paired with raising: sum of (-1)^l e_l(a) G_l."""
-    return _signed_esum(alist, lambda f, r: eigen_ops_raise(r, f))
+    return _on_values(_transfer_diag_raise(alist))
 
 
 def transfer_diag_lower(blist):
     """Diagonal transfer paired with lowering: sum of (-1)^l e_l(b) H_l."""
-    return _signed_esum(blist, lambda f, r: eigen_ops_lower(r, f))
+    return _on_values(_transfer_diag_lower(blist))
 
 
 # -- closed-form eigenvalues of the diagonal families -----------------------

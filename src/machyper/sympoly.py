@@ -400,16 +400,19 @@ class BiSymPoly(MonomialExpansion):
     def swap(self) -> "BiSymPoly":
         return BiSymPoly(self.n_vars, {(ly, lx): c for (lx, ly), c in self.coeffs.items()})
 
-    def apply_x(self, op) -> "BiSymPoly":
-        """Apply a SymPoly -> SymPoly operator to the x alphabet."""
+    def x_slices(self) -> dict[Partition, SymPoly]:
+        """{ly: the x-polynomial multiplying m_ly(y)}."""
         groups: dict[Partition, dict[Partition, RatFuncQT]] = {}
         for (lx, ly), c in self.coeffs.items():
             groups.setdefault(ly, {})[lx] = c
+        return {ly: SymPoly(self.n_vars, sl) for ly, sl in groups.items()}
+
+    def apply_x(self, op) -> "BiSymPoly":
+        """Apply a SymPoly -> SymPoly operator to the x alphabet."""
         out: dict[tuple[Partition, Partition], RatFuncQT] = {}
         # each slice writes its own keys, and images hold no zeros
-        for ly, slice_x in groups.items():
-            img = op(SymPoly(self.n_vars, slice_x))
-            for lx, c in img.coeffs.items():
+        for ly, sl in self.x_slices().items():
+            for lx, c in op(sl).coeffs.items():
                 out[(lx, ly)] = c
         return BiSymPoly(self.n_vars, out)
 

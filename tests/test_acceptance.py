@@ -26,7 +26,8 @@ from machyper.series import (HyperParams, TruncatedSeries,
                              eigen_value_raise, eigen_value_raise_brute,
                              product_series_one)
 from machyper.sympoly import basis_poly
-from machyper.verify import check_classical_limit, run_suite, suite_passed
+from machyper.verify import (SUITE_ORDER, check_classical_limit, run_suite,
+                             suite_passed)
 
 
 @contextmanager
@@ -183,3 +184,17 @@ def test_criterion_11_mutation_sensitivity(cache):
         assert reports
         for r in reports:
             assert not r.passed, f"mutated {r.theorem} check still passed"
+
+
+def test_criterion_12_theorems_at_three_variables(cache):
+    with criterion(12, "all suites at three variables", 120):
+        reports = run_suite("all", n=3, D=3, draws=1, cache=cache)
+        assert {r.theorem for r in reports} == set(SUITE_ORDER)
+        assert suite_passed(reports)
+        # a partition with three parts; the n = 1 series of the univariate
+        # check cannot hold it, so that check alone still passes
+        mutated = run_suite("all", n=3, D=3, draws=1, cache=cache,
+                            mutate=(1, 1, 1))
+        assert len(mutated) == len(reports)
+        for r in mutated:
+            assert r.passed == (r.theorem == "univariate"), r.theorem

@@ -7,6 +7,7 @@ import pytest
 
 import machyper.qops as qops
 import machyper.ratfunc as ratfunc
+import machyper.series as series
 from machyper.errors import ResourceGuardError
 from machyper.macdonald import macdonald_P, macdonald_forms
 from machyper.partitions import partitions_of, rho_stat
@@ -22,7 +23,6 @@ from machyper.qops import (
     apply_shift1,
     apply_shift_family,
     apply_shift_genfun,
-    clear_denominators,
     eigen_shift,
     eigen_shift_genfun,
     eigen_weight,
@@ -196,12 +196,13 @@ def test_assembly_is_gcd_free(monkeypatch, cache):
     # ever sees polynomial coefficients and never runs a polynomial gcd
     f = macdonald_forms((2, 1), 3, cache).P
     assert any(c.den != ONE.den for c in f.coeffs.values())
-    calls = {"assemble": 0, "gcd": 0}
+    calls = {"assemble": 0, "gcd": 0, "all_gcd": 0}
     inside = [False]
     pgcd, assemble = ratfunc._pgcd, qops._assemble
 
     def counting_pgcd(a, b):
         calls["gcd"] += inside[0]
+        calls["all_gcd"] += 1
         return pgcd(a, b)
 
     def watched_assemble(n_vars, pieces):
@@ -223,6 +224,28 @@ def test_assembly_is_gcd_free(monkeypatch, cache):
     apply_ad_lower_upto(2, f)
     assert calls["assemble"] > 0
     assert calls["gcd"] == 0
+
+    # on a cleared input, a transfer runs its gcds on the level scalars
+    # only: a scaled image with many coefficients costs no more gcds than
+    # one with a single coefficient and the same scalar and degree
+    n = 3
+    total = SymPoly.zero(n)
+    for d in range(1, 5):
+        for lam in partitions_of(d, n):
+            total = total + macdonald_forms(lam, n, cache).P
+    big, _ = qops._scaled(total)
+    small = basis_poly("m", (3, 1), n)
+    assert len(big.coeffs) >= 10 * len(small.coeffs)
+    scal = (ONE - Q * T).inverse()
+    a, b = [rf(Fraction(2, 3)) * Q, T.inverse()], [rf(Fraction(5, 7)) / T]
+    for op in (series._transfer_lower(b), series._transfer_raise(a),
+               series._transfer_diag_raise(a), series._transfer_diag_lower(b)):
+        counts = []
+        for g in (small, big):
+            calls["all_gcd"] = 0
+            op((g, scal))
+            counts.append(calls["all_gcd"])
+        assert 0 < counts[1] <= counts[0]
 
 
 def test_lower_alt_matches_rational_input(cache):
@@ -258,11 +281,14 @@ def test_symmetrize_guard():
 
 
 def test_clear_denominators():
-    f = basis_poly("m", (2,), 2).scale_rf((ONE - Q).inverse()) \
+    # a scaled image (g, s) of f: s * g = f, and g has integer-polynomial
+    # coefficients, the integer denominators cleared too
+    f = basis_poly("m", (2,), 2).scale_rf((rf(3) - rf(3) * Q).inverse()) \
         + basis_poly("m", (1, 1), 2).scale_rf((ONE - T).inverse())
-    g, den = clear_denominators(f)
-    assert g == f.scale_rf(den)
+    g, s = qops._scaled(f)
+    assert g.scale_rf(s) == f
     for c in g.coeffs.values():
-        assert c.den == {(0, 0): Fraction(1)}
-    h, den2 = clear_denominators(g)
-    assert den2 == ONE and h == g
+        assert c.parts()[1] == ONE
+    assert s.parts()[0] == ONE
+    h, s2 = qops._scaled(g)
+    assert s2 == ONE and h == g

@@ -5,12 +5,13 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from machyper.errors import LimitError
 from machyper.ratfunc import (ONE, Q, T, ZERO, RatFuncQT, elementary_symmetric,
-                              invert_qt, limit_q1, limit_q1_weak, q_integer,
-                              qt_monomial, rf, substitute, t_integer, t_monomial,
+                              invert_qt, limit_q1, limit_q1_weak,
+                              over_common_denominator, q_integer, qt_monomial,
+                              rf, substitute, t_integer, t_monomial,
                               times_multiple)
 from machyper.ratfunc import (_content, _normalize_primitive, _pdiv_exact, _pgcd,
                               _pmul, _term_key)
@@ -103,20 +104,34 @@ def test_field_axioms(a, b, c):
         assert (a / b) * b == a
 
 
+def _value_at(x, q0, t0):
+    """x at (q0, t0) through substitute, or None where the denominator
+    (evaluated here with plain Fractions) vanishes; there substitute must
+    raise."""
+    if sum(c * q0 ** dq * t0 ** dt for (dq, dt), c in x.den.items()) == 0:
+        with pytest.raises(ZeroDivisionError):
+            substitute(x, rf(q0), rf(t0))
+        return None
+    return substitute(x, rf(q0), rf(t0)).as_fraction()
+
+
+# b has a pole at the point: -3qt^2 + 7q^2t^2 = qt^2(7q - 3) vanishes at q = 3/7
+@example(ZERO, rf(3) / (rf(-3) * Q * T ** 2 + rf(7) * Q ** 2 * T ** 2))
 @settings(max_examples=60, deadline=None)
 @given(field_values(), field_values())
 def test_evaluation_oracle(a, b):
-    # compare arithmetic against plain Fractions at a generic rational point
-    q0, t0 = rf(F(3, 7)), rf(F(5, 2))
-
-    def ev(x):
-        return substitute(x, q0, t0).as_fraction()
-
-    assert ev(a + b) == ev(a) + ev(b)
-    assert ev(a - b) == ev(a) - ev(b)
-    assert ev(a * b) == ev(a) * ev(b)
-    if not b.is_zero() and ev(b) != 0:
-        assert ev(a / b) == ev(a) / ev(b)
+    # compare arithmetic against plain Fractions at a generic rational
+    # point, wherever a and b are defined there (then so are a + b, a - b,
+    # a * b, and a / b when b is nonzero there)
+    q0, t0 = F(3, 7), F(5, 2)
+    va, vb = _value_at(a, q0, t0), _value_at(b, q0, t0)
+    if va is None or vb is None:
+        return
+    assert _value_at(a + b, q0, t0) == va + vb
+    assert _value_at(a - b, q0, t0) == va - vb
+    assert _value_at(a * b, q0, t0) == va * vb
+    if vb != 0:
+        assert _value_at(a / b, q0, t0) == va / vb
 
 
 @settings(max_examples=40, deadline=None)
@@ -220,6 +235,24 @@ def test_storage_is_integer_normal_form(x, steps):
             assert z == x
             x = z
         assert_integer_normal_form(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(field_values(), min_size=1, max_size=5))
+def test_over_common_denominator(values):
+    # (v * L, 1/L) with L the lcm over Z[q, t] of the denominators: the
+    # multiples are integer polynomials, and no smaller L would do (the
+    # cofactors L / den(v) have no common factor, integers included)
+    mults, s = over_common_denominator(values)
+    one, L = s.parts()
+    assert one == ONE
+    common, content = {}, 0
+    for v, m in zip(values, mults):
+        assert m.parts()[1] == ONE and m * s == v
+        # raises unless the denominator of v divides L
+        cof = _pdiv_exact(L._a, v.parts()[1]._a)
+        common, content = _pgcd(common, cof), gcd(content, _content(cof))
+    assert common == {(0, 0): 1} and content == 1
 
 
 # -- helpers -------------------------------------------------------------------
