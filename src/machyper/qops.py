@@ -21,9 +21,9 @@ addition and multiplication inside an assembly is then an integer
 polynomial operation without a gcd.  Operators on scaled images return
 scaled images; _combine adds several over the lcm of their scalars'
 denominators, so the gcds it runs are one per term, on scalars, never
-one per coefficient.  Only _unscale divides a coefficient by its
-scalar, and a public apply_* is that normalization of its private pair
-form.  The iterated weight commutators use the binomial expansion
+one per coefficient.  A public apply_* multiplies its image by the
+scalar once, at the end (_unscale, or _apply for the first-order
+operators).  The iterated weight commutators use the binomial expansion
 ad^l(B) = sum_k (-1)^k C(l,k) W^(l-k) B W^k on the unscaled weight
 operator t^(n-1) W; the images W^k g and W^j B W^k g are computed once
 and shared by every level up to r, and each level carries its own
