@@ -13,17 +13,22 @@ multiplies each piece by a cached alternant (_alternant) before the one
 division.
 
 Every operator is linear over Q(q,t), and the operator layer passes its
-values around as scaled images: a pair (g, s) of a SymPoly g whose
-coefficients are integer polynomials (denominator 1) and one RatFuncQT
-scalar s, standing for s * g.  An input is cleared once (_scaled: g is f
-times the lcm in Z[q,t] of its coefficient denominators), and every field
-addition and multiplication inside an assembly is then an integer
-polynomial operation without a gcd.  Operators on scaled images return
-scaled images; _combine adds several over the lcm of their scalars'
-denominators, so the gcds it runs are one per term, on scalars, never
-one per coefficient.  A public apply_* multiplies its image by the
-scalar once, at the end (_unscale, or _apply for the first-order
-operators).  The iterated weight commutators use the binomial expansion
+values around as scaled images (Scaled): a pair (g, s) of a SymPoly g
+whose coefficients are integer polynomials (denominator 1) and one
+RatFuncQT scalar s, standing for s * g.  The pair format is known here
+only; series and verify handle it through the functions of the scaled
+image section.  An input is cleared once (to_scaled: g is f times the
+lcm in Z[q,t] of its coefficient denominators), and every field addition
+and multiplication inside an assembly is then an integer polynomial
+operation without a gcd.  Operators on scaled images (shift_levels,
+ad_raise_upto, ad_lower_upto) return scaled images; combine adds several
+over the lcm of their scalars' denominators, so the gcds it runs are one
+per term, on scalars, never one per coefficient.  support_degrees and
+alphabet_difference read where an image, or a difference of two
+alphabets' images, is nonzero without dividing anything; unscale is the
+one normalization.  A public apply_* multiplies its image by the scalar
+once, at the end (unscale, or _apply for the first-order operators).
+The iterated weight commutators use the binomial expansion
 ad^l(B) = sum_k (-1)^k C(l,k) W^(l-k) B W^k on the unscaled weight
 operator t^(n-1) W; the images W^k g and W^j B W^k g are computed once
 and shared by every level up to r, and each level carries its own
@@ -51,11 +56,11 @@ from itertools import combinations
 
 from .errors import InexactDivisionError, ResourceGuardError
 from .partitions import Partition, rho_stat
-from .ratfunc import (ONE, Q, RatFuncQT, T, elementary_symmetric,
+from .ratfunc import (ONE, Q, ZERO, RatFuncQT, T, elementary_symmetric,
                       over_common_denominator, qt_monomial, rf, t_integer)
-from .sympoly import (MINUS_ONE, Raw, SymPoly, basis_poly, raw_add_into,
-                      raw_div_binomial, raw_mul, raw_mul_var, raw_qderiv_var,
-                      raw_shift_subset)
+from .sympoly import (MINUS_ONE, BiSymPoly, Raw, SymPoly, basis_poly,
+                      raw_add_into, raw_div_binomial, raw_mul, raw_mul_var,
+                      raw_qderiv_var, raw_shift_subset)
 
 # subset symmetrization over S_n has n! * 2^n cost; past this it is a typo
 MAX_FULL_SYMMETRIZE = 6
@@ -114,21 +119,21 @@ def _assemble(n: int, pieces) -> SymPoly:
 Scaled = tuple[SymPoly, RatFuncQT]
 
 
-def _scaled(f: SymPoly) -> Scaled:
+def to_scaled(f: SymPoly) -> Scaled:
     """f as a scaled image (den * f, 1/den), with den the lcm in Z[q,t] of
     the coefficient denominators."""
     vals, s = over_common_denominator(list(f.coeffs.values()))
     return SymPoly(f.n_vars, dict(zip(f.coeffs, vals))), s
 
 
-def _unscale(gs: Scaled) -> SymPoly:
+def unscale(gs: Scaled) -> SymPoly:
     """The value s * g of a scaled image: one gcd-reduced product per
     coefficient."""
     g, s = gs
     return g.scale_rf(s)
 
 
-def _combine(n: int, terms) -> Scaled:
+def combine(n: int, terms) -> Scaled:
     """sum of c * s * g over the (c, (g, s)) terms, as one scaled image.
 
     Each scalar c * s is one field product; the images are then added
@@ -148,9 +153,51 @@ def _combine(n: int, terms) -> Scaled:
     return SymPoly(n, acc), s
 
 
+def support_degrees(gs: Scaled) -> list[int]:
+    """The degrees at which the value of gs is nonzero, read off its
+    integer image."""
+    return gs[0].degrees()
+
+
+def alphabet_difference(F: BiSymPoly, x_op, y_op,
+                        c: RatFuncQT) -> BiSymPoly:
+    """c * x_op(F) - y_op(F) up to a nonzero factor on each coefficient,
+    for maps x_op, y_op of scaled images applied to the x and to the y
+    alphabet of F.
+
+    Each slice of F (the x-polynomial at one y-partition, and the
+    y-polynomial at one x-partition) is cleared on its own.  With
+    c * s_X = alpha/beta for the x-image's scalar and s_Y = gamma/delta
+    for the y-image's, the coefficient at (lx, ly) is
+    alpha * delta * X - gamma * beta * Y: integer polynomials only, zero
+    exactly where c * X - Y is.  The result has the support of the
+    difference, not its values.
+    """
+    unit = (ONE, ONE)
+    xs = {}
+    for ly, sl in F.x_slices().items():
+        g, s = x_op(to_scaled(sl))
+        xs[ly] = (g.coeffs, (c * s).parts())
+    ys = {}
+    for lx, sl in F.swap().x_slices().items():
+        g, s = y_op(to_scaled(sl))
+        ys[lx] = (g.coeffs, s.parts())
+    keys = {(lx, ly) for ly, (gx, _) in xs.items() for lx in gx}
+    keys.update((lx, ly) for lx, (gy, _) in ys.items() for ly in gy)
+    out = {}
+    for lx, ly in keys:
+        gx, (alpha, beta) = xs.get(ly, ({}, unit))
+        gy, (gamma, delta) = ys.get(lx, ({}, unit))
+        d = (alpha * delta * gx.get(lx, ZERO)
+             - gamma * beta * gy.get(ly, ZERO))
+        if not d.is_zero():
+            out[(lx, ly)] = d
+    return BiSymPoly(F.n_vars, out)
+
+
 def _apply(op, f: SymPoly, scal: RatFuncQT = ONE) -> SymPoly:
     """scal * op(f) for a linear op on integer-polynomial coefficients."""
-    g, s = _scaled(f)
+    g, s = to_scaled(f)
     return op(g).scale_rf(scal * s)
 
 
@@ -248,9 +295,9 @@ def apply_raise1(f: SymPoly) -> SymPoly:
 # ---------------------------------------------------------------------------
 # the symmetrized shift family (generating-function operator in u)
 
-def _shift_levels(gs: Scaled, levels) -> tuple[dict[int, SymPoly], RatFuncQT]:
-    """({l: D_l g}, s) for the scaled image gs = (g, s): every level shares
-    the input's scalar."""
+def shift_levels(gs: Scaled, levels) -> dict[int, Scaled]:
+    """{l: (D_l g, s)} for the scaled image gs = (g, s): every level shares
+    the input's scalar.  levels=None asks for l = 0..n."""
     g, s = gs
     n = g.n_vars
     if n > MAX_FULL_SYMMETRIZE:
@@ -259,14 +306,14 @@ def _shift_levels(gs: Scaled, levels) -> tuple[dict[int, SymPoly], RatFuncQT]:
             f"n is limited to {MAX_FULL_SYMMETRIZE}")
     graw = g.to_raw()
     want = list(range(n + 1)) if levels is None else sorted(set(levels))
-    out: dict[int, SymPoly] = {}
+    out: dict[int, Scaled] = {}
     for l in want:
         if l < 0 or l > n:
-            out[l] = SymPoly.zero(n)
+            out[l] = (SymPoly.zero(n), s)
             continue
-        out[l] = _assemble(n, ((subset, raw_shift_subset(graw, subset))
-                               for subset in combinations(range(n), l)))
-    return out, s
+        out[l] = (_assemble(n, ((subset, raw_shift_subset(graw, subset))
+                                for subset in combinations(range(n), l))), s)
+    return out
 
 
 def apply_shift_family(f: SymPoly,
@@ -279,15 +326,15 @@ def apply_shift_family(f: SymPoly,
     levels restricts which l are computed; the input is cleared once for
     all of them.
     """
-    fam, s = _shift_levels(_scaled(f), levels)
-    return {l: d.scale_rf(s) for l, d in fam.items()}
+    return {l: unscale(d)
+            for l, d in shift_levels(to_scaled(f), levels).items()}
 
 
 def apply_shift_genfun(f: SymPoly, uval: RatFuncQT) -> SymPoly:
     """The generating-function shift operator at a concrete parameter value."""
-    fam, s = _shift_levels(_scaled(f), None)
-    return _unscale(_combine(f.n_vars, ((uval ** l, (fam[l], s))
-                                        for l in range(f.n_vars + 1))))
+    fam = shift_levels(to_scaled(f), None)
+    return unscale(combine(f.n_vars, ((uval ** l, fam[l])
+                                      for l in range(f.n_vars + 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +379,13 @@ def _ad_upto(r: int, gs: Scaled, base, scal: RatFuncQT,
     return out
 
 
-def _ad_raise_upto(r: int, gs: Scaled) -> list[Scaled]:
+def ad_raise_upto(r: int, gs: Scaled) -> list[Scaled]:
+    """apply_ad_raise_upto on a scaled image."""
     return _ad_upto(r, gs, _raise, (ONE - Q).inverse(), 1)
 
 
-def _ad_lower_upto(r: int, gs: Scaled) -> list[Scaled]:
+def ad_lower_upto(r: int, gs: Scaled) -> list[Scaled]:
+    """apply_ad_lower_upto on a scaled image."""
     return _ad_upto(r, gs, _lower, ONE, -1)
 
 
@@ -348,13 +397,13 @@ def apply_ad_raise_upto(r: int, f: SymPoly) -> list[SymPoly]:
     (see _ad_upto), so it stays an independent witness for the
     closed-form weights used elsewhere.
     """
-    return [_unscale(img) for img in _ad_raise_upto(r, _scaled(f))]
+    return [unscale(img) for img in ad_raise_upto(r, to_scaled(f))]
 
 
 def apply_ad_lower_upto(r: int, f: SymPoly) -> list[SymPoly]:
     """[ad^0, ..., ad^r] of the negated weight operator around apply_lower,
     at f; ad^l of -W is (-1)^l times ad^l of W."""
-    return [_unscale(img) for img in _ad_lower_upto(r, _scaled(f))]
+    return [unscale(img) for img in ad_lower_upto(r, to_scaled(f))]
 
 
 def apply_ad_raise(l: int, f: SymPoly) -> SymPoly:

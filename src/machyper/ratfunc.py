@@ -886,7 +886,9 @@ def over_common_denominator(values: list[RatFuncQT]) -> tuple[list[RatFuncQT], R
     in Z[q, t] of the denominators: every v * L is an integer polynomial.
 
     A denominator that divides L or that L divides costs a trial division
-    or two, any other one gcd; each multiple is one exact division.
+    or two, any other one gcd; each multiple is one exact division.  Most
+    denominators met in the transfers nest that way, so the trial
+    divisions spare most of the gcds.
     """
     L = _PONE
     for v in values:

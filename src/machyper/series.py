@@ -19,11 +19,13 @@ independent witnesses.
 
 The transfers and eigen-operator families act on scaled images, the
 operator layer's (integer-polynomial image, one field scalar) pairs (see
-qops): each level is one scaled image, and a sum of levels is combined
-over the lcm of their scalars' denominators, so the coefficients never
-run a gcd.  The public transfer_* and eigen_ops_* clear their input and
-normalize the resulting pair once; verify reads residuals off the pairs
-without normalizing.
+qops), and reach them only through qops' scaled-image functions: each
+level is one scaled image, and a sum of levels is combined over the lcm
+of their scalars' denominators (qops.combine), so the coefficients never
+run a gcd.  scaled_transfer_* are the transfers on scaled images; the
+public transfer_* and eigen_ops_* clear their input and normalize the
+resulting pair once.  verify builds its residuals from scaled_transfer_*
+and reads their support without normalizing.
 
 Every series and operator here lives at q and t.  Inversion (q -> 1/q,
 t -> 1/t, written iota) is conjugation by invert_qt and invert_coeffs:
@@ -43,8 +45,8 @@ from .macdonald import (MacdonaldCache, binomial_by_expansion, default_cache,
 from .partitions import (Partition, enumerate_partitions, format_partition,
                          lower_covers, make_partition, n_stat, n_stat_conj,
                          pochhammer_list, size, upper_covers)
-from .qops import (Scaled, _ad_lower_upto, _ad_raise_upto, _combine,
-                   _scaled, _shift_levels, _unscale, apply_shift_family)
+from .qops import (Scaled, ad_lower_upto, ad_raise_upto, apply_shift_family,
+                   combine, shift_levels, to_scaled, unscale)
 from .ratfunc import (ONE, Q, RatFuncQT, T, elementary_symmetric, invert_qt,
                       qt_monomial, rf, t_integer, t_monomial)
 from .sympoly import BiSymPoly, SymPoly, invert_coeffs
@@ -237,35 +239,37 @@ def _signed_esum(values, images):
     combined over the lcm of their scalars' denominators."""
     es = elementary_symmetric([rf(v) for v in values])
     def op(gs: Scaled) -> Scaled:
-        return _combine(gs[0].n_vars,
-                        ((-es[l] if l % 2 else es[l], img)
-                         for l, img in enumerate(images(len(es) - 1, gs))))
+        return combine(gs[0].n_vars,
+                       ((-es[l] if l % 2 else es[l], img)
+                        for l, img in enumerate(images(len(es) - 1, gs))))
     return op
 
 
 def _on_values(op):
     """A map of scaled images as a map of SymPoly values."""
-    return lambda f: _unscale(op(_scaled(f)))
+    return lambda f: unscale(op(to_scaled(f)))
 
 
-def _transfer_lower(blist):
-    return _signed_esum(blist, _ad_lower_upto)
+def scaled_transfer_lower(blist):
+    """transfer_lower as a map of scaled images."""
+    return _signed_esum(blist, ad_lower_upto)
 
 
-def _transfer_raise(alist):
-    return _signed_esum(alist, _ad_raise_upto)
+def scaled_transfer_raise(alist):
+    """transfer_raise as a map of scaled images."""
+    return _signed_esum(alist, ad_raise_upto)
 
 
 def transfer_lower(blist):
     """Degree-lowering transfer: sum over l of (-1)^l e_l(b) times the
     l-fold weight-commutator of the lowering operator."""
-    return _on_values(_transfer_lower(blist))
+    return _on_values(scaled_transfer_lower(blist))
 
 
 def transfer_raise(alist):
     """Degree-raising transfer: sum over l of (-1)^l e_l(a) times the
     l-fold weight-commutator of the raising operator."""
-    return _on_values(_transfer_raise(alist))
+    return _on_values(scaled_transfer_raise(alist))
 
 
 # -- the diagonal families built from ratios of shift generating functions --
@@ -286,12 +290,11 @@ def _genfun_ratio(gs: Scaled, top: int, num_base: RatFuncQT,
     num_pows = [num_base ** m for m in range(n + 1)]
     fams = []
     for k in range(top + 1):
-        wk = gs if k == 0 else _combine(n, (
-            (-den_pows[m], (fams[k - m][0][m], fams[k - m][1]))
-            for m in range(1, min(k, n) + 1)))
-        fams.append(_shift_levels(wk, None) if k < top else ({0: wk[0]}, wk[1]))
-    return [_combine(n, ((num_pows[m], (fams[l - m][0][m], fams[l - m][1]))
-                         for m in range(min(l, n) + 1)))
+        wk = gs if k == 0 else combine(n, ((-den_pows[m], fams[k - m][m])
+                                           for m in range(1, min(k, n) + 1)))
+        fams.append(shift_levels(wk, None) if k < top else {0: wk})
+    return [combine(n, ((num_pows[m], fams[l - m][m])
+                        for m in range(min(l, n) + 1)))
             for l in range(top + 1)]
 
 
@@ -302,14 +305,14 @@ def _eigen_ops_raise(max_l: int, gs: Scaled) -> list[Scaled]:
     # G_l = scal * (-t^n * ratio_l + [l = 0] f)
     ratio = _genfun_ratio(gs, max_l, -(T ** (-n)), -(T ** (1 - n)))
     c = -(T ** n) * scal
-    return [_combine(n, [(c, img)] + ([(scal, gs)] if l == 0 else []))
+    return [combine(n, [(c, img)] + ([(scal, gs)] if l == 0 else []))
             for l, img in enumerate(ratio)]
 
 
 def eigen_ops_raise(max_l: int, f: SymPoly) -> list[SymPoly]:
     """[G_0 f, ..., G_max_l f]: u-expansion of the normalized difference of
     two shift generating functions (offsets t^-n and t^(1-n))."""
-    return [_unscale(img) for img in _eigen_ops_raise(max_l, _scaled(f))]
+    return [unscale(img) for img in _eigen_ops_raise(max_l, to_scaled(f))]
 
 
 @lru_cache(maxsize=None)
@@ -332,8 +335,8 @@ def _eigen_ops_lower(max_l: int, gs: Scaled) -> list[Scaled]:
     # H_l = scal_h * (b_l - q t^(n-1) b_(l+1))
     here = scal_h * T ** (-n)
     ahead = -scal_h * Q / T
-    return [_combine(n, [(here, ratio[l]), (ahead, ratio[l + 1])]
-                     + ([(-scal_h, gs)] if l == 0 else []))
+    return [combine(n, [(here, ratio[l]), (ahead, ratio[l + 1])]
+                    + ([(-scal_h, gs)] if l == 0 else []))
             for l in range(max_l + 1)]
 
 
@@ -341,25 +344,27 @@ def eigen_ops_lower(max_l: int, f: SymPoly) -> list[SymPoly]:
     """[H_0 f, ..., H_max_l f]: u-expansion of the shifted ratio of shift
     generating functions (offsets 1/(q t^(n-2)) and 1/(q t^(n-1))),
     including the 1/u pole cancellation, which is checked once per n."""
-    return [_unscale(img) for img in _eigen_ops_lower(max_l, _scaled(f))]
+    return [unscale(img) for img in _eigen_ops_lower(max_l, to_scaled(f))]
 
 
-def _transfer_diag_raise(alist):
+def scaled_transfer_diag_raise(alist):
+    """transfer_diag_raise as a map of scaled images."""
     return _signed_esum(alist, _eigen_ops_raise)
 
 
-def _transfer_diag_lower(blist):
+def scaled_transfer_diag_lower(blist):
+    """transfer_diag_lower as a map of scaled images."""
     return _signed_esum(blist, _eigen_ops_lower)
 
 
 def transfer_diag_raise(alist):
     """Diagonal transfer paired with raising: sum of (-1)^l e_l(a) G_l."""
-    return _on_values(_transfer_diag_raise(alist))
+    return _on_values(scaled_transfer_diag_raise(alist))
 
 
 def transfer_diag_lower(blist):
     """Diagonal transfer paired with lowering: sum of (-1)^l e_l(b) H_l."""
-    return _on_values(_transfer_diag_lower(blist))
+    return _on_values(scaled_transfer_diag_lower(blist))
 
 
 # -- closed-form eigenvalues of the diagonal families -----------------------

@@ -10,12 +10,15 @@ count as failures.
 The paper's three operators are defined once each: A^(x,y) in _resid_A
 (two alphabets), B^(x) and C^(x) in _resid_B and _resid_C (one
 alphabet).  The plain, alphabet-swapped, Kaneko and tilde checks all
-apply them through these functions.  They work on scaled images (see
-qops) and never divide a coefficient: B and C return the residual as a
-scaled image, whose support is that of its integer numerator; A applies
-each side to the slices of the rendering, each slice cleared on its own,
-and finds where the two sides differ by cross-multiplying their scalars.
-A check that needs the residual's values (the Kaneko check) normalizes.
+apply them through these functions.  They build on the scaled-image
+transfers (series.scaled_transfer_*) and never divide a coefficient; the
+pair format itself stays behind the functions qops exports for it.  B
+and C return the residual as a scaled image, whose support the checks
+read with qops.support_degrees; A is qops.alphabet_difference of the two
+transfers, which applies each side to the slices of the rendering, each
+slice cleared on its own, and finds where the two sides differ by
+cross-multiplying their scalars.  A check that needs the residual's
+values (the Kaneko factored-form check) normalizes with qops.unscale.
 
 All checks run over the exact coefficient field; there are no
 tolerances anywhere.  Parameter draws are seeded, so a fixed
@@ -34,28 +37,28 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import MacHyperError, PoleError, ResourceGuardError
-from .ratfunc import (ONE, Q, ZERO, RatFuncQT, T, invert_qt, limit_q1_weak,
-                      rf, substitute, t_integer, t_monomial)
+from .ratfunc import (ONE, Q, RatFuncQT, T, invert_qt, limit_q1_weak, rf,
+                      substitute, t_integer, t_monomial)
 from .partitions import (Partition, arm, cells, enumerate_partitions,
                          format_partition, hook_products, leg, length,
                          lower_covers, make_partition, partitions_of, size,
                          upper_covers, z_stat)
 from .sympoly import (BiSymPoly, SymPoly, basis_poly, invert_coeffs,
                       to_power_sums)
-from .qops import (Scaled, _combine, _scaled, _shift_levels, _unscale,
-                   apply_lower, apply_shift1, apply_shift_family,
-                   apply_shift_genfun, apply_weight)
+from .qops import (Scaled, alphabet_difference, apply_lower, apply_shift1,
+                   apply_shift_family, apply_shift_genfun, apply_weight,
+                   combine, shift_levels, support_degrees, to_scaled, unscale)
 from .macdonald import (MacdonaldCache, binomial_raising_closed, default_cache,
                         macdonald_forms)
 from .series import (HyperParams, TruncatedSeries, check_lower_poles,
                      flavor_scale_one, flavor_scale_two, mirror_params,
-                     _transfer_diag_lower, _transfer_diag_raise,
-                     _transfer_lower, _transfer_raise, product_series_one,
-                     scale_alphabet, scale_alphabet_x, transfer_diag_lower,
-                     transfer_diag_lower_uv, transfer_diag_raise,
-                     transfer_diag_raise_uv, transfer_lower, transfer_lower_uv,
-                     transfer_raise, transfer_raise_uv, uv_delta_chain,
-                     uv_mul_z, uv_shift)
+                     product_series_one, scale_alphabet, scale_alphabet_x,
+                     scaled_transfer_diag_lower, scaled_transfer_diag_raise,
+                     scaled_transfer_lower, scaled_transfer_raise,
+                     transfer_diag_lower, transfer_diag_lower_uv,
+                     transfer_diag_raise, transfer_diag_raise_uv,
+                     transfer_lower, transfer_lower_uv, transfer_raise,
+                     transfer_raise_uv, uv_delta_chain, uv_mul_z, uv_shift)
 
 SUITE_ORDER = ("A", "Aprime", "kernel", "B", "C", "kaneko", "tilde",
                "univariate", "jack")
@@ -117,62 +120,30 @@ class TheoremReport:
 # The tilde identities carry an alphabet-scaling constant c; the plain
 # ones use c = 1.
 
-def _x_images(F: BiSymPoly, op) -> dict[Partition, Scaled]:
-    """{ly: op applied to the x-slice at ly}, each slice cleared on its
-    own."""
-    return {ly: op(_scaled(sl)) for ly, sl in F.x_slices().items()}
-
-
-def _alphabet_difference(X: dict[Partition, Scaled],
-                         Y: dict[Partition, Scaled], c: RatFuncQT,
-                         n: int) -> BiSymPoly:
-    """c * X - Y up to a nonzero factor on each coefficient, for X the
-    scaled x-images by y-partition and Y the scaled y-images by
-    x-partition.
-
-    With c * s_X = alpha/beta and s_Y = gamma/delta, the coefficient at
-    (lx, ly) is alpha * delta * X - gamma * beta * Y: integer polynomials
-    only, zero exactly where c * X - Y is.
-    """
-    unit = (ONE, ONE)
-    xs = {ly: (g.coeffs, (c * s).parts()) for ly, (g, s) in X.items()}
-    ys = {lx: (g.coeffs, s.parts()) for lx, (g, s) in Y.items()}
-    keys = {(lx, ly) for ly, (gx, _) in xs.items() for lx in gx}
-    keys.update((lx, ly) for lx, (gy, _) in ys.items() for ly in gy)
-    out = {}
-    for lx, ly in keys:
-        gx, (alpha, beta) = xs.get(ly, ({}, unit))
-        gy, (gamma, delta) = ys.get(lx, ({}, unit))
-        d = (alpha * delta * gx.get(lx, ZERO)
-             - gamma * beta * gy.get(ly, ZERO))
-        if not d.is_zero():
-            out[(lx, ly)] = d
-    return BiSymPoly(n, out)
-
-
 def _resid_A(F: BiSymPoly, p: HyperParams, c: RatFuncQT = ONE) -> BiSymPoly:
     """A^(x,y) F up to a nonzero factor on each coefficient: (1/c) times
     the lowering transfer on x, minus the raising transfer on y."""
-    return _alphabet_difference(_x_images(F, _transfer_lower(p.lower)),
-                                _x_images(F.swap(), _transfer_raise(p.upper)),
-                                c.inverse(), F.n_vars)
+    return alphabet_difference(F, scaled_transfer_lower(p.lower),
+                               scaled_transfer_raise(p.upper), c.inverse())
 
 
 def _resid_B(f: SymPoly, p: HyperParams, c: RatFuncQT = ONE) -> Scaled:
     """B^(x) f as a scaled image: the raising-paired diagonal transfer,
     minus (1/c) times the lowering transfer.  At (r, s) = (2, 1) this is
     Kaneko's operator."""
-    gs = _scaled(f)
-    return _combine(f.n_vars, ((ONE, _transfer_diag_raise(p.upper)(gs)),
-                               (-c.inverse(), _transfer_lower(p.lower)(gs))))
+    gs = to_scaled(f)
+    diag = scaled_transfer_diag_raise(p.upper)(gs)
+    lower = scaled_transfer_lower(p.lower)(gs)
+    return combine(f.n_vars, ((ONE, diag), (-c.inverse(), lower)))
 
 
 def _resid_C(f: SymPoly, p: HyperParams, c: RatFuncQT = ONE) -> Scaled:
     """C^(x) f as a scaled image: the lowering-paired diagonal transfer,
     minus c times the raising transfer."""
-    gs = _scaled(f)
-    return _combine(f.n_vars, ((ONE, _transfer_diag_lower(p.lower)(gs)),
-                               (-c, _transfer_raise(p.upper)(gs))))
+    gs = to_scaled(f)
+    diag = scaled_transfer_diag_lower(p.lower)(gs)
+    raised = scaled_transfer_raise(p.upper)(gs)
+    return combine(f.n_vars, ((ONE, diag), (-c, raised)))
 
 
 def _renderings(series: TruncatedSeries, cache: MacdonaldCache):
@@ -317,12 +288,11 @@ def check_diagonal_match(series: TruncatedSeries,
         notes.append(f"off-diagonal term injected at {format_partition(cross)}")
 
     # level 0 is the identity on both sides
-    level_ops = [lambda gs, l=l: (_shift_levels(gs, [l])[0][l], gs[1])
+    level_ops = [lambda gs, l=l: shift_levels(gs, [l])[l]
                  for l in range(1, n + 1)]
 
     def level_difference(G: BiSymPoly, op) -> BiSymPoly:
-        return _alphabet_difference(_x_images(G, op), _x_images(G.swap(), op),
-                                    ONE, n)
+        return alphabet_difference(G, op, op, ONE)
 
     observed = set()
     for op in level_ops:
@@ -488,7 +458,7 @@ def check_stability(series: TruncatedSeries,
     observed = set()
     bad = []
     for m, Fm in _renderings(series, cache):
-        for d in _resid_B(Fm, p)[0].degrees():
+        for d in support_degrees(_resid_B(Fm, p)):
             observed.add(d)
             if d <= D - 1:
                 bad.append((m, d))
@@ -521,7 +491,7 @@ def check_single_alphabet(series: TruncatedSeries,
     """
     cache = cache or default_cache()
     n, D, p = series.n, series.D, series.params
-    observed = _resid_C(series.render_one(cache), p)[0].degrees()
+    observed = support_degrees(_resid_C(series.render_one(cache), p))
     bad = [d for d in observed if d <= D]
     notes = []
     leaks = [d for d in observed if d > D]
@@ -619,7 +589,7 @@ def check_factored_form(series: TruncatedSeries,
     for lam in inputs:
         f = basis_poly("m", lam, n)
         lhs = _factored_second_order(f, a, b, c, n).scale_rf(scal)
-        if lhs != _unscale(_resid_B(f, p)):
+        if lhs != unscale(_resid_B(f, p)):
             op_bad += 1
     if op_bad:
         notes.append(f"operator identity failed on {op_bad} of {len(inputs)} "
@@ -636,7 +606,7 @@ def check_factored_form(series: TruncatedSeries,
     for lam in ((1,), (2, 1)):
         f = basis_poly("m", lam, n)
         lhs = _factored_second_order(f, zero, zero, c, n).scale_rf(scal)
-        if lhs != _unscale(_resid_B(f, p0)):
+        if lhs != unscale(_resid_B(f, p0)):
             col_bad += 1
     notes.append("zero-parameter collapse "
                  + ("verified" if col_bad == 0 else "FAILED"))
@@ -692,14 +662,14 @@ def check_inverted_theorems(params: HyperParams, plain: TruncatedSeries,
     # variable-count loop: B with the constant c at each m
     for m, Fm in _renderings(plain, cache):
         Fc = scale_alphabet(Fm, c)
-        for dg in _resid_B(Fc, p, c)[0].degrees():
+        for dg in support_degrees(_resid_B(Fc, p, c)):
             observed.add((m, dg))
             if dg <= D - 1:
                 bad.append(("loop", m, dg))
 
     # one-alphabet raising form: C with the constant c, on the scaled
     # rendering at m = n, where the loop ended
-    for dg in _resid_C(Fc, p, c)[0].degrees():
+    for dg in support_degrees(_resid_C(Fc, p, c)):
         observed.add(("raise", dg))
         if dg <= D:
             bad.append(("raise", dg))

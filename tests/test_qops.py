@@ -233,13 +233,15 @@ def test_assembly_is_gcd_free(monkeypatch, cache):
     for d in range(1, 5):
         for lam in partitions_of(d, n):
             total = total + macdonald_forms(lam, n, cache).P
-    big, _ = qops._scaled(total)
+    big, _ = qops.to_scaled(total)
     small = basis_poly("m", (3, 1), n)
     assert len(big.coeffs) >= 10 * len(small.coeffs)
     scal = (ONE - Q * T).inverse()
     a, b = [rf(Fraction(2, 3)) * Q, T.inverse()], [rf(Fraction(5, 7)) / T]
-    for op in (series._transfer_lower(b), series._transfer_raise(a),
-               series._transfer_diag_raise(a), series._transfer_diag_lower(b)):
+    for op in (series.scaled_transfer_lower(b),
+               series.scaled_transfer_raise(a),
+               series.scaled_transfer_diag_raise(a),
+               series.scaled_transfer_diag_lower(b)):
         counts = []
         for g in (small, big):
             calls["all_gcd"] = 0
@@ -285,10 +287,10 @@ def test_clear_denominators():
     # coefficients, the integer denominators cleared too
     f = basis_poly("m", (2,), 2).scale_rf((rf(3) - rf(3) * Q).inverse()) \
         + basis_poly("m", (1, 1), 2).scale_rf((ONE - T).inverse())
-    g, s = qops._scaled(f)
+    g, s = qops.to_scaled(f)
     assert g.scale_rf(s) == f
     for c in g.coeffs.values():
         assert c.parts()[1] == ONE
     assert s.parts()[0] == ONE
-    h, s2 = qops._scaled(g)
+    h, s2 = qops.to_scaled(g)
     assert s2 == ONE and h == g

@@ -239,6 +239,10 @@ def test_storage_is_integer_normal_form(x, steps):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(field_values(), min_size=1, max_size=5))
+# nested denominators: the second is a multiple of the running lcm, the
+# third divides it, the fourth shares a factor but has integer content 3
+@example([(ONE - Q).inverse(), ((ONE - Q) * (ONE - T)).inverse(),
+          rf(2) / (ONE - T), (rf(3) - rf(3) * Q).inverse()])
 def test_over_common_denominator(values):
     # (v * L, 1/L) with L the lcm over Z[q, t] of the denominators: the
     # multiples are integer polynomials, and no smaller L would do (the

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from machyper.errors import PoleError, ResourceGuardError
-from machyper.qops import _unscale
+from machyper.qops import unscale
 from machyper.ratfunc import ONE, Q, rf
 from machyper.series import (HyperParams, TruncatedSeries, check_lower_poles,
                              transfer_diag_lower, transfer_diag_raise,
@@ -152,7 +152,7 @@ def test_residual_support_from_numerators(cache, n, mutate):
                  - transfer_raise(p.upper)(f).scale_rf(c))
         for got, ref in ((_resid_B(f, p, c), ref_B), (_resid_C(f, p, c), ref_C)):
             assert got[0].coeffs and set(got[0].coeffs) == set(ref.coeffs)
-            assert _unscale(got) == ref
+            assert unscale(got) == ref
 
 
 # ---------------------------------------------------------------------------
