@@ -14,14 +14,24 @@ macdonald_forms fetches P at once and serves the other forms on demand:
 each is computed on first access and kept, and the forms of one element
 are made once per cache.
 
-A MacdonaldCache memoizes the expensive pieces (the monic basis, its
-forms and the shift-operator columns) and can persist the basis to disk
-as JSON, one file per (n, partition).  The principal-value audit runs on
-J, on polynomials only: it compares J at the staircase point with its
-closed form whenever a basis element is built or a file is read, and a
-read file must also be monic and dominance-triangular; a file that fails
-is rebuilt.  A file is written to a temporary name and moved into place,
-so readers never see half of one.
+The triangular solve reads the first shift operator's columns
+D_1(m_nu) from the process-wide column store of qops, which builds each
+column once by the literal assembly and checks there that it is
+dominance-triangular with the closed-form eigenvalue on its diagonal.
+binomial_by_expansion, an oracle for the closed cover coefficients,
+raises by the literal assembly (qops.apply_literal) instead.  The closed
+raising route divides the two principal values through the cells the
+added box changes (_principal_ratio); the lowering route and the
+expansion keep their full forms.
+
+A MacdonaldCache memoizes the monic basis and its forms and can persist
+the basis to disk as JSON, one file per (n, partition).  The
+principal-value audit runs on J, on polynomials only: it compares J at
+the staircase point with its closed form whenever a basis element is
+built or a file is read, and a read file must also be monic and
+dominance-triangular; a file that fails is rebuilt.  A file is written
+to a temporary name and moved into place, so readers never see half of
+one.
 
 Everything here works at q and t; the forms at reciprocal q and t are
 their images under sympoly.invert_coeffs.
@@ -32,16 +42,17 @@ from __future__ import annotations
 import json
 import os
 import threading
+from collections import Counter
 from functools import cached_property, lru_cache
 
 from .errors import InexactDivisionError, MacHyperError
-from .partitions import (Partition, SkewCover, dominates, format_partition,
-                         hook_products, length, make_partition,
+from .partitions import (Partition, SkewCover, conjugate, dominates,
+                         format_partition, hook_products, length, make_partition,
                          n_stat, partitions_of, revlex_key, size, upper_covers)
-from .qops import apply_raise1, apply_shift1, eigen_shift
+from .qops import apply_literal, column, eigen_shift
 from .ratfunc import (ONE, Q, RatFuncQT, T, qt_monomial, rf, t_monomial,
                       times_multiple)
-from .sympoly import BiSymPoly, SymPoly, basis_poly, orbit
+from .sympoly import BiSymPoly, SymPoly, orbit
 
 CACHE_ENV_VAR = "MACHYPER_CACHE_DIR"
 _FORMAT = 1
@@ -60,7 +71,6 @@ class MacdonaldCache:
         self.cache_dir = cache_dir
         self._P: dict[tuple[int, Partition], SymPoly] = {}
         self._forms: dict[tuple[int, Partition], MacForms] = {}
-        self._columns: dict[tuple[int, Partition], dict[Partition, RatFuncQT]] = {}
 
     # -- disk layout: one JSON file per entry ------------------------------
 
@@ -140,7 +150,7 @@ class MacdonaldCache:
             return hit
         poly = self._load_disk(lam, n)
         if poly is None:
-            poly = _build_P(lam, n, self)
+            poly = _build_P(lam, n)
             if not _principal_matches(poly, lam, n):
                 raise MacHyperError(
                     f"principal evaluation mismatch for {format_partition(lam)}, n={n}")
@@ -155,20 +165,6 @@ class MacdonaldCache:
             hit = self._forms[key] = MacForms(lam, n, self.get_P(lam, n))
         return hit
 
-    def shift1_column(self, nu: Partition, n: int) -> dict[Partition, RatFuncQT]:
-        key = (n, nu)
-        hit = self._columns.get(key)
-        if hit is None:
-            col = apply_shift1(basis_poly("m", nu, n)).coeffs
-            # dominance triangularity of the shift operator
-            if not all(dominates(nu, mu) for mu in col):
-                raise MacHyperError(f"shift operator not triangular at {nu}")
-            if col.get(nu) != eigen_shift(1, nu, n):
-                raise MacHyperError(f"shift operator diagonal is wrong at {nu}")
-            hit = col
-            self._columns[key] = hit
-        return hit
-
 
 _DEFAULT_CACHE = MacdonaldCache()
 
@@ -180,7 +176,7 @@ def default_cache() -> MacdonaldCache:
 # ---------------------------------------------------------------------------
 # construction
 
-def _build_P(lam: Partition, n: int, cache: MacdonaldCache) -> SymPoly:
+def _build_P(lam: Partition, n: int) -> SymPoly:
     if length(lam) > n:
         raise ValueError(
             f"partition {format_partition(lam)} has more parts than variables (n={n})")
@@ -193,8 +189,7 @@ def _build_P(lam: Partition, n: int, cache: MacdonaldCache) -> SymPoly:
     for mu in downset[1:]:
         num = rf(0)
         for nu, c_nu in coeffs.items():
-            col = cache.shift1_column(nu, n)
-            entry = col.get(mu)
+            entry = column(1, nu, n).coeffs.get(mu)
             if entry is not None:
                 num = num + c_nu * entry
         div = eig_top - eigen_shift(1, mu, n)
@@ -371,7 +366,7 @@ def binomial_by_expansion(upper: Partition, lower: Partition, n: int,
     cache = cache or _DEFAULT_CACHE
     cover = _find_cover(upper, lower, n)
     forms = macdonald_forms(lower, n, cache)
-    raised = apply_raise1(forms.Jstar)
+    raised = apply_literal("raise", forms.Jstar)
     expansion = expand_in_Jstar(raised, cache)
     allowed = {cv.upper for cv in upper_covers(lower, max_length=n)}
     if not all(kappa in allowed and c for kappa, c in expansion.items()):
@@ -395,8 +390,43 @@ def binomial_raising_closed(upper: Partition, lower: Partition, n: int) -> RatFu
             continue
         prod = prod * ((T * z[i0 - 1] - z[i - 1]) / (z[i0 - 1] - z[i - 1]))
     lhs = prod / (ONE - Q)
-    ratio = (jstar_principal(upper, n) / jstar_principal(lower, n))
-    return lhs / (t_monomial(cover.n_skew) * ratio)
+    return lhs / (t_monomial(cover.n_skew) * _principal_ratio(cover, n))
+
+
+def _principal_ratio(cover: SkewCover, n: int) -> RatFuncQT:
+    """jstar_principal(upper, n) / jstar_principal(lower, n) for a cover,
+    from the cells the added box (i0, j0) changes.
+
+    The box adds t^(i0-1) to t^(n(lam)) and the factor
+    1 - q^(j0-1) t^(n+1-i0) to the principal value, and its own hook pair
+    to j; each cell to its left in row i0 gains one arm and each cell above
+    it in column j0 one leg.  The factors 1 - q^a t^b are collected as
+    exponent pairs, equal pairs cancel, and one division reduces the rest.
+    """
+    lower, i0 = cover.lower, cover.row
+    j0 = lower[i0 - 1] + 1 if i0 <= len(lower) else 1
+    # pairs (a, b) standing for 1 - q^a t^b; a hook pair of arm a and leg
+    # l is (a, l + 1) and (a + 1, l)
+    num = Counter({(j0 - 1, n + 1 - i0): 1})
+    den = Counter({(0, 1): 1, (1, 0): 1})
+    conj = conjugate(lower)
+    old = [(j0 - 1 - j, conj[j - 1] - i0) for j in range(1, j0)]
+    new = [(a + 1, l) for a, l in old]
+    for i in range(1, i0):
+        a, l = lower[i - 1] - j0, i0 - 1 - i
+        old.append((a, l))
+        new.append((a, l + 1))
+    for a, l in old:
+        num.update(((a, l + 1), (a + 1, l)))
+    for a, l in new:
+        den.update(((a, l + 1), (a + 1, l)))
+    num, den = num - den, den - num
+    top, bottom = t_monomial(i0 - 1), ONE
+    for (a, b), k in num.items():
+        top = top * (ONE - qt_monomial(a, b)) ** k
+    for (a, b), k in den.items():
+        bottom = bottom * (ONE - qt_monomial(a, b)) ** k
+    return top / bottom
 
 
 def binomial_lowering_closed(upper: Partition, lower: Partition, n: int) -> RatFuncQT:
@@ -424,6 +454,10 @@ def jstar_principal(lam: Partition, n: int) -> RatFuncQT:
 
 
 def _find_cover(upper: Partition, lower: Partition, n: int) -> SkewCover:
+    if length(lower) > n:
+        raise ValueError(
+            f"partition {format_partition(lower)} has more parts than "
+            f"variables (n={n})")
     for cv in upper_covers(lower, max_length=n):
         if cv.upper == upper:
             return cv

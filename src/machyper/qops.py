@@ -1,16 +1,29 @@
 """q-difference operators on symmetric polynomials.
 
 Everything here acts on SymPoly values in a fixed number of variables n.
-The common scheme: an operator is a sum over variables (or subsets of
-variables) of a rational prefactor times a q-shift, where the prefactors
-share the Vandermonde determinant as denominator.  We clear that
-denominator up front, work with raw (non-symmetric) polynomial data, and
-divide the assembled numerator by the Vandermonde factors at the end.
+An operator is a sum over variables (or subsets of variables) of a
+rational prefactor times a q-shift, where the prefactors share the
+Vandermonde determinant as denominator.  The literal assembly (_literal)
+clears that denominator up front, works with raw (non-symmetric)
+polynomial data, multiplies each piece by a cached alternant (_alternant)
+and divides the sum by the Vandermonde factors at the end (_assemble).
 Both the exactness of that division and the symmetry of the quotient are
-verified on every application; failure of either means a bug, so they
-raise rather than warn.  Every such operator goes through _assemble, which
-multiplies each piece by a cached alternant (_alternant) before the one
-division.
+verified; failure of either means a bug, so they raise rather than warn.
+
+Every operator here is linear, and its image of m_mu depends only on the
+operator, n and mu.  So the literal assembly runs once per column: a
+bounded, process-wide store (column, at most MAX_COLUMNS entries) keeps
+the unscaled image of m_mu for each (kind, mu, n), and an operator
+applies as sum over mu of g_mu * column_mu (_image).  The exactness and
+symmetry checks run once per column, when it is built; a linear
+combination on the m-basis is symmetric by construction.  The kinds are
+"lower", "weight" (the unscaled weight operator t^(n-1) W), "raise"
+(multiplication by e_1) and each level l of the shift family, D_l, keyed
+by the integer l; D_1 is the first shift operator.  A shift column is
+also checked, when it is built, to be dominance-triangular with the
+closed-form eigenvalue eigen_shift on its diagonal: the basis
+construction (macdonald._build_P) reads the level-1 columns and relies on
+both.
 
 Every operator is linear over Q(q,t), and the operator layer passes its
 values around as scaled images (Scaled): a pair (g, s) of a SymPoly g
@@ -18,29 +31,31 @@ whose coefficients are integer polynomials (denominator 1) and one
 RatFuncQT scalar s, standing for s * g.  The pair format is known here
 only; series and verify handle it through the functions of the scaled
 image section.  An input is cleared once (to_scaled: g is f times the
-lcm in Z[q,t] of its coefficient denominators), and every field addition
-and multiplication inside an assembly is then an integer polynomial
-operation without a gcd.  Operators on scaled images (shift_levels,
-ad_raise_upto, ad_lower_upto) return scaled images; combine adds several
-over the lcm of their scalars' denominators, so the gcds it runs are one
-per term, on scalars, never one per coefficient.  support_degrees and
-alphabet_difference read where an image, or a difference of two
-alphabets' images, is nonzero without dividing anything; unscale is the
-one normalization.  A public apply_* multiplies its image by the scalar
-once, at the end (unscale, or _apply for the first-order operators).
-The iterated weight commutators use the binomial expansion
-ad^l(B) = sum_k (-1)^k C(l,k) W^(l-k) B W^k on the unscaled weight
-operator t^(n-1) W; the images W^k g and W^j B W^k g are computed once
-and shared by every level up to r, and each level carries its own
-scalar.  That is still a literal assembly of the operators, so it stays
-an independent witness against the closed-form eigenvalues.
+lcm in Z[q,t] of its coefficient denominators); with integer-polynomial
+g_mu and columns, every product and sum of a column application is an
+integer polynomial operation without a gcd.  Operators on scaled images
+(shift_levels, ad_raise_upto, ad_lower_upto) return scaled images;
+combine adds several over the lcm of their scalars' denominators, so the
+gcds it runs are one per term, on scalars, never one per coefficient.
+support_degrees and alphabet_difference read where an image, or a
+difference of two alphabets' images, is nonzero without dividing
+anything; unscale is the one normalization.  A public apply_* multiplies
+its image by the scalar once, at the end (unscale, or _apply for the
+first-order operators).  The iterated weight commutators use the binomial
+expansion ad^l(B) = sum_k (-1)^k C(l,k) W^(l-k) B W^k on the unscaled
+weight operator t^(n-1) W; the images W^k g and W^j B W^k g are computed
+once and shared by every level up to r, and each level carries its own
+scalar.
 
+apply_literal runs the literal assembly on its input and never reads the
+store.  It is the route of the oracles, which must not share the store
+with the operator they check, or the comparison would check the store
+against itself: weight_from_shift1 (the weight operator read off the
+first shift operator) here, and series.eigen_*_from_shifts and
+series.eigen_value_*_brute (through macdonald.binomial_by_expansion).
 apply_lower_alt (a literal division by x_i, on the input's own rational
-coefficients) and weight_from_shift1 (the weight operator read off the
-first shift operator) are oracles used only by tests.  They rebuild
-apply_lower and apply_weight along other routes and must not share the
-_assemble call of the operator they check, or the comparison would check
-nothing.
+coefficients) rebuilds apply_lower along another route altogether.
+These oracles are used only by tests and checks.
 
 Every operator here is written at q and t.  Its image at reciprocal q
 and t is the conjugate f -> invert_coeffs(O(invert_coeffs(f))), since
@@ -54,8 +69,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import InexactDivisionError, ResourceGuardError
-from .partitions import Partition, rho_stat
+from .errors import InexactDivisionError, MacHyperError, ResourceGuardError
+from .partitions import Partition, dominates
 from .ratfunc import (ONE, Q, ZERO, RatFuncQT, T, elementary_symmetric,
                       over_common_denominator, qt_monomial, rf, t_integer)
 from .sympoly import (MINUS_ONE, BiSymPoly, Raw, SymPoly, basis_poly,
@@ -65,9 +80,12 @@ from .sympoly import (MINUS_ONE, BiSymPoly, Raw, SymPoly, basis_poly,
 # subset symmetrization over S_n has n! * 2^n cost; past this it is a typo
 MAX_FULL_SYMMETRIZE = 6
 
+# the column store's bound; a column past it is evicted and rebuilt on use
+MAX_COLUMNS = 4096
+
 
 # ---------------------------------------------------------------------------
-# alternants and the one assembly route
+# alternants and the literal assembly
 
 @lru_cache(maxsize=None)
 def _alternant(n: int, subset: tuple[int, ...] = ()) -> "tuple":
@@ -111,6 +129,66 @@ def _assemble(n: int, pieces) -> SymPoly:
     for subset, piece in pieces:
         raw_add_into(acc, raw_mul(dict(_alternant(n, subset)), piece))
     return SymPoly.from_raw(divide_vandermonde(acc, n), n)
+
+
+def _literal(kind, f: SymPoly) -> SymPoly:
+    """The unscaled image of f under the operator kind (see the module
+    docstring), by the literal assembly."""
+    n = f.n_vars
+    if kind == "raise":
+        return f * basis_poly("m", (1,), n)
+    fraw = f.to_raw()
+    if kind == "lower":
+        pieces = (((i,), raw_qderiv_var(fraw, i)) for i in range(n))
+    elif kind == "weight":
+        pieces = (((i,), raw_mul_var(raw_qderiv_var(fraw, i), i))
+                  for i in range(n))
+    else:
+        pieces = ((subset, raw_shift_subset(fraw, subset))
+                  for subset in combinations(range(n), kind))
+    return _assemble(n, pieces)
+
+
+def _scalar(kind, n: int) -> RatFuncQT:
+    """The operator kind is this scalar times its unscaled image."""
+    if kind == "weight":
+        return T ** (1 - n)
+    if kind == "raise":
+        return (ONE - Q).inverse()
+    return ONE
+
+
+# ---------------------------------------------------------------------------
+# the column store and the one application route
+
+@lru_cache(maxsize=MAX_COLUMNS)
+def column(kind, mu: Partition, n: int) -> SymPoly:
+    """The unscaled image of m_mu under the operator kind, built once by
+    the literal assembly and kept.
+
+    A shift-family column D_l(m_mu) must have only dominance-lower terms
+    and the eigenvalue eigen_shift(l, mu, n) at mu; MacHyperError if not.
+    """
+    col = _literal(kind, basis_poly("m", mu, n))
+    if not isinstance(kind, str):
+        if not all(dominates(mu, nu) for nu in col.coeffs):
+            raise MacHyperError(f"shift operator D_{kind} not triangular at {mu}")
+        if col.coeffs.get(mu) != eigen_shift(kind, mu, n):
+            raise MacHyperError(
+                f"shift operator D_{kind} diagonal is wrong at {mu}")
+    return col
+
+
+def _image(kind, g: SymPoly) -> SymPoly:
+    """The unscaled image of g under kind: the sum over mu of
+    g_mu * column(kind, mu, n)."""
+    n = g.n_vars
+    acc: dict = {}
+    for mu, c in g.coeffs.items():
+        col = column(kind, mu, n).coeffs
+        raw_add_into(acc, col if c.is_one()
+                     else {nu: c * v for nu, v in col.items()})
+    return SymPoly(n, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -195,41 +273,15 @@ def alphabet_difference(F: BiSymPoly, x_op, y_op,
     return BiSymPoly(F.n_vars, out)
 
 
-def _apply(op, f: SymPoly, scal: RatFuncQT = ONE) -> SymPoly:
-    """scal * op(f) for a linear op on integer-polynomial coefficients."""
+def _apply(route, kind, f: SymPoly) -> SymPoly:
+    """The operator kind at f: route(kind, g) on the cleared input g, times
+    the operator's scalar and the clearing scalar."""
     g, s = to_scaled(f)
-    return op(g).scale_rf(scal * s)
+    return route(kind, g).scale_rf(_scalar(kind, f.n_vars) * s)
 
 
 # ---------------------------------------------------------------------------
 # first-order operators: sums of prefactor * shift over single variables
-#
-# The underscored forms act on polynomial coefficients and keep them
-# polynomial; the public apply_* clear the input's denominators once.
-
-def _lower(g: SymPoly) -> SymPoly:
-    graw = g.to_raw()
-    return _assemble(g.n_vars, (((i,), raw_qderiv_var(graw, i))
-                                for i in range(g.n_vars)))
-
-
-def _weight(g: SymPoly) -> SymPoly:
-    """The unscaled weight operator t^(n-1) * W."""
-    graw = g.to_raw()
-    return _assemble(g.n_vars, (((i,), raw_mul_var(raw_qderiv_var(graw, i), i))
-                                for i in range(g.n_vars)))
-
-
-def _shift1(g: SymPoly) -> SymPoly:
-    graw = g.to_raw()
-    return _assemble(g.n_vars, (((i,), raw_shift_subset(graw, (i,)))
-                                for i in range(g.n_vars)))
-
-
-def _raise(g: SymPoly) -> SymPoly:
-    """The unscaled raising operator: multiplication by e_1."""
-    return g * basis_poly("m", (1,), g.n_vars)
-
 
 def apply_lower(f: SymPoly) -> SymPoly:
     """Degree-lowering q-difference operator: sum of prefactor * q-derivative.
@@ -238,7 +290,7 @@ def apply_lower(f: SymPoly) -> SymPoly:
     it acts as a sum over the lower covers of the indexing partition with
     the cover coefficients as weights.
     """
-    return _apply(_lower, f)
+    return _apply(_image, "lower", f)
 
 
 def apply_weight(f: SymPoly) -> SymPoly:
@@ -248,7 +300,7 @@ def apply_weight(f: SymPoly) -> SymPoly:
     the basis element indexed by lam is the sum of (q,t) cell weights of
     lam (see rho_stat).
     """
-    return _apply(_weight, f, T ** (1 - f.n_vars))
+    return _apply(_image, "weight", f)
 
 
 def apply_shift1(f: SymPoly) -> SymPoly:
@@ -257,7 +309,19 @@ def apply_shift1(f: SymPoly) -> SymPoly:
     Triangular in the dominance order on the monomial basis; used to build
     the two-parameter basis by an eigenvector solve.
     """
-    return _apply(_shift1, f)
+    return _apply(_image, 1, f)
+
+
+def apply_raise1(f: SymPoly) -> SymPoly:
+    """Degree-raising operator: multiplication by e_1 scaled by 1/(1-q)."""
+    return _apply(_image, "raise", f)
+
+
+def apply_literal(kind, f: SymPoly) -> SymPoly:
+    """The operator kind ("lower", "weight", "raise" or the shift level l)
+    at f by the literal assembly, never through the column store: the
+    route of the oracles."""
+    return _apply(_literal, kind, f)
 
 
 def apply_lower_alt(f: SymPoly) -> SymPoly:
@@ -287,11 +351,6 @@ def apply_lower_alt(f: SymPoly) -> SymPoly:
     return SymPoly.from_raw(out, n).scale_rf((Q - ONE).inverse())
 
 
-def apply_raise1(f: SymPoly) -> SymPoly:
-    """Degree-raising operator: multiplication by e_1 scaled by 1/(1-q)."""
-    return _apply(_raise, f, (ONE - Q).inverse())
-
-
 # ---------------------------------------------------------------------------
 # the symmetrized shift family (generating-function operator in u)
 
@@ -304,16 +363,9 @@ def shift_levels(gs: Scaled, levels) -> dict[int, Scaled]:
         raise ResourceGuardError(
             f"shift family symmetrizes over all {n}! permutations; "
             f"n is limited to {MAX_FULL_SYMMETRIZE}")
-    graw = g.to_raw()
-    want = list(range(n + 1)) if levels is None else sorted(set(levels))
-    out: dict[int, Scaled] = {}
-    for l in want:
-        if l < 0 or l > n:
-            out[l] = (SymPoly.zero(n), s)
-            continue
-        out[l] = (_assemble(n, ((subset, raw_shift_subset(graw, subset))
-                                for subset in combinations(range(n), l))), s)
-    return out
+    want = range(n + 1) if levels is None else sorted(set(levels))
+    return {l: (_image(l, g) if 0 <= l <= n else SymPoly.zero(n), s)
+            for l in want}
 
 
 def apply_shift_family(f: SymPoly,
@@ -340,16 +392,15 @@ def apply_shift_genfun(f: SymPoly, uval: RatFuncQT) -> SymPoly:
 # ---------------------------------------------------------------------------
 # iterated commutators
 
-def _ad_upto(r: int, gs: Scaled, base, scal: RatFuncQT,
-             sign: int) -> list[Scaled]:
-    """[ad^0(B) gs, ..., ad^r(B) gs] for ad = [sign * W, .] and
-    B = scal * base, on the scaled image gs = (g, s).
+def _ad_upto(r: int, gs: Scaled, base, sign: int) -> list[Scaled]:
+    """[ad^0(B) gs, ..., ad^r(B) gs] for ad = [sign * W, .] and B the
+    operator of kind base, on the scaled image gs = (g, s).
 
     Binomial expansion ad^l(B) = sum_k (-1)^k C(l,k) V^(l-k) B V^k with
     V = sign * W, on g and the unscaled weight operator t^(n-1) W.  The
     images W^k g and W^j base W^k g (j + k <= r) are computed once and
     shared by every level; level l carries the one scalar
-    (sign * t^(1-n))^l * scal * s.
+    (sign * t^(1-n))^l * (scalar of B) * s.
     """
     g, s = gs
     n = g.n_vars
@@ -358,16 +409,16 @@ def _ad_upto(r: int, gs: Scaled, base, scal: RatFuncQT,
     wk = g
     for k in range(r + 1):
         if k:
-            wk = _weight(wk)
-        row = [base(wk)]
+            wk = _image("weight", wk)
+        row = [_image(base, wk)]
         for _ in range(r - k):
-            row.append(_weight(row[-1]))
+            row.append(_image("weight", row[-1]))
         rows.append(row)
     out = []
-    step = T ** (1 - n)
+    step = _scalar("weight", n)
     if sign < 0:
         step = -step
-    scal = scal * s
+    scal = _scalar(base, n) * s
     for l in range(r + 1):
         acc = SymPoly.zero(n)
         binom = 1
@@ -381,12 +432,12 @@ def _ad_upto(r: int, gs: Scaled, base, scal: RatFuncQT,
 
 def ad_raise_upto(r: int, gs: Scaled) -> list[Scaled]:
     """apply_ad_raise_upto on a scaled image."""
-    return _ad_upto(r, gs, _raise, (ONE - Q).inverse(), 1)
+    return _ad_upto(r, gs, "raise", 1)
 
 
 def ad_lower_upto(r: int, gs: Scaled) -> list[Scaled]:
     """apply_ad_lower_upto on a scaled image."""
-    return _ad_upto(r, gs, _lower, ONE, -1)
+    return _ad_upto(r, gs, "lower", -1)
 
 
 def apply_ad_raise_upto(r: int, f: SymPoly) -> list[SymPoly]:
@@ -394,8 +445,7 @@ def apply_ad_raise_upto(r: int, f: SymPoly) -> list[SymPoly]:
 
     ad^0 = apply_raise1; ad^l(B) = [weight, ad^(l-1)(B)], assembled through
     the binomial expansion with the operator images shared across levels
-    (see _ad_upto), so it stays an independent witness for the
-    closed-form weights used elsewhere.
+    (see _ad_upto).
     """
     return [unscale(img) for img in ad_raise_upto(r, to_scaled(f))]
 
@@ -404,18 +454,6 @@ def apply_ad_lower_upto(r: int, f: SymPoly) -> list[SymPoly]:
     """[ad^0, ..., ad^r] of the negated weight operator around apply_lower,
     at f; ad^l of -W is (-1)^l times ad^l of W."""
     return [unscale(img) for img in ad_lower_upto(r, to_scaled(f))]
-
-
-def apply_ad_raise(l: int, f: SymPoly) -> SymPoly:
-    """l-fold commutator of the weight operator acting on apply_raise1
-    (level l of apply_ad_raise_upto)."""
-    return apply_ad_raise_upto(l, f)[l]
-
-
-def apply_ad_lower(l: int, f: SymPoly) -> SymPoly:
-    """l-fold commutator of the negated weight operator acting on apply_lower
-    (level l of apply_ad_lower_upto)."""
-    return apply_ad_lower_upto(l, f)[l]
 
 
 # ---------------------------------------------------------------------------
@@ -435,25 +473,13 @@ def eigen_shift(l: int, lam: Partition, n: int) -> RatFuncQT:
     return elementary_symmetric(spectral_values(lam, n))[l]
 
 
-def eigen_shift_genfun(lam: Partition, n: int, uval: RatFuncQT) -> RatFuncQT:
-    """Eigenvalue of the generating-function operator: prod (1 + u * point)."""
-    out = ONE
-    for v in spectral_values(lam, n):
-        out = out * (ONE + uval * v)
-    return out
-
-
-def eigen_weight(lam: Partition) -> RatFuncQT:
-    """Eigenvalue of the weight operator: the (q,t) cell-weight sum."""
-    return rho_stat(lam)
-
-
 def weight_from_shift1(f: SymPoly) -> SymPoly:
     """The weight operator assembled from the first shift operator.
 
-    -(shift1 - [n]_t) / ((1-q) t^(n-1)); independent route used in tests.
+    -(shift1 - [n]_t) / ((1-q) t^(n-1)), with shift1 by the literal
+    assembly; independent route used in tests.
     """
     n = f.n_vars
-    g = apply_shift1(f) - f.scale_rf(t_integer(n))
+    g = apply_literal(1, f) - f.scale_rf(t_integer(n))
     scal = ((ONE - Q) * T ** (n - 1)).inverse()
     return g.scale_rf(-scal)

@@ -376,9 +376,13 @@ def _bv_gcd_prim(fp: dict[int, list[int]], gp: dict[int, list[int]]) -> dict[int
     best = -1
     xs: list[int] = []
     images: list[list[int]] = []
-    e = 0
+    # at t = 1 every factor 1 - q^a t^b of the denominators here becomes
+    # 1 - q^a (at t = -1, up to sign, often too), so distinct factors
+    # collide: the image gcd there is often too large, and a candidate
+    # built from it fails its trial division
+    e = -1
     for _ in range(1000):
-        e = 1 - e if e <= 0 else -e  # 1, -1, 2, -2, ...
+        e = 1 - e if e <= 0 else -e  # 2, -2, 3, -3, ...
         fe = _bv_eval_t(fp, e)
         if len(fe) != dq_f + 1:
             continue  # leading coefficient vanished; degree unusable

@@ -15,7 +15,9 @@ shift-operator words), eigen_value_*_brute (cover sums) and
 product_series_one (infinite-product expansions) are oracles used only by
 tests and checks; they must not share the order-by-order inversion or the
 signed e_l-sum used by the transfer operators, or they would stop being
-independent witnesses.
+independent witnesses.  The two operator oracles apply the shift family
+and the raising operator by qops.apply_literal, never through qops'
+column store.
 
 The transfers and eigen-operator families act on scaled images, the
 operator layer's (integer-polynomial image, one field scalar) pairs (see
@@ -45,7 +47,7 @@ from .macdonald import (MacdonaldCache, binomial_by_expansion, default_cache,
 from .partitions import (Partition, enumerate_partitions, format_partition,
                          lower_covers, make_partition, n_stat, n_stat_conj,
                          pochhammer_list, size, upper_covers)
-from .qops import (Scaled, ad_lower_upto, ad_raise_upto, apply_shift_family,
+from .qops import (Scaled, ad_lower_upto, ad_raise_upto, apply_literal,
                    combine, shift_levels, to_scaled, unscale)
 from .ratfunc import (ONE, Q, RatFuncQT, T, elementary_symmetric, invert_qt,
                       qt_monomial, rf, t_integer, t_monomial)
@@ -465,7 +467,7 @@ def eigen_ops_raise_from_shifts(l: int, f: SymPoly) -> SymPoly:
     """
     n = f.n_vars
     def D(m: int, g: SymPoly) -> SymPoly:
-        return apply_shift_family(g, levels=[m])[m]
+        return apply_literal(m, g)
     if l == 0:
         return f.scale_rf(t_integer(n) / (ONE - Q))
     if l == 1:
@@ -491,7 +493,7 @@ def eigen_ops_lower_from_shifts(l: int, f: SymPoly) -> SymPoly:
     """
     n = f.n_vars
     def D(m: int, g: SymPoly) -> SymPoly:
-        return apply_shift_family(g, levels=[m])[m]
+        return apply_literal(m, g)
     if l == 0:
         num = D(1, f) - f.scale_rf(t_integer(n))
         return num.scale_rf(-((ONE - Q) * t_monomial(n - 1)).inverse())

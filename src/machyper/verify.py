@@ -877,8 +877,11 @@ def run_suite(selection="all", n: int = 2, D: int = 4,
     so narrowing the selection reproduces the same parameters.  `mutate`
     perturbs one series coefficient (and injects an off-diagonal term
     into the kernel check) to demonstrate detection power; a mutated run
-    must fail.  Variable counts above 4 are refused: the operator routes
-    symmetrize over n! terms.  Degrees above 8 and more than 10 draws are
+    must fail.  A `mutate` partition with more than n parts or more than
+    D boxes fits no series of the run and is refused (ValueError); one
+    that does not fit the n = 1 series of the univariate check leaves
+    that series alone.  Variable counts above 4 are refused: the operator
+    routes symmetrize over n! terms.  Degrees above 8 and more than 10 draws are
     refused too: the work grows steeply with D (n = 3, D = 5 already takes
     minutes) and linearly with draws.
     """
@@ -895,6 +898,9 @@ def run_suite(selection="all", n: int = 2, D: int = 4,
         raise ValueError("factored second-order check needs n >= 2")
     cache = cache or default_cache()
     mut = make_partition(mutate) if mutate is not None else None
+    if mut is not None and not _fits(mut, n, D):
+        raise ValueError(f"mutated coefficient {format_partition(mut)} lies "
+                         f"outside the series at n={n}, D={D}")
 
     rng = random.Random(seed)
     combos: list[HyperParams] = []
@@ -911,7 +917,6 @@ def run_suite(selection="all", n: int = 2, D: int = 4,
 
     every = range(len(combos))
     shape21 = [i for i, p in enumerate(combos) if (p.r, p.s) == (2, 1)]
-    cross = mut if _fits(mut, n, D) else None
     # each entry: (what it runs over, one check call); the check_* names
     # are looked up when called, not bound here
     runs = {
@@ -919,7 +924,7 @@ def run_suite(selection="all", n: int = 2, D: int = 4,
         "Aprime": (every, lambda i: check_two_alphabet(at(i), cache,
                                                        swapped=True)),
         "kernel": (every, lambda i: check_diagonal_match(at(i), cache,
-                                                         cross=cross)),
+                                                         cross=mut)),
         "B": (every, lambda i: check_stability(at(i), cache)),
         "C": (every, lambda i: check_single_alphabet(at(i), cache)),
         "kaneko": (shape21, lambda i: check_factored_form(at(i), cache)),

@@ -198,3 +198,15 @@ def test_criterion_12_theorems_at_three_variables(cache):
         assert len(mutated) == len(reports)
         for r in mutated:
             assert r.passed == (r.theorem == "univariate"), r.theorem
+
+
+def test_criterion_13_theorems_at_four_variables(cache):
+    with criterion(13, "all suites at four variables", 120):
+        reports = run_suite("all", n=4, D=3, draws=1, cache=cache)
+        assert {r.theorem for r in reports} == set(SUITE_ORDER)
+        assert suite_passed(reports)
+        mutated = run_suite("all", n=4, D=3, draws=1, cache=cache,
+                            mutate=(1, 1, 1))
+        assert len(mutated) == len(reports)
+        for r in mutated:
+            assert r.passed == (r.theorem == "univariate"), r.theorem

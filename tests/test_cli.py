@@ -284,6 +284,23 @@ def test_verify_refuses_kaneko_at_one_variable(monkeypatch, capsys):
                                 "needs n >= 2\n")
 
 
+def test_verify_refuses_mutation_outside_series(monkeypatch, capsys):
+    # a --mutate partition with more than n parts or more than D boxes
+    # would leave every series unmutated, so it is refused before any work
+    import machyper.verify as verify
+    def unreachable(*args, **kwargs):
+        raise AssertionError("refused mutation reached the work")
+    monkeypatch.setattr(verify, "draw_hyper_params", unreachable)
+    monkeypatch.setattr(verify.TruncatedSeries, "build", unreachable)
+    for n, D, mut in (("4", "3", "C[1,1,1,1]"), ("2", "3", "C[1,1,1]"),
+                      ("2", "2", "C[3]")):
+        assert main(["verify", "all", "--n", n, "--D", D, "--draws", "1",
+                     "--mutate", mut]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "outside the series" in captured.err
+
+
 def test_parse_exponent_guard(monkeypatch, capsys):
     # the power is refused before it is expanded
     def unreachable(self, k):

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import machyper.macdonald as macdonald
+import machyper.qops as qops
 from machyper.errors import InexactDivisionError, MacHyperError
 from machyper.macdonald import (MacdonaldCache, binomial_by_expansion,
                                 binomial_lowering_closed,
@@ -215,6 +216,20 @@ def test_binomial_frozen_values(cache):
 def test_binomial_rejects_non_cover(cache):
     with pytest.raises(ValueError):
         binomial_raising_closed((3,), (1, 1), 3)
+    # a lower partition with more parts than variables has no principal
+    # value to divide by
+    with pytest.raises(ValueError):
+        binomial_raising_closed((2, 1, 1), (1, 1, 1), 2)
+
+
+def test_cover_principal_ratio_from_changed_cells():
+    # the ratio read off the cells the added box changes equals the
+    # quotient of the two full closed-form principal values
+    for n in (1, 2, 3, 4):
+        for mu in enumerate_partitions(5, n):
+            for cv in upper_covers(mu, max_length=n):
+                full = jstar_principal(cv.upper, n) / jstar_principal(mu, n)
+                assert macdonald._principal_ratio(cv, n) == full, (cv.upper, n)
 
 
 # -- basis expansions -------------------------------------------------------------
@@ -353,13 +368,14 @@ def test_cache_write_is_atomic(tmp_path, monkeypatch):
     assert MacdonaldCache(d)._load_disk((2,), 2) == p1
 
 
-def test_broken_invariant_raises(monkeypatch):
-    # a wrong shift eigenvalue is a raised error, not an assert
-    real = macdonald.eigen_shift
-    monkeypatch.setattr(macdonald, "eigen_shift",
+def test_broken_invariant_raises(monkeypatch, empty_store):
+    # a wrong shift eigenvalue is a raised error, not an assert: the shift
+    # column that the basis construction reads is checked when it is built
+    real = qops.eigen_shift
+    monkeypatch.setattr(qops, "eigen_shift",
                         lambda l, lam, n: real(l, lam, n) + ONE)
     with pytest.raises(MacHyperError):
-        MacdonaldCache().shift1_column((1,), 2)
+        MacdonaldCache().get_P((2,), 2)
 
 
 def test_cache_env_var(tmp_path, monkeypatch):

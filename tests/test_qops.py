@@ -2,6 +2,7 @@
 the symmetrized shift family, and resource guards."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -12,20 +13,19 @@ from machyper.errors import ResourceGuardError
 from machyper.macdonald import macdonald_P, macdonald_forms
 from machyper.partitions import partitions_of, rho_stat
 from machyper.qops import (
+    MAX_COLUMNS,
     MAX_FULL_SYMMETRIZE,
-    apply_ad_lower,
     apply_ad_lower_upto,
-    apply_ad_raise,
     apply_ad_raise_upto,
+    apply_literal,
     apply_lower,
     apply_lower_alt,
     apply_raise1,
     apply_shift1,
     apply_shift_family,
     apply_shift_genfun,
+    column,
     eigen_shift,
-    eigen_shift_genfun,
-    eigen_weight,
     spectral_values,
     apply_weight,
     weight_from_shift1,
@@ -60,21 +60,6 @@ def test_eigen_shift_frozen():
     assert eigen_shift(3, (2, 1), 3) == qt_monomial(3, 3)
 
 
-def test_eigen_shift_genfun_expands_in_levels():
-    lam, n, u = (2, 1), 3, rf(Fraction(5, 7))
-    total = ZERO
-    upow = ONE
-    for l in range(n + 1):
-        total = total + upow * eigen_shift(l, lam, n)
-        upow = upow * u
-    assert eigen_shift_genfun(lam, n, u) == total
-
-
-def test_eigen_weight_is_cell_statistic():
-    for lam in _all_partitions(4, 4):
-        assert eigen_weight(lam) == rho_stat(lam)
-
-
 # ---------------------------------------------------------------------------
 # diagonal actions on the orthogonal basis
 
@@ -98,7 +83,10 @@ def test_shift_genfun_on_basis(cache):
     lam, n, u = (2,), 2, rf(3)
     P = macdonald_P(lam, n, cache)
     out = apply_shift_genfun(P, u)
-    assert out == P.scale_rf(eigen_shift_genfun(lam, n, u))
+    total = ZERO
+    for l in range(n + 1):
+        total = total + u ** l * eigen_shift(l, lam, n)
+    assert out == P.scale_rf(total)
 
 
 def test_weight_diagonal_inverted(cache):
@@ -148,29 +136,30 @@ def test_shift1_matches_family_level_one():
 
 def test_ad_level_zero():
     f = basis_poly("m", (1, 1), 2)
-    assert apply_ad_raise(0, f) == apply_raise1(f)
-    assert apply_ad_lower(0, f) == apply_lower(f)
+    assert apply_ad_raise_upto(0, f)[0] == apply_raise1(f)
+    assert apply_ad_lower_upto(0, f)[0] == apply_lower(f)
 
 
 def test_ad_one_is_commutator():
     f = basis_poly("m", (2,), 2)
-    lhs = apply_ad_raise(1, f)
+    lhs = apply_ad_raise_upto(1, f)[1]
     rhs = apply_weight(apply_raise1(f)) - apply_raise1(apply_weight(f))
     assert lhs == rhs
-    lhs = apply_ad_lower(1, f)
+    lhs = apply_ad_lower_upto(1, f)[1]
     rhs = apply_lower(apply_weight(f)) - apply_weight(apply_lower(f))
     assert lhs == rhs
 
 
 def _ad_nested(l, base, f, negate):
-    """l-fold commutator [W, .] of the weight operator W around base, by
-    literal nesting; negate swaps each subtraction, i.e. uses -W.  The
+    """l-fold commutator [W, .] of the weight operator W around the
+    operator of kind base, by literal nesting of literal assemblies (never
+    the column store); negate swaps each subtraction, i.e. uses -W.  The
     oracle for the binomial expansion in qops."""
     def rec(j, h):
         if j == 0:
-            return base(h)
-        outer = apply_weight(rec(j - 1, h))
-        inner = rec(j - 1, apply_weight(h))
+            return apply_literal(base, h)
+        outer = apply_literal("weight", rec(j - 1, h))
+        inner = rec(j - 1, apply_literal("weight", h))
         return inner - outer if negate else outer - inner
     return rec(l, f)
 
@@ -183,46 +172,57 @@ def test_ad_expansion_matches_nesting(n, lam, cache):
     assert any(c.den != ONE.den for c in f.coeffs.values())
     raise_levels = apply_ad_raise_upto(3, f)
     lower_levels = apply_ad_lower_upto(3, f)
-    for l in (2, 3):
-        assert apply_ad_raise(l, f) == _ad_nested(l, apply_raise1, f, False)
-        assert apply_ad_lower(l, f) == _ad_nested(l, apply_lower, f, True)
     for l in range(4):
-        assert raise_levels[l] == apply_ad_raise(l, f)
-        assert lower_levels[l] == apply_ad_lower(l, f)
+        assert raise_levels[l] == _ad_nested(l, "raise", f, False)
+        assert lower_levels[l] == _ad_nested(l, "lower", f, True)
 
 
-def test_assembly_is_gcd_free(monkeypatch, cache):
-    # every operator clears its input first, so the one assembly route only
-    # ever sees polynomial coefficients and never runs a polynomial gcd
+def test_assembly_is_gcd_free(monkeypatch, cache, empty_store):
+    # every operator clears its input first, so the column application
+    # only ever sees polynomial coefficients, and the literal assembly
+    # only monomials; neither runs a polynomial gcd
     f = macdonald_forms((2, 1), 3, cache).P
     assert any(c.den != ONE.den for c in f.coeffs.values())
-    calls = {"assemble": 0, "gcd": 0, "all_gcd": 0}
+    calls = {"assemble": 0, "image": 0, "gcd": 0, "all_gcd": 0}
     inside = [False]
-    pgcd, assemble = ratfunc._pgcd, qops._assemble
+    pgcd, assemble, image = ratfunc._pgcd, qops._assemble, qops._image
 
     def counting_pgcd(a, b):
         calls["gcd"] += inside[0]
         calls["all_gcd"] += 1
         return pgcd(a, b)
 
-    def watched_assemble(n_vars, pieces):
-        calls["assemble"] += 1
-        inside[0] = True
-        try:
-            return assemble(n_vars, pieces)
-        finally:
-            inside[0] = False
+    def watched(name, fn):
+        def call(*args):
+            calls[name] += 1
+            outer, inside[0] = inside[0], True
+            try:
+                return fn(*args)
+            finally:
+                inside[0] = outer
+        return call
 
     monkeypatch.setattr(ratfunc, "_pgcd", counting_pgcd)
-    monkeypatch.setattr(qops, "_assemble", watched_assemble)
-    apply_lower(f)
-    apply_weight(f)
-    apply_shift1(f)
-    apply_shift_family(f)
-    apply_shift_genfun(f, rf(3))
-    apply_ad_raise_upto(2, f)
-    apply_ad_lower_upto(2, f)
-    assert calls["assemble"] > 0
+    monkeypatch.setattr(qops, "_assemble", watched("assemble", assemble))
+    monkeypatch.setattr(qops, "_image", watched("image", image))
+
+    def run_all():
+        apply_lower(f)
+        apply_weight(f)
+        apply_shift1(f)
+        apply_shift_family(f)
+        apply_shift_genfun(f, rf(3))
+        apply_ad_raise_upto(2, f)
+        apply_ad_lower_upto(2, f)
+
+    # the emptied store builds each column once, by the literal assembly
+    run_all()
+    built = calls["assemble"]
+    assert built > 0 and calls["image"] > 0
+    assert calls["gcd"] == 0
+    # on a warm store the application reads columns only, still gcd-free
+    run_all()
+    assert calls["assemble"] == built
     assert calls["gcd"] == 0
 
     # on a cleared input, a transfer runs its gcds on the level scalars
@@ -250,6 +250,36 @@ def test_assembly_is_gcd_free(monkeypatch, cache):
         assert 0 < counts[1] <= counts[0]
 
 
+def _rational_input(n, cache):
+    lam = (2, 1) if n > 1 else (2,)
+    return (macdonald_forms(lam, n, cache).P
+            + basis_poly("m", (1,), n).scale_rf((ONE - Q * T).inverse()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_columns_match_literal_assembly(n, cache):
+    # every column kind, applied through the store, against the literal
+    # assembly on the same rational input (P_(2,1) plus a degree-1 term)
+    f = _rational_input(n, cache)
+    assert any(c.den != ONE.den for c in f.coeffs.values())
+    for kind in ["lower", "weight", "raise"] + list(range(n + 1)):
+        assert qops._apply(qops._image, kind, f) == apply_literal(kind, f), kind
+    assert apply_shift1(f) == apply_literal(1, f)
+    fam = apply_shift_family(f)
+    assert all(fam[l] == apply_literal(l, f) for l in range(n + 1))
+
+
+def test_column_store_is_bounded(monkeypatch, cache):
+    assert column.cache_info().maxsize == MAX_COLUMNS
+    # an evicted column is rebuilt on use and the application is unchanged
+    small = lru_cache(maxsize=2)(column.__wrapped__)
+    monkeypatch.setattr(qops, "column", small)
+    f = _rational_input(3, cache)
+    assert len(f.coeffs) > 2
+    assert apply_lower(f) == apply_literal("lower", f)
+    assert small.cache_info().currsize == 2
+
+
 def test_lower_alt_matches_rational_input(cache):
     # the oracle runs on the rational coefficients as given
     for n, lam in ((2, (2,)), (3, (2, 1))):
@@ -274,10 +304,12 @@ def test_lower_kills_constants():
     assert apply_weight(one) == SymPoly.zero(3)
 
 
-def test_symmetrize_guard():
+def test_symmetrize_guard(empty_store):
     f = basis_poly("m", (1,), MAX_FULL_SYMMETRIZE + 1)
     with pytest.raises(ResourceGuardError):
         apply_shift_family(f)
+    # the guard runs before any column is built
+    assert empty_store.cache_info().currsize == 0
     # first-order assemblies avoid the n! symmetrization and stay legal
     apply_shift1(f)
 
