@@ -47,8 +47,9 @@ from functools import cached_property, lru_cache
 
 from .errors import InexactDivisionError, MacHyperError
 from .partitions import (Partition, SkewCover, conjugate, dominates,
-                         format_partition, hook_products, length, make_partition,
-                         n_stat, partitions_of, revlex_key, size, upper_covers)
+                         format_partition, hook_products, length,
+                         lower_upper_hooks, make_partition, n_stat,
+                         partitions_of, revlex_key, size, upper_covers)
 from .qops import apply_literal, column, eigen_shift
 from .ratfunc import (ONE, Q, RatFuncQT, T, qt_monomial, rf, t_monomial,
                       times_multiple)
@@ -218,15 +219,11 @@ class MacForms:
         self.lam, self.n, self.P = lam, n, P
 
     @cached_property
-    def hook_lower(self) -> RatFuncQT:    # J = hook_lower * P
-        return hook_products(self.lam)[0]
-
-    @cached_property
     def hook_upper(self) -> RatFuncQT:    # Jstar = P / hook_upper
-        return hook_products(self.lam)[1]
+        return lower_upper_hooks(self.lam)[1]
 
     @cached_property
-    def hook_pair(self) -> RatFuncQT:     # product of the two
+    def hook_pair(self) -> RatFuncQT:     # product of the two hook products
         return hook_products(self.lam)[2]
 
     @cached_property
@@ -263,7 +260,7 @@ def _integral_form(P: SymPoly, lam: Partition) -> SymPoly:
     Each coefficient's denominator divides c, so one exact division per
     coefficient replaces the gcd; InexactDivisionError when one does not.
     """
-    c = hook_products(lam)[0].num
+    c = lower_upper_hooks(lam)[0].num
     return SymPoly(P.n_vars, {mu: times_multiple(v, c) for mu, v in P.coeffs.items()})
 
 
@@ -339,13 +336,7 @@ def expand_in_P(f: SymPoly, cache: MacdonaldCache | None = None) -> dict[Partiti
 
 def expand_in_Jstar(f: SymPoly, cache: MacdonaldCache | None = None) -> dict[Partition, RatFuncQT]:
     """Coordinates of f in the dual integral basis."""
-    return {kappa: c * hook_products(kappa)[1]
-            for kappa, c in expand_in_P(f, cache).items()}
-
-
-def expand_in_J(f: SymPoly, cache: MacdonaldCache | None = None) -> dict[Partition, RatFuncQT]:
-    """Coordinates of f in the integral basis."""
-    return {kappa: c / hook_products(kappa)[0]
+    return {kappa: c * lower_upper_hooks(kappa)[1]
             for kappa, c in expand_in_P(f, cache).items()}
 
 
@@ -449,8 +440,7 @@ def binomial_lowering_closed(upper: Partition, lower: Partition, n: int) -> RatF
 
 def jstar_principal(lam: Partition, n: int) -> RatFuncQT:
     """Closed form for the dual integral form at the staircase point."""
-    _, _, j = hook_products(lam)
-    return principal_J_closed(lam, n) / j
+    return principal_J_closed(lam, n) / hook_products(lam)[2]
 
 
 def _find_cover(upper: Partition, lower: Partition, n: int) -> SkewCover:

@@ -42,23 +42,11 @@ def cells(lam: Partition) -> Iterator[tuple[int, int]]:
         for j in range(1, p + 1):
             yield (i, j)
 
-def contains(lam: Partition, mu: Partition) -> bool:
-    """Whether the diagram of mu fits inside the diagram of lam."""
-    if len(mu) > len(lam):
-        return False
-    return all(mu[i] <= lam[i] for i in range(len(mu)))
-
 def arm(lam: Partition, i: int, j: int) -> int:
     return lam[i - 1] - j
 
-def coarm(lam: Partition, i: int, j: int) -> int:
-    return j - 1
-
 def leg(lam: Partition, i: int, j: int) -> int:
     return sum(1 for p in lam[i:] if p >= j)
-
-def coleg(lam: Partition, i: int, j: int) -> int:
-    return i - 1
 
 def dominates(lam: Partition, mu: Partition) -> bool:
     """Dominance order on partitions of equal size: lam >= mu."""
@@ -197,17 +185,11 @@ def pochhammer_list(us, lam: Partition) -> RatFuncQT:
         out = out * pochhammer_qt(u, lam)
     return out
 
-def poch_ratio_check(u: RatFuncQT, cover: SkewCover) -> bool:
-    """Whether (u)_upper / (u)_lower == 1 - u * rho_skew for this cover."""
-    u = rf(u)
-    lhs = pochhammer_qt(u, cover.upper)
-    rhs = pochhammer_qt(u, cover.lower) * (ONE - u * cover.rho_skew)
-    return lhs == rhs
-
 @lru_cache(maxsize=None)
-def hook_products(lam: Partition) -> tuple[RatFuncQT, RatFuncQT, RatFuncQT]:
-    """(c, c', j) hook products: c uses 1 - q^arm t^(leg+1), c' uses
-    1 - q^(arm+1) t^leg, and j = c * c'."""
+def lower_upper_hooks(lam: Partition) -> tuple[RatFuncQT, RatFuncQT]:
+    """(c, c') hook products: c uses 1 - q^arm t^(leg+1) and c' uses
+    1 - q^(arm+1) t^leg.  Kept per partition; their product, the largest
+    of the three, is formed where it is read (hook_products)."""
     c = ONE
     cp = ONE
     conj = conjugate(lam)
@@ -217,6 +199,12 @@ def hook_products(lam: Partition) -> tuple[RatFuncQT, RatFuncQT, RatFuncQT]:
             l = conj[j - 1] - i
             c = c * (ONE - qt_monomial(a, l + 1))
             cp = cp * (ONE - qt_monomial(a + 1, l))
+    return c, cp
+
+
+def hook_products(lam: Partition) -> tuple[RatFuncQT, RatFuncQT, RatFuncQT]:
+    """(c, c', j) with j = c * c', formed on each call."""
+    c, cp = lower_upper_hooks(lam)
     return c, cp, c * cp
 
 def format_partition(lam: Partition) -> str:

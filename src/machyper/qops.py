@@ -10,17 +10,33 @@ and divides the sum by the Vandermonde factors at the end (_assemble).
 Both the exactness of that division and the symmetry of the quotient are
 verified; failure of either means a bug, so they raise rather than warn.
 
+An operator is named by its kind:
+- "lower": the degree-lowering operator, the sum over i of prefactor_i
+  times the q-derivative in x_i.  Homogeneous of degree -1; on the
+  principally normalized integral basis it acts as a sum over the lower
+  covers of the indexing partition, weighted by the cover coefficients.
+- "weight": the degree-preserving operator t^(1-n) * sum over i of
+  x_i * prefactor_i * q-derivative_i, diagonal on the integral basis: its
+  eigenvalue on the element indexed by lam is the sum of the (q,t) cell
+  weights of lam (rho_stat).  Its unscaled image is t^(n-1) W.
+- "raise": multiplication by e_1, scaled by 1/(1-q); its unscaled image is
+  e_1 * f.
+- the integer l: the level D_l of the symmetrized shift family, 1/V times
+  a signed sum over the size-l variable subsets of a t-weighted alternant
+  times the subset q-shift; the generating-function operator at u is
+  sum_l u^l D_l.  D_0 is the identity and D_1 the first shift operator,
+  triangular in the dominance order on the monomial basis.  A level
+  l >= 2 symmetrizes over n! terms, so it is refused above
+  MAX_FULL_SYMMETRIZE variables before any of its assembly is built.
+
 Every operator here is linear, and its image of m_mu depends only on the
 operator, n and mu.  So the literal assembly runs once per column: a
 bounded, process-wide store (column, at most MAX_COLUMNS entries) keeps
 the unscaled image of m_mu for each (kind, mu, n), and an operator
 applies as sum over mu of g_mu * column_mu (_image).  The exactness and
 symmetry checks run once per column, when it is built; a linear
-combination on the m-basis is symmetric by construction.  The kinds are
-"lower", "weight" (the unscaled weight operator t^(n-1) W), "raise"
-(multiplication by e_1) and each level l of the shift family, D_l, keyed
-by the integer l; D_1 is the first shift operator.  A shift column is
-also checked, when it is built, to be dominance-triangular with the
+combination on the m-basis is symmetric by construction.  A shift column
+is also checked, when it is built, to be dominance-triangular with the
 closed-form eigenvalue eigen_shift on its diagonal: the basis
 construction (macdonald._build_P) reads the level-1 columns and relies on
 both.
@@ -33,18 +49,24 @@ only; series and verify handle it through the functions of the scaled
 image section.  An input is cleared once (to_scaled: g is f times the
 lcm in Z[q,t] of its coefficient denominators); with integer-polynomial
 g_mu and columns, every product and sum of a column application is an
-integer polynomial operation without a gcd.  Operators on scaled images
-(shift_levels, ad_raise_upto, ad_lower_upto) return scaled images;
-combine adds several over the lcm of their scalars' denominators, so the
-gcds it runs are one per term, on scalars, never one per coefficient.
+integer polynomial operation without a gcd.  Each operator of several
+levels has one function, on scaled images: shift_levels, the
+generating-function operator apply_shift_genfun and the iterated
+commutators apply_ad_raise_upto and apply_ad_lower_upto.  combine adds
+scaled images over the lcm of their scalars' denominators, so the gcds
+it runs are one per term, on scalars, never one per coefficient.
 support_degrees and alphabet_difference read where an image, or a
 difference of two alphabets' images, is nonzero without dividing
-anything; unscale is the one normalization.  A public apply_* multiplies
-its image by the scalar once, at the end (unscale, or _apply for the
-first-order operators).  The iterated weight commutators use the binomial
-expansion ad^l(B) = sum_k (-1)^k C(l,k) W^(l-k) B W^k on the unscaled
-weight operator t^(n-1) W; the images W^k g and W^j B W^k g are computed
-once and shared by every level up to r, and each level carries its own
+anything.
+
+Values enter and leave at one boundary.  apply_stored(kind, f) and
+apply_literal(kind, f) take a value, clear it and multiply the image by
+its scalar once, at the end; on_values(op) turns a map of scaled images
+into a map of values, with unscale as the one normalization.  The
+iterated weight commutators use the binomial expansion
+ad^l(B) = sum_k (-1)^k C(l,k) W^(l-k) B W^k on the unscaled weight
+operator t^(n-1) W; the images W^k g and W^j B W^k g are computed once
+and shared by every level up to r, and each level carries its own
 scalar.
 
 apply_literal runs the literal assembly on its input and never reads the
@@ -54,8 +76,8 @@ against itself: weight_from_shift1 (the weight operator read off the
 first shift operator) here, and series.eigen_*_from_shifts and
 series.eigen_value_*_brute (through macdonald.binomial_by_expansion).
 apply_lower_alt (a literal division by x_i, on the input's own rational
-coefficients) rebuilds apply_lower along another route altogether.
-These oracles are used only by tests and checks.
+coefficients) rebuilds the lowering operator along another route
+altogether.  These oracles are used only by tests and checks.
 
 Every operator here is written at q and t.  Its image at reciprocal q
 and t is the conjugate f -> invert_coeffs(O(invert_coeffs(f))), since
@@ -144,6 +166,10 @@ def _literal(kind, f: SymPoly) -> SymPoly:
         pieces = (((i,), raw_mul_var(raw_qderiv_var(fraw, i), i))
                   for i in range(n))
     else:
+        if kind >= 2 and n > MAX_FULL_SYMMETRIZE:
+            raise ResourceGuardError(
+                f"shift family symmetrizes over all {n}! permutations; "
+                f"n is limited to {MAX_FULL_SYMMETRIZE}")
         pieces = ((subset, raw_shift_subset(fraw, subset))
                   for subset in combinations(range(n), kind))
     return _assemble(n, pieces)
@@ -209,6 +235,11 @@ def unscale(gs: Scaled) -> SymPoly:
     coefficient."""
     g, s = gs
     return g.scale_rf(s)
+
+
+def on_values(op):
+    """A map of scaled images as a map of SymPoly values."""
+    return lambda f: unscale(op(to_scaled(f)))
 
 
 def combine(n: int, terms) -> Scaled:
@@ -281,51 +312,22 @@ def _apply(route, kind, f: SymPoly) -> SymPoly:
 
 
 # ---------------------------------------------------------------------------
-# first-order operators: sums of prefactor * shift over single variables
+# the value entries: one operator of a given kind at one value
 
-def apply_lower(f: SymPoly) -> SymPoly:
-    """Degree-lowering q-difference operator: sum of prefactor * q-derivative.
-
-    Homogeneous of degree -1; on the principally normalized integral basis
-    it acts as a sum over the lower covers of the indexing partition with
-    the cover coefficients as weights.
-    """
-    return _apply(_image, "lower", f)
-
-
-def apply_weight(f: SymPoly) -> SymPoly:
-    """Degree-preserving operator, diagonal on the integral basis.
-
-    t^(1-n) * sum of x_i * prefactor_i * q-derivative_i.  The eigenvalue on
-    the basis element indexed by lam is the sum of (q,t) cell weights of
-    lam (see rho_stat).
-    """
-    return _apply(_image, "weight", f)
-
-
-def apply_shift1(f: SymPoly) -> SymPoly:
-    """First symmetrized shift operator: sum of prefactor * q-shift.
-
-    Triangular in the dominance order on the monomial basis; used to build
-    the two-parameter basis by an eigenvector solve.
-    """
-    return _apply(_image, 1, f)
-
-
-def apply_raise1(f: SymPoly) -> SymPoly:
-    """Degree-raising operator: multiplication by e_1 scaled by 1/(1-q)."""
-    return _apply(_image, "raise", f)
+def apply_stored(kind, f: SymPoly) -> SymPoly:
+    """The operator kind at f, as a sum of stored columns."""
+    return _apply(_image, kind, f)
 
 
 def apply_literal(kind, f: SymPoly) -> SymPoly:
-    """The operator kind ("lower", "weight", "raise" or the shift level l)
-    at f by the literal assembly, never through the column store: the
-    route of the oracles."""
+    """The operator kind at f by the literal assembly, never through the
+    column store: the route of the oracles."""
     return _apply(_literal, kind, f)
 
 
 def apply_lower_alt(f: SymPoly) -> SymPoly:
-    """Alternative assembly of apply_lower, kept as an independent oracle.
+    """Alternative assembly of the lowering operator, kept as an
+    independent oracle.
 
     Writes the operator as 1/(q-1) * sum_i (prefactor_i * shift_i - 1)/x_i;
     each numerator is divisible by x_i because the prefactor evaluates to 1
@@ -356,37 +358,21 @@ def apply_lower_alt(f: SymPoly) -> SymPoly:
 
 def shift_levels(gs: Scaled, levels) -> dict[int, Scaled]:
     """{l: (D_l g, s)} for the scaled image gs = (g, s): every level shares
-    the input's scalar.  levels=None asks for l = 0..n."""
+    the input's scalar.  levels=None asks for l = 0..n; a level above n
+    is zero."""
     g, s = gs
     n = g.n_vars
-    if n > MAX_FULL_SYMMETRIZE:
-        raise ResourceGuardError(
-            f"shift family symmetrizes over all {n}! permutations; "
-            f"n is limited to {MAX_FULL_SYMMETRIZE}")
     want = range(n + 1) if levels is None else sorted(set(levels))
     return {l: (_image(l, g) if 0 <= l <= n else SymPoly.zero(n), s)
             for l in want}
 
 
-def apply_shift_family(f: SymPoly,
-                       levels: "list[int] | None" = None) -> dict[int, SymPoly]:
-    """All graded pieces of the generating-function shift operator.
-
-    Returns {l: D_l f} where the full operator at parameter u is
-    sum_l u^l D_l f.  Each piece is 1/V times a signed sum over size-l
-    variable subsets of a t-weighted alternant times the subset q-shift.
-    levels restricts which l are computed; the input is cleared once for
-    all of them.
-    """
-    return {l: unscale(d)
-            for l, d in shift_levels(to_scaled(f), levels).items()}
-
-
-def apply_shift_genfun(f: SymPoly, uval: RatFuncQT) -> SymPoly:
-    """The generating-function shift operator at a concrete parameter value."""
-    fam = shift_levels(to_scaled(f), None)
-    return unscale(combine(f.n_vars, ((uval ** l, fam[l])
-                                      for l in range(f.n_vars + 1))))
+def apply_shift_genfun(gs: Scaled, uval: RatFuncQT) -> Scaled:
+    """The generating-function shift operator sum_l uval^l D_l at a
+    concrete parameter value."""
+    n = gs[0].n_vars
+    fam = shift_levels(gs, None)
+    return combine(n, ((uval ** l, fam[l]) for l in range(n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -430,30 +416,16 @@ def _ad_upto(r: int, gs: Scaled, base, sign: int) -> list[Scaled]:
     return out
 
 
-def ad_raise_upto(r: int, gs: Scaled) -> list[Scaled]:
-    """apply_ad_raise_upto on a scaled image."""
+def apply_ad_raise_upto(r: int, gs: Scaled) -> list[Scaled]:
+    """[ad^0, ..., ad^r] of the weight operator around the raising
+    operator, at gs: ad^0 is "raise" and ad^l(B) = [weight, ad^(l-1)(B)]."""
     return _ad_upto(r, gs, "raise", 1)
 
 
-def ad_lower_upto(r: int, gs: Scaled) -> list[Scaled]:
-    """apply_ad_lower_upto on a scaled image."""
+def apply_ad_lower_upto(r: int, gs: Scaled) -> list[Scaled]:
+    """[ad^0, ..., ad^r] of the negated weight operator around the lowering
+    operator, at gs; ad^l of -W is (-1)^l times ad^l of W."""
     return _ad_upto(r, gs, "lower", -1)
-
-
-def apply_ad_raise_upto(r: int, f: SymPoly) -> list[SymPoly]:
-    """[ad^0, ..., ad^r] of the weight operator around apply_raise1, at f.
-
-    ad^0 = apply_raise1; ad^l(B) = [weight, ad^(l-1)(B)], assembled through
-    the binomial expansion with the operator images shared across levels
-    (see _ad_upto).
-    """
-    return [unscale(img) for img in ad_raise_upto(r, to_scaled(f))]
-
-
-def apply_ad_lower_upto(r: int, f: SymPoly) -> list[SymPoly]:
-    """[ad^0, ..., ad^r] of the negated weight operator around apply_lower,
-    at f; ad^l of -W is (-1)^l times ad^l of W."""
-    return [unscale(img) for img in ad_lower_upto(r, to_scaled(f))]
 
 
 # ---------------------------------------------------------------------------

@@ -19,15 +19,15 @@ independent witnesses.  The two operator oracles apply the shift family
 and the raising operator by qops.apply_literal, never through qops'
 column store.
 
-The transfers and eigen-operator families act on scaled images, the
-operator layer's (integer-polynomial image, one field scalar) pairs (see
-qops), and reach them only through qops' scaled-image functions: each
-level is one scaled image, and a sum of levels is combined over the lcm
-of their scalars' denominators (qops.combine), so the coefficients never
-run a gcd.  scaled_transfer_* are the transfers on scaled images; the
-public transfer_* and eigen_ops_* clear their input and normalize the
-resulting pair once.  verify builds its residuals from scaled_transfer_*
-and reads their support without normalizing.
+The transfers and eigen-operator families are each one function, on
+scaled images, the operator layer's (integer-polynomial image, one field
+scalar) pairs (see qops), and reach them only through qops' scaled-image
+functions: each level is one scaled image, and a sum of levels is
+combined over the lcm of their scalars' denominators (qops.combine), so
+the coefficients never run a gcd.  transfer_* return maps of scaled
+images; verify builds its residuals from them and reads their support
+without normalizing, and a caller that wants values wraps them in
+qops.on_values.
 
 Every series and operator here lives at q and t.  Inversion (q -> 1/q,
 t -> 1/t, written iota) is conjugation by invert_qt and invert_coeffs:
@@ -47,8 +47,8 @@ from .macdonald import (MacdonaldCache, binomial_by_expansion, default_cache,
 from .partitions import (Partition, enumerate_partitions, format_partition,
                          lower_covers, make_partition, n_stat, n_stat_conj,
                          pochhammer_list, size, upper_covers)
-from .qops import (Scaled, ad_lower_upto, ad_raise_upto, apply_literal,
-                   combine, shift_levels, to_scaled, unscale)
+from .qops import (Scaled, apply_ad_lower_upto, apply_ad_raise_upto,
+                   apply_literal, combine, shift_levels)
 from .ratfunc import (ONE, Q, RatFuncQT, T, elementary_symmetric, invert_qt,
                       qt_monomial, rf, t_integer, t_monomial)
 from .sympoly import BiSymPoly, SymPoly, invert_coeffs
@@ -247,31 +247,16 @@ def _signed_esum(values, images):
     return op
 
 
-def _on_values(op):
-    """A map of scaled images as a map of SymPoly values."""
-    return lambda f: unscale(op(to_scaled(f)))
-
-
-def scaled_transfer_lower(blist):
-    """transfer_lower as a map of scaled images."""
-    return _signed_esum(blist, ad_lower_upto)
-
-
-def scaled_transfer_raise(alist):
-    """transfer_raise as a map of scaled images."""
-    return _signed_esum(alist, ad_raise_upto)
-
-
 def transfer_lower(blist):
     """Degree-lowering transfer: sum over l of (-1)^l e_l(b) times the
     l-fold weight-commutator of the lowering operator."""
-    return _on_values(scaled_transfer_lower(blist))
+    return _signed_esum(blist, apply_ad_lower_upto)
 
 
 def transfer_raise(alist):
     """Degree-raising transfer: sum over l of (-1)^l e_l(a) times the
     l-fold weight-commutator of the raising operator."""
-    return _on_values(scaled_transfer_raise(alist))
+    return _signed_esum(alist, apply_ad_raise_upto)
 
 
 # -- the diagonal families built from ratios of shift generating functions --
@@ -300,7 +285,9 @@ def _genfun_ratio(gs: Scaled, top: int, num_base: RatFuncQT,
             for l in range(top + 1)]
 
 
-def _eigen_ops_raise(max_l: int, gs: Scaled) -> list[Scaled]:
+def eigen_ops_raise(max_l: int, gs: Scaled) -> list[Scaled]:
+    """[G_0 gs, ..., G_max_l gs]: u-expansion of the normalized difference
+    of two shift generating functions (offsets t^-n and t^(1-n))."""
     n = gs[0].n_vars
     scal = ((ONE - Q) * (ONE - T)).inverse()
     # numerator genfun at -u t^(-n), denominator genfun at -u t^(1-n);
@@ -309,12 +296,6 @@ def _eigen_ops_raise(max_l: int, gs: Scaled) -> list[Scaled]:
     c = -(T ** n) * scal
     return [combine(n, [(c, img)] + ([(scal, gs)] if l == 0 else []))
             for l, img in enumerate(ratio)]
-
-
-def eigen_ops_raise(max_l: int, f: SymPoly) -> list[SymPoly]:
-    """[G_0 f, ..., G_max_l f]: u-expansion of the normalized difference of
-    two shift generating functions (offsets t^-n and t^(1-n))."""
-    return [unscale(img) for img in _eigen_ops_raise(max_l, to_scaled(f))]
 
 
 @lru_cache(maxsize=None)
@@ -328,7 +309,10 @@ def _lower_scale(n: int) -> RatFuncQT:
     return scal_h
 
 
-def _eigen_ops_lower(max_l: int, gs: Scaled) -> list[Scaled]:
+def eigen_ops_lower(max_l: int, gs: Scaled) -> list[Scaled]:
+    """[H_0 gs, ..., H_max_l gs]: u-expansion of the shifted ratio of shift
+    generating functions (offsets 1/(q t^(n-2)) and 1/(q t^(n-1))),
+    including the 1/u pole cancellation, which is checked once per n."""
     n = gs[0].n_vars
     scal_h = _lower_scale(n)
     ratio = _genfun_ratio(gs, max_l + 1, -(Q * T ** (n - 2)).inverse(),
@@ -342,31 +326,14 @@ def _eigen_ops_lower(max_l: int, gs: Scaled) -> list[Scaled]:
             for l in range(max_l + 1)]
 
 
-def eigen_ops_lower(max_l: int, f: SymPoly) -> list[SymPoly]:
-    """[H_0 f, ..., H_max_l f]: u-expansion of the shifted ratio of shift
-    generating functions (offsets 1/(q t^(n-2)) and 1/(q t^(n-1))),
-    including the 1/u pole cancellation, which is checked once per n."""
-    return [unscale(img) for img in _eigen_ops_lower(max_l, to_scaled(f))]
-
-
-def scaled_transfer_diag_raise(alist):
-    """transfer_diag_raise as a map of scaled images."""
-    return _signed_esum(alist, _eigen_ops_raise)
-
-
-def scaled_transfer_diag_lower(blist):
-    """transfer_diag_lower as a map of scaled images."""
-    return _signed_esum(blist, _eigen_ops_lower)
-
-
 def transfer_diag_raise(alist):
     """Diagonal transfer paired with raising: sum of (-1)^l e_l(a) G_l."""
-    return _on_values(scaled_transfer_diag_raise(alist))
+    return _signed_esum(alist, eigen_ops_raise)
 
 
 def transfer_diag_lower(blist):
     """Diagonal transfer paired with lowering: sum of (-1)^l e_l(b) H_l."""
-    return _on_values(scaled_transfer_diag_lower(blist))
+    return _signed_esum(blist, eigen_ops_lower)
 
 
 # -- closed-form eigenvalues of the diagonal families -----------------------

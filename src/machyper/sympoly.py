@@ -113,10 +113,6 @@ class SymPoly(MonomialExpansion):
     def degree(self) -> int:
         return max((sum(lam) for lam in self.coeffs), default=-1)
 
-    def degree_component(self, d: int) -> "SymPoly":
-        return SymPoly(self.n_vars,
-                       {lam: c for lam, c in self.coeffs.items() if sum(lam) == d})
-
     def degrees(self) -> list[int]:
         return sorted({sum(lam) for lam in self.coeffs})
 
@@ -416,29 +412,8 @@ class BiSymPoly(MonomialExpansion):
                 out[(lx, ly)] = c
         return BiSymPoly(self.n_vars, out)
 
-    def apply_y(self, op) -> "BiSymPoly":
-        return self.swap().apply_x(op).swap()
-
     def bidegrees(self) -> list[tuple[int, int]]:
         return sorted({(sum(lx), sum(ly)) for lx, ly in self.coeffs})
-
-    def bidegree_component(self, dx: int, dy: int) -> "BiSymPoly":
-        return BiSymPoly(self.n_vars,
-                         {k: c for k, c in self.coeffs.items()
-                          if sum(k[0]) == dx and sum(k[1]) == dy})
-
-    def eval_y(self, values: dict[Partition, RatFuncQT]) -> SymPoly:
-        """Collapse the y alphabet using precomputed m_lambda(y) values."""
-        out: dict[Partition, RatFuncQT] = {}
-        for (lx, ly), c in self.coeffs.items():
-            v = c * values[ly]
-            s = out.get(lx)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(lx, None)
-            else:
-                out[lx] = s
-        return SymPoly(self.n_vars, out)
 
     def __repr__(self):
         return f"BiSymPoly({self.n_vars}; {len(self.coeffs)} terms)"

@@ -10,15 +10,18 @@ count as failures.
 The paper's three operators are defined once each: A^(x,y) in _resid_A
 (two alphabets), B^(x) and C^(x) in _resid_B and _resid_C (one
 alphabet).  The plain, alphabet-swapped, Kaneko and tilde checks all
-apply them through these functions.  They build on the scaled-image
-transfers (series.scaled_transfer_*) and never divide a coefficient; the
-pair format itself stays behind the functions qops exports for it.  B
-and C return the residual as a scaled image, whose support the checks
-read with qops.support_degrees; A is qops.alphabet_difference of the two
-transfers, which applies each side to the slices of the rendering, each
-slice cleared on its own, and finds where the two sides differ by
-cross-multiplying their scalars.  A check that needs the residual's
-values (the Kaneko factored-form check) normalizes with qops.unscale.
+apply them through these functions.  They build on the transfers
+(series.transfer_*), which map scaled images, and never divide a
+coefficient; the pair format itself stays behind the functions qops
+exports for it.  B and C return the residual as a scaled image, whose
+support the checks read with qops.support_degrees; A is
+qops.alphabet_difference of the two transfers, which applies each side
+to the slices of the rendering, each slice cleared on its own, and finds
+where the two sides differ by cross-multiplying their scalars.  Values
+enter the operators at qops' boundary: the factored second-order
+operator applies each kind by qops.apply_stored, the one-variable check
+reads the transfers through qops.on_values, and the Kaneko check, which
+needs the residual's values, normalizes with qops.unscale.
 
 All checks run over the exact coefficient field; there are no
 tolerances anywhere.  Parameter draws are seeded, so a fixed
@@ -45,16 +48,14 @@ from .partitions import (Partition, arm, cells, enumerate_partitions,
                          upper_covers, z_stat)
 from .sympoly import (BiSymPoly, SymPoly, basis_poly, invert_coeffs,
                       to_power_sums)
-from .qops import (Scaled, alphabet_difference, apply_lower, apply_shift1,
-                   apply_shift_family, apply_shift_genfun, apply_weight,
-                   combine, shift_levels, support_degrees, to_scaled, unscale)
+from .qops import (Scaled, alphabet_difference, apply_shift_genfun,
+                   apply_stored, combine, on_values, shift_levels,
+                   support_degrees, to_scaled, unscale)
 from .macdonald import (MacdonaldCache, binomial_raising_closed, default_cache,
                         macdonald_forms)
 from .series import (HyperParams, TruncatedSeries, check_lower_poles,
                      flavor_scale_one, flavor_scale_two, mirror_params,
                      product_series_one, scale_alphabet, scale_alphabet_x,
-                     scaled_transfer_diag_lower, scaled_transfer_diag_raise,
-                     scaled_transfer_lower, scaled_transfer_raise,
                      transfer_diag_lower, transfer_diag_lower_uv,
                      transfer_diag_raise, transfer_diag_raise_uv,
                      transfer_lower, transfer_lower_uv, transfer_raise,
@@ -123,8 +124,8 @@ class TheoremReport:
 def _resid_A(F: BiSymPoly, p: HyperParams, c: RatFuncQT = ONE) -> BiSymPoly:
     """A^(x,y) F up to a nonzero factor on each coefficient: (1/c) times
     the lowering transfer on x, minus the raising transfer on y."""
-    return alphabet_difference(F, scaled_transfer_lower(p.lower),
-                               scaled_transfer_raise(p.upper), c.inverse())
+    return alphabet_difference(F, transfer_lower(p.lower),
+                               transfer_raise(p.upper), c.inverse())
 
 
 def _resid_B(f: SymPoly, p: HyperParams, c: RatFuncQT = ONE) -> Scaled:
@@ -132,8 +133,8 @@ def _resid_B(f: SymPoly, p: HyperParams, c: RatFuncQT = ONE) -> Scaled:
     minus (1/c) times the lowering transfer.  At (r, s) = (2, 1) this is
     Kaneko's operator."""
     gs = to_scaled(f)
-    diag = scaled_transfer_diag_raise(p.upper)(gs)
-    lower = scaled_transfer_lower(p.lower)(gs)
+    diag = transfer_diag_raise(p.upper)(gs)
+    lower = transfer_lower(p.lower)(gs)
     return combine(f.n_vars, ((ONE, diag), (-c.inverse(), lower)))
 
 
@@ -141,8 +142,8 @@ def _resid_C(f: SymPoly, p: HyperParams, c: RatFuncQT = ONE) -> Scaled:
     """C^(x) f as a scaled image: the lowering-paired diagonal transfer,
     minus c times the raising transfer."""
     gs = to_scaled(f)
-    diag = scaled_transfer_diag_lower(p.lower)(gs)
-    raised = scaled_transfer_raise(p.upper)(gs)
+    diag = transfer_diag_lower(p.lower)(gs)
+    raised = transfer_raise(p.upper)(gs)
     return combine(f.n_vars, ((ONE, diag), (-c, raised)))
 
 
@@ -298,7 +299,7 @@ def check_diagonal_match(series: TruncatedSeries,
     for op in level_ops:
         observed.update(level_difference(F, op).bidegrees())
     sym_before = F.swap() == F
-    shifted = F.apply_x(lambda f: apply_shift_genfun(f, T))
+    shifted = F.apply_x(on_values(lambda gs: apply_shift_genfun(gs, T)))
     sym_after = shifted.swap() == shifted
     if not sym_before:
         notes.append("swap invariance fails on the series itself")
@@ -546,20 +547,20 @@ def _factored_second_order(f: SymPoly, a: RatFuncQT, b: RatFuncQT,
     tpow = t_monomial(n - 1)
 
     def X(g: SymPoly) -> SymPoly:
-        return (apply_shift1(g) - g.scale_rf(nt)).scale_rf(ONE / one_q)
+        return (apply_stored(1, g) - g.scale_rf(nt)).scale_rf(ONE / one_q)
 
     def Y(g: SymPoly) -> SymPoly:
-        d2 = apply_shift_family(g, levels=[2])[2]
-        num = d2.scale_rf(ONE + T) - g.scale_rf(T * nt * nt1)
+        num = apply_stored(2, g).scale_rf(ONE + T) - g.scale_rf(T * nt * nt1)
         return num.scale_rf(ONE / (one_q * (ONE - T ** 2)))
 
     def comm(g: SymPoly) -> SymPoly:
-        return apply_weight(apply_lower(g)) - apply_lower(apply_weight(g))
+        return (apply_stored("weight", apply_stored("lower", g))
+                - apply_stored("lower", apply_stored("weight", g)))
 
     out = comm(f).scale_rf(c * tpow / one_q)
     out = out - (X(X(f)) - Y(f).scale_rf((ONE - T ** 2) / (T * one_q))) \
         .scale_rf(a * b)
-    out = out + apply_lower(f).scale_rf(tpow / one_q)
+    out = out + apply_stored("lower", f).scale_rf(tpow / one_q)
     out = out - X(f).scale_rf((rf(2) * a * b * nt - (a + b) * tpow) / one_q)
     out = out - f.scale_rf((ONE - a) * (ONE - b) * tpow * nt / one_q ** 2)
     return out
@@ -714,15 +715,14 @@ def check_single_variable(series: TruncatedSeries,
     D, p = series.D, series.params
     notes = []
     form_bad = 0
+    collapses = ((transfer_lower_uv, transfer_lower, p.lower),
+                 (transfer_raise_uv, transfer_raise, p.upper),
+                 (transfer_diag_raise_uv, transfer_diag_raise, p.upper),
+                 (transfer_diag_lower_uv, transfer_diag_lower, p.lower))
     for k in range(D + 1):
         f = SymPoly(1, {((k,) if k else ()): ONE})
-        checks = (
-            (transfer_lower_uv(p.lower, f), transfer_lower(p.lower)(f)),
-            (transfer_raise_uv(p.upper, f), transfer_raise(p.upper)(f)),
-            (transfer_diag_raise_uv(p.upper, f), transfer_diag_raise(p.upper)(f)),
-            (transfer_diag_lower_uv(p.lower, f), transfer_diag_lower(p.lower)(f)),
-        )
-        form_bad += sum(1 for lhs, rhs in checks if lhs != rhs)
+        form_bad += sum(1 for uv, full, ps in collapses
+                        if uv(ps, f) != on_values(full(ps))(f))
     if form_bad:
         notes.append(f"collapsed formulas disagree on {form_bad} cases")
     else:

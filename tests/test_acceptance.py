@@ -17,7 +17,7 @@ from machyper.macdonald import (MacdonaldCache, binomial_by_expansion,
                                 macdonald_P, macdonald_forms, principal_eval,
                                 principal_J_closed)
 from machyper.partitions import dominates, lower_covers, partitions_of
-from machyper.qops import apply_shift_family, eigen_shift
+from machyper.qops import eigen_shift, shift_levels, to_scaled, unscale
 from machyper.ratfunc import ONE, rf, t_monomial
 from machyper.series import (HyperParams, TruncatedSeries,
                              eigen_ops_lower, eigen_ops_lower_from_shifts,
@@ -59,9 +59,9 @@ def test_criterion_01_basis_construction():
                     # eigen identity on the integral form: same statement
                     # (a field-scalar multiple), far less denominator churn
                     J = macdonald_forms(lam, n, cold).J
-                    fam = apply_shift_family(J)          # full operator family
+                    fam = shift_levels(to_scaled(J), None)   # full family
                     for l in range(n + 1):
-                        assert fam[l] == J.scale_rf(eigen_shift(l, lam, n))
+                        assert unscale(fam[l]) == J.scale_rf(eigen_shift(l, lam, n))
                     assert principal_eval(J) == principal_J_closed(lam, n)
 
 
@@ -83,26 +83,26 @@ def test_criterion_03_eigen_operator_agreement(cache):
             for d in range(0, 6):
                 for mu in partitions_of(d, n):
                     J = macdonald_forms(mu, n, cache).J
-                    gs = eigen_ops_raise(3, J)
-                    hs = eigen_ops_lower(3, J)
+                    gs = eigen_ops_raise(3, to_scaled(J))
+                    hs = eigen_ops_lower(3, to_scaled(J))
                     for l in range(4):
                         ev = eigen_value_raise(l, mu, n)
-                        assert gs[l] == J.scale_rf(ev)
+                        assert unscale(gs[l]) == J.scale_rf(ev)
                         assert ev == eigen_value_raise_brute(l, mu, n, cache)
                         el = eigen_value_lower(l, mu, n)
-                        assert hs[l] == J.scale_rf(el)
+                        assert unscale(hs[l]) == J.scale_rf(el)
                         assert el == eigen_value_lower_brute(l, mu, n, cache)
         # the fixed shift-word displays act identically on degree <= 4 inputs
         for n in (2, 3):
             for d in range(0, 5):
                 for lam in partitions_of(d, n):
                     f = basis_poly("m", lam, n)
-                    gs = eigen_ops_raise(3, f)
+                    gs = eigen_ops_raise(3, to_scaled(f))
                     for l in range(4):
-                        assert gs[l] == eigen_ops_raise_from_shifts(l, f)
-                    hs = eigen_ops_lower(2, f)
+                        assert unscale(gs[l]) == eigen_ops_raise_from_shifts(l, f)
+                    hs = eigen_ops_lower(2, to_scaled(f))
                     for l in range(3):
-                        assert hs[l] == eigen_ops_lower_from_shifts(l, f)
+                        assert unscale(hs[l]) == eigen_ops_lower_from_shifts(l, f)
 
 
 def test_criterion_04_two_alphabet_theorems(cache):

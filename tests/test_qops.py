@@ -18,16 +18,16 @@ from machyper.qops import (
     apply_ad_lower_upto,
     apply_ad_raise_upto,
     apply_literal,
-    apply_lower,
     apply_lower_alt,
-    apply_raise1,
-    apply_shift1,
-    apply_shift_family,
     apply_shift_genfun,
+    apply_stored,
     column,
     eigen_shift,
+    on_values,
+    shift_levels,
     spectral_values,
-    apply_weight,
+    to_scaled,
+    unscale,
     weight_from_shift1,
 )
 from machyper.ratfunc import ONE, Q, T, ZERO, invert_qt, qt_monomial, rf
@@ -67,22 +67,22 @@ def test_eigen_shift_frozen():
 def test_weight_diagonal_on_basis(n, cache):
     for lam in _all_partitions(3, n):
         P = macdonald_P(lam, n, cache)
-        assert apply_weight(P) == P.scale_rf(rho_stat(lam))
+        assert apply_stored("weight", P) == P.scale_rf(rho_stat(lam))
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_shift_family_diagonal_on_basis(n, cache):
     for lam in _all_partitions(3, n):
         P = macdonald_P(lam, n, cache)
-        fam = apply_shift_family(P)
+        fam = shift_levels(to_scaled(P), None)
         for l in range(n + 1):
-            assert fam[l] == P.scale_rf(eigen_shift(l, lam, n))
+            assert unscale(fam[l]) == P.scale_rf(eigen_shift(l, lam, n))
 
 
 def test_shift_genfun_on_basis(cache):
     lam, n, u = (2,), 2, rf(3)
     P = macdonald_P(lam, n, cache)
-    out = apply_shift_genfun(P, u)
+    out = on_values(lambda gs: apply_shift_genfun(gs, u))(P)
     total = ZERO
     for l in range(n + 1):
         total = total + u ** l * eigen_shift(l, lam, n)
@@ -96,7 +96,7 @@ def test_weight_diagonal_inverted(cache):
     n = 2
     for lam in _all_partitions(3, n):
         P = invert_coeffs(macdonald_forms(lam, n, cache).P)
-        assert invert_coeffs(apply_weight(invert_coeffs(P))) == P.scale_rf(
+        assert invert_coeffs(apply_stored("weight", invert_coeffs(P))) == P.scale_rf(
             invert_qt(rho_stat(lam)))
 
 
@@ -107,47 +107,50 @@ def test_weight_diagonal_inverted(cache):
 def test_lower_alt_matches(n):
     for lam in _all_partitions(3, n):
         f = basis_poly("m", lam, n)
-        assert apply_lower_alt(f) == apply_lower(f)
+        assert apply_lower_alt(f) == apply_stored("lower", f)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_weight_from_shift1_matches(n):
     for lam in _all_partitions(3, n):
         f = basis_poly("m", lam, n)
-        assert weight_from_shift1(f) == apply_weight(f)
+        assert weight_from_shift1(f) == apply_stored("weight", f)
 
 
 def test_shift_family_level_zero_and_slices():
     f = basis_poly("m", (2, 1), 3)
-    fam = apply_shift_family(f)
-    assert fam[0] == f
+    fam = shift_levels(to_scaled(f), None)
+    assert unscale(fam[0]) == f
     # level slices agree with the full run and out-of-range levels vanish
-    part = apply_shift_family(f, levels=[1, 5])
-    assert part[1] == fam[1]
-    assert part[5] == SymPoly.zero(3)
+    part = shift_levels(to_scaled(f), [1, 5])
+    assert unscale(part[1]) == unscale(fam[1])
+    assert unscale(part[5]) == SymPoly.zero(3)
 
 
 def test_shift1_matches_family_level_one():
     for n in (2, 3, 4):
         f = basis_poly("p", (2,), n)
-        fam = apply_shift_family(f, levels=[1])
-        assert fam[1] == apply_shift1(f)
+        fam = shift_levels(to_scaled(f), [1])
+        assert unscale(fam[1]) == apply_stored(1, f)
+
+
+def _ad_levels(ad, r, f):
+    return [unscale(img) for img in ad(r, to_scaled(f))]
 
 
 def test_ad_level_zero():
     f = basis_poly("m", (1, 1), 2)
-    assert apply_ad_raise_upto(0, f)[0] == apply_raise1(f)
-    assert apply_ad_lower_upto(0, f)[0] == apply_lower(f)
+    assert _ad_levels(apply_ad_raise_upto, 0, f)[0] == apply_stored("raise", f)
+    assert _ad_levels(apply_ad_lower_upto, 0, f)[0] == apply_stored("lower", f)
 
 
 def test_ad_one_is_commutator():
     f = basis_poly("m", (2,), 2)
-    lhs = apply_ad_raise_upto(1, f)[1]
-    rhs = apply_weight(apply_raise1(f)) - apply_raise1(apply_weight(f))
-    assert lhs == rhs
-    lhs = apply_ad_lower_upto(1, f)[1]
-    rhs = apply_lower(apply_weight(f)) - apply_weight(apply_lower(f))
-    assert lhs == rhs
+    S = apply_stored
+    rhs = S("weight", S("raise", f)) - S("raise", S("weight", f))
+    assert _ad_levels(apply_ad_raise_upto, 1, f)[1] == rhs
+    rhs = S("lower", S("weight", f)) - S("weight", S("lower", f))
+    assert _ad_levels(apply_ad_lower_upto, 1, f)[1] == rhs
 
 
 def _ad_nested(l, base, f, negate):
@@ -170,8 +173,8 @@ def test_ad_expansion_matches_nesting(n, lam, cache):
     # cleared before the shared images are built
     f = macdonald_forms(lam, n, cache).P
     assert any(c.den != ONE.den for c in f.coeffs.values())
-    raise_levels = apply_ad_raise_upto(3, f)
-    lower_levels = apply_ad_lower_upto(3, f)
+    raise_levels = _ad_levels(apply_ad_raise_upto, 3, f)
+    lower_levels = _ad_levels(apply_ad_lower_upto, 3, f)
     for l in range(4):
         assert raise_levels[l] == _ad_nested(l, "raise", f, False)
         assert lower_levels[l] == _ad_nested(l, "lower", f, True)
@@ -207,13 +210,13 @@ def test_assembly_is_gcd_free(monkeypatch, cache, empty_store):
     monkeypatch.setattr(qops, "_image", watched("image", image))
 
     def run_all():
-        apply_lower(f)
-        apply_weight(f)
-        apply_shift1(f)
-        apply_shift_family(f)
-        apply_shift_genfun(f, rf(3))
-        apply_ad_raise_upto(2, f)
-        apply_ad_lower_upto(2, f)
+        for kind in ("lower", "weight", 1):
+            apply_stored(kind, f)
+        gs = to_scaled(f)
+        shift_levels(gs, None)
+        apply_shift_genfun(gs, rf(3))
+        apply_ad_raise_upto(2, gs)
+        apply_ad_lower_upto(2, gs)
 
     # the emptied store builds each column once, by the literal assembly
     run_all()
@@ -238,10 +241,10 @@ def test_assembly_is_gcd_free(monkeypatch, cache, empty_store):
     assert len(big.coeffs) >= 10 * len(small.coeffs)
     scal = (ONE - Q * T).inverse()
     a, b = [rf(Fraction(2, 3)) * Q, T.inverse()], [rf(Fraction(5, 7)) / T]
-    for op in (series.scaled_transfer_lower(b),
-               series.scaled_transfer_raise(a),
-               series.scaled_transfer_diag_raise(a),
-               series.scaled_transfer_diag_lower(b)):
+    for op in (series.transfer_lower(b),
+               series.transfer_raise(a),
+               series.transfer_diag_raise(a),
+               series.transfer_diag_lower(b)):
         counts = []
         for g in (small, big):
             calls["all_gcd"] = 0
@@ -263,10 +266,7 @@ def test_columns_match_literal_assembly(n, cache):
     f = _rational_input(n, cache)
     assert any(c.den != ONE.den for c in f.coeffs.values())
     for kind in ["lower", "weight", "raise"] + list(range(n + 1)):
-        assert qops._apply(qops._image, kind, f) == apply_literal(kind, f), kind
-    assert apply_shift1(f) == apply_literal(1, f)
-    fam = apply_shift_family(f)
-    assert all(fam[l] == apply_literal(l, f) for l in range(n + 1))
+        assert apply_stored(kind, f) == apply_literal(kind, f), kind
 
 
 def test_column_store_is_bounded(monkeypatch, cache):
@@ -276,7 +276,7 @@ def test_column_store_is_bounded(monkeypatch, cache):
     monkeypatch.setattr(qops, "column", small)
     f = _rational_input(3, cache)
     assert len(f.coeffs) > 2
-    assert apply_lower(f) == apply_literal("lower", f)
+    assert apply_stored("lower", f) == apply_literal("lower", f)
     assert small.cache_info().currsize == 2
 
 
@@ -285,7 +285,7 @@ def test_lower_alt_matches_rational_input(cache):
     for n, lam in ((2, (2,)), (3, (2, 1))):
         f = macdonald_forms(lam, n, cache).P
         assert any(c.den != ONE.den for c in f.coeffs.values())
-        assert apply_lower_alt(f) == apply_lower(f)
+        assert apply_lower_alt(f) == apply_stored("lower", f)
 
 
 # ---------------------------------------------------------------------------
@@ -293,25 +293,28 @@ def test_lower_alt_matches_rational_input(cache):
 
 def test_operator_degrees():
     f = basis_poly("m", (2, 1), 3)
-    assert set(apply_lower(f).degrees()) <= {2}
-    assert set(apply_weight(f).degrees()) <= {3}
-    assert set(apply_raise1(f).degrees()) <= {4}
+    for kind, d in (("lower", 2), ("weight", 3), ("raise", 4)):
+        assert set(apply_stored(kind, f).degrees()) <= {d}
 
 
 def test_lower_kills_constants():
     one = SymPoly.one(3)
-    assert apply_lower(one) == SymPoly.zero(3)
-    assert apply_weight(one) == SymPoly.zero(3)
+    assert apply_stored("lower", one) == SymPoly.zero(3)
+    assert apply_stored("weight", one) == SymPoly.zero(3)
 
 
 def test_symmetrize_guard(empty_store):
+    # a shift level l >= 2 symmetrizes over n! terms; every route, stored
+    # or literal, single level or family, refuses it past the bound
     f = basis_poly("m", (1,), MAX_FULL_SYMMETRIZE + 1)
-    with pytest.raises(ResourceGuardError):
-        apply_shift_family(f)
+    for route in (lambda: apply_stored(2, f), lambda: apply_literal(2, f),
+                  lambda: shift_levels(to_scaled(f), [2])):
+        with pytest.raises(ResourceGuardError):
+            route()
     # the guard runs before any column is built
     assert empty_store.cache_info().currsize == 0
     # first-order assemblies avoid the n! symmetrization and stay legal
-    apply_shift1(f)
+    apply_stored(1, f)
 
 
 def test_clear_denominators():

@@ -16,7 +16,7 @@ from machyper.macdonald import (binomial_by_expansion, jstar_principal,
 from machyper.partitions import (enumerate_partitions, lower_covers,
                                  make_partition, n_stat, partitions_of,
                                  rho_stat, upper_covers)
-from machyper.qops import apply_weight
+from machyper.qops import apply_stored, on_values, to_scaled, unscale
 from machyper.ratfunc import ONE, Q, T, qt_monomial, rf, t_monomial
 from machyper.series import (HyperParams, TruncatedSeries, check_lower_poles,
                              eigen_ops_lower, eigen_ops_lower_from_shifts,
@@ -86,7 +86,7 @@ def test_inverted_build_pole_condition():
 def test_diag_raise_on_constant():
     a = rf(Fraction(1, 5))
     f0 = SymPoly.one(1)
-    got = transfer_diag_raise([a])(f0)
+    got = on_values(transfer_diag_raise([a]))(f0)
     assert got == f0.scale_rf((ONE - a) / (ONE - Q))
 
 
@@ -94,7 +94,7 @@ def test_diag_raise_on_constant():
 def test_diag_lower_on_integral_basis(n, cache):
     b = rf(Fraction(3, 5))
     J1 = macdonald_forms(make_partition((1,)), n, cache).J
-    got = transfer_diag_lower([b])(J1)
+    got = on_values(transfer_diag_lower([b]))(J1)
     assert got == J1.scale_rf(ONE - b)
 
 
@@ -103,8 +103,8 @@ def test_level_zero_lower_is_weight(n, cache):
     for d in range(4):
         for lam in partitions_of(d, n):
             J = macdonald_forms(lam, n, cache).J
-            h0 = eigen_ops_lower(0, J)[0]
-            assert h0 == apply_weight(J)
+            h0 = unscale(eigen_ops_lower(0, to_scaled(J))[0])
+            assert h0 == apply_stored("weight", J)
             assert h0 == J.scale_rf(rho_stat(lam))
 
 
@@ -116,24 +116,24 @@ def test_closed_eigenvalues_on_integral_basis(n, cache):
     for d in range(3):
         for mu in partitions_of(d, n):
             J = macdonald_forms(mu, n, cache).J
-            gs = eigen_ops_raise(3, J)
+            gs = eigen_ops_raise(3, to_scaled(J))
             for l in range(4):
-                assert gs[l] == J.scale_rf(eigen_value_raise(l, mu, n))
-            hs = eigen_ops_lower(2, J)
+                assert unscale(gs[l]) == J.scale_rf(eigen_value_raise(l, mu, n))
+            hs = eigen_ops_lower(2, to_scaled(J))
             for l in range(3):
-                assert hs[l] == J.scale_rf(eigen_value_lower(l, mu, n))
+                assert unscale(hs[l]) == J.scale_rf(eigen_value_lower(l, mu, n))
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_display_routes_match_recursion(n):
     # generic non-eigenvector input
     f = SymPoly.from_coeffs(n, {(): rf(1), (1,): rf(Fraction(2, 3)), (2,): Q})
-    gs = eigen_ops_raise(3, f)
+    gs = eigen_ops_raise(3, to_scaled(f))
     for l in range(4):
-        assert gs[l] == eigen_ops_raise_from_shifts(l, f)
-    hs = eigen_ops_lower(2, f)
+        assert unscale(gs[l]) == eigen_ops_raise_from_shifts(l, f)
+    hs = eigen_ops_lower(2, to_scaled(f))
     for l in range(3):
-        assert hs[l] == eigen_ops_lower_from_shifts(l, f)
+        assert unscale(hs[l]) == eigen_ops_lower_from_shifts(l, f)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -153,7 +153,7 @@ def test_brute_cover_sums_match_closed(n, cache):
 def test_raise_action_is_cover_sum(cache):
     alist = [rf(Fraction(1, 2)), rf(Fraction(5, 3))]
     n, mu = 2, make_partition((1,))
-    got = transfer_raise(alist)(macdonald_forms(mu, n, cache).Jstar)
+    got = on_values(transfer_raise(alist))(macdonald_forms(mu, n, cache).Jstar)
     want = SymPoly.zero(n)
     for cv in upper_covers(mu, max_length=n):
         w = ONE
@@ -168,7 +168,7 @@ def test_raise_action_is_cover_sum(cache):
 def test_lower_action_is_cover_sum(cache):
     blist = [rf(Fraction(2, 9))]
     n, lam = 2, make_partition((2, 1))
-    got = transfer_lower(blist)(macdonald_forms(lam, n, cache).Jnorm)
+    got = on_values(transfer_lower(blist))(macdonald_forms(lam, n, cache).Jnorm)
     want = SymPoly.zero(n)
     for cv in lower_covers(lam):
         w = ONE
@@ -233,10 +233,11 @@ def test_univariate_matches_full_operators():
     a1 = rf(Fraction(1, 4))
     b1 = rf(Fraction(2, 3))
     f = SymPoly.from_coeffs(1, {(2,): rf(Fraction(1, 3)), (1,): T})
-    assert transfer_raise_uv([a1], f) == transfer_raise([a1])(f)
-    assert transfer_lower_uv([b1], f) == transfer_lower([b1])(f)
-    assert transfer_diag_raise_uv([a1], f) == transfer_diag_raise([a1])(f)
-    assert transfer_diag_lower_uv([b1], f) == transfer_diag_lower([b1])(f)
+    for uv, full, ps in ((transfer_raise_uv, transfer_raise, [a1]),
+                         (transfer_lower_uv, transfer_lower, [b1]),
+                         (transfer_diag_raise_uv, transfer_diag_raise, [a1]),
+                         (transfer_diag_lower_uv, transfer_diag_lower, [b1])):
+        assert uv(ps, f) == on_values(full(ps))(f)
 
 
 def test_univariate_rejects_several_variables():
@@ -253,8 +254,10 @@ def test_render_two_principal_collapse(cache):
                               lower=[rf(Fraction(3, 7))])
     s = TruncatedSeries.build(2, 2, params)
     F = s.render_two(cache)
-    vals = {lam: principal_m(lam, 2) for lam in enumerate_partitions(2, 2)}
-    collapsed = F.eval_y(vals)
+    # collapse the y alphabet at the staircase point
+    collapsed = SymPoly.zero(2)
+    for (lx, ly), c in F.coeffs.items():
+        collapsed = collapsed + SymPoly(2, {lx: c * principal_m(ly, 2)})
     want = SymPoly.zero(2)
     for lam, c in s.coeffs.items():
         want = want + macdonald_forms(lam, 2, cache).Jnorm.scale_rf(

@@ -37,10 +37,6 @@ def test_no_invert_parameter():
     assert found == []
 
 
-# signatures shared with a sibling function, where one argument is unused
-UNREAD_EXEMPT = {("partitions.py", "coarm"), ("partitions.py", "coleg")}
-
-
 def _receivers(tree):
     # the first parameter of a method (self, cls) is fixed by the call
     out = set()
@@ -69,8 +65,6 @@ def test_every_parameter_is_read():
                                      ast.Lambda)):
                 continue
             name = getattr(node, "name", "<lambda>")
-            if (path.name, name) in UNREAD_EXEMPT:
-                continue
             a = node.args
             params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs
                       + [a.vararg, a.kwarg] if x is not None]
@@ -140,6 +134,56 @@ def test_perfbench_hooks_resolve():
     finally:
         tr.uninstall()
     assert missing == []
+
+
+def test_perfbench_operator_counters_see_the_work(cache):
+    # the benchmark counts operator applications on the public entry points
+    # (qops.apply_*, series.eigen_ops_*, BiSymPoly.apply_x); the transfers
+    # and residuals must reach the work through them, or a counter reads
+    # zero while the work runs
+    import machyper.verify as verify
+    tracer = _load_bench_module("tracer")
+    worker = _load_bench_module("worker")
+    tr = tracer.Tracer()
+    try:
+        tr.install(worker.trace_specs())
+        verify.run_suite("all", n=2, D=1, draws=1, cache=cache)
+    finally:
+        tr.uninstall()
+    for name in ("qops.ad_calls", "series.eigen_ops_calls", "qops.apply_calls",
+                 "sympoly.apply_x_calls"):
+        assert tr.counts[name] > 0, name
+
+
+# the functions that may turn a scaled image into a value: the one adapter
+# of qops, and the Kaneko check, which compares operator values
+UNSCALE_SCOPES = {"qops.on_values", "verify.check_factored_form"}
+
+
+def test_values_leave_the_operator_layer_at_one_boundary():
+    # unscale is named only inside the listed functions (a nested function
+    # or lambda counts as part of the function that holds it); everywhere
+    # else an operator maps scaled images
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        mod = path.stem
+
+        def visit(node, scope, in_class):
+            for child in ast.iter_child_nodes(node):
+                if (isinstance(child, ast.Name) and child.id == "unscale"
+                        or isinstance(child, ast.Attribute)
+                        and child.attr == "unscale"):
+                    if f"{mod}.{scope}" not in UNSCALE_SCOPES:
+                        found.append(f"{path.name}:{child.lineno} {scope}")
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef)) and (not scope or in_class):
+                    visit(child, f"{scope}.{child.name}".lstrip("."),
+                          isinstance(child, ast.ClassDef))
+                else:
+                    visit(child, scope, in_class)
+
+        visit(ast.parse(path.read_text(), filename=str(path)), "", False)
+    assert found == []
 
 
 # where a rational number may enter or leave the field layer; everything

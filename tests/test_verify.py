@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from machyper.errors import PoleError, ResourceGuardError
-from machyper.qops import unscale
+from machyper.qops import on_values, unscale
 from machyper.ratfunc import ONE, Q, rf
 from machyper.series import (HyperParams, TruncatedSeries, check_lower_poles,
                              transfer_diag_lower, transfer_diag_raise,
@@ -134,22 +134,24 @@ def test_reports_frozen(cache):
 @pytest.mark.parametrize("n, mutate", [(2, (1,)), (3, (1, 1, 1))])
 def test_residual_support_from_numerators(cache, n, mutate):
     # the residuals never divide: their support, read from the numerators,
-    # is the support of the normalized residual built from the public
-    # (normalizing) transfers, on a mutated series where it is nonempty
+    # is the support of the normalized residual built from the transfers'
+    # values, on a mutated series where it is nonempty
     D = 3
     p = draw_hyper_params(random.Random(11), 2, 1, n, D)
     ser = TruncatedSeries.build(n, D, p).mutate(mutate)
     F, f = ser.render_two(cache), ser.render_one(cache)
+    lower = on_values(transfer_lower(p.lower))
+    raised = on_values(transfer_raise(p.upper))
     for c in (ONE, rf(3) * Q / rf(2)):
-        ref_A = (F.apply_x(transfer_lower(p.lower)).scale_rf(c.inverse())
-                 - F.apply_y(transfer_raise(p.upper)))
+        ref_A = (F.apply_x(lower).scale_rf(c.inverse())
+                 - F.swap().apply_x(raised).swap())
         got_A = _resid_A(F, p, c)
         assert got_A.coeffs and set(got_A.coeffs) == set(ref_A.coeffs)
         assert got_A.bidegrees() == ref_A.bidegrees()
-        ref_B = (transfer_diag_raise(p.upper)(f)
-                 - transfer_lower(p.lower)(f).scale_rf(c.inverse()))
-        ref_C = (transfer_diag_lower(p.lower)(f)
-                 - transfer_raise(p.upper)(f).scale_rf(c))
+        ref_B = (on_values(transfer_diag_raise(p.upper))(f)
+                 - lower(f).scale_rf(c.inverse()))
+        ref_C = (on_values(transfer_diag_lower(p.lower))(f)
+                 - raised(f).scale_rf(c))
         for got, ref in ((_resid_B(f, p, c), ref_B), (_resid_C(f, p, c), ref_C)):
             assert got[0].coeffs and set(got[0].coeffs) == set(ref.coeffs)
             assert unscale(got) == ref
