@@ -259,7 +259,7 @@ def cmd_compute(args) -> int:
         _need(args, "partition")
         lam = parse_partition(args.partition)
         forms = macdonald_forms(lam, args.n, cache)
-        poly = {"P": forms.P, "J": forms.J, "Jstar": forms.Jstar}[obj]
+        poly = getattr(forms, obj)
         if args.format == "json":
             print(_dumps({"object": obj, "partition": list(lam), "n": args.n,
                           "value": poly.to_json()}))
@@ -310,7 +310,7 @@ def cmd_table(args) -> int:
     if args.object in ("P", "J", "Jstar"):
         for lam in enumerate_partitions(args.max_size, args.n):
             forms = macdonald_forms(lam, args.n, cache)
-            poly = {"P": forms.P, "J": forms.J, "Jstar": forms.Jstar}[args.object]
+            poly = getattr(forms, args.object)
             rows.append((lam, poly))
         if args.format == "json":
             print(_dumps([{"partition": list(lam), "value": p.to_json()}

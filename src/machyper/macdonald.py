@@ -49,7 +49,7 @@ from .errors import InexactDivisionError, MacHyperError
 from .partitions import (Partition, SkewCover, conjugate, dominates,
                          format_partition, hook_products, length,
                          lower_upper_hooks, make_partition, n_stat,
-                         partitions_of, revlex_key, size, upper_covers)
+                         partitions_of, size, upper_covers)
 from .qops import apply_literal, column, eigen_shift
 from .ratfunc import (ONE, Q, RatFuncQT, T, qt_monomial, rf, t_monomial,
                       times_multiple)
@@ -109,13 +109,13 @@ class MacdonaldCache:
         if not self.cache_dir:
             return
         os.makedirs(self.cache_dir, exist_ok=True)
-        items = sorted(poly.coeffs.items(), key=lambda kv: revlex_key(kv[0]))
         data = {
             "format": _FORMAT,
             "n": n,
             "partition": list(lam),
             "coeffs": [
-                {"partition": list(mu), "value": c.to_json()} for mu, c in items
+                {"partition": list(mu), "value": poly.coeffs[mu].to_json()}
+                for mu in sorted(poly.coeffs)
             ],
         }
         path = self._path(lam, n)
@@ -325,7 +325,7 @@ def expand_in_P(f: SymPoly, cache: MacdonaldCache | None = None) -> dict[Partiti
     rest = f
     out: dict[Partition, RatFuncQT] = {}
     while not rest.is_zero():
-        kappa = max(rest.coeffs, key=revlex_key)
+        kappa = max(rest.coeffs)
         c = rest.coeffs[kappa]
         out[kappa] = c
         rest = rest - macdonald_P(kappa, n, cache).scale_rf(c)

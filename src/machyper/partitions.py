@@ -60,10 +60,6 @@ def dominates(lam: Partition, mu: Partition) -> bool:
             return False
     return True
 
-def revlex_key(lam: Partition):
-    """Sort key: within one size, reverse-lexicographic descending order."""
-    return lam
-
 @lru_cache(maxsize=None)
 def partitions_of(n: int, max_length: int | None = None) -> tuple[Partition, ...]:
     """Partitions of n with at most max_length parts, revlex descending."""

@@ -49,20 +49,21 @@ only; series and verify handle it through the functions of the scaled
 image section.  An input is cleared once (to_scaled: g is f times the
 lcm in Z[q,t] of its coefficient denominators); with integer-polynomial
 g_mu and columns, every product and sum of a column application is an
-integer polynomial operation without a gcd.  Each operator of several
-levels has one function, on scaled images: shift_levels, the
-generating-function operator apply_shift_genfun and the iterated
-commutators apply_ad_raise_upto and apply_ad_lower_upto.  combine adds
-scaled images over the lcm of their scalars' denominators, so the gcds
-it runs are one per term, on scalars, never one per coefficient.
+integer polynomial operation without a gcd.  Each operator has one
+function, on scaled images: apply_kind(kind, gs) for one kind (a shift
+level above n is zero), apply_shift_genfun for the generating-function
+operator and apply_ad_raise_upto and apply_ad_lower_upto for the
+iterated commutators.  combine adds scaled images over the lcm of their
+scalars' denominators, so the gcds it runs are one per term, on
+scalars, never one per coefficient.
 support_degrees and alphabet_difference read where an image, or a
 difference of two alphabets' images, is nonzero without dividing
 anything.
 
-Values enter and leave at one boundary.  apply_stored(kind, f) and
-apply_literal(kind, f) take a value, clear it and multiply the image by
-its scalar once, at the end; on_values(op) turns a map of scaled images
-into a map of values, with unscale as the one normalization.  The
+Values leave at one boundary: on_values(op) turns a map of scaled
+images into a map of values, with unscale as the one normalization.
+The oracles' apply_literal(kind, f) takes a value, clears it and
+multiplies the image by its scalar once, at the end.  The
 iterated weight commutators use the binomial expansion
 ad^l(B) = sum_k (-1)^k C(l,k) W^(l-k) B W^k on the unscaled weight
 operator t^(n-1) W; the images W^k g and W^j B W^k g are computed once
@@ -217,6 +218,17 @@ def _image(kind, g: SymPoly) -> SymPoly:
     return SymPoly(n, acc)
 
 
+def apply_kind(kind, gs: Scaled) -> Scaled:
+    """The operator kind at the scaled image gs = (g, s), as a sum of
+    stored columns.  A shift level shares the input's scalar, and a level
+    above n is zero."""
+    g, s = gs
+    n = g.n_vars
+    if isinstance(kind, str):
+        return _image(kind, g), _scalar(kind, n) * s
+    return (_image(kind, g) if kind <= n else SymPoly.zero(n)), s
+
+
 # ---------------------------------------------------------------------------
 # scaled images: (g, s) with integer-polynomial coefficients in g, worth s * g
 
@@ -304,25 +316,14 @@ def alphabet_difference(F: BiSymPoly, x_op, y_op,
     return BiSymPoly(F.n_vars, out)
 
 
-def _apply(route, kind, f: SymPoly) -> SymPoly:
-    """The operator kind at f: route(kind, g) on the cleared input g, times
-    the operator's scalar and the clearing scalar."""
-    g, s = to_scaled(f)
-    return route(kind, g).scale_rf(_scalar(kind, f.n_vars) * s)
-
-
 # ---------------------------------------------------------------------------
-# the value entries: one operator of a given kind at one value
-
-def apply_stored(kind, f: SymPoly) -> SymPoly:
-    """The operator kind at f, as a sum of stored columns."""
-    return _apply(_image, kind, f)
-
+# the oracle routes: the literal assembly and the alternative lowering operator
 
 def apply_literal(kind, f: SymPoly) -> SymPoly:
-    """The operator kind at f by the literal assembly, never through the
-    column store: the route of the oracles."""
-    return _apply(_literal, kind, f)
+    """The operator kind at the value f by the literal assembly, never
+    through the column store: the route of the oracles."""
+    g, s = to_scaled(f)
+    return _literal(kind, g).scale_rf(_scalar(kind, f.n_vars) * s)
 
 
 def apply_lower_alt(f: SymPoly) -> SymPoly:
@@ -356,23 +357,11 @@ def apply_lower_alt(f: SymPoly) -> SymPoly:
 # ---------------------------------------------------------------------------
 # the symmetrized shift family (generating-function operator in u)
 
-def shift_levels(gs: Scaled, levels) -> dict[int, Scaled]:
-    """{l: (D_l g, s)} for the scaled image gs = (g, s): every level shares
-    the input's scalar.  levels=None asks for l = 0..n; a level above n
-    is zero."""
-    g, s = gs
-    n = g.n_vars
-    want = range(n + 1) if levels is None else sorted(set(levels))
-    return {l: (_image(l, g) if 0 <= l <= n else SymPoly.zero(n), s)
-            for l in want}
-
-
 def apply_shift_genfun(gs: Scaled, uval: RatFuncQT) -> Scaled:
     """The generating-function shift operator sum_l uval^l D_l at a
     concrete parameter value."""
     n = gs[0].n_vars
-    fam = shift_levels(gs, None)
-    return combine(n, ((uval ** l, fam[l]) for l in range(n + 1)))
+    return combine(n, ((uval ** l, apply_kind(l, gs)) for l in range(n + 1)))
 
 
 # ---------------------------------------------------------------------------

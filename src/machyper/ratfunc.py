@@ -833,26 +833,17 @@ def _eval_at_q1(terms: PolyDict) -> "PolyDict":
 def _q1_expansion(f: RatFuncQT) -> tuple[int, Fraction]:
     """(v, c) with f = (1-q)^v * g and g(1) = c != 0, for a nonzero t-free f."""
     if any(e[1] for p in (f._a, f._b) for e in p):
-        raise LimitError("limit_q1 requires an element of Q(q)")
+        raise LimitError("the limit at q = 1 requires an element of Q(q)")
     vn, rn = _strip_one_minus_q(f._a)
     vd, rd = _strip_one_minus_q(f._b)
     return vn - vd, Fraction(_eval_at_q1(rn)[(0, 0)], _eval_at_q1(rd)[(0, 0)])
 
-def limit_q1(f: RatFuncQT, scale_order: int = 0) -> Fraction:
+def limit_q1_weak(f: RatFuncQT, scale_order: int) -> Fraction:
     """Value of f * (1-q)^scale_order at q = 1 for a t-free f.
 
-    The scaled limit must be finite and nonzero; otherwise LimitError reports
-    the actual (1-q)-valuation so the caller can adjust.
+    A limit of zero is returned as 0; a pole that survives the scaling
+    raises LimitError with the actual (1-q)-valuation.
     """
-    if f.is_zero():
-        raise LimitError("limit of zero is zero at every order")
-    v, c = _q1_expansion(f)
-    if v + scale_order != 0:
-        raise LimitError(f"(1-q)-valuation is {v}, expected {-scale_order}")
-    return c
-
-def limit_q1_weak(f: RatFuncQT, scale_order: int) -> Fraction:
-    """Like limit_q1 but a limit of zero is allowed (returns 0)."""
     if f.is_zero():
         return _F0
     v, c = _q1_expansion(f)

@@ -48,7 +48,7 @@ from .partitions import (Partition, enumerate_partitions, format_partition,
                          lower_covers, make_partition, n_stat, n_stat_conj,
                          pochhammer_list, size, upper_covers)
 from .qops import (Scaled, apply_ad_lower_upto, apply_ad_raise_upto,
-                   apply_literal, combine, shift_levels)
+                   apply_kind, apply_literal, combine)
 from .ratfunc import (ONE, Q, RatFuncQT, T, elementary_symmetric, invert_qt,
                       qt_monomial, rf, t_integer, t_monomial)
 from .sympoly import BiSymPoly, SymPoly, invert_coeffs
@@ -279,7 +279,8 @@ def _genfun_ratio(gs: Scaled, top: int, num_base: RatFuncQT,
     for k in range(top + 1):
         wk = gs if k == 0 else combine(n, ((-den_pows[m], fams[k - m][m])
                                            for m in range(1, min(k, n) + 1)))
-        fams.append(shift_levels(wk, None) if k < top else {0: wk})
+        fams.append([apply_kind(l, wk) for l in range(n + 1)] if k < top
+                    else [wk])
     return [combine(n, ((num_pows[m], fams[l - m][m])
                         for m in range(min(l, n) + 1)))
             for l in range(top + 1)]

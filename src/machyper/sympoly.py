@@ -284,14 +284,14 @@ def power_sum_k(k: int, n: int) -> SymPoly:
 @lru_cache(maxsize=None)
 def basis_poly(kind: str, lam: Partition, n: int) -> SymPoly:
     """m / e / p basis element as a SymPoly in n variables."""
-    if kind in ("m", "monomial"):
+    if kind == "m":
         return SymPoly.monomial_basis(lam, n)
-    if kind in ("e", "elementary"):
+    if kind == "e":
         out = SymPoly.one(n)
         for p in lam:
             out = out * elementary_k(p, n)
         return out
-    if kind in ("p", "power", "power_sum"):
+    if kind == "p":
         out = SymPoly.one(n)
         for p in lam:
             out = out * power_sum_k(p, n)

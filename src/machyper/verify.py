@@ -17,11 +17,12 @@ exports for it.  B and C return the residual as a scaled image, whose
 support the checks read with qops.support_degrees; A is
 qops.alphabet_difference of the two transfers, which applies each side
 to the slices of the rendering, each slice cleared on its own, and finds
-where the two sides differ by cross-multiplying their scalars.  Values
-enter the operators at qops' boundary: the factored second-order
-operator applies each kind by qops.apply_stored, the one-variable check
-reads the transfers through qops.on_values, and the Kaneko check, which
-needs the residual's values, normalizes with qops.unscale.
+where the two sides differ by cross-multiplying their scalars.  The
+Kaneko check's factored second-order operator is a qops.combine of
+single operator kinds (qops.apply_kind), never of the transfers, and it
+matches B where the combine of the two sides has a zero image.  Only
+the one-variable and diagonal-kernel checks read values, through
+qops.on_values.
 
 All checks run over the exact coefficient field; there are no
 tolerances anywhere.  Parameter draws are seeded, so a fixed
@@ -48,9 +49,8 @@ from .partitions import (Partition, arm, cells, enumerate_partitions,
                          upper_covers, z_stat)
 from .sympoly import (BiSymPoly, SymPoly, basis_poly, invert_coeffs,
                       to_power_sums)
-from .qops import (Scaled, alphabet_difference, apply_shift_genfun,
-                   apply_stored, combine, on_values, shift_levels,
-                   support_degrees, to_scaled, unscale)
+from .qops import (Scaled, alphabet_difference, apply_kind, apply_shift_genfun,
+                   combine, on_values, support_degrees, to_scaled)
 from .macdonald import (MacdonaldCache, binomial_raising_closed, default_cache,
                         macdonald_forms)
 from .series import (HyperParams, TruncatedSeries, check_lower_poles,
@@ -289,8 +289,7 @@ def check_diagonal_match(series: TruncatedSeries,
         notes.append(f"off-diagonal term injected at {format_partition(cross)}")
 
     # level 0 is the identity on both sides
-    level_ops = [lambda gs, l=l: shift_levels(gs, [l])[l]
-                 for l in range(1, n + 1)]
+    level_ops = [lambda gs, l=l: apply_kind(l, gs) for l in range(1, n + 1)]
 
     def level_difference(G: BiSymPoly, op) -> BiSymPoly:
         return alphabet_difference(G, op, op, ONE)
@@ -533,37 +532,52 @@ def check_single_alphabet(series: TruncatedSeries,
 # ---------------------------------------------------------------------------
 # the factored second-order operator
 
-def _factored_second_order(f: SymPoly, a: RatFuncQT, b: RatFuncQT,
-                           c: RatFuncQT, n: int) -> SymPoly:
+def _factored_second_order(gs: Scaled, a: RatFuncQT, b: RatFuncQT,
+                           c: RatFuncQT, n: int) -> Scaled:
     """Literal term-by-term assembly of the second-order hypergeometric
-    operator with numerator parameters a, b and denominator parameter c.
-    Written against the classical shape (shifted first- and second-level
-    shift operators), not against the transfer combination it is later
-    compared to.
+    operator with numerator parameters a, b and denominator parameter c,
+    at the scaled image gs.  Written against the classical shape (shifted
+    first- and second-level shift operators, and the commutator of the
+    weight and lowering operators as two compositions), not against the
+    transfer combination it is later compared to.
     """
     one_q = ONE - Q
     nt = t_integer(n)
     nt1 = t_integer(n - 1)
     tpow = t_monomial(n - 1)
+    # X = (D_1 - [n]_t) / (1-q), Y = ((1+t) D_2 - t [n]_t [n-1]_t) / k
+    x1, x0 = ONE / one_q, -nt / one_q
+    k = one_q * (ONE - T ** 2)
+    y2, y0 = (ONE + T) / k, -T * nt * nt1 / k
 
-    def X(g: SymPoly) -> SymPoly:
-        return (apply_stored(1, g) - g.scale_rf(nt)).scale_rf(ONE / one_q)
+    def X(hs: Scaled) -> Scaled:
+        return combine(n, ((x1, apply_kind(1, hs)), (x0, hs)))
 
-    def Y(g: SymPoly) -> SymPoly:
-        num = apply_stored(2, g).scale_rf(ONE + T) - g.scale_rf(T * nt * nt1)
-        return num.scale_rf(ONE / (one_q * (ONE - T ** 2)))
+    def Y(hs: Scaled) -> Scaled:
+        return combine(n, ((y2, apply_kind(2, hs)), (y0, hs)))
 
-    def comm(g: SymPoly) -> SymPoly:
-        return (apply_stored("weight", apply_stored("lower", g))
-                - apply_stored("lower", apply_stored("weight", g)))
+    def comm(hs: Scaled) -> Scaled:
+        return combine(n, (
+            (ONE, apply_kind("weight", apply_kind("lower", hs))),
+            (-ONE, apply_kind("lower", apply_kind("weight", hs)))))
 
-    out = comm(f).scale_rf(c * tpow / one_q)
-    out = out - (X(X(f)) - Y(f).scale_rf((ONE - T ** 2) / (T * one_q))) \
-        .scale_rf(a * b)
-    out = out + apply_stored("lower", f).scale_rf(tpow / one_q)
-    out = out - X(f).scale_rf((rf(2) * a * b * nt - (a + b) * tpow) / one_q)
-    out = out - f.scale_rf((ONE - a) * (ONE - b) * tpow * nt / one_q ** 2)
-    return out
+    xs = X(gs)
+    return combine(n, (
+        (c * tpow / one_q, comm(gs)),
+        (-a * b, X(xs)),
+        (a * b * (ONE - T ** 2) / (T * one_q), Y(gs)),
+        (tpow / one_q, apply_kind("lower", gs)),
+        (-(rf(2) * a * b * nt - (a + b) * tpow) / one_q, xs),
+        (-(ONE - a) * (ONE - b) * tpow * nt / one_q ** 2, gs)))
+
+
+def _matches_B(lam: Partition, p: HyperParams, scal: RatFuncQT,
+               n: int) -> bool:
+    """scal times the factored operator at p = (a, b; c) equals B at p on
+    m_lam: their difference has a zero image."""
+    f = basis_poly("m", lam, n)
+    lhs = _factored_second_order(to_scaled(f), *p.upper, p.lower[0], n)
+    return not combine(n, ((scal, lhs), (-ONE, _resid_B(f, p))))[0].coeffs
 
 
 def check_factored_form(series: TruncatedSeries,
@@ -585,13 +599,8 @@ def check_factored_form(series: TruncatedSeries,
     scal = -(ONE - Q) / t_monomial(n - 1)
     notes = []
 
-    op_bad = 0
     inputs = enumerate_partitions(4, n)
-    for lam in inputs:
-        f = basis_poly("m", lam, n)
-        lhs = _factored_second_order(f, a, b, c, n).scale_rf(scal)
-        if lhs != unscale(_resid_B(f, p)):
-            op_bad += 1
+    op_bad = sum(not _matches_B(lam, p, scal, n) for lam in inputs)
     if op_bad:
         notes.append(f"operator identity failed on {op_bad} of {len(inputs)} "
                      f"monomial inputs")
@@ -603,17 +612,12 @@ def check_factored_form(series: TruncatedSeries,
     # collapse of every a,b-proportional term
     zero = ONE - ONE
     p0 = HyperParams((zero, zero), p.lower)
-    col_bad = 0
-    for lam in ((1,), (2, 1)):
-        f = basis_poly("m", lam, n)
-        lhs = _factored_second_order(f, zero, zero, c, n).scale_rf(scal)
-        if lhs != unscale(_resid_B(f, p0)):
-            col_bad += 1
+    col_bad = sum(not _matches_B(lam, p0, scal, n) for lam in ((1,), (2, 1)))
     notes.append("zero-parameter collapse "
                  + ("verified" if col_bad == 0 else "FAILED"))
 
     F = series.render_one(cache)
-    observed = _factored_second_order(F, a, b, c, n).degrees()
+    observed = support_degrees(_factored_second_order(to_scaled(F), a, b, c, n))
     bad = [d for d in observed if d <= D - 1]
     leaks = [d for d in observed if d > D - 1]
     if leaks:

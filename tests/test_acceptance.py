@@ -8,6 +8,7 @@ Each test prints a single PASS/FAIL line with its runtime (visible under
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -17,7 +18,7 @@ from machyper.macdonald import (MacdonaldCache, binomial_by_expansion,
                                 macdonald_P, macdonald_forms, principal_eval,
                                 principal_J_closed)
 from machyper.partitions import dominates, lower_covers, partitions_of
-from machyper.qops import eigen_shift, shift_levels, to_scaled, unscale
+from machyper.qops import apply_kind, eigen_shift, on_values, to_scaled, unscale
 from machyper.ratfunc import ONE, rf, t_monomial
 from machyper.series import (HyperParams, TruncatedSeries,
                              eigen_ops_lower, eigen_ops_lower_from_shifts,
@@ -59,9 +60,9 @@ def test_criterion_01_basis_construction():
                     # eigen identity on the integral form: same statement
                     # (a field-scalar multiple), far less denominator churn
                     J = macdonald_forms(lam, n, cold).J
-                    fam = shift_levels(to_scaled(J), None)   # full family
-                    for l in range(n + 1):
-                        assert unscale(fam[l]) == J.scale_rf(eigen_shift(l, lam, n))
+                    for l in range(n + 1):               # full family
+                        D_l = on_values(partial(apply_kind, l))
+                        assert D_l(J) == J.scale_rf(eigen_shift(l, lam, n))
                     assert principal_eval(J) == principal_J_closed(lam, n)
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -21,7 +22,7 @@ from machyper.macdonald import (MacdonaldCache, binomial_by_expansion,
 from machyper.partitions import (conjugate, dominates, enumerate_partitions,
                                  hook_products, length, lower_covers,
                                  partitions_of, upper_covers)
-from machyper.qops import apply_stored, eigen_shift
+from machyper.qops import apply_kind, eigen_shift, on_values
 from machyper.ratfunc import ONE, Q, T, rf, substitute, times_multiple
 from machyper.sympoly import SymPoly, basis_poly, hall_inner
 
@@ -84,7 +85,8 @@ def test_shift_operator_eigenvector(cache):
     for n in (1, 2, 3):
         for lam in enumerate_partitions(3, n):
             P = macdonald_P(lam, n, cache)
-            assert apply_stored(1, P) == P.scale_rf(eigen_shift(1, lam, n))
+            D_1 = on_values(partial(apply_kind, 1))
+            assert D_1(P) == P.scale_rf(eigen_shift(1, lam, n))
 
 
 def test_too_long_partition_rejected(cache):

@@ -2,7 +2,7 @@
 the symmetrized shift family, and resource guards."""
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 
@@ -19,12 +19,11 @@ from machyper.qops import (
     apply_ad_raise_upto,
     apply_literal,
     apply_lower_alt,
+    apply_kind,
     apply_shift_genfun,
-    apply_stored,
     column,
     eigen_shift,
     on_values,
-    shift_levels,
     spectral_values,
     to_scaled,
     unscale,
@@ -32,6 +31,11 @@ from machyper.qops import (
 )
 from machyper.ratfunc import ONE, Q, T, ZERO, invert_qt, qt_monomial, rf
 from machyper.sympoly import SymPoly, basis_poly, invert_coeffs
+
+
+def apply_stored(kind, f):
+    """The operator kind at the value f, through the column store."""
+    return on_values(partial(apply_kind, kind))(f)
 
 
 def _all_partitions(max_size, max_len):
@@ -74,9 +78,8 @@ def test_weight_diagonal_on_basis(n, cache):
 def test_shift_family_diagonal_on_basis(n, cache):
     for lam in _all_partitions(3, n):
         P = macdonald_P(lam, n, cache)
-        fam = shift_levels(to_scaled(P), None)
         for l in range(n + 1):
-            assert unscale(fam[l]) == P.scale_rf(eigen_shift(l, lam, n))
+            assert apply_stored(l, P) == P.scale_rf(eigen_shift(l, lam, n))
 
 
 def test_shift_genfun_on_basis(cache):
@@ -119,19 +122,17 @@ def test_weight_from_shift1_matches(n):
 
 def test_shift_family_level_zero_and_slices():
     f = basis_poly("m", (2, 1), 3)
-    fam = shift_levels(to_scaled(f), None)
-    assert unscale(fam[0]) == f
-    # level slices agree with the full run and out-of-range levels vanish
-    part = shift_levels(to_scaled(f), [1, 5])
-    assert unscale(part[1]) == unscale(fam[1])
-    assert unscale(part[5]) == SymPoly.zero(3)
+    assert apply_stored(0, f) == f
+    # every level shares the input's scalar, and out-of-range levels vanish
+    gs = to_scaled(f.scale_rf((ONE - T).inverse()))
+    assert apply_kind(1, gs)[1] == gs[1] != ONE
+    assert apply_stored(5, f) == SymPoly.zero(3)
 
 
 def test_shift1_matches_family_level_one():
     for n in (2, 3, 4):
         f = basis_poly("p", (2,), n)
-        fam = shift_levels(to_scaled(f), [1])
-        assert unscale(fam[1]) == apply_stored(1, f)
+        assert apply_stored(1, f) == apply_literal(1, f)
 
 
 def _ad_levels(ad, r, f):
@@ -213,7 +214,8 @@ def test_assembly_is_gcd_free(monkeypatch, cache, empty_store):
         for kind in ("lower", "weight", 1):
             apply_stored(kind, f)
         gs = to_scaled(f)
-        shift_levels(gs, None)
+        for l in range(4):
+            apply_kind(l, gs)
         apply_shift_genfun(gs, rf(3))
         apply_ad_raise_upto(2, gs)
         apply_ad_lower_upto(2, gs)
@@ -308,7 +310,7 @@ def test_symmetrize_guard(empty_store):
     # or literal, single level or family, refuses it past the bound
     f = basis_poly("m", (1,), MAX_FULL_SYMMETRIZE + 1)
     for route in (lambda: apply_stored(2, f), lambda: apply_literal(2, f),
-                  lambda: shift_levels(to_scaled(f), [2])):
+                  lambda: apply_kind(2, to_scaled(f))):
         with pytest.raises(ResourceGuardError):
             route()
     # the guard runs before any column is built

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from machyper.errors import LimitError
 from machyper.ratfunc import (ONE, Q, T, ZERO, RatFuncQT, elementary_symmetric,
-                              invert_qt, limit_q1, limit_q1_weak,
+                              invert_qt, limit_q1_weak,
                               over_common_denominator, q_integer, qt_monomial,
                               rf, substitute, t_integer, t_monomial,
                               times_multiple)
@@ -296,16 +296,14 @@ def test_invert_qt_involution():
 
 
 def test_limit_q1_exact():
-    assert limit_q1((ONE - Q ** 3) / (ONE - Q)) == 3
+    assert limit_q1_weak((ONE - Q ** 3) / (ONE - Q), 0) == 3
     # dividing by (1-q)^2 needs scale_order = -2
-    assert limit_q1((ONE - Q) * (ONE - Q ** 2), -2) == 2
+    assert limit_q1_weak((ONE - Q) * (ONE - Q ** 2), -2) == 2
     with pytest.raises(LimitError):
-        limit_q1(ONE / (ONE - Q))          # pole survives
+        limit_q1_weak(ONE / (ONE - Q), 0)  # pole survives
+    assert limit_q1_weak(ONE - Q, 0) == 0  # a zero limit is returned
     with pytest.raises(LimitError):
-        limit_q1(ONE - Q)                  # strict form refuses a zero limit
-    assert limit_q1_weak(ONE - Q, 0) == 0  # weak form returns it
-    with pytest.raises(LimitError):
-        limit_q1(T)                        # t must be bound first
+        limit_q1_weak(T, 0)                # t must be bound first
 
 
 def test_elementary_symmetric_frozen():

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -16,7 +17,7 @@ from machyper.macdonald import (binomial_by_expansion, jstar_principal,
 from machyper.partitions import (enumerate_partitions, lower_covers,
                                  make_partition, n_stat, partitions_of,
                                  rho_stat, upper_covers)
-from machyper.qops import apply_stored, on_values, to_scaled, unscale
+from machyper.qops import apply_kind, on_values, to_scaled, unscale
 from machyper.ratfunc import ONE, Q, T, qt_monomial, rf, t_monomial
 from machyper.series import (HyperParams, TruncatedSeries, check_lower_poles,
                              eigen_ops_lower, eigen_ops_lower_from_shifts,
@@ -104,7 +105,7 @@ def test_level_zero_lower_is_weight(n, cache):
         for lam in partitions_of(d, n):
             J = macdonald_forms(lam, n, cache).J
             h0 = unscale(eigen_ops_lower(0, to_scaled(J))[0])
-            assert h0 == apply_stored("weight", J)
+            assert h0 == on_values(partial(apply_kind, "weight"))(J)
             assert h0 == J.scale_rf(rho_stat(lam))
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import machyper.verify as verify
 from machyper.errors import PoleError, ResourceGuardError
 from machyper.qops import on_values, unscale
 from machyper.ratfunc import ONE, Q, rf
@@ -117,6 +118,20 @@ def test_mutation_flips_fast_suites(cache):
     assert len(bad) == len(good)
     for r in bad:
         assert not r.passed
+
+
+def test_kaneko_identity_fails_on_a_wrong_factored_side(cache, monkeypatch):
+    # only the factored side changes: its second shift level reads the
+    # first, while B still runs through the transfers
+    real = verify.apply_kind
+    monkeypatch.setattr(verify, "apply_kind",
+                        lambda kind, gs: real(1 if kind == 2 else kind, gs))
+    reports = run_suite(("kaneko",), n=2, D=2, draws=1, cache=cache)
+    assert reports
+    for r in reports:
+        assert not r.passed
+        assert any(note.startswith("operator identity failed")
+                   for note in r.notes)
 
 
 def test_reports_frozen(cache):
