@@ -22,12 +22,12 @@ column store.
 The transfers and eigen-operator families are each one function, on
 scaled images, the operator layer's (integer-polynomial image, one field
 scalar) pairs (see qops), and reach them only through qops' scaled-image
-functions: each level is one scaled image, and a sum of levels is
-combined over the lcm of their scalars' denominators (qops.combine), so
-the coefficients never run a gcd.  transfer_* return maps of scaled
-images; verify builds its residuals from them and reads their support
-without normalizing, and a caller that wants values wraps them in
-qops.on_values.
+functions: each shift level is one scaled image (qops.apply_kind), and
+a sum of levels is combined over the lcm of their scalars' denominators
+(qops.combine), so the coefficients never run a gcd.  transfer_* return
+maps of scaled images; verify builds its residuals from them and reads
+their support without normalizing, and a caller that wants values wraps
+them in qops.on_values.
 
 Every series and operator here lives at q and t.  Inversion (q -> 1/q,
 t -> 1/t, written iota) is conjugation by invert_qt and invert_coeffs:

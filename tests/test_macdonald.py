@@ -82,10 +82,10 @@ def test_triangular_and_monic(cache):
 
 
 def test_shift_operator_eigenvector(cache):
+    D_1 = on_values(partial(apply_kind, 1))
     for n in (1, 2, 3):
         for lam in enumerate_partitions(3, n):
             P = macdonald_P(lam, n, cache)
-            D_1 = on_values(partial(apply_kind, 1))
             assert D_1(P) == P.scale_rf(eigen_shift(1, lam, n))
 
 

@@ -17,9 +17,9 @@ from machyper.qops import (
     MAX_FULL_SYMMETRIZE,
     apply_ad_lower_upto,
     apply_ad_raise_upto,
+    apply_kind,
     apply_literal,
     apply_lower_alt,
-    apply_kind,
     apply_shift_genfun,
     column,
     eigen_shift,
