@@ -12,8 +12,7 @@ from .ratfunc import ONE, Q, T, ZERO, RatFuncQT, rf
 from .partitions import (enumerate_partitions, format_partition,
                          make_partition, parse_partition)
 from .sympoly import BiSymPoly, SymPoly
-from .macdonald import (MacdonaldCache, default_cache, macdonald_P,
-                        macdonald_forms)
+from .macdonald import MacdonaldCache, macdonald_P, macdonald_forms
 from .series import HyperParams, TruncatedSeries
 from .verify import TheoremReport, run_suite, suite_passed
 from .cli import main, parse_param_expr
@@ -39,7 +38,6 @@ __all__ = [
     "TheoremReport",
     "TruncatedSeries",
     "ZERO",
-    "default_cache",
     "enumerate_partitions",
     "format_partition",
     "macdonald_P",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 
@@ -21,7 +22,7 @@ from .errors import MacHyperError, PoleError, ResourceGuardError
 from .macdonald import (MacdonaldCache, binomial_raising_closed,
                         macdonald_forms)
 from .partitions import (enumerate_partitions, format_partition,
-                         parse_partition, upper_covers)
+                         parse_partition, size, upper_covers)
 from .ratfunc import Q, RatFuncQT, T, rf
 from .series import (FLAVORS, HyperParams, TruncatedSeries, eigen_value_lower,
                      eigen_value_raise)
@@ -44,6 +45,9 @@ MAX_D = 12
 MAX_SIZE = 10
 MAX_LEVEL = 12
 MAX_EXPONENT = 100
+
+# the cache directory when --dir is not given
+CACHE_ENV_VAR = "MACHYPER_CACHE_DIR"
 
 
 class UsageError(ValueError):
@@ -211,7 +215,11 @@ def _dumps(payload) -> str:
 
 
 def _cache_from_args(args) -> MacdonaldCache:
-    return MacdonaldCache(getattr(args, "cache_dir", None))
+    """The cache at --dir, else at MACHYPER_CACHE_DIR, else memory-only."""
+    cache_dir = getattr(args, "cache_dir", None)
+    if cache_dir is None:
+        cache_dir = os.environ.get(CACHE_ENV_VAR) or None
+    return MacdonaldCache(cache_dir)
 
 
 def _params_from_args(args) -> HyperParams:
@@ -258,6 +266,10 @@ def cmd_compute(args) -> int:
     if obj in ("P", "J", "Jstar"):
         _need(args, "partition")
         lam = parse_partition(args.partition)
+        if size(lam) > MAX_SIZE:
+            raise ResourceGuardError(
+                f"--partition {format_partition(lam)} has {size(lam)} boxes, "
+                f"beyond the limit of {MAX_SIZE}")
         forms = macdonald_forms(lam, args.n, cache)
         poly = getattr(forms, obj)
         if args.format == "json":

@@ -25,7 +25,8 @@ added box changes (_principal_ratio); the lowering route and the
 expansion keep their full forms.
 
 A MacdonaldCache memoizes the monic basis and its forms and can persist
-the basis to disk as JSON, one file per (n, partition).  The
+the basis to disk as JSON, one file per (n, partition).  Every function
+that reads the basis takes its caller's cache; there is no default one.  The
 principal-value audit runs on J, on polynomials only: it compares J at
 the staircase point with its closed form whenever a basis element is
 built or a file is read, and a read file must also be monic and
@@ -49,26 +50,25 @@ from .errors import InexactDivisionError, MacHyperError
 from .partitions import (Partition, SkewCover, conjugate, dominates,
                          format_partition, hook_products, length,
                          lower_upper_hooks, make_partition, n_stat,
-                         partitions_of, size, upper_covers)
+                         partitions_of, pochhammer_qt, size, upper_covers)
 from .qops import apply_literal, column, eigen_shift
 from .ratfunc import (ONE, Q, RatFuncQT, T, qt_monomial, rf, t_monomial,
                       times_multiple)
 from .sympoly import BiSymPoly, SymPoly, orbit
 
-CACHE_ENV_VAR = "MACHYPER_CACHE_DIR"
 _FORMAT = 1
 
 
 class MacdonaldCache:
     """Memo store for the monic basis and its forms, keyed by (n, partition).
 
-    cache_dir of None falls back to the MACHYPER_CACHE_DIR environment
-    variable; if neither is set the cache is memory-only.
+    With a cache_dir the basis is also read from and written to that
+    directory; without one the cache is memory-only.  No other input
+    chooses the directory: the command line resolves --dir or
+    MACHYPER_CACHE_DIR and passes the result here.
     """
 
     def __init__(self, cache_dir: str | None = None):
-        if cache_dir is None:
-            cache_dir = os.environ.get(CACHE_ENV_VAR) or None
         self.cache_dir = cache_dir
         self._P: dict[tuple[int, Partition], SymPoly] = {}
         self._forms: dict[tuple[int, Partition], MacForms] = {}
@@ -167,13 +167,6 @@ class MacdonaldCache:
         return hit
 
 
-_DEFAULT_CACHE = MacdonaldCache()
-
-
-def default_cache() -> MacdonaldCache:
-    return _DEFAULT_CACHE
-
-
 # ---------------------------------------------------------------------------
 # construction
 
@@ -202,9 +195,8 @@ def _build_P(lam: Partition, n: int) -> SymPoly:
     return SymPoly.from_coeffs(n, coeffs)
 
 
-def macdonald_P(lam: Partition, n: int, cache: MacdonaldCache | None = None) -> SymPoly:
+def macdonald_P(lam: Partition, n: int, cache: MacdonaldCache) -> SymPoly:
     """Monic eigenbasis element: m_lam plus dominance-lower monomial terms."""
-    cache = cache or _DEFAULT_CACHE
     return cache.get_P(make_partition(lam), n)
 
 
@@ -243,14 +235,12 @@ class MacForms:
         return self.J.scale_rf(self.principal_J.inverse())
 
 
-def macdonald_forms(lam: Partition, n: int,
-                    cache: MacdonaldCache | None = None) -> MacForms:
+def macdonald_forms(lam: Partition, n: int, cache: MacdonaldCache) -> MacForms:
     """All normalizations of one basis element, made once per cache.
 
     P is fetched here, so a bad request raises here; the other forms are
     computed when first read.
     """
-    cache = cache or _DEFAULT_CACHE
     return cache.get_forms(make_partition(lam), n)
 
 
@@ -288,7 +278,6 @@ def principal_eval(f: SymPoly) -> RatFuncQT:
 def principal_J_closed(lam: Partition, n: int) -> RatFuncQT:
     """Closed form for the integral form at the staircase:
     t^(n(lam)) * prod over cells (1 - t^n q^(j-1) t^(1-i))."""
-    from .partitions import pochhammer_qt
     if length(lam) > n:
         return rf(0)
     return t_monomial(n_stat(lam)) * pochhammer_qt(t_monomial(n), lam)
@@ -318,9 +307,8 @@ def _monic_triangular(P: SymPoly, lam: Partition) -> bool:
 # ---------------------------------------------------------------------------
 # expansions in the basis
 
-def expand_in_P(f: SymPoly, cache: MacdonaldCache | None = None) -> dict[Partition, RatFuncQT]:
+def expand_in_P(f: SymPoly, cache: MacdonaldCache) -> dict[Partition, RatFuncQT]:
     """Coordinates of f in the monic basis, by triangular elimination."""
-    cache = cache or _DEFAULT_CACHE
     n = f.n_vars
     rest = f
     out: dict[Partition, RatFuncQT] = {}
@@ -334,7 +322,7 @@ def expand_in_P(f: SymPoly, cache: MacdonaldCache | None = None) -> dict[Partiti
     return out
 
 
-def expand_in_Jstar(f: SymPoly, cache: MacdonaldCache | None = None) -> dict[Partition, RatFuncQT]:
+def expand_in_Jstar(f: SymPoly, cache: MacdonaldCache) -> dict[Partition, RatFuncQT]:
     """Coordinates of f in the dual integral basis."""
     return {kappa: c * lower_upper_hooks(kappa)[1]
             for kappa, c in expand_in_P(f, cache).items()}
@@ -344,7 +332,7 @@ def expand_in_Jstar(f: SymPoly, cache: MacdonaldCache | None = None) -> dict[Par
 # cover coefficients (generalized binomial coefficients), three routes
 
 def binomial_by_expansion(upper: Partition, lower: Partition, n: int,
-                          cache: MacdonaldCache | None = None) -> RatFuncQT:
+                          cache: MacdonaldCache) -> RatFuncQT:
     """Cover coefficient read off from the raising action.
 
     Expands raise1 applied to the dual integral form of `lower` in the
@@ -354,7 +342,6 @@ def binomial_by_expansion(upper: Partition, lower: Partition, n: int,
     """
     upper = make_partition(upper)
     lower = make_partition(lower)
-    cache = cache or _DEFAULT_CACHE
     cover = _find_cover(upper, lower, n)
     forms = macdonald_forms(lower, n, cache)
     raised = apply_literal("raise", forms.Jstar)
@@ -458,7 +445,7 @@ def _find_cover(upper: Partition, lower: Partition, n: int) -> SkewCover:
 # ---------------------------------------------------------------------------
 # the reproducing-kernel identity, truncated
 
-def cauchy_truncated(n: int, D: int, cache: MacdonaldCache | None = None
+def cauchy_truncated(n: int, D: int, cache: MacdonaldCache
                      ) -> tuple[BiSymPoly, BiSymPoly]:
     """Both sides of the kernel identity through total degree D per alphabet.
 
@@ -468,7 +455,6 @@ def cauchy_truncated(n: int, D: int, cache: MacdonaldCache | None = None
     coming from the functional equation (1-z) g(z) = (1 - t z) g(q z).
     The expanded product is checked to be bisymmetric.
     """
-    cache = cache or _DEFAULT_CACHE
     sum_side = BiSymPoly.zero(n)
     for d in range(D + 1):
         for lam in partitions_of(d, n):

@@ -138,7 +138,11 @@ def n_stat_conj(lam: Partition) -> int:
     return sum(p * (p - 1) // 2 for p in lam)
 
 def rho_stat(lam: Partition) -> RatFuncQT:
-    """Sum of q^(j-1) t^(1-i) over the cells of lam."""
+    """Sum of q^(j-1) t^(1-i) over the cells of lam.
+
+    The weight operator's eigenvalue at the basis element of lam; only
+    the tests read it, as the oracle for that operator.
+    """
     out = rf(0)
     for i, p in enumerate(lam, start=1):
         if p:

@@ -20,7 +20,7 @@ over Z, certifies the candidate by trial division, and retries with fresh
 points when an evaluation point was unlucky.
 All polynomial arithmetic runs on int.  Fraction appears only where values
 enter or leave: constants and JSON coming in, the num view, as_fraction,
-substitution, the q -> 1 limits and rendering.  No external algebra package
+substitution and rendering.  No external algebra package
 is involved.
 """
 
@@ -31,7 +31,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd, lcm as int_lcm
 from operator import itemgetter
 
-from .errors import GcdInterpolationError, InexactDivisionError, LimitError
+from .errors import GcdInterpolationError, InexactDivisionError
 
 Term = tuple[int, int]
 PolyDict = dict[Term, int]
@@ -762,7 +762,7 @@ def t_integer(m: int) -> RatFuncQT:
 
 
 # ---------------------------------------------------------------------------
-# substitution and q -> 1 limits
+# substitution
 
 def _eval_poly(terms: PolyDict, qv: RatFuncQT, tv: RatFuncQT) -> RatFuncQT:
     if not terms:
@@ -785,6 +785,9 @@ def substitute(f: RatFuncQT, qval: RatFuncQT | None = None,
     """Evaluate f at q = qval, t = tval (missing bindings stay symbolic).
 
     Raises ZeroDivisionError when the denominator vanishes at the binding.
+    This is the evaluation route the tests use, and the one the planned
+    specialization to rationals of the characterization certificate
+    (ROADMAP.md) will use.
     """
     qv = Q if qval is None else rf(qval)
     tv = T if tval is None else rf(tval)
@@ -794,64 +797,6 @@ def substitute(f: RatFuncQT, qval: RatFuncQT | None = None,
     if f.is_zero():
         return ZERO
     return _eval_poly(f._a, qv, tv) / den
-
-def _strip_one_minus_q(terms: PolyDict) -> tuple[int, PolyDict]:
-    """Write terms = (1-q)^k * rest with (1-q) not dividing rest."""
-    k = 0
-    cur = terms
-    while cur:
-        # exact division by (1-q), column by column in t
-        cols: dict[int, dict[int, int]] = {}
-        for (dq, dt), c in cur.items():
-            cols.setdefault(dt, {})[dq] = c
-        ok = all(sum(col.values()) == 0 for col in cols.values())
-        if not ok:
-            return k, cur
-        nxt: PolyDict = {}
-        for dt, col in cols.items():
-            run = 0
-            top = max(col)
-            for dq in range(top):
-                run += col.get(dq, 0)
-                if run:
-                    nxt[(dq, dt)] = run
-        cur = nxt
-        k += 1
-    return k, cur
-
-def _eval_at_q1(terms: PolyDict) -> "PolyDict":
-    out: PolyDict = {}
-    for (dq, dt), c in terms.items():
-        e = (0, dt)
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-def _q1_expansion(f: RatFuncQT) -> tuple[int, Fraction]:
-    """(v, c) with f = (1-q)^v * g and g(1) = c != 0, for a nonzero t-free f."""
-    if any(e[1] for p in (f._a, f._b) for e in p):
-        raise LimitError("the limit at q = 1 requires an element of Q(q)")
-    vn, rn = _strip_one_minus_q(f._a)
-    vd, rd = _strip_one_minus_q(f._b)
-    return vn - vd, Fraction(_eval_at_q1(rn)[(0, 0)], _eval_at_q1(rd)[(0, 0)])
-
-def limit_q1_weak(f: RatFuncQT, scale_order: int) -> Fraction:
-    """Value of f * (1-q)^scale_order at q = 1 for a t-free f.
-
-    A limit of zero is returned as 0; a pole that survives the scaling
-    raises LimitError with the actual (1-q)-valuation.
-    """
-    if f.is_zero():
-        return _F0
-    v, c = _q1_expansion(f)
-    if v + scale_order > 0:
-        return _F0
-    if v + scale_order < 0:
-        raise LimitError(f"(1-q)-valuation is {v}, pole of order {-v - scale_order} remains")
-    return c
 
 def invert_qt(f: RatFuncQT) -> RatFuncQT:
     """Substitute q -> 1/q and t -> 1/t.

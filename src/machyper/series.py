@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import MacHyperError, PoleError
-from .macdonald import (MacdonaldCache, binomial_by_expansion, default_cache,
+from .macdonald import (MacdonaldCache, binomial_by_expansion,
                         jstar_principal, macdonald_forms)
 from .partitions import (Partition, enumerate_partitions, format_partition,
                          lower_covers, make_partition, n_stat, n_stat_conj,
@@ -168,9 +168,8 @@ class TruncatedSeries:
 
     # -- renderings ---------------------------------------------------------
 
-    def render_one(self, cache: MacdonaldCache | None = None) -> SymPoly:
+    def render_one(self, cache: MacdonaldCache) -> SymPoly:
         """Sum of C * t^(n-stat) * (dual integral form) in one alphabet."""
-        cache = cache or default_cache()
         key = ("one", cache)
         if key not in self._rendered:
             out = SymPoly.zero(self.n)
@@ -180,9 +179,8 @@ class TruncatedSeries:
             self._rendered[key] = out
         return self._rendered[key]
 
-    def render_two(self, cache: MacdonaldCache | None = None) -> BiSymPoly:
+    def render_two(self, cache: MacdonaldCache) -> BiSymPoly:
         """Two-alphabet rendering: C * t^(n-stat) * Jnorm(x) * Jstar(y)."""
-        cache = cache or default_cache()
         key = ("two", cache)
         if key not in self._rendered:
             out = BiSymPoly.zero(self.n)
@@ -402,10 +400,9 @@ def eigen_value_lower(l: int, lam: Partition, n: int) -> RatFuncQT:
 
 
 def eigen_value_raise_brute(l: int, mu: Partition, n: int,
-                            cache: MacdonaldCache | None = None) -> RatFuncQT:
+                            cache: MacdonaldCache) -> RatFuncQT:
     """Cover-sum route: sum over upper covers of
     rho_skew^l * t^(row offset) * cover coefficient * principal ratio."""
-    cache = cache or default_cache()
     out = rf(0)
     for cv in upper_covers(mu, max_length=n):
         b = binomial_by_expansion(cv.upper, mu, n, cache)
@@ -415,9 +412,8 @@ def eigen_value_raise_brute(l: int, mu: Partition, n: int,
 
 
 def eigen_value_lower_brute(l: int, lam: Partition, n: int,
-                            cache: MacdonaldCache | None = None) -> RatFuncQT:
+                            cache: MacdonaldCache) -> RatFuncQT:
     """Co-cover-sum route: sum over lower covers of rho_skew^l * cover coeff."""
-    cache = cache or default_cache()
     out = rf(0)
     for cv in lower_covers(lam):
         b = binomial_by_expansion(lam, cv.lower, n, cache)
@@ -512,7 +508,7 @@ def mirror_params(params: HyperParams) -> HyperParams:
 
 
 def kaneko_transform(series: TruncatedSeries,
-                     cache: MacdonaldCache | None = None) -> TruncatedSeries:
+                     cache: MacdonaldCache) -> TruncatedSeries:
     """The other flavor of the same series, verifying the defining relation.
 
     One direction: the kaneko-flavor rendering equals the iota-image of the
@@ -521,7 +517,6 @@ def kaneko_transform(series: TruncatedSeries,
     constant and the flavors swapped.  The relation is verified exactly on
     the truncation (it is an identity; failure raises).
     """
-    cache = cache or default_cache()
     other = "kaneko" if series.flavor == "macdonald" else "macdonald"
     target = TruncatedSeries.build(series.n, series.D, series.params, flavor=other)
     mirror = TruncatedSeries.build(series.n, series.D,

@@ -39,10 +39,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
-from .errors import MacHyperError, PoleError, ResourceGuardError
-from .ratfunc import (ONE, Q, RatFuncQT, T, invert_qt, limit_q1_weak, rf,
-                      substitute, t_integer, t_monomial)
+from .errors import LimitError, MacHyperError, PoleError, ResourceGuardError
+from .ratfunc import (ONE, Q, RatFuncQT, T, invert_qt, rf, t_integer,
+                      t_monomial)
 from .partitions import (Partition, arm, cells, enumerate_partitions,
                          format_partition, hook_products, leg, length,
                          lower_covers, make_partition, partitions_of, size,
@@ -51,7 +52,7 @@ from .sympoly import (BiSymPoly, SymPoly, basis_poly, invert_coeffs,
                       to_power_sums)
 from .qops import (Scaled, alphabet_difference, apply_kind, apply_shift_genfun,
                    combine, on_values, support_degrees, to_scaled)
-from .macdonald import (MacdonaldCache, binomial_raising_closed, default_cache,
+from .macdonald import (MacdonaldCache, binomial_raising_closed,
                         macdonald_forms)
 from .series import (HyperParams, TruncatedSeries, check_lower_poles,
                      flavor_scale_one, flavor_scale_two, mirror_params,
@@ -207,7 +208,7 @@ def _cover_factor(rho: RatFuncQT, values) -> RatFuncQT:
 # two-alphabet annihilation (and its alphabet-swapped variant)
 
 def check_two_alphabet(series: TruncatedSeries,
-                       cache: MacdonaldCache | None = None,
+                       cache: MacdonaldCache,
                        swapped: bool = False) -> TheoremReport:
     """A kills the two-alphabet rendering; swapped, A acts with the
     alphabets exchanged.
@@ -217,7 +218,6 @@ def check_two_alphabet(series: TruncatedSeries,
     swapped).  The per-cover coefficient recursion is re-derived as an
     independent route.
     """
-    cache = cache or default_cache()
     n, D, p = series.n, series.D, series.params
     F = series.render_two(cache)
     if swapped:
@@ -268,7 +268,7 @@ def check_two_alphabet(series: TruncatedSeries,
 # diagonal-kernel membership
 
 def check_diagonal_match(series: TruncatedSeries,
-                         cache: MacdonaldCache | None = None,
+                         cache: MacdonaldCache,
                          cross: Partition | None = None) -> TheoremReport:
     """Three equivalent faces of membership in the diagonal kernel.
 
@@ -280,7 +280,6 @@ def check_diagonal_match(series: TruncatedSeries,
     control and must violate the conditions.  `cross` injects an
     off-diagonal monomial term (the mutation hook).
     """
-    cache = cache or default_cache()
     n, D = series.n, series.D
     F = series.render_two(cache)
     notes = []
@@ -445,7 +444,7 @@ def _stability_walk(series: TruncatedSeries) -> tuple[bool, list[str]]:
 
 
 def check_stability(series: TruncatedSeries,
-                    cache: MacdonaldCache | None = None) -> TheoremReport:
+                    cache: MacdonaldCache) -> TheoremReport:
     """B kills the one-alphabet rendering at every variable count
     m = 1..n.
 
@@ -453,7 +452,6 @@ def check_stability(series: TruncatedSeries,
     <= D-1 are trusted and the expected leak is at D.  The cover-sum
     walk re-derives all coefficients as the independent route.
     """
-    cache = cache or default_cache()
     n, D, p = series.n, series.D, series.params
     observed = set()
     bad = []
@@ -484,12 +482,11 @@ def check_stability(series: TruncatedSeries,
 # raising/diagonal annihilation in one alphabet
 
 def check_single_alphabet(series: TruncatedSeries,
-                          cache: MacdonaldCache | None = None) -> TheoremReport:
+                          cache: MacdonaldCache) -> TheoremReport:
     """C kills the one-alphabet rendering; the raising side only adds
     degrees above the truncation, so every degree <= D is trusted (leak
     at D+1).  The downward cover recursion re-derives each coefficient.
     """
-    cache = cache or default_cache()
     n, D, p = series.n, series.D, series.params
     observed = support_degrees(_resid_C(series.render_one(cache), p))
     bad = [d for d in observed if d <= D]
@@ -581,13 +578,12 @@ def _matches_B(lam: Partition, p: HyperParams, scal: RatFuncQT,
 
 
 def check_factored_form(series: TruncatedSeries,
-                        cache: MacdonaldCache | None = None) -> TheoremReport:
+                        cache: MacdonaldCache) -> TheoremReport:
     """The literal second-order operator equals B at (a, b; c) up to the
     stated scalar, as operators on every monomial symmetric polynomial
     of degree <= 4, and at (0, 0; c) on two of them; and it annihilates
     the (2,1) series in degrees <= D-1.
     """
-    cache = cache or default_cache()
     n, D, p = series.n, series.D, series.params
     if p.r != 2 or p.s != 1:
         raise ValueError("factored second-order check needs two upper and "
@@ -636,7 +632,7 @@ def check_factored_form(series: TruncatedSeries,
 # inverted-parameter forms
 
 def check_inverted_theorems(params: HyperParams, plain: TruncatedSeries,
-                            cache: MacdonaldCache | None = None) -> TheoremReport:
+                            cache: MacdonaldCache) -> TheoremReport:
     """The three annihilation identities transported to the series with
     inverted q, t and reciprocal parameters, with the alphabet-scaling
     constants that the transport introduces.
@@ -649,7 +645,6 @@ def check_inverted_theorems(params: HyperParams, plain: TruncatedSeries,
     scaled rendering must equal the falling q-product, which is checked
     directly.  The inversion keeps every residual degree.
     """
-    cache = cache or default_cache()
     n, D, p = plain.n, plain.D, plain.params
     c = invert_qt(flavor_scale_one(params))
     d = invert_qt(flavor_scale_two(params, n))
@@ -706,14 +701,13 @@ def check_inverted_theorems(params: HyperParams, plain: TruncatedSeries,
 # one-variable collapse
 
 def check_single_variable(series: TruncatedSeries,
-                          cache: MacdonaldCache | None = None) -> TheoremReport:
+                          cache: MacdonaldCache) -> TheoremReport:
     """At one variable the four transfer operators collapse to scaled
     chains of shift differences; the collapse is checked against the
     full operators on every power z^k, k <= D, and the resulting
     q-difference equation is checked on the alternating-flavor series
     through degree D (the raising side leaks at D+1).
     """
-    cache = cache or default_cache()
     if series.n != 1:
         raise ValueError("single-variable check needs n = 1")
     D, p = series.D, series.params
@@ -756,11 +750,10 @@ def check_single_variable(series: TruncatedSeries,
 # classical one-parameter limit
 
 def classical_limit_coeffs(lam: Partition, k: int, n: int,
-                           cache: MacdonaldCache | None = None,
+                           cache: MacdonaldCache,
                            mutate: bool = False) -> SymPoly:
     """Limit of the integral form at t = q^k as q -> 1, divided by
     (1-q)^|lam|, coefficient by coefficient on the monomial basis."""
-    cache = cache or default_cache()
     lam = make_partition(lam)
     J = macdonald_forms(lam, n, cache).J
     if mutate:
@@ -768,10 +761,30 @@ def classical_limit_coeffs(lam: Partition, k: int, n: int,
         J = J + SymPoly(n, {(): (ONE - Q) ** size(lam)})
     out: dict[Partition, RatFuncQT] = {}
     for mu, coef in J.coeffs.items():
-        v = limit_q1_weak(substitute(coef, tval=Q ** k), -size(lam))
+        v = limit_at_q_power(coef, k, size(lam))
         if v:
             out[mu] = rf(v)
     return SymPoly(n, out)
+
+
+def limit_at_q_power(coef: RatFuncQT, k: int, order: int) -> Fraction:
+    """Value at q = 1 of coef(q, t = q^k) / (1-q)^order, for a polynomial
+    coef.
+
+    t = q^k maps the exponent pair (dq, dt) to dq + k*dt, giving
+    sum_e c_e q^e; at q = 1 - x this is sum_j (-x)^j P_j with
+    P_j = sum_e c_e C(e, j).  The value is (-1)^order P_order once every
+    P_j with j < order vanishes; otherwise a pole survives (LimitError).
+    """
+    if coef.den != {(0, 0): 1}:
+        raise MacHyperError("the classical limit needs a polynomial coefficient")
+    terms = [(dq + k * dt, c) for (dq, dt), c in coef.num.items()]
+    P = [sum(c * comb(e, j) for e, c in terms) for j in range(order + 1)]
+    for j in range(order):
+        if P[j]:
+            raise LimitError(f"(1-q)-valuation is {j}, pole of order "
+                             f"{order - j} remains")
+    return Fraction((-1) ** order * P[order])
 
 
 def _deformed_inner(fp: dict[Partition, RatFuncQT],
@@ -817,12 +830,10 @@ def jack_oracle(lam: Partition, k: int, n: int) -> SymPoly:
     return target.scale_rf(rf(scal))
 
 
-def check_classical_limit(k: int, max_size: int = 3,
-                          cache: MacdonaldCache | None = None,
+def check_classical_limit(k: int, cache: MacdonaldCache, max_size: int = 3,
                           mutate: bool = False) -> TheoremReport:
     """The t = q^k limit of every integral form of size <= max_size
     matches the Gram-Schmidt oracle at alpha = 1/k exactly."""
-    cache = cache or default_cache()
     n = max(max_size, 3)       # power-sum conversion needs degree <= n
     notes = [f"alpha = 1/{k}, sizes <= {max_size}, {n} variables"]
     bad = []
@@ -871,9 +882,8 @@ def _suite_series(n: int, D: int, params: HyperParams, mut: Partition | None,
 
 
 def run_suite(selection="all", n: int = 2, D: int = 4,
-              seed: int = DEFAULT_SEED, draws: int = 3,
-              cache: MacdonaldCache | None = None,
-              mutate=None) -> list[TheoremReport]:
+              seed: int = DEFAULT_SEED, draws: int = 3, *,
+              cache: MacdonaldCache, mutate=None) -> list[TheoremReport]:
     """Run the selected identity checks over seeded parameter draws.
 
     Each (r, s) shape on the grid is drawn `draws` times; the draw
@@ -900,7 +910,6 @@ def run_suite(selection="all", n: int = 2, D: int = 4,
     names = _resolve_selection(selection)
     if "kaneko" in names and n < 2:
         raise ValueError("factored second-order check needs n >= 2")
-    cache = cache or default_cache()
     mut = make_partition(mutate) if mutate is not None else None
     if mut is not None and not _fits(mut, n, D):
         raise ValueError(f"mutated coefficient {format_partition(mut)} lies "
@@ -938,7 +947,7 @@ def run_suite(selection="all", n: int = 2, D: int = 4,
         "univariate": (shape21, lambda i: check_single_variable(
             _suite_series(1, D, combos[i], mut, "kaneko"), cache)),
         "jack": ((1, 2, 3), lambda k: check_classical_limit(
-            k, 3, cache, mutate=mut is not None)),
+            k, cache, 3, mutate=mut is not None)),
     }
     reports: list[TheoremReport] = []
     for name in names:

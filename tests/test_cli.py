@@ -1,6 +1,7 @@
 """Tests for the command-line front end: expression parsing, golden
 outputs, exit codes, JSON determinism, and cache management."""
 
+import os
 import random
 import subprocess
 import sys
@@ -215,9 +216,11 @@ def test_exit_internal_gcd_and_zero_division(monkeypatch, capsys):
 
 
 def test_resource_guards_before_work(monkeypatch, capsys):
-    # oversized --n, --D, --max-size and --level stop before any computation
+    # oversized --n, --D, --max-size, --level and --partition stop before
+    # any computation
     def unreachable(*args, **kwargs):
         raise AssertionError("guarded request reached the computation")
+    parse = cli.parse_partition
     monkeypatch.setattr(cli, "macdonald_forms", unreachable)
     monkeypatch.setattr(cli, "eigen_value_raise", unreachable)
     monkeypatch.setattr(cli, "eigen_value_lower", unreachable)
@@ -241,6 +244,15 @@ def test_resource_guards_before_work(monkeypatch, capsys):
     for argv, flag in cases:
         assert main(argv) == EXIT_RESOURCE
         assert capsys.readouterr().err.startswith(f"machyper: resource guard: {flag} ")
+    # the partition bound needs the partition parsed, and nothing more
+    monkeypatch.setattr(cli, "parse_partition", parse)
+    big = "[" + ",".join(["1"] * (MAX_SIZE + 1)) + "]"
+    for obj, lam, n in (("P", big, MAX_N), ("J", "[40]", 2),
+                        ("Jstar", f"[{MAX_SIZE + 1}]", 1)):
+        assert main(["compute", obj, "--partition", lam, "--n", str(n)]) \
+            == EXIT_RESOURCE
+        assert capsys.readouterr().err.startswith(
+            "machyper: resource guard: --partition ")
 
 
 def test_verify_guards_before_work(monkeypatch, capsys):
@@ -379,10 +391,14 @@ def test_cache_requires_directory(monkeypatch, capsys):
 
 
 def test_cache_env_var(monkeypatch, tmp_path, capsys):
+    # without --dir the command line, not the library, reads the variable
     d = str(tmp_path / "envcache")
     monkeypatch.setenv("MACHYPER_CACHE_DIR", d)
     assert main(["cache", "dir"]) == EXIT_PASS
     assert capsys.readouterr().out.strip() == d
+    assert main(["compute", "P", "--partition", "[1]", "--n", "2"]) == EXIT_PASS
+    assert capsys.readouterr().out == "P[1] (n=2) = m[1]\n"
+    assert os.listdir(d) == ["P_n2_1.json"]
 
 
 # ---------------------------------------------------------------------------

@@ -381,13 +381,14 @@ def test_broken_invariant_raises(monkeypatch, empty_store):
 
 
 def test_cache_env_var(tmp_path, monkeypatch):
+    # MacdonaldCache() stays memory-only while MACHYPER_CACHE_DIR is set:
+    # only the command line reads the variable
     monkeypatch.setenv("MACHYPER_CACHE_DIR", str(tmp_path))
     c = MacdonaldCache()
-    assert c.cache_dir == str(tmp_path)
+    assert c.cache_dir is None
     c.get_P((1,), 2)
-    assert c.list_disk() == ["P_n2_1.json"]
-    monkeypatch.delenv("MACHYPER_CACHE_DIR")
-    assert MacdonaldCache().cache_dir is None
+    assert c.list_disk() == []
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.skipif(sys.flags.optimize, reason="already running under -O")

@@ -1,4 +1,4 @@
-"""Field arithmetic: normal forms, axioms against a Fraction oracle, limits."""
+"""Field arithmetic: normal forms, axioms against a Fraction oracle."""
 
 import time
 from fractions import Fraction
@@ -7,10 +7,8 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from machyper.errors import LimitError
 from machyper.ratfunc import (ONE, Q, T, ZERO, RatFuncQT, elementary_symmetric,
-                              invert_qt, limit_q1_weak,
-                              over_common_denominator, q_integer, qt_monomial,
+                              invert_qt, over_common_denominator, q_integer, qt_monomial,
                               rf, substitute, t_integer, t_monomial,
                               times_multiple)
 from machyper.ratfunc import (_content, _normalize_primitive, _pdiv_exact, _pgcd,
@@ -293,17 +291,6 @@ def test_invert_qt_involution():
     x = (ONE - Q ** 2 * T) / (rf(3) - T ** 2)
     assert invert_qt(invert_qt(x)) == x
     assert invert_qt(Q) * Q == ONE
-
-
-def test_limit_q1_exact():
-    assert limit_q1_weak((ONE - Q ** 3) / (ONE - Q), 0) == 3
-    # dividing by (1-q)^2 needs scale_order = -2
-    assert limit_q1_weak((ONE - Q) * (ONE - Q ** 2), -2) == 2
-    with pytest.raises(LimitError):
-        limit_q1_weak(ONE / (ONE - Q), 0)  # pole survives
-    assert limit_q1_weak(ONE - Q, 0) == 0  # a zero limit is returned
-    with pytest.raises(LimitError):
-        limit_q1_weak(T, 0)                # t must be bound first
 
 
 def test_elementary_symmetric_frozen():

@@ -37,6 +37,40 @@ def test_no_invert_parameter():
     assert found == []
 
 
+def test_cache_is_always_the_callers():
+    # every function that reads the basis is handed its caller's cache; a
+    # parameter `cache` with a default would let the library pick one
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                with_default = positional[len(positional) - len(a.defaults):]
+                with_default += [arg for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                                 if d is not None]
+                found += [f"{path.name}:{node.lineno}"
+                          for arg in with_default if arg.arg == "cache"]
+    assert found == []
+
+
+def test_environment_is_read_only_by_the_cli():
+    # the library's inputs are its arguments; only cli.py turns the process
+    # environment (MACHYPER_CACHE_DIR) into one
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"
+                    or isinstance(node, ast.ImportFrom) and node.module == "os"
+                    and any(a.name in ("environ", "getenv") for a in node.names)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def _receivers(tree):
     # the first parameter of a method (self, cls) is fixed by the call
     out = set()
@@ -191,7 +225,7 @@ def test_values_leave_the_operator_layer_at_one_boundary():
 RATIONAL_SCOPES = {
     "_poly_text_term", "poly_from_json", "_ratio", "_cleared",
     "RatFuncQT.num", "RatFuncQT.__eq__", "RatFuncQT.as_fraction",
-    "substitute", "_q1_expansion", "limit_q1_weak",
+    "substitute",
 }
 
 

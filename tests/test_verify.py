@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import machyper.verify as verify
-from machyper.errors import PoleError, ResourceGuardError
+from machyper.errors import (LimitError, MacHyperError, PoleError,
+                             ResourceGuardError)
 from machyper.qops import on_values, unscale
-from machyper.ratfunc import ONE, Q, rf
+from machyper.ratfunc import ONE, Q, T, rf
 from machyper.series import (HyperParams, TruncatedSeries, check_lower_poles,
                              transfer_diag_lower, transfer_diag_raise,
                              transfer_lower, transfer_raise)
@@ -18,7 +19,8 @@ from machyper.sympoly import basis_poly
 from machyper.verify import (DEFAULT_SEED, MAX_SUITE_VARS, PARAM_GRID,
                              SUITE_ORDER, _resid_A, _resid_B, _resid_C,
                              check_classical_limit, draw_hyper_params,
-                             jack_oracle, run_suite, suite_passed)
+                             jack_oracle, limit_at_q_power, run_suite,
+                             suite_passed)
 
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -31,25 +33,25 @@ def _json_list(reports):
 # ---------------------------------------------------------------------------
 # selection and guards
 
-def test_empty_selection_is_empty():
-    assert run_suite((), n=2, D=2, draws=1) == []
+def test_empty_selection_is_empty(cache):
+    assert run_suite((), n=2, D=2, draws=1, cache=cache) == []
 
 
-def test_unknown_selection():
+def test_unknown_selection(cache):
     with pytest.raises(ValueError):
-        run_suite(("A", "nope"), n=2, D=2, draws=1)
+        run_suite(("A", "nope"), n=2, D=2, draws=1, cache=cache)
 
 
-def test_variable_guard():
+def test_variable_guard(cache):
     with pytest.raises(ResourceGuardError):
-        run_suite("B", n=MAX_SUITE_VARS + 1, D=2, draws=1)
+        run_suite("B", n=MAX_SUITE_VARS + 1, D=2, draws=1, cache=cache)
 
 
-def test_bad_sizes():
+def test_bad_sizes(cache):
     with pytest.raises(ValueError):
-        run_suite("B", n=0, D=2, draws=1)
+        run_suite("B", n=0, D=2, draws=1, cache=cache)
     with pytest.raises(ValueError):
-        run_suite("B", n=2, D=2, draws=0)
+        run_suite("B", n=2, D=2, draws=0, cache=cache)
 
 
 def test_constants():
@@ -183,6 +185,20 @@ def test_jack_oracle_frozen():
         m11 = basis_poly("m", (1, 1), 2)
         want = m2.scale_rf(rf(k * (k + 1))) + m11.scale_rf(rf(2 * k * k))
         assert jack_oracle((2,), k, 2) == want
+
+
+def test_limit_q1_exact():
+    assert limit_at_q_power(ONE + Q + Q ** 2, 1, 0) == 3
+    # t = q^2 first: (1 - t) / (1 - q) = 1 + q at q = 1
+    assert limit_at_q_power(ONE - T, 2, 1) == 2
+    # dividing by (1-q)^2
+    assert limit_at_q_power((ONE - Q) * (ONE - Q ** 2), 1, 2) == 2
+    assert limit_at_q_power(ONE - Q, 1, 0) == 0   # a zero limit is returned
+    with pytest.raises(LimitError):
+        limit_at_q_power(ONE + Q, 1, 1)           # pole survives
+    with pytest.raises(MacHyperError) as err:
+        limit_at_q_power(ONE / (ONE - Q), 1, 0)   # not a polynomial
+    assert not isinstance(err.value, LimitError)
 
 
 def test_classical_limit_reports(cache):
