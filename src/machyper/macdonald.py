@@ -25,7 +25,10 @@ added box changes (_principal_ratio); the lowering route and the
 expansion keep their full forms.
 
 A MacdonaldCache memoizes the monic basis and its forms and can persist
-the basis to disk as JSON, one file per (n, partition).  Every function
+the basis to disk as JSON, one file per (n, partition).  P is stable in
+n: for n > |lam| the entry at (lam, |lam|), read from the cache when it
+holds it and built otherwise, is re-wrapped at n, audited at n and stored
+at (lam, n) only.  Every function
 that reads the basis takes its caller's cache; there is no default one.  The
 principal-value audit runs on J, on polynomials only: it compares J at
 the staircase point with its closed form whenever a basis element is
@@ -151,7 +154,16 @@ class MacdonaldCache:
             return hit
         poly = self._load_disk(lam, n)
         if poly is None:
-            poly = _build_P(lam, n)
+            d = size(lam)
+            if n > d > 0:
+                # P is stable in n: every mu <= lam has at most |lam| parts,
+                # so the expansion at n is the one at |lam| (Macdonald VI §4).
+                # That entry is read if this cache holds it and built
+                # otherwise, but only the entry at n is kept
+                small = self._P.get((d, lam)) or self._load_disk(lam, d)
+                poly = SymPoly(n, dict((small or _build_P(lam, d)).coeffs))
+            else:
+                poly = _build_P(lam, n)
             if not _principal_matches(poly, lam, n):
                 raise MacHyperError(
                     f"principal evaluation mismatch for {format_partition(lam)}, n={n}")

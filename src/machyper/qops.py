@@ -54,8 +54,9 @@ function, on scaled images: apply_kind(kind, gs) for one kind (a shift
 level above n is zero), apply_shift_genfun for the generating-function
 operator and apply_ad_raise_upto and apply_ad_lower_upto for the
 iterated commutators.  combine adds scaled images over the lcm of their
-scalars' denominators, so the gcds it runs are one per term, on
-scalars, never one per coefficient.
+scalars' denominators, so its field work (one product per term and the
+lcm, read off the factored denominators) runs on scalars, never on
+coefficients.
 support_degrees and alphabet_difference read where an image, or a
 difference of two alphabets' images, is nonzero without dividing
 anything.
@@ -243,7 +244,7 @@ def to_scaled(f: SymPoly) -> Scaled:
 
 
 def unscale(gs: Scaled) -> SymPoly:
-    """The value s * g of a scaled image: one gcd-reduced product per
+    """The value s * g of a scaled image: one reduced field product per
     coefficient."""
     g, s = gs
     return g.scale_rf(s)

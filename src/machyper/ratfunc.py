@@ -12,6 +12,29 @@ equality.  The read-only views num = a / content(b) (Fraction coefficients
 where needed) and den = b / content(b) (integer-primitive) are the rational
 normal form that render, to_json and the cache files are written from.
 
+Beside the pair, an element keeps b factored over one process-wide base of
+pairwise coprime, integer-primitive polynomials: b = u * prod f_i^k_i with
+u a positive integer (factor refinement: Bach, Driscoll and Shallit,
+J. Algorithms 15, 1993).  A product adds exponents; a sum and
+over_common_denominator take the exponent-wise maximum as the lcm.  The
+cancellation that keeps the pair coprime trial-divides a numerator by the
+base elements of the other denominator only: a numerator whose value at a
+fixed integer point is not divisible by f_i's value there is proven not
+divisible by f_i, and every division the screen lets through is certified
+by exact division.  A base element is proven irreducible when it is
+primitive of degree 1 in q or in t, or of degree 2 or 3 there with a
+specialization that has no root modulo a small prime; against such an
+element "f_i does not divide a" means "f_i is coprime to a".  Against any
+other element the cancellation asks the refinement for gcd(a, f_i), which
+splits f_i when the gcd is nontrivial.
+
+The refinement is the only place that runs a bivariate gcd: when a new
+denominator is first factored (after inverse, invert_qt, from_json or
+_make) it enters the base, and when an unproven element meets a numerator
+it may split.  Elements are only added or split, never removed; a
+factorization made before a split is read over the split elements through
+the split record (_CoprimeBase.translate).
+
 The gcd views polynomials in Z[t][q].  It splits off the common monomial
 factor and the content in Z[t]; the gcd of the primitive parts comes from
 evaluation (_bv_gcd_prim): at integer values of t it takes univariate gcds
@@ -26,11 +49,13 @@ is involved.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd, lcm as int_lcm
 from operator import itemgetter
 
+from . import stats
 from .errors import GcdInterpolationError, InexactDivisionError
 
 Term = tuple[int, int]
@@ -336,6 +361,7 @@ def _int_terms(a: PolyDict) -> PolyDict:
 
 def _pgcd(a: PolyDict, b: PolyDict) -> PolyDict:
     """gcd of two polynomials, integer-primitive with positive leading coeff."""
+    stats.COUNTS["gcd_calls"] += 1
     if not a:
         return _normalize_primitive(b)
     if not b:
@@ -487,6 +513,260 @@ def poly_from_json(data) -> QPolyDict:
 
 
 # ---------------------------------------------------------------------------
+# the coprime base of denominator factors
+
+# Numerators and base elements are evaluated at one fixed integer point P.
+# If f divides a in Z[q, t] then f(P) divides a(P) in Z, so a value that
+# does not divide proves that f does not divide a.  The screen only
+# rejects: a division it lets through is certified by _pdiv_exact.  Any
+# point is sound; large coordinates make a chance divisibility rare.
+_Q0, _T0 = 65_537, 40_009
+_QPOW: list[int] = [1]
+_TPOW: list[int] = [1]
+
+
+def _peval(a: PolyDict) -> int:
+    """a at the screening point."""
+    qp, tp = _QPOW, _TPOW
+    v = 0
+    try:
+        for (i, j), c in a.items():
+            v += c * qp[i] * tp[j]
+    except IndexError:
+        top = max(max(e) for e in a)
+        while len(qp) <= top:
+            qp.append(qp[-1] * _Q0)
+            tp.append(tp[-1] * _T0)
+        return _peval(a)
+    return v
+
+
+# primes for the irreducibility proof of a specialization of degree 2 or 3
+_PROOF_PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _proven_irreducible(f: PolyDict) -> bool:
+    """True when f, integer-primitive and free of monomial factors, is
+    proven irreducible in Z[q, t]; False when no proof was found.
+
+    The proof takes a variable x of degree d = 1, 2 or 3 in f, whose
+    coefficients have no common factor in Z[y] (y the other variable).
+    Then every nontrivial factorization of f has two factors of positive
+    x-degree, and so has f(x, y0) over Q at any integer y0 that keeps the
+    leading x-coefficient nonzero, and so (Gauss) f(x, y0) modulo any
+    prime p that keeps it nonzero.  A polynomial of degree 2 or 3 without
+    a root modulo p has no such factorization; degree 1 needs no point.
+    """
+    for swap in (False, True):
+        g = {(e[1], e[0]): c for e, c in f.items()} if swap else f
+        cols = _bv_from_int_terms(g)
+        d = max(cols)
+        if not 1 <= d <= 3 or _bv_content(cols) != [1]:
+            continue
+        if d == 1:
+            return True
+        for y0 in (2, 3, 5):
+            cs = [_uv_eval(cols.get(k, []), y0) for k in range(d + 1)]
+            for p in _PROOF_PRIMES:
+                if cs[d] % p and all(_uv_eval(cs, z) % p for z in range(p)):
+                    return True
+    return False
+
+
+# a factorization: base element index -> exponent; never mutated once made
+Exps = dict[int, int]
+_NOEXP: Exps = {}
+_ANY = 1 << 30  # no limit on how often an element divides
+_COUNTS = stats.COUNTS
+
+
+class _CoprimeBase:
+    """The process-wide base that denominators are factored over.
+
+    Its elements are pairwise coprime, integer-primitive polynomials with a
+    positive leading coefficient, each kept with its value at the
+    screening point and whether it is proven irreducible; q and t are
+    elements 0 and 1.  A factorization is a dict index -> exponent.
+
+    Elements are only added or split, never removed.  A split element
+    keeps its index: `split` maps it to its factorization over the
+    elements it was split into, and translate() reads a factorization made
+    before the split over the current elements.  `gen` counts the splits,
+    so a factorization made at the current gen needs no translation.
+
+    Only the refinement (factor, split_common and _split) runs gcds.
+    """
+
+    def __init__(self):
+        self.polys: list[PolyDict] = []
+        self.values: list[int] = []
+        self.proven: list[bool] = []
+        self.active: list[int] = []
+        self.split: dict[int, Exps] = {}
+        self._powers: dict[tuple[int, int], PolyDict] = {}
+        self.gen = 0
+        self._lock = threading.RLock()
+        for p in ({(1, 0): 1}, {(0, 1): 1}):
+            self._add(p)
+
+    def _add(self, f: PolyDict) -> int:
+        i = len(self.polys)
+        self.polys.append(f)
+        self.values.append(_peval(f))
+        self.proven.append(_proven_irreducible(f))
+        self.active.append(i)
+        _COUNTS["base_refinements"] += 1
+        return i
+
+    def factor(self, p: PolyDict) -> Exps:
+        """The factorization of p over the base, for p integer-primitive with
+        a positive leading coefficient and no monomial factor.  A factor of p
+        that no element divides enters the base, after a gcd with each
+        unproven element has split any that shares a factor with it."""
+        with self._lock:
+            exps: Exps = {}
+            x, v = p, _peval(p)
+            while True:
+                x, v, got = _divide_out(x, v, [(i, _ANY) for i in self.active])
+                for i, m in got.items():
+                    exps[i] = exps.get(i, 0) + m
+                if x == _PONE:
+                    return exps
+                # no element divides x, so a proven one is coprime to it
+                for j in self.active:
+                    if not self.proven[j] and self.split_common(x, j):
+                        exps = self.translate(exps)
+                        break
+                else:
+                    exps[self._add(x)] = 1
+                    return exps
+
+    def split_common(self, x: PolyDict, j: int) -> bool:
+        """Split element j, which does not divide x, when it shares a factor
+        with x; True when it did, or when another thread split it first."""
+        with self._lock:
+            if j in self.split:
+                return True
+            g = _pgcd(x, self.polys[j])
+            if g == _PONE:
+                return False
+            self._split(j, g)
+            return True
+
+    def _split(self, j: int, g: PolyDict) -> None:
+        # j leaves the active elements first, so that its pieces are not
+        # refined against it; until gen moves, a reader still sees j as an
+        # element, whose polynomial stays valid
+        f = self.polys[j]
+        self.active.remove(j)
+        exps: Exps = {}
+        for piece in (g, _pdiv_exact(f, g)):
+            for i, m in self.factor(piece).items():
+                exps[i] = exps.get(i, 0) + m
+        self.split[j] = exps
+        self.gen += 1
+        _COUNTS["base_refinements"] += 1
+
+    def translate(self, exps: Exps) -> Exps:
+        """exps, made at any earlier gen, over the current elements."""
+        split = self.split
+        if not any(i in split for i in exps):
+            return exps
+        out: Exps = {}
+        for i, k in exps.items():
+            sub = split.get(i)
+            if sub is None:
+                out[i] = out.get(i, 0) + k
+            else:
+                for j, m in self.translate(sub).items():
+                    out[j] = out.get(j, 0) + k * m
+        return out
+
+    def expand(self, exps: Exps) -> PolyDict:
+        """The product of the elements to their exponents in exps."""
+        out = None
+        for i, k in exps.items():
+            p = self._powers.get((i, k))
+            if p is None:
+                p = self.polys[i]
+                if k > 1:
+                    p = _pmul(self.expand({i: k - 1}), p)
+                self._powers[(i, k)] = p
+            out = p if out is None else _pmul(out, p)
+        return _PONE if out is None else out
+
+    def value(self, exps: Exps) -> int:
+        """The product of exps at the screening point."""
+        v = 1
+        values = self.values
+        for i, k in exps.items():
+            v *= values[i] ** k
+        return v
+
+
+def _divide_out(x: PolyDict, v: int, limits) -> tuple[PolyDict, int, Exps]:
+    """x divided by base elements: for each (i, k) of limits, by element i
+    as often as it divides, and at most k times.  v is x at the screening
+    point.  Returns the quotient, its value and the exponents taken out."""
+    polys, values = _BASE.polys, _BASE.values
+    got: Exps = {}
+    for i, k in limits:
+        fv = values[i]
+        m = 0
+        while m < k:
+            if v % fv if fv else v:
+                _COUNTS["divisions_screened"] += 1
+                break
+            try:
+                y = _pdiv_exact(x, polys[i])
+            except InexactDivisionError:
+                _COUNTS["divisions_refused"] += 1
+                break
+            _COUNTS["divisions_certified"] += 1
+            x, m = y, m + 1
+            v = v // fv if fv else _peval(x)
+        if m:
+            got[i] = m
+    return x, v, got
+
+
+def _cancel(num: PolyDict, v: int, exps: Exps) -> tuple[PolyDict, int, Exps, Exps]:
+    """Cancel num against a denominator factored as exps.
+
+    Returns (num', v', left, cut): num' = num / prod(cut) with v' its
+    value, and left = exps - cut, such that num' is coprime to prod(left).
+    Each element is divided out as far as it divides num; an unproven one
+    that is left may still share a factor with num', so it goes to the
+    refinement, which splits it and the cancellation goes on over the
+    split elements.
+    """
+    cut: Exps = {}
+    while True:
+        num, v, got = _divide_out(num, v, exps.items())
+        for i, m in got.items():
+            cut[i] = cut.get(i, 0) + m
+        left = {i: k - got.get(i, 0) for i, k in exps.items() if k > got.get(i, 0)}
+        proven = _BASE.proven
+        for i in left:
+            if not proven[i] and _BASE.split_common(num, i):
+                exps, cut = _BASE.translate(left), _BASE.translate(cut)
+                break
+        else:
+            return num, v, left, cut
+
+
+_BASE = _CoprimeBase()
+
+
+def base_size() -> int:
+    """The number of elements in the base of denominator factors."""
+    return len(_BASE.active)
+
+
+stats.LEVELS["base_size"] = base_size
+
+
+# ---------------------------------------------------------------------------
 # RatFuncQT
 
 def _ratio(c) -> tuple[int, int]:
@@ -502,20 +782,41 @@ def _cleared(num: QPolyDict, den: QPolyDict) -> tuple[PolyDict, PolyDict]:
             {e: int(c * m) for e, c in den.items()})
 
 
+def _merge(x: Exps, y: Exps) -> Exps:
+    """The product of two factorizations: exponents add."""
+    if not x:
+        return y
+    if not y:
+        return x
+    out = dict(x)
+    for i, k in y.items():
+        out[i] = out.get(i, 0) + k
+    return out
+
+
 class RatFuncQT:
     """Field element of Q(q, t): a/b, two int term dicts in normal form.
 
-    The constructor stores the pair as given; _make (which reduces),
-    _make_reduced (which takes out the common integer content of a coprime
-    pair) and _signed (which fixes the sign) canonicalise.  num and den are
+    The pair (a, b) is the value; beside it an element keeps the
+    factorization of b over the coprime base, b = u * prod f_i^k_i (slots
+    _u and _k, valid at base generation _g; _g = -1 until first needed),
+    and a's value at the screening point (_v, None until first needed).
+    These are caches of the pair, made once, and equality and hashing
+    read the pair only.
+
+    The constructor stores what it is given; _make (which reduces),
+    _lowest_terms (which takes out the common integer content of a pair
+    coprime over Q) and _signed (which fixes the sign) canonicalise.  num and den are
     read-only views in the rational normal form.  Treat every dict as
     immutable.
     """
 
-    __slots__ = ("_a", "_b")
+    __slots__ = ("_a", "_b", "_u", "_k", "_g", "_v")
 
-    def __init__(self, a: PolyDict, b: PolyDict):
+    def __init__(self, a: PolyDict, b: PolyDict, u: int = 0,
+                 k: Exps | None = None, g: int = -1, v: int | None = None):
         self._a, self._b = a, b
+        self._u, self._k, self._g, self._v = u, k, g, v
 
     # -- constructors -------------------------------------------------------
 
@@ -576,29 +877,44 @@ class RatFuncQT:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "RatFuncQT") -> "RatFuncQT":
-        a, b = self._a, self._b
-        c, d = other._a, other._b
+        a, c = self._a, other._a
         if not a:
             return other
         if not c:
             return self
-        if b == d:
+        b, d = self._b, other._b
+        if b == _PONE and d == _PONE:
             s = _padd(a, c)
-            if b == _PONE:
-                return RatFuncQT(s, _PONE) if s else ZERO
-            return _make(s, b)
-        g0 = _pgcd(b, d)
-        if g0 == _PONE:
-            return _make_reduced(_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d))
-        b1 = _pdiv_exact(b, g0)
-        d1 = _pdiv_exact(d, g0)
-        s = _padd(_pmul(a, d1), _pmul(c, b1))
+            return RatFuncQT(s, _PONE, 1, _NOEXP, _BASE.gen) if s else ZERO
+        gen = _BASE.gen
+        ub, kb, ud, kd = _fac2(self, other)
+        # the lcm: integer lcm, exponent-wise maximum; cb and cd are the
+        # cofactors L / b and L / d
+        u = int_lcm(ub, ud)
+        if kb == kd:
+            K, cb, cd = kb, _NOEXP, _NOEXP
+        else:
+            K = dict(kb)
+            for i, k in kd.items():
+                if k > K.get(i, 0):
+                    K[i] = k
+            cb = {i: k - kb.get(i, 0) for i, k in K.items() if k > kb.get(i, 0)}
+            cd = {i: k - kd.get(i, 0) for i, k in K.items() if k > kd.get(i, 0)}
+        mb, md = u // ub, u // ud
+        pb, pd = _BASE.expand(cb), _BASE.expand(cd)
+        s = _padd(_pscale(_pmul(a, pb) if cb else a, mb),
+                  _pscale(_pmul(c, pd) if cd else c, md))
         if not s:
             return ZERO
-        g1 = _pgcd(s, g0)
-        if g1 == _PONE:
-            return _make_reduced(s, _pmul(_pmul(b1, g0), d1))
-        return _make_reduced(_pdiv_exact(s, g1), _pmul(_pdiv_exact(b, g1), d1))
+        L = _pscale(_pmul(b, pb) if cb else b, mb)
+        v = None
+        if K:
+            v = (_val(self) * mb * _BASE.value(cb)
+                 + _val(other) * md * _BASE.value(cd))
+            s, v, K, cut = _cancel(s, v, K)
+            if cut:
+                L = _pdiv_exact(L, _BASE.expand(cut))
+        return _lowest_terms(s, L, u, K, v, gen)
 
     def __sub__(self, other: "RatFuncQT") -> "RatFuncQT":
         return self + (-other)
@@ -606,24 +922,36 @@ class RatFuncQT:
     def __neg__(self) -> "RatFuncQT":
         if not self._a:
             return self
-        return RatFuncQT(_pneg(self._a), self._b)
+        v = self._v
+        return RatFuncQT(_pneg(self._a), self._b, self._u, self._k, self._g,
+                         None if v is None else -v)
 
     def __mul__(self, other: "RatFuncQT") -> "RatFuncQT":
-        a, b = self._a, self._b
-        c, d = other._a, other._b
+        a, c = self._a, other._a
         if not a or not c:
             return ZERO
+        b, d = self._b, other._b
         if b == _PONE and d == _PONE:
-            return RatFuncQT(_pmul(a, c), _PONE)
-        g1 = _pgcd(a, d)
-        g2 = _pgcd(c, b)
-        if g1 != _PONE:
-            a = _pdiv_exact(a, g1)
-            d = _pdiv_exact(d, g1)
-        if g2 != _PONE:
-            c = _pdiv_exact(c, g2)
-            b = _pdiv_exact(b, g2)
-        return _make_reduced(_pmul(a, c), _pmul(b, d))
+            return RatFuncQT(_pmul(a, c), _PONE, 1, _NOEXP, _BASE.gen)
+        gen = _BASE.gen
+        ub, kb, ud, kd = _fac2(self, other)
+        va, vc = self._v, other._v
+        # a is coprime to b and c to d, so a common factor of a*c and b*d
+        # is one of a and d or one of c and b
+        if kd:
+            a, va, kd, cut = _cancel(a, _val(self), kd)
+            if cut:
+                d = _pdiv_exact(d, _BASE.expand(cut))
+        if kb:
+            if _BASE.gen != gen:
+                kb = _BASE.translate(kb)
+            c, vc, kb, cut = _cancel(c, _val(other), kb)
+            if cut:
+                b = _pdiv_exact(b, _BASE.expand(cut))
+        if _BASE.gen != gen:
+            kb, kd = _BASE.translate(kb), _BASE.translate(kd)
+        return _lowest_terms(_pmul(a, c), _pmul(b, d), ub * ud, _merge(kb, kd),
+                             None if va is None or vc is None else va * vc, gen)
 
     def __truediv__(self, other: "RatFuncQT") -> "RatFuncQT":
         return self * other.inverse()
@@ -645,14 +973,21 @@ class RatFuncQT:
                 out = base if out is None else out * base
             k >>= 1
             if k:
-                base = RatFuncQT(_pmul(base._a, base._a), _pmul(base._b, base._b))
+                gen = _BASE.gen
+                u, e = _fac(base)
+                base = RatFuncQT(_pmul(base._a, base._a), _pmul(base._b, base._b),
+                                 u * u, {i: 2 * m for i, m in e.items()}, gen)
         return out
 
     def scale(self, c) -> "RatFuncQT":
         p, d = _ratio(c)
         if not p or not self._a:
             return ZERO
-        return _make_reduced(_pscale(self._a, p), _pscale(self._b, d))
+        gen = _BASE.gen
+        u, k = _fac(self)
+        v = self._v
+        return _lowest_terms(_pscale(self._a, p), _pscale(self._b, d), u * d, k,
+                             None if v is None else v * p, gen)
 
     def parts(self) -> tuple["RatFuncQT", "RatFuncQT"]:
         """(a, b) with self = a / b: the stored coprime integer polynomials,
@@ -692,6 +1027,58 @@ class RatFuncQT:
     def __repr__(self):
         return f"RatFuncQT({self.render()})"
 
+    def __reduce__(self):
+        # the factorization refers to this process's base: pickle the pair
+        return RatFuncQT, (self._a, self._b)
+
+
+def _fac(x: RatFuncQT) -> tuple[int, Exps]:
+    """(u, exps) with x's denominator u * prod of the base elements to exps,
+    u a positive integer.  Made on first use, through the refinement, and
+    kept on x; read over the current elements after a split."""
+    gen = _BASE.gen
+    if x._g == gen:
+        return x._u, x._k
+    k = x._k
+    if k is None:
+        b = x._b
+        u = _content(b)
+        mq, mt = min(b)[0], min(b, key=_deg_t)[1]
+        k = {}
+        if mq:
+            k[0] = mq
+        if mt:
+            k[1] = mt
+        p = b if u == 1 and not (mq or mt) else {
+            (e[0] - mq, e[1] - mt): c // u for e, c in b.items()}
+        if p != _PONE:
+            k.update(_BASE.factor(p))
+        x._u = u
+    else:
+        k = _BASE.translate(k)
+    # marked with the gen read before factoring: a split since then is
+    # translated on the next read
+    x._k, x._g = k, gen
+    return x._u, k
+
+
+def _fac2(x: RatFuncQT, y: RatFuncQT) -> tuple[int, Exps, int, Exps]:
+    """_fac of both, over the same elements: factoring y may split one."""
+    gen = _BASE.gen
+    ux, kx = _fac(x)
+    uy, ky = _fac(y)
+    if _BASE.gen != gen:
+        ux, kx = _fac(x)
+    return ux, kx, uy, ky
+
+
+def _val(x: RatFuncQT) -> int:
+    """x's numerator at the screening point, kept on x."""
+    v = x._v
+    if v is None:
+        v = x._v = _peval(x._a)
+    return v
+
 
 def _signed(a: PolyDict, b: PolyDict) -> RatFuncQT:
     """a/b from a coprime pair: the sign moves so that b leads positive."""
@@ -699,39 +1086,41 @@ def _signed(a: PolyDict, b: PolyDict) -> RatFuncQT:
         return RatFuncQT(_pneg(a), _pneg(b))
     return RatFuncQT(a, b)
 
-def _make_reduced(num: PolyDict, den: PolyDict) -> RatFuncQT:
-    """Build from a pair coprime over Q: takes out the common integer content."""
-    if not num:
-        return ZERO
-    if not den:
-        raise ZeroDivisionError("zero denominator")
-    g = _content(den)
-    if g != 1:
-        for v in num.values():
-            g = int_gcd(g, v)
+def _lowest_terms(num: PolyDict, den: PolyDict, u: int, k: Exps,
+                  v: int | None, gen: int) -> RatFuncQT:
+    """num/den for den = u * prod(k) with a positive leading coefficient and
+    num coprime to prod(k): takes out the integer content num shares with
+    u.  v is num at the screening point, or None; k is valid at gen."""
+    if u != 1:
+        g = u
+        for x in num.values():
+            g = int_gcd(g, x)
             if g == 1:
                 break
         else:
-            num = {e: v // g for e, v in num.items()}
-            den = {e: v // g for e, v in den.items()}
-    return _signed(num, den)
+            num = {e: x // g for e, x in num.items()}
+            den = {e: x // g for e, x in den.items()}
+            u //= g
+            if v is not None:
+                v //= g
+    return RatFuncQT(num, den, u, k, gen, v)
 
 def _make(num: PolyDict, den: PolyDict) -> RatFuncQT:
+    """Reduce an arbitrary pair: den is factored over the base, and num is
+    cancelled against its factors."""
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
         return ZERO
-    # strip the joint monomial content
-    mq, mt = _mono_gcd(num, den)
-    if mq or mt:
-        num = {(e[0] - mq, e[1] - mt): c for e, c in num.items()}
-        den = {(e[0] - mq, e[1] - mt): c for e, c in den.items()}
-    if den != _PONE:
-        g = _pgcd(num, den)
-        if g != _PONE:
-            num = _pdiv_exact(num, g)
-            den = _pdiv_exact(den, g)
-    return _make_reduced(num, den)
+    x = _signed(num, den)
+    gen = _BASE.gen
+    u, k = _fac(x)
+    num, den, v = x._a, x._b, None
+    if k:
+        num, v, k, cut = _cancel(num, _peval(num), k)
+        if cut:
+            den = _pdiv_exact(den, _BASE.expand(cut))
+    return _lowest_terms(num, den, u, k, v, gen)
 
 
 ZERO = RatFuncQT({}, _PONE)
@@ -803,8 +1192,8 @@ def invert_qt(f: RatFuncQT) -> RatFuncQT:
 
     Both halves are reflected in the joint degree box; reciprocals of a
     reduced pair stay coprime, and one of them keeps a constant term in
-    each variable, so the result is reduced without a gcd; only the sign
-    of the leading coefficient may move.
+    each variable, so the result is reduced without cancelling; only the
+    sign of the leading coefficient may move.
     """
     terms = (f._a, f._b)
     bq = max(e[0] for p in terms for e in p)
@@ -812,56 +1201,49 @@ def invert_qt(f: RatFuncQT) -> RatFuncQT:
     num, den = ({(bq - e[0], bt - e[1]): c for e, c in p.items()} for p in terms)
     return _signed(num, den) if num else ZERO
 
-def _zlcm(a: PolyDict, b: PolyDict) -> PolyDict:
-    """Least common multiple in Z[q, t] of two nonzero integer polynomials
-    with positive leading coefficients, integer content included."""
-    q = _pdiv_exact(b, _pgcd(a, b))
-    k = int_gcd(_content(a), _content(b))
-    if k != 1:
-        q = {e: v // k for e, v in q.items()}
-    return _pmul(a, q)
-
 def over_common_denominator(values: list[RatFuncQT]) -> tuple[list[RatFuncQT], RatFuncQT]:
     """([v * L for v in values], 1 / L) with L the least common multiple
     in Z[q, t] of the denominators: every v * L is an integer polynomial.
 
-    A denominator that divides L or that L divides costs a trial division
-    or two, any other one gcd; each multiple is one exact division.  Most
-    denominators met in the transfers nest that way, so the trial
-    divisions spare most of the gcds.
+    L is the integer lcm of the contents times each base element to its
+    largest exponent; each multiple is its numerator times the cofactor
+    L / den(v), a product of base elements.
     """
-    L = _PONE
+    u, K = 1, {}
+    gen0 = gen = _BASE.gen
     for v in values:
-        b = v._b
-        if b == L or b == _PONE:
-            continue
-        if L == _PONE:
-            L = b
-            continue
-        for big, small in ((L, b), (b, L)):
-            try:
-                _pdiv_exact(big, small)
-            except InexactDivisionError:
-                continue
-            L = big
-            break
-        else:
-            L = _zlcm(L, b)
-    if L == _PONE:
+        if v._b != _PONE:
+            uv, kv = _fac(v)
+            if _BASE.gen != gen:
+                K, gen = _BASE.translate(K), _BASE.gen
+            u = int_lcm(u, uv)
+            for i, k in kv.items():
+                if k > K.get(i, 0):
+                    K[i] = k
+    if u == 1 and not K:
         return list(values), ONE
-    return ([RatFuncQT(v._a if v._b == L else _pmul(v._a, _pdiv_exact(L, v._b)),
-                       _PONE) for v in values],
-            RatFuncQT(_PONE, L))
+    cofactors: dict[frozenset, PolyDict] = {}
+    mults = []
+    for v in values:
+        uv, kv = _fac(v)
+        cof = frozenset((i, k - kv.get(i, 0)) for i, k in K.items() if k > kv.get(i, 0))
+        p = cofactors.get(cof)
+        if p is None:
+            p = cofactors[cof] = _BASE.expand(dict(cof))
+        a = _pmul(v._a, p) if cof else v._a
+        mults.append(RatFuncQT(_pscale(a, u // uv), _PONE, 1, _NOEXP, _BASE.gen))
+    return mults, RatFuncQT(_PONE, _pscale(_BASE.expand(K), u), u, K, gen0, 1)
 
 def times_multiple(f: RatFuncQT, m: PolyDict) -> RatFuncQT:
     """f * m for an integer polynomial m that f's denominator divides: the
-    product is a polynomial, found by one exact division and no gcd."""
+    product is a polynomial, found by one exact division."""
     a, b = f._a, f._b
     g = _content(b)
     den = b if g == 1 else {e: v // g for e, v in b.items()}
     if den == m:
         return RatFuncQT(a, {(0, 0): g})
-    return _make_reduced(_pmul(a, _pdiv_exact(m, den)), {(0, 0): g})
+    return _lowest_terms(_pmul(a, _pdiv_exact(m, den)), {(0, 0): g}, g, _NOEXP,
+                         None, _BASE.gen)
 
 def elementary_symmetric(values: list[RatFuncQT]) -> list[RatFuncQT]:
     """[e_0, e_1, ..., e_r] of the given field elements."""

@@ -1,0 +1,39 @@
+"""Plain counters of the work the library does, read through snapshot().
+
+This first slice covers the field layer (ratfunc):
+
+- gcd_calls: bivariate polynomial gcds (ratfunc._pgcd), shortcuts included;
+- divisions_screened: trial divisions by a base element that the value
+  screen rejected without dividing;
+- divisions_certified: trial divisions that exact division confirmed;
+- divisions_refused: trial divisions that passed the screen but that
+  exact division refused;
+- base_refinements: changes to the coprime base of denominator factors,
+  an element added or an element split;
+- base_size: the number of elements the base holds now (a level, not a
+  count, so reset() leaves it alone).
+
+The counters are module-level integers in a dict, so counting costs one
+dict update.  A level is read through the function its module registers.
+"""
+
+from __future__ import annotations
+
+from typing import Callable
+
+COUNTS: dict[str, int] = dict.fromkeys(
+    ("gcd_calls", "divisions_screened", "divisions_certified",
+     "divisions_refused", "base_refinements"), 0)
+
+LEVELS: dict[str, Callable[[], int]] = {}
+
+
+def snapshot() -> dict[str, int]:
+    """The counters since the last reset(), and the current levels."""
+    return {**COUNTS, **{name: read() for name, read in LEVELS.items()}}
+
+
+def reset() -> None:
+    """Set every counter to zero; levels keep their values."""
+    for name in COUNTS:
+        COUNTS[name] = 0

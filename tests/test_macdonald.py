@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from functools import partial
 
@@ -331,6 +332,24 @@ def test_cache_disk_round_trip(tmp_path):
 
 FROZEN_CACHE = os.path.join(os.path.dirname(__file__), "data", "cache")
 FROZEN_ENTRIES = (((2, 1), 3), ((3, 2, 1), 4), ((2, 2, 1, 1), 4))
+
+
+def test_stable_route_matches_full_build(tmp_path):
+    # for n > |lam|, get_P re-wraps the entry at |lam| variables; the build
+    # at the full n is the oracle.  Only the requested entry is kept, and
+    # its file loads back to the same element
+    t0 = time.process_time()
+    cache = MacdonaldCache(str(tmp_path))
+    asked = set()
+    for d in range(1, 5):
+        for lam in partitions_of(d):
+            for n in range(d + 1, 7):
+                got = cache.get_P(lam, n)
+                asked.add((n, lam))
+                assert got == macdonald._build_P(lam, n), (lam, n)
+                assert MacdonaldCache(str(tmp_path))._load_disk(lam, n) == got
+    assert set(cache._P) == asked and len(cache.list_disk()) == len(asked)
+    assert time.process_time() - t0 < 30
 
 
 def test_cache_bytes_frozen(tmp_path):

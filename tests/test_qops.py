@@ -9,6 +9,7 @@ import pytest
 import machyper.qops as qops
 import machyper.ratfunc as ratfunc
 import machyper.series as series
+from machyper import stats
 from machyper.errors import ResourceGuardError
 from machyper.macdonald import macdonald_P, macdonald_forms
 from machyper.partitions import partitions_of, rho_stat
@@ -187,13 +188,12 @@ def test_assembly_is_gcd_free(monkeypatch, cache, empty_store):
     # only monomials; neither runs a polynomial gcd
     f = macdonald_forms((2, 1), 3, cache).P
     assert any(c.den != ONE.den for c in f.coeffs.values())
-    calls = {"assemble": 0, "image": 0, "gcd": 0, "all_gcd": 0}
+    calls = {"assemble": 0, "image": 0, "gcd": 0}
     inside = [False]
     pgcd, assemble, image = ratfunc._pgcd, qops._assemble, qops._image
 
     def counting_pgcd(a, b):
         calls["gcd"] += inside[0]
-        calls["all_gcd"] += 1
         return pgcd(a, b)
 
     def watched(name, fn):
@@ -230,9 +230,13 @@ def test_assembly_is_gcd_free(monkeypatch, cache, empty_store):
     assert calls["assemble"] == built
     assert calls["gcd"] == 0
 
-    # on a cleared input, a transfer runs its gcds on the level scalars
-    # only: a scaled image with many coefficients costs no more gcds than
-    # one with a single coefficient and the same scalar and degree
+    # on a cleared input, a transfer runs its field work on the level
+    # scalars only: a scaled image with many coefficients costs no more
+    # cancellation work than one with a single coefficient and the same
+    # scalar and degree.  The cancellation work is what stats counts: the
+    # trial divisions by base factors and the gcds.  Each transfer runs
+    # once on both inputs first, so any new denominator factor has entered
+    # the base before the counts are taken
     n = 3
     total = SymPoly.zero(n)
     for d in range(1, 5):
@@ -243,15 +247,18 @@ def test_assembly_is_gcd_free(monkeypatch, cache, empty_store):
     assert len(big.coeffs) >= 10 * len(small.coeffs)
     scal = (ONE - Q * T).inverse()
     a, b = [rf(Fraction(2, 3)) * Q, T.inverse()], [rf(Fraction(5, 7)) / T]
+    work = ("gcd_calls", "divisions_screened", "divisions_certified",
+            "divisions_refused")
     for op in (series.transfer_lower(b),
                series.transfer_raise(a),
                series.transfer_diag_raise(a),
                series.transfer_diag_lower(b)):
         counts = []
         for g in (small, big):
-            calls["all_gcd"] = 0
             op((g, scal))
-            counts.append(calls["all_gcd"])
+            stats.reset()
+            op((g, scal))
+            counts.append(sum(stats.snapshot()[name] for name in work))
         assert 0 < counts[1] <= counts[0]
 
 

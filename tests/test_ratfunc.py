@@ -1,5 +1,7 @@
 """Field arithmetic: normal forms, axioms against a Fraction oracle."""
 
+import sys
+import threading
 import time
 from fractions import Fraction
 from math import gcd
@@ -11,8 +13,10 @@ from machyper.ratfunc import (ONE, Q, T, ZERO, RatFuncQT, elementary_symmetric,
                               invert_qt, over_common_denominator, q_integer, qt_monomial,
                               rf, substitute, t_integer, t_monomial,
                               times_multiple)
-from machyper.ratfunc import (_content, _normalize_primitive, _pdiv_exact, _pgcd,
-                              _pmul, _term_key)
+import machyper.ratfunc as ratfunc
+from machyper import stats
+from machyper.ratfunc import (_content, _normalize_primitive, _padd, _pdiv_exact,
+                              _pgcd, _pmul, _pneg, _term_key)
 
 F = Fraction
 
@@ -255,6 +259,177 @@ def test_over_common_denominator(values):
         cof = _pdiv_exact(L._a, v.parts()[1]._a)
         common, content = _pgcd(common, cof), gcd(content, _content(cof))
     assert common == {(0, 0): 1} and content == 1
+
+
+# -- factored denominators against the gcd reduction ----------------------------
+
+def _gcd_reduced(num, den):
+    """The normal-form pair of num/den through one bivariate gcd: the
+    oracle for the cancellation over the base of denominator factors."""
+    if not num:
+        return {}, {(0, 0): 1}
+    g = _pgcd(num, den)
+    a, b = _pdiv_exact(num, g), _pdiv_exact(den, g)
+    k = gcd(_content(a), _content(b))
+    a, b = ({e: v // k for e, v in p.items()} for p in (a, b))
+    if b[max(b, key=_term_key)] < 0:
+        a, b = _pneg(a), _pneg(b)
+    return a, b
+
+
+def _gcd_lcm(b, d):
+    """lcm in Z[q, t] of two integer polynomials with positive leading
+    coefficients, contents included, through one gcd."""
+    L = _pdiv_exact(_pmul(b, d), _pgcd(b, d))
+    k = gcd(_content(b), _content(d))
+    return {e: v // k for e, v in L.items()}
+
+
+def assert_ops_match_gcd_reduction(x, y):
+    # products, sums, quotients and over_common_denominator equal the raw
+    # pairs reduced by a gcd
+    a, b, c, d = x._a, x._b, y._a, y._b
+    z = x * y
+    assert (z._a, z._b) == _gcd_reduced(_pmul(a, c), _pmul(b, d))
+    z = x + y
+    assert (z._a, z._b) == _gcd_reduced(_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d))
+    if y:
+        z = x / y
+        assert (z._a, z._b) == _gcd_reduced(_pmul(a, d), _pmul(b, c))
+    mults, s = over_common_denominator([x, y])
+    L = _gcd_lcm(b, d)
+    assert (s._a, s._b) == _gcd_reduced({(0, 0): 1}, L)
+    for v, m in zip((x, y), mults):
+        assert (m._a, m._b) == _gcd_reduced(_pmul(v._a, L), v._b)
+
+
+def _poly(text_terms):
+    return RatFuncQT.from_poly({(dq, dt): c for dq, dt, c in text_terms})
+
+
+# denominator factors: 1 - q^2 t^2 is composite (1 - q t)(1 + q t), no proof
+# covers it; 1 + q t + q^2 t^2 has degree 2 in both variables; q^2 t^3 - 1
+# is irreducible but of degree above 1 in both
+FACTORS = {
+    "1-q2t2": [(0, 0, 1), (2, 2, -1)],
+    "1-qt": [(0, 0, 1), (1, 1, -1)],
+    "1+qt": [(0, 0, 1), (1, 1, 1)],
+    "1+qt+q2t2": [(0, 0, 1), (1, 1, 1), (2, 2, 1)],
+    "q2t3-1": [(2, 3, 1), (0, 0, -1)],
+    "2-3q": [(0, 0, 2), (1, 0, -3)],
+    "q-t": [(1, 0, 1), (0, 1, -1)],
+}
+
+
+@st.composite
+def factored_values(draw):
+    # a numerator over a product of listed factors, built by field
+    # arithmetic or read from JSON, so that the denominator enters whole
+    num = draw(poly_values())
+    names = draw(st.lists(st.sampled_from(sorted(FACTORS)), min_size=1, max_size=3))
+    den = ONE
+    for name in names:
+        den = den * _poly(FACTORS[name])
+    if draw(st.booleans()):
+        num = num * draw(st.sampled_from([_poly(f) for f in FACTORS.values()]))
+    if draw(st.booleans()):
+        return RatFuncQT.from_json({"num": ratfunc.poly_to_json(num.num),
+                                    "den": ratfunc.poly_to_json(den.num)})
+    return num / den
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(field_values(), factored_values()),
+       st.one_of(field_values(), factored_values()))
+def test_factored_cancellation_matches_gcd(x, y):
+    assert_ops_match_gcd_reduction(x, y)
+
+
+def test_composite_enters_before_its_factors(monkeypatch):
+    # on a fresh base, 1 - q^2 t^2 enters as one element that no proof
+    # covers; a numerator 1 - q t splits it through the refinement, and an
+    # element made before the split is read over the split elements
+    base = ratfunc._CoprimeBase()
+    monkeypatch.setattr(ratfunc, "_BASE", base)
+    comp, f1 = _poly(FACTORS["1-q2t2"]), _poly(FACTORS["1-qt"])
+    x = (Q + rf(2)) / comp
+    (i,) = [i for i in ratfunc._fac(x)[1]]
+    assert base.active == [0, 1, i] and not base.proven[i]
+    # the product's cancellation meets the unproven element: one gcd
+    # splits it
+    gcds = stats.snapshot()["gcd_calls"]
+    z = x * f1
+    assert stats.snapshot()["gcd_calls"] > gcds
+    assert z == (Q + rf(2)) / _poly(FACTORS["1+qt"])
+    assert i in base.split and i not in base.active
+    assert all(base.proven[j] for j in base.active)
+    parts = {frozenset(base.polys[j].items()) for j in ratfunc._fac(x)[1]}
+    assert parts == {frozenset(_normalize_primitive(p._a).items())
+                     for p in (f1, _poly(FACTORS["1+qt"]))}
+    # on the refined base the field operations run no gcd
+    y = f1 / (ONE - Q)
+    gcds = stats.snapshot()["gcd_calls"]
+    for u, v in ((x, y), (x * y, x + y), (x / y, x - y)):
+        u * v, u + v, u / v, over_common_denominator([u, v])
+    assert stats.snapshot()["gcd_calls"] == gcds
+    assert_ops_match_gcd_reduction(x, y)
+    assert_ops_match_gcd_reduction(x * y, x + y)
+
+
+def test_threads_share_one_base(monkeypatch):
+    # four threads refine one fresh base at once, each in its own order:
+    # every result equals the gcd reduction of its pair, and the base
+    # stays pairwise coprime
+    base = ratfunc._CoprimeBase()
+    monkeypatch.setattr(ratfunc, "_BASE", base)
+    pool = [_poly(f) for f in FACTORS.values()]
+    pool.append(pool[0] * _poly(FACTORS["q-t"]))
+    failures = []
+
+    def work(k):
+        order = pool[k:] + pool[:k]
+        try:
+            for i, f in enumerate(order):
+                for g in order[i:]:
+                    assert_ops_match_gcd_reduction((Q + rf(k + 1)) / f, (T - rf(2)) / g)
+        except Exception as exc:  # re-raised below, in the test's thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    if failures:
+        raise failures[0]
+    active = [base.polys[i] for i in base.active]
+    for i, f in enumerate(active):
+        for g in active[i + 1:]:
+            assert _pgcd(f, g) == {(0, 0): 1}
+
+
+def test_equal_values_equal_hashes():
+    # one value reached by different routes: arithmetic, from_json, from_poly
+    # over an inverse, and cancellation against a composite
+    c1, c2 = _poly(FACTORS["1-qt"]), _poly(FACTORS["1+qt"])
+    comp = _poly(FACTORS["1-q2t2"])
+    routes = [
+        (Q + ONE) / (c1 * (ONE - T)),
+        (Q + ONE) * c2 / (comp * (ONE - T)),
+        RatFuncQT.from_json({"num": [[0, 0, "2"], [1, 0, "2"]],
+                             "den": [[0, 0, "2"], [0, 1, "-2"], [1, 1, "-2"], [1, 2, "2"]]}),
+        RatFuncQT.from_poly({(0, 0): 1, (1, 0): 1}) * ((ONE - T) * c1).inverse(),
+        (Q + ONE) / (ONE - T) - (Q + ONE) / (ONE - T) + (Q + ONE) / (c1 - c1 * T),
+    ]
+    for r in routes:
+        assert r == routes[0] and hash(r) == hash(routes[0])
+        assert (r._a, r._b) == (routes[0]._a, routes[0]._b)
 
 
 # -- helpers -------------------------------------------------------------------

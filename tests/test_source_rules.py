@@ -257,6 +257,53 @@ def test_field_layer_computes_over_the_integers():
     assert found == []
 
 
+# the field operations whose cancellation is trial division over the base
+# of denominator factors, and the refinement of that base: the only code
+# in ratfunc that may run a bivariate gcd
+GCD_FREE = ("RatFuncQT.__mul__", "RatFuncQT.__add__", "over_common_denominator")
+REFINEMENT = {"_CoprimeBase.factor", "_CoprimeBase.split_common",
+              "_CoprimeBase._split"}
+GCD_NAMES = {"_pgcd", "_bv_gcd"}
+
+
+def test_field_operations_reach_no_gcd():
+    # a static call graph of ratfunc: each module-level function or method
+    # calls every function or method whose name it mentions (a method by
+    # its attribute name).  Only the refinement and the gcd itself mention
+    # a gcd, and no path from the field operations reaches one except
+    # through the refinement
+    path = SRC / "ratfunc.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            defs[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            defs.update((f"{node.name}.{sub.name}", sub) for sub in node.body
+                        if isinstance(sub, ast.FunctionDef))
+    by_name = {}
+    for qual in defs:
+        by_name.setdefault(qual.rsplit(".", 1)[-1], set()).add(qual)
+
+    def mentions(node):
+        return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+    names = {qual: mentions(node) for qual, node in defs.items()}
+    assert {qual for qual, used in names.items() if used & GCD_NAMES} <= REFINEMENT | {"_pgcd"}
+    assert set(GCD_FREE) <= set(defs) and REFINEMENT <= set(defs)
+    seen, stack = set(), list(GCD_FREE)
+    while stack:
+        qual = stack.pop()
+        if qual in seen or qual in REFINEMENT:
+            continue
+        seen.add(qual)
+        stack.extend(c for name in names[qual] for c in by_name.get(name, ()))
+    assert "_CoprimeBase.split_common" in {
+        c for qual in seen for name in names[qual] for c in by_name.get(name, ())}
+    assert not seen & GCD_NAMES
+
+
 # standard-library names that Python 3.11 or later added; pyproject.toml
 # declares requires-python >= 3.10, so the package imports none of them
 NEWER_THAN_310 = {
