@@ -1043,7 +1043,7 @@ def _fac(x: RatFuncQT) -> tuple[int, Exps]:
     if k is None:
         b = x._b
         u = _content(b)
-        mq, mt = min(b)[0], min(b, key=_deg_t)[1]
+        mq, mt = _mono_gcd(b, b)
         k = {}
         if mq:
             k[0] = mq
@@ -1117,7 +1117,7 @@ def _make(num: PolyDict, den: PolyDict) -> RatFuncQT:
     u, k = _fac(x)
     num, den, v = x._a, x._b, None
     if k:
-        num, v, k, cut = _cancel(num, _peval(num), k)
+        num, v, k, cut = _cancel(num, _val(x), k)
         if cut:
             den = _pdiv_exact(den, _BASE.expand(cut))
     return _lowest_terms(num, den, u, k, v, gen)
