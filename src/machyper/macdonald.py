@@ -33,9 +33,11 @@ that reads the basis takes its caller's cache; there is no default one.  The
 principal-value audit runs on J, on polynomials only: it compares J at
 the staircase point with its closed form whenever a basis element is
 built or a file is read, and a read file must also be monic and
-dominance-triangular; a file that fails is rebuilt.  A file is written
-to a temporary name and moved into place, so readers never see half of
-one.
+dominance-triangular; a file that fails is rebuilt.  Its terms are read
+only if they hold integer exponents up to |lam|^2 and rational strings,
+so damage costs a rebuild, never a crash or a huge power.  A file is
+written to a temporary name and moved into place, so readers never see
+half of one.
 
 Everything here works at q and t; the forms at reciprocal q and t are
 their images under sympoly.invert_coeffs.
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 from collections import Counter
 from functools import cached_property, lru_cache
@@ -60,6 +63,9 @@ from .ratfunc import (ONE, Q, RatFuncQT, T, qt_monomial, rf, t_monomial,
 from .sympoly import BiSymPoly, SymPoly, orbit
 
 _FORMAT = 1
+
+# a coefficient as RatFuncQT.to_json writes it: str of a Fraction
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 class MacdonaldCache:
@@ -96,13 +102,22 @@ class MacdonaldCache:
                 return None
             if make_partition(data.get("partition", [])) != lam:
                 return None
+            # degrees stay within the lower hook product's: n(lam') in q,
+            # n(lam) + |lam| in t, both at most |lam|^2
+            top = size(lam) ** 2
             coeffs = {}
             for entry in data["coeffs"]:
                 mu = make_partition(entry["partition"])
-                coeffs[mu] = RatFuncQT.from_json(entry["value"])
+                value = entry["value"]
+                for dq, dt, c in value["num"] + value["den"]:
+                    if not (type(dq) is int and 0 <= dq <= top
+                            and type(dt) is int and 0 <= dt <= top
+                            and type(c) is str and _RATIONAL.fullmatch(c)):
+                        return None
+                coeffs[mu] = RatFuncQT.from_json(value)
             poly = SymPoly.from_coeffs(n, coeffs)
-        except (KeyError, ValueError, TypeError, ZeroDivisionError,
-                json.JSONDecodeError):
+        except (KeyError, ValueError, TypeError, OverflowError,
+                ZeroDivisionError, json.JSONDecodeError):
             return None
         if not _monic_triangular(poly, lam) or not _principal_matches(poly, lam, n):
             return None

@@ -281,25 +281,24 @@ def support_degrees(gs: Scaled) -> list[int]:
     return gs[0].degrees()
 
 
-def alphabet_difference(F: BiSymPoly, x_op, y_op,
-                        c: RatFuncQT) -> BiSymPoly:
-    """c * x_op(F) - y_op(F) up to a nonzero factor on each coefficient,
+def alphabet_difference(F: BiSymPoly, x_op, y_op) -> BiSymPoly:
+    """x_op(F) - y_op(F) up to a nonzero factor on each coefficient,
     for maps x_op, y_op of scaled images applied to the x and to the y
     alphabet of F.
 
     Each slice of F (the x-polynomial at one y-partition, and the
     y-polynomial at one x-partition) is cleared on its own.  With
-    c * s_X = alpha/beta for the x-image's scalar and s_Y = gamma/delta
-    for the y-image's, the coefficient at (lx, ly) is
+    s_X = alpha/beta for the x-image's scalar and s_Y = gamma/delta for
+    the y-image's, the coefficient at (lx, ly) is
     alpha * delta * X - gamma * beta * Y: integer polynomials only, zero
-    exactly where c * X - Y is.  The result has the support of the
+    exactly where X - Y is.  The result has the support of the
     difference, not its values.
     """
     unit = (ONE, ONE)
     xs = {}
     for ly, sl in F.x_slices().items():
         g, s = x_op(to_scaled(sl))
-        xs[ly] = (g.coeffs, (c * s).parts())
+        xs[ly] = (g.coeffs, s.parts())
     ys = {}
     for lx, sl in F.swap().x_slices().items():
         g, s = y_op(to_scaled(sl))

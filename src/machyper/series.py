@@ -208,25 +208,10 @@ class TruncatedSeries:
 # alphabet scaling
 
 def scale_alphabet(f: SymPoly, c: RatFuncQT) -> SymPoly:
-    """x -> c x: multiply the coefficient of m_lam by c^|lam|."""
-    pows: dict[int, RatFuncQT] = {}
-    coeffs = {}
-    for lam, v in f.coeffs.items():
-        d = size(lam)
-        if d not in pows:
-            pows[d] = c ** d
-        v = v * pows[d]
-        if not v.is_zero():
-            coeffs[lam] = v
-    return SymPoly(f.n_vars, coeffs)
-
-
-def scale_alphabet_x(F: BiSymPoly, c: RatFuncQT) -> BiSymPoly:
-    """Scale only the first alphabet of a two-alphabet polynomial."""
-    coeffs = {}
-    for (lx, ly), v in F.coeffs.items():
-        coeffs[(lx, ly)] = v * c ** size(lx)
-    return BiSymPoly(F.n_vars, coeffs)
+    """x -> c x for a nonzero c: multiply the coefficient of m_lam by
+    c^|lam|."""
+    return SymPoly(f.n_vars, {lam: v * c ** size(lam)
+                              for lam, v in f.coeffs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +338,13 @@ def eigen_value_raise(l: int, mu: Partition, n: int) -> RatFuncQT:
     """Closed-form eigenvalue of G_l on the dual integral element of mu.
 
     Coefficient of u^l in 1/((1-q)(1-t)) * (1 - prod_i (t - u z_i)/(1 - u z_i))
-    with z_i the spectral point q^(mu_i) t^(1-i).  ValueError for l < 0."""
+    with z_i the spectral point q^(mu_i) t^(1-i).  ValueError for l < 0
+    or for mu with more than n parts."""
     if l < 0:
         raise ValueError(f"eigen operator level {l} is negative")
+    if len(mu) > n:
+        raise ValueError(f"partition {format_partition(mu)} has more parts "
+                         f"than variables (n={n})")
     prod = [ONE] + [rf(0)] * l
     for i in range(1, n + 1):
         p = mu[i - 1] if i <= len(mu) else 0
@@ -377,9 +366,12 @@ def eigen_value_lower(l: int, lam: Partition, n: int) -> RatFuncQT:
 
     u-expansion of scal_h*(u - q t^(n-1))/u*(prod_i (1/t - u z_i/q)/(1 - u z_i/q) - 1)
     plus the explicit 1/u counterterm; the pole cancellation is checked.
-    ValueError for l < 0."""
+    ValueError for l < 0 or for lam with more than n parts."""
     if l < 0:
         raise ValueError(f"eigen operator level {l} is negative")
+    if len(lam) > n:
+        raise ValueError(f"partition {format_partition(lam)} has more parts "
+                         f"than variables (n={n})")
     top = l + 1
     prod = [ONE] + [rf(0)] * top
     for i in range(1, n + 1):
@@ -486,11 +478,6 @@ def flavor_scale_one(params: HyperParams) -> RatFuncQT:
     for b in params.lower:
         d = d * b
     return c / d
-
-
-def flavor_scale_two(params: HyperParams, n: int) -> RatFuncQT:
-    """prod(a) / (q t^(n-1) prod(b)): the two-alphabet (x-only) constant."""
-    return flavor_scale_one(params) / t_monomial(n - 1)
 
 
 def mirror_params(params: HyperParams) -> HyperParams:

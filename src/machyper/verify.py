@@ -31,7 +31,11 @@ tolerances anywhere.  Parameter draws are seeded, so a fixed
 The tilde identities concern the series at reciprocal q, t and
 reciprocal parameters.  They run on its iota-image, the series at
 mirror_params(p): the inversion iota is a field automorphism, so it keeps
-every residual zero or nonzero and keeps its degree.
+every residual zero or nonzero and keeps its degree.  The transport also
+scales the alphabets by constants, which need no parameter: x -> c x
+multiplies a lowering transfer's value by c (degree -1 in its alphabet),
+a raising one's by 1/c (degree +1) and leaves a diagonal one's alone, so
+a residual's support is that of the plain residual on the mirror series.
 """
 
 from __future__ import annotations
@@ -55,10 +59,9 @@ from .qops import (Scaled, alphabet_difference, apply_kind, apply_shift_genfun,
 from .macdonald import (MacdonaldCache, binomial_raising_closed,
                         macdonald_forms)
 from .series import (HyperParams, TruncatedSeries, check_lower_poles,
-                     flavor_scale_one, flavor_scale_two, mirror_params,
-                     product_series_one, scale_alphabet, scale_alphabet_x,
-                     transfer_diag_lower, transfer_diag_lower_uv,
-                     transfer_diag_raise, transfer_diag_raise_uv,
+                     flavor_scale_one, mirror_params, product_series_one,
+                     scale_alphabet, transfer_diag_lower, transfer_diag_raise,
+                     transfer_diag_lower_uv, transfer_diag_raise_uv,
                      transfer_lower, transfer_lower_uv, transfer_raise,
                      transfer_raise_uv, uv_delta_chain, uv_mul_z, uv_shift)
 
@@ -118,34 +121,31 @@ class TheoremReport:
 
 # ---------------------------------------------------------------------------
 # the paper's operators A, B and C, applied to a rendering
-#
-# The tilde identities carry an alphabet-scaling constant c; the plain
-# ones use c = 1.
 
-def _resid_A(F: BiSymPoly, p: HyperParams, c: RatFuncQT = ONE) -> BiSymPoly:
-    """A^(x,y) F up to a nonzero factor on each coefficient: (1/c) times
-    the lowering transfer on x, minus the raising transfer on y."""
+def _resid_A(F: BiSymPoly, p: HyperParams) -> BiSymPoly:
+    """A^(x,y) F up to a nonzero factor on each coefficient: the lowering
+    transfer on x, minus the raising transfer on y."""
     return alphabet_difference(F, transfer_lower(p.lower),
-                               transfer_raise(p.upper), c.inverse())
+                               transfer_raise(p.upper))
 
 
-def _resid_B(f: SymPoly, p: HyperParams, c: RatFuncQT = ONE) -> Scaled:
+def _resid_B(f: SymPoly, p: HyperParams) -> Scaled:
     """B^(x) f as a scaled image: the raising-paired diagonal transfer,
-    minus (1/c) times the lowering transfer.  At (r, s) = (2, 1) this is
-    Kaneko's operator."""
+    minus the lowering transfer.  At (r, s) = (2, 1) this is Kaneko's
+    operator."""
     gs = to_scaled(f)
     diag = transfer_diag_raise(p.upper)(gs)
     lower = transfer_lower(p.lower)(gs)
-    return combine(f.n_vars, ((ONE, diag), (-c.inverse(), lower)))
+    return combine(f.n_vars, ((ONE, diag), (-ONE, lower)))
 
 
-def _resid_C(f: SymPoly, p: HyperParams, c: RatFuncQT = ONE) -> Scaled:
+def _resid_C(f: SymPoly, p: HyperParams) -> Scaled:
     """C^(x) f as a scaled image: the lowering-paired diagonal transfer,
-    minus c times the raising transfer."""
+    minus the raising transfer."""
     gs = to_scaled(f)
     diag = transfer_diag_lower(p.lower)(gs)
     raised = transfer_raise(p.upper)(gs)
-    return combine(f.n_vars, ((ONE, diag), (-c, raised)))
+    return combine(f.n_vars, ((ONE, diag), (-ONE, raised)))
 
 
 def _renderings(series: TruncatedSeries, cache: MacdonaldCache):
@@ -291,7 +291,7 @@ def check_diagonal_match(series: TruncatedSeries,
     level_ops = [lambda gs, l=l: apply_kind(l, gs) for l in range(1, n + 1)]
 
     def level_difference(G: BiSymPoly, op) -> BiSymPoly:
-        return alphabet_difference(G, op, op, ONE)
+        return alphabet_difference(G, op, op)
 
     observed = set()
     for op in level_ops:
@@ -634,51 +634,48 @@ def check_factored_form(series: TruncatedSeries,
 def check_inverted_theorems(params: HyperParams, plain: TruncatedSeries,
                             cache: MacdonaldCache) -> TheoremReport:
     """The three annihilation identities transported to the series with
-    inverted q, t and reciprocal parameters, with the alphabet-scaling
-    constants that the transport introduces.
+    inverted q, t and reciprocal parameters.
 
     `params` holds the plain parameter lists; `plain` is the iota-image of
-    the transported series, the series at mirror_params(params).  The
-    one-alphabet rendering is scaled by iota(prod(a)/(q prod(b))); the
-    two-alphabet one scales its first alphabet by the same constant
-    times t^(n-1).  At the empty parameter shape the iota-image of the
-    scaled rendering must equal the falling q-product, which is checked
+    the transported series, the series at mirror_params(params).  A, B
+    and C run on its own renderings: the transport's alphabet constants
+    cancel from every residual's support (see the module docstring).  At
+    the empty parameter shape the iota-image of the rendering scaled by
+    iota(1/q) = q must equal the falling q-product, which is checked
     directly.  The inversion keeps every residual degree.
     """
     n, D, p = plain.n, plain.D, plain.params
-    c = invert_qt(flavor_scale_one(params))
-    d = invert_qt(flavor_scale_two(params, n))
     notes = []
     bad = []
     observed = set()
 
-    # two-alphabet form: A with the constant d
-    F2 = scale_alphabet_x(plain.render_two(cache), d)
-    for dx, dy in _resid_A(F2, p, d).bidegrees():
+    # two-alphabet form: A
+    for dx, dy in _resid_A(plain.render_two(cache), p).bidegrees():
         observed.add((dx, dy))
         if dy == dx + 1 and dx <= D - 1:
             bad.append(("xy", dx, dy))
 
-    # variable-count loop: B with the constant c at each m
+    # variable-count loop: B at each m
     for m, Fm in _renderings(plain, cache):
-        Fc = scale_alphabet(Fm, c)
-        for dg in support_degrees(_resid_B(Fc, p, c)):
+        for dg in support_degrees(_resid_B(Fm, p)):
             observed.add((m, dg))
             if dg <= D - 1:
                 bad.append(("loop", m, dg))
 
-    # one-alphabet raising form: C with the constant c, on the scaled
-    # rendering at m = n, where the loop ended
-    for dg in support_degrees(_resid_C(Fc, p, c)):
+    # one-alphabet raising form: C on the rendering at m = n, where the
+    # loop ended
+    for dg in support_degrees(_resid_C(Fm, p)):
         observed.add(("raise", dg))
         if dg <= D:
             bad.append(("raise", dg))
 
     if params.r == 0 and params.s == 0:
         # closing identity: the empty-shape series is the falling q-product
+        c = invert_qt(flavor_scale_one(params))
         if c != Q:
             raise MacHyperError("empty-shape scaling constant is not 1/q")
-        if invert_coeffs(Fc) == product_series_one("dir", n, D):
+        if invert_coeffs(scale_alphabet(Fm, c)) == \
+                product_series_one("dir", n, D):
             notes.append("empty-shape rendering equals the falling q-product")
         else:
             bad.append(("product", 0))

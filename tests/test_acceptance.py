@@ -5,10 +5,12 @@ Each test prints a single PASS/FAIL line with its runtime (visible under
 ``pytest -s``) and asserts the criterion's time budget.
 """
 
+import json
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,19 @@ from machyper.series import (HyperParams, TruncatedSeries,
 from machyper.sympoly import basis_poly
 from machyper.verify import (SUITE_ORDER, check_classical_limit, run_suite,
                              suite_passed)
+
+
+# every report of criteria 12 and 13, plain and mutated, in JSON and in
+# text, recorded before the tilde check lost its alphabet constants
+FROZEN = json.loads((Path(__file__).resolve().parent / "data"
+                     / "verify_reports_n3_n4_D3.json").read_text())
+
+
+def assert_frozen(n: int, key: str, reports) -> None:
+    want = FROZEN[f"n{n}"][key]
+    assert json.loads(json.dumps([r.to_json() for r in reports])) \
+        == want["json"], (n, key)
+    assert [r.render_text() for r in reports] == want["text"], (n, key)
 
 
 @contextmanager
@@ -192,6 +207,7 @@ def test_criterion_12_theorems_at_three_variables(cache):
         reports = run_suite("all", n=3, D=3, draws=1, cache=cache)
         assert {r.theorem for r in reports} == set(SUITE_ORDER)
         assert suite_passed(reports)
+        assert_frozen(3, "plain", reports)
         # a partition with three parts; the n = 1 series of the univariate
         # check cannot hold it, so that check alone still passes
         mutated = run_suite("all", n=3, D=3, draws=1, cache=cache,
@@ -199,6 +215,7 @@ def test_criterion_12_theorems_at_three_variables(cache):
         assert len(mutated) == len(reports)
         for r in mutated:
             assert r.passed == (r.theorem == "univariate"), r.theorem
+        assert_frozen(3, "mutate_1_1_1", mutated)
 
 
 def test_criterion_13_theorems_at_four_variables(cache):
@@ -206,8 +223,10 @@ def test_criterion_13_theorems_at_four_variables(cache):
         reports = run_suite("all", n=4, D=3, draws=1, cache=cache)
         assert {r.theorem for r in reports} == set(SUITE_ORDER)
         assert suite_passed(reports)
+        assert_frozen(4, "plain", reports)
         mutated = run_suite("all", n=4, D=3, draws=1, cache=cache,
                             mutate=(1, 1, 1))
         assert len(mutated) == len(reports)
         for r in mutated:
             assert r.passed == (r.theorem == "univariate"), r.theorem
+        assert_frozen(4, "mutate_1_1_1", mutated)

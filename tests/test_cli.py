@@ -358,6 +358,18 @@ def test_exit_usage(capsys):
     capsys.readouterr()
 
 
+def test_eigen_refuses_more_parts_than_variables(capsys):
+    # the closed forms read only the first n parts; like the cover-sum
+    # routes they refuse a longer partition instead of answering for [1,1]
+    for direction in ("raise", "lower"):
+        assert main(["compute", "eigen", "--partition", "[1,1,1]", "--n", "2",
+                     "--direction", direction]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("machyper: partition [1,1,1] has more parts "
+                                "than variables (n=2)\n")
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == EXIT_PASS
     capsys.readouterr()

@@ -307,6 +307,31 @@ def test_cache_disk_round_trip(tmp_path):
     c5 = MacdonaldCache(d)
     assert c5.get_P((2,), 2) == p1
 
+    # damaged terms are refused before any field arithmetic reads them: a
+    # float or bool exponent, a coefficient that is not a rational string,
+    # an exponent past |lam|^2 (10^7 would exhaust memory in the value
+    # screen), or a float partition part too large for an int
+    with open(path, encoding="utf-8") as fh:
+        rebuilt = fh.read()
+    for damage in ([1e400, 0, "-2"], [0.0, 0, "1"], [True, 0, "1"],
+                   [0, 0, 1.0], [0, 0, 1], [0, 0, "1e99999999"],
+                   [0, 10 ** 7, "1"], [5, 0, "1"], [-1, 0, "1"]):
+        data = json.loads(rebuilt)
+        data["coeffs"][0]["value"]["den"].append(damage)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        t0 = time.process_time()
+        assert MacdonaldCache(d)._load_disk((2,), 2) is None, damage
+        assert MacdonaldCache(d).get_P((2,), 2) == p1
+        assert time.process_time() - t0 < 2, damage
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == rebuilt, damage
+    data = json.loads(rebuilt)
+    data["coeffs"][0]["partition"] = [1e400]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    assert MacdonaldCache(d).get_P((2,), 2) == p1
+
     # changes that keep the principal value but break triangularity or the
     # leading 1 are rebuilt too
     lam, n = (2, 1), 3

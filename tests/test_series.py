@@ -25,6 +25,7 @@ from machyper.series import (HyperParams, TruncatedSeries, check_lower_poles,
                              eigen_value_lower, eigen_value_lower_brute,
                              eigen_value_raise, eigen_value_raise_brute,
                              kaneko_transform, product_series_one,
+                             scale_alphabet,
                              transfer_diag_lower, transfer_diag_lower_uv,
                              transfer_diag_raise, transfer_diag_raise_uv,
                              transfer_lower, transfer_lower_uv,
@@ -202,6 +203,22 @@ def test_kaneko_transform_broken_relation_raises(cache, monkeypatch):
                               lower=[rf(Fraction(3, 7))])
     with pytest.raises(MacHyperError, match="flavor transform relation"):
         kaneko_transform(TruncatedSeries.build(1, 2, params), cache)
+
+
+@pytest.mark.parametrize("c", [rf(3) * Q / rf(2), (ONE - Q) / T])
+def test_transfers_are_homogeneous(c, cache):
+    # x -> c x: the lowering transfer has degree -1 in its alphabet, the
+    # raising one degree +1 and the diagonal ones degree 0, so a constant
+    # scaling the alphabet never changes where a residual is nonzero
+    a, b = [rf(Fraction(1, 2)), rf(2) * Q], [rf(Fraction(3, 7)) / T]
+    f = TruncatedSeries.build(2, 3, HyperParams.make(upper=a, lower=b)
+                              ).render_one(cache)
+    fc = scale_alphabet(f, c)
+    for op, factor in ((transfer_lower(b), c), (transfer_raise(a), ONE / c),
+                       (transfer_diag_raise(a), ONE),
+                       (transfer_diag_lower(b), ONE)):
+        value = on_values(op)
+        assert value(fc) == scale_alphabet(value(f), c).scale_rf(factor)
 
 
 def test_balanced_flavors_coincide(cache):
