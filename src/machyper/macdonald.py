@@ -64,7 +64,7 @@ from .sympoly import BiSymPoly, SymPoly, orbit
 
 _FORMAT = 1
 
-# a coefficient as RatFuncQT.to_json writes it: str of a Fraction
+# a coefficient as RatFuncQT.to_json writes it: str of an int or Fraction
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 

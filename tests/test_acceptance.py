@@ -34,7 +34,7 @@ from machyper.verify import (SUITE_ORDER, check_classical_limit, run_suite,
 
 
 # every report of criteria 12 and 13, plain and mutated, in JSON and in
-# text, recorded before the tilde check lost its alphabet constants
+# text, exactly as recorded in the data file
 FROZEN = json.loads((Path(__file__).resolve().parent / "data"
                      / "verify_reports_n3_n4_D3.json").read_text())
 
