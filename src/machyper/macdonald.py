@@ -458,10 +458,11 @@ def jstar_principal(lam: Partition, n: int) -> RatFuncQT:
 
 
 def _find_cover(upper: Partition, lower: Partition, n: int) -> SkewCover:
-    if length(lower) > n:
-        raise ValueError(
-            f"partition {format_partition(lower)} has more parts than "
-            f"variables (n={n})")
+    for lam in (lower, upper):
+        if length(lam) > n:
+            raise ValueError(
+                f"partition {format_partition(lam)} has more parts than "
+                f"variables (n={n})")
     for cv in upper_covers(lower, max_length=n):
         if cv.upper == upper:
             return cv

@@ -33,7 +33,12 @@ denominator is first factored (after inverse, invert_qt, from_json or
 _make) it enters the base, and when an unproven element meets a numerator
 it may split.  Elements are only added or split, never removed; a
 factorization made before a split is read over the split elements through
-the split record (_CoprimeBase.translate).
+the split record (_CoprimeBase.translate).  The base remembers the
+factorization of each denominator it has screened, at most
+MAX_FACTORIZATIONS of them, the least recently used evicted first; the
+same denominator met again, as every one is after an inverse, is read
+from that memo through translate instead of screened against every
+element.  A product with the constant 1 returns the other operand.
 
 The gcd views polynomials in Z[t][q].  It splits off the common monomial
 factor and the content in Z[t]; the gcd of the primitive parts comes from
@@ -579,6 +584,10 @@ _NOEXP: Exps = {}
 _ANY = 1 << 30  # no limit on how often an element divides
 _COUNTS = stats.COUNTS
 
+# the bound of a base's memo of factorizations; past it the entry used
+# least recently is evicted, and factored again when next met
+MAX_FACTORIZATIONS = 1024
+
 
 class _CoprimeBase:
     """The process-wide base that denominators are factored over.
@@ -594,7 +603,14 @@ class _CoprimeBase:
     before the split over the current elements.  `gen` counts the splits,
     so a factorization made at the current gen needs no translation.
 
-    Only the refinement (factor, split_common and _split) runs gcds.
+    factor() remembers what it returned for each polynomial in `memo`,
+    keyed by the polynomial's value at the screening point, at most
+    MAX_FACTORIZATIONS entries, the least recently used evicted first.  A
+    hit compares the polynomial itself and is read through translate(), so
+    an entry made before a split stays valid; a denominator met again costs
+    one lookup instead of a screen against every element.
+
+    Only the refinement (_screen, split_common and _split) runs gcds.
     """
 
     def __init__(self):
@@ -604,6 +620,7 @@ class _CoprimeBase:
         self.active: list[int] = []
         self.split: dict[int, Exps] = {}
         self._powers: dict[tuple[int, int], PolyDict] = {}
+        self.memo: dict[int, tuple[PolyDict, Exps]] = {}
         self.gen = 0
         self._lock = threading.RLock()
         for p in ({(1, 0): 1}, {(0, 1): 1}):
@@ -620,26 +637,44 @@ class _CoprimeBase:
 
     def factor(self, p: PolyDict) -> Exps:
         """The factorization of p over the base, for p integer-primitive with
-        a positive leading coefficient and no monomial factor.  A factor of p
-        that no element divides enters the base, after a gcd with each
-        unproven element has split any that shares a factor with it."""
+        a positive leading coefficient and no monomial factor: from the memo
+        when p was factored before, else by _screen."""
         with self._lock:
-            exps: Exps = {}
-            x, v = p, _peval(p)
-            while True:
-                x, v, got = _divide_out(x, v, [(i, _ANY) for i in self.active])
-                for i, m in got.items():
-                    exps[i] = exps.get(i, 0) + m
-                if x == _PONE:
-                    return exps
-                # no element divides x, so a proven one is coprime to it
-                for j in self.active:
-                    if not self.proven[j] and self.split_common(x, j):
-                        exps = self.translate(exps)
-                        break
-                else:
-                    exps[self._add(x)] = 1
-                    return exps
+            v = _peval(p)
+            memo = self.memo
+            hit = memo.pop(v, None)
+            if hit is not None and hit[0] == p:
+                _COUNTS["factorizations_reused"] += 1
+                exps = self.translate(hit[1])
+            else:
+                _COUNTS["factorizations"] += 1
+                exps = self._screen(p, v)
+                if len(memo) >= MAX_FACTORIZATIONS:
+                    del memo[next(iter(memo))]
+            memo[v] = (p, exps)
+            return exps
+
+    def _screen(self, p: PolyDict, v: int) -> Exps:
+        """factor() of p, with value v, by trial division by every element,
+        under the lock that factor holds.  A factor of p that no element
+        divides enters the base, after a gcd with each unproven element has
+        split any that shares a factor with it."""
+        exps: Exps = {}
+        x = p
+        while True:
+            x, v, got = _divide_out(x, v, [(i, _ANY) for i in self.active])
+            for i, m in got.items():
+                exps[i] = exps.get(i, 0) + m
+            if x == _PONE:
+                return exps
+            # no element divides x, so a proven one is coprime to it
+            for j in self.active:
+                if not self.proven[j] and self.split_common(x, j):
+                    exps = self.translate(exps)
+                    break
+            else:
+                exps[self._add(x)] = 1
+                return exps
 
     def split_common(self, x: PolyDict, j: int) -> bool:
         """Split element j, which does not divide x, when it shares a factor
@@ -931,6 +966,11 @@ class RatFuncQT:
         if not a or not c:
             return ZERO
         b, d = self._b, other._b
+        # times 1: the other operand, its factorization kept
+        if b == _PONE and a == _PONE:
+            return other
+        if d == _PONE and c == _PONE:
+            return self
         if b == _PONE and d == _PONE:
             return RatFuncQT(_pmul(a, c), _PONE, 1, _NOEXP, _BASE.gen)
         gen = _BASE.gen

@@ -10,6 +10,9 @@ This first slice covers the field layer (ratfunc):
   exact division refused;
 - base_refinements: changes to the coprime base of denominator factors,
   an element added or an element split;
+- factorizations: denominators the base factored by screening every
+  element (misses of its memo of factorizations);
+- factorizations_reused: denominators whose factorization the memo held;
 - base_size: the number of elements the base holds now (a level, not a
   count, so reset() leaves it alone).
 
@@ -23,7 +26,8 @@ from typing import Callable
 
 COUNTS: dict[str, int] = dict.fromkeys(
     ("gcd_calls", "divisions_screened", "divisions_certified",
-     "divisions_refused", "base_refinements"), 0)
+     "divisions_refused", "base_refinements", "factorizations",
+     "factorizations_reused"), 0)
 
 LEVELS: dict[str, Callable[[], int]] = {}
 

@@ -224,6 +224,13 @@ def test_binomial_rejects_non_cover(cache):
     # value to divide by
     with pytest.raises(ValueError):
         binomial_raising_closed((2, 1, 1), (1, 1, 1), 2)
+    # an upper partition with more parts than variables is refused for that
+    # reason, though it covers the lower one
+    for route in (binomial_raising_closed, binomial_lowering_closed,
+                  partial(binomial_by_expansion, cache=cache)):
+        with pytest.raises(ValueError, match=r"^partition \[1,1,1\] has more "
+                           r"parts than variables \(n=2\)$"):
+            route((1, 1, 1), (1, 1), 2)
 
 
 def test_cover_principal_ratio_from_changed_cells():

@@ -366,6 +366,16 @@ def test_composite_enters_before_its_factors(monkeypatch):
     parts = {frozenset(base.polys[j].items()) for j in ratfunc._fac(x)[1]}
     assert parts == {frozenset(_normalize_primitive(p._a).items())
                      for p in (f1, _poly(FACTORS["1+qt"]))}
+    # the memo still holds the factorization made before the split; read
+    # again, it comes over the split elements, with no screening
+    before = stats.snapshot()
+    exps = base.factor(_normalize_primitive(comp._a))
+    after = stats.snapshot()
+    assert after["factorizations_reused"] == before["factorizations_reused"] + 1
+    assert after["factorizations"] == before["factorizations"]
+    assert after["divisions_screened"] == before["divisions_screened"]
+    assert set(exps.values()) == {1} and set(exps) <= set(base.active)
+    assert {frozenset(base.polys[j].items()) for j in exps} == parts
     # on the refined base the field operations run no gcd
     y = f1 / (ONE - Q)
     gcds = stats.snapshot()["gcd_calls"]
@@ -374,6 +384,52 @@ def test_composite_enters_before_its_factors(monkeypatch):
     assert stats.snapshot()["gcd_calls"] == gcds
     assert_ops_match_gcd_reduction(x, y)
     assert_ops_match_gcd_reduction(x * y, x + y)
+
+
+def test_factorization_memo_is_bounded(monkeypatch):
+    base = ratfunc._CoprimeBase()
+    monkeypatch.setattr(ratfunc, "_BASE", base)
+    pool = [_poly(f) for f in FACTORS.values()]
+    # each denominator enters unfactored, through the inverse, so it meets
+    # the memo; under a 2-entry memo an evicted one is factored again, and
+    # the results are unchanged
+    monkeypatch.setattr(ratfunc, "MAX_FACTORIZATIONS", 2)
+    before = stats.snapshot()
+    for f in pool:
+        for g in pool:
+            assert_ops_match_gcd_reduction((Q + rf(2)) / f, (T - rf(3)) / g)
+            assert len(base.memo) <= 2
+    after = stats.snapshot()
+    assert len(base.memo) == 2
+    assert after["factorizations"] - before["factorizations"] > len(pool)
+    # with room for all of them, a second round reads every one back
+    monkeypatch.setattr(ratfunc, "MAX_FACTORIZATIONS", len(pool) + 2)
+    for f in pool:
+        ratfunc._fac(ONE / f)
+    before = stats.snapshot()
+    for f in pool:
+        ratfunc._fac(ONE / f)
+    after = stats.snapshot()
+    assert after["factorizations"] == before["factorizations"]
+    assert after["factorizations_reused"] - before["factorizations_reused"] == len(pool)
+    # the memo is keyed by the value at the screening point: a polynomial
+    # with the value of one it holds is no hit
+    p = {(0, 0): 1, (1, 1): 1}
+    twin = _padd(p, {(1, 1): 1, (0, 1): -ratfunc._Q0})
+    assert ratfunc._peval(twin) == ratfunc._peval(p)
+    for f in (p, twin, p):
+        assert base.expand(base.factor(f)) == f
+
+
+def test_times_one_is_the_other_operand():
+    # a product with 1 returns the other operand itself, its factored
+    # denominator kept
+    x = (Q + rf(2)) / (_poly(FACTORS["1-qt"]) * _poly(FACTORS["q2t3-1"]))
+    u, k = ratfunc._fac(x)
+    assert k
+    for one in (ONE, rf(1), RatFuncQT.from_json(ONE.to_json())):
+        assert x * one is x and one * x is x
+    assert (x._u, x._k) == (u, k)
 
 
 def test_threads_share_one_base(monkeypatch):

@@ -259,9 +259,11 @@ def test_field_layer_computes_over_the_integers():
 
 # the field operations whose cancellation is trial division over the base
 # of denominator factors, and the refinement of that base: the only code
-# in ratfunc that may run a bivariate gcd
+# in ratfunc that may run a bivariate gcd.  _CoprimeBase.factor, the memo
+# of factorizations, is outside the refinement and reaches it only on a
+# miss, through _screen
 GCD_FREE = ("RatFuncQT.__mul__", "RatFuncQT.__add__", "over_common_denominator")
-REFINEMENT = {"_CoprimeBase.factor", "_CoprimeBase.split_common",
+REFINEMENT = {"_CoprimeBase._screen", "_CoprimeBase.split_common",
               "_CoprimeBase._split"}
 GCD_NAMES = {"_pgcd", "_bv_gcd"}
 
@@ -299,8 +301,12 @@ def test_field_operations_reach_no_gcd():
             continue
         seen.add(qual)
         stack.extend(c for name in names[qual] for c in by_name.get(name, ()))
-    assert "_CoprimeBase.split_common" in {
-        c for qual in seen for name in names[qual] for c in by_name.get(name, ())}
+    reached = {c for qual in seen for name in names[qual] for c in by_name.get(name, ())}
+    assert {"_CoprimeBase.split_common", "_CoprimeBase._screen"} <= reached
+    # the memo path is walked, and it enters the refinement only by _screen
+    assert {"_CoprimeBase.factor", "_CoprimeBase.translate"} <= seen
+    assert {c for name in names["_CoprimeBase.factor"]
+            for c in by_name.get(name, ())} & REFINEMENT == {"_CoprimeBase._screen"}
     assert not seen & GCD_NAMES
 
 
