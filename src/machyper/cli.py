@@ -18,6 +18,7 @@ import os
 import sys
 from functools import lru_cache
 
+from . import stats
 from .errors import MacHyperError, PoleError, ResourceGuardError
 from .macdonald import (MacdonaldCache, binomial_raising_closed,
                         macdonald_forms)
@@ -398,6 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, cache_only=False):
         p.add_argument("--dir", dest="cache_dir", default=None,
                        help="cache directory (overrides MACHYPER_CACHE_DIR)")
+        p.add_argument("--stats", action="store_true",
+                       help="write the library's work counters (machyper.stats) "
+                            "to stderr as one JSON line")
         if not cache_only:
             p.add_argument("--format", choices=("text", "json"),
                            default="text")
@@ -466,6 +470,8 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_PASS
+    if args.stats:
+        stats.reset()
     try:
         return args.func(args)
     except ResourceGuardError as exc:
@@ -480,6 +486,9 @@ def main(argv=None) -> int:
     except (MacHyperError, ZeroDivisionError) as exc:
         print(f"machyper: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if args.stats:
+            print(json.dumps(stats.snapshot(), sort_keys=True), file=sys.stderr)
 
 
 if __name__ == "__main__":

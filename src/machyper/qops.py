@@ -51,12 +51,22 @@ lcm in Z[q,t] of its coefficient denominators); with integer-polynomial
 g_mu and columns, every product and sum of a column application is an
 integer polynomial operation without a gcd.  Each operator has one
 function, on scaled images: apply_kind(kind, gs) for one kind (a shift
-level above n is zero), apply_shift_genfun for the generating-function
-operator and apply_ad_raise_upto and apply_ad_lower_upto for the
-iterated commutators.  combine adds scaled images over the lcm of their
-scalars' denominators, so its field work (one product per term and the
-lcm, read off the factored denominators) runs on scalars, never on
-coefficients.
+level above n is zero) and apply_shift_genfun for the generating-function
+operator.  combine adds scaled images over the lcm of their scalars'
+denominators, so its field work (one product per term and the lcm, read
+off the factored denominators) runs on scalars, never on coefficients.
+
+A fixed combination of kinds is a sum of words.  A word is a tuple of
+kinds applied right to left, and a map word -> field coefficient is
+compiled once (compile_words): each coefficient takes the scalar of every
+kind in its word, and all are cleared over one common denominator, which
+leaves integer-polynomial multipliers and one shared scalar.
+apply_compiled then runs integer column sums only, with the image of each
+word suffix made once, and one field product with the input's scalar.
+The iterated weight commutators are such sums: ad_words(base, l) is the
+binomial expansion ad^l(B) = sum_k (-1)^k C(l,k) W^(l-k) B W^k, and
+apply_ad_raise_upto and apply_ad_lower_upto apply its levels as a list
+(apply_levels).  series compiles its transfers from the same words.
 support_degrees and alphabet_difference read where an image, or a
 difference of two alphabets' images, is nonzero without dividing
 anything.
@@ -64,12 +74,7 @@ anything.
 Values leave at one boundary: on_values(op) turns a map of scaled
 images into a map of values, with unscale as the one normalization.
 The oracles' apply_literal(kind, f) takes a value, clears it and
-multiplies the image by its scalar once, at the end.  The
-iterated weight commutators use the binomial expansion
-ad^l(B) = sum_k (-1)^k C(l,k) W^(l-k) B W^k on the unscaled weight
-operator t^(n-1) W; the images W^k g and W^j B W^k g are computed once
-and shared by every level up to r, and each level carries its own
-scalar.
+multiplies the image by its scalar once, at the end.
 
 apply_literal runs the literal assembly on its input and never reads the
 store.  It is the route of the oracles, which must not share the store
@@ -92,6 +97,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from .errors import InexactDivisionError, MacHyperError, ResourceGuardError
 from .partitions import Partition, dominates
@@ -365,56 +371,93 @@ def apply_shift_genfun(gs: Scaled, uval: RatFuncQT) -> Scaled:
 
 
 # ---------------------------------------------------------------------------
+# sums of operator words
+
+# A word is a tuple of kinds, applied right to left: ("weight", "lower")
+# is the weight operator after the lowering operator, and () the identity.
+Word = tuple
+# a compiled word sum: the words with their integer-polynomial multipliers,
+# and the one scalar they share
+Compiled = tuple[tuple[tuple[Word, RatFuncQT], ...], RatFuncQT]
+
+
+def compile_words(n: int, terms: dict) -> Compiled:
+    """The operator sum over the words of terms (a map word -> field
+    coefficient) in n variables, compiled: each coefficient takes the
+    scalar of every kind in its word, a word with a shift level above n
+    (a zero operator) is dropped, and the coefficients are cleared over
+    their common denominator."""
+    words, coefs = [], []
+    for word, c in terms.items():
+        if c.is_zero() or any(not isinstance(k, str) and k > n for k in word):
+            continue
+        for k in word:
+            c = c * _scalar(k, n)
+        words.append(word)
+        coefs.append(c)
+    mults, s = over_common_denominator(coefs)
+    return tuple(zip(words, mults)), s
+
+
+def apply_compiled(op: Compiled, gs: Scaled, images: dict | None = None) -> Scaled:
+    """The compiled word sum op at the scaled image gs = (g, s): integer
+    column sums and one field product.  The image of each suffix of a
+    word is made once, in images (word -> unscaled image of g), which
+    calls on the same g may share."""
+    words, S = op
+    g, s = gs
+    if images is None:
+        images = {}
+    images[()] = g
+
+    def image(word: Word) -> SymPoly:
+        img = images.get(word)
+        if img is None:
+            img = images[word] = _image(word[0], image(word[1:]))
+        return img
+
+    acc: dict = {}
+    for word, m in words:
+        col = image(word).coeffs
+        raw_add_into(acc, col if m.is_one()
+                     else {nu: v * m for nu, v in col.items()})
+    return SymPoly(g.n_vars, acc), S * s
+
+
+def apply_levels(families, gs: Scaled) -> list[Scaled]:
+    """Each word sum of families (maps word -> field coefficient) at gs,
+    the suffix images shared between them."""
+    n = gs[0].n_vars
+    images: dict = {}
+    return [apply_compiled(compile_words(n, terms), gs, images)
+            for terms in families]
+
+
+# ---------------------------------------------------------------------------
 # iterated commutators
 
-def _ad_upto(r: int, gs: Scaled, base, sign: int) -> list[Scaled]:
-    """[ad^0(B) gs, ..., ad^r(B) gs] for ad = [sign * W, .] and B the
-    operator of kind base, on the scaled image gs = (g, s).
-
-    Binomial expansion ad^l(B) = sum_k (-1)^k C(l,k) V^(l-k) B V^k with
-    V = sign * W, on g and the unscaled weight operator t^(n-1) W.  The
-    images W^k g and W^j base W^k g (j + k <= r) are computed once and
-    shared by every level; level l carries the one scalar
-    (sign * t^(1-n))^l * (scalar of B) * s.
-    """
-    g, s = gs
-    n = g.n_vars
-    # rows[k][j] = W^j base W^k g
-    rows = []
-    wk = g
-    for k in range(r + 1):
-        if k:
-            wk = _image("weight", wk)
-        row = [_image(base, wk)]
-        for _ in range(r - k):
-            row.append(_image("weight", row[-1]))
-        rows.append(row)
-    out = []
-    step = _scalar("weight", n)
-    if sign < 0:
-        step = -step
-    scal = _scalar(base, n) * s
-    for l in range(r + 1):
-        acc = SymPoly.zero(n)
-        binom = 1
-        for k in range(l + 1):
-            acc = acc + rows[k][l - k].scale_rf(rf(-binom if k % 2 else binom))
-            binom = binom * (l - k) // (k + 1)
-        out.append((acc, scal))
-        scal = scal * step
-    return out
+@lru_cache(maxsize=16)
+def ad_words(base: str, l: int) -> dict:
+    """ad^l(B) as words, for B the operator of kind base and
+    ad = [sign * W, .] with W the weight operator, sign = 1 around "raise"
+    and -1 around "lower": the binomial expansion
+    sum_k (-1)^k C(l,k) sign^l W^(l-k) B W^k.  The words hold no
+    parameter and no n."""
+    sign = -1 if base == "lower" and l % 2 else 1
+    return {("weight",) * (l - k) + (base,) + ("weight",) * k:
+            rf(sign * (-1) ** k * comb(l, k)) for k in range(l + 1)}
 
 
 def apply_ad_raise_upto(r: int, gs: Scaled) -> list[Scaled]:
     """[ad^0, ..., ad^r] of the weight operator around the raising
     operator, at gs: ad^0 is "raise" and ad^l(B) = [weight, ad^(l-1)(B)]."""
-    return _ad_upto(r, gs, "raise", 1)
+    return apply_levels([ad_words("raise", l) for l in range(r + 1)], gs)
 
 
 def apply_ad_lower_upto(r: int, gs: Scaled) -> list[Scaled]:
     """[ad^0, ..., ad^r] of the negated weight operator around the lowering
     operator, at gs; ad^l of -W is (-1)^l times ad^l of W."""
-    return _ad_upto(r, gs, "lower", -1)
+    return apply_levels([ad_words("lower", l) for l in range(r + 1)], gs)
 
 
 # ---------------------------------------------------------------------------

@@ -13,21 +13,27 @@ or cover-sum data (via partitions/macdonald scalars).  The verification
 layer plays them against each other.  eigen_ops_*_from_shifts (fixed
 shift-operator words), eigen_value_*_brute (cover sums) and
 product_series_one (infinite-product expansions) are oracles used only by
-tests and checks; they must not share the order-by-order inversion or the
-signed e_l-sum used by the transfer operators, or they would stop being
-independent witnesses.  The two operator oracles apply the shift family
+tests and checks; they must not share the order-by-order inversion, the
+word families or the signed e_l-sum used by the transfer operators, or they
+would stop being independent witnesses.  The two operator oracles apply the shift family
 and the raising operator by qops.apply_literal, never through qops'
 column store.
 
 The transfers and eigen-operator families are each one function, on
 scaled images, the operator layer's (integer-polynomial image, one field
-scalar) pairs (see qops), and reach them only through qops' scaled-image
-functions: each shift level is one scaled image (qops.apply_kind), and
-a sum of levels is combined over the lcm of their scalars' denominators
-(qops.combine), so the coefficients never run a gcd.  transfer_* return
-maps of scaled images; verify builds its residuals from them and reads
-their support without normalizing, and a caller that wants values wraps
-them in qops.on_values.
+scalar) pairs (see qops).  Their operators are sums of operator words
+(qops.compile_words), from word families that hold no parameter: the
+commutators ad^l of lowering and raising (qops.ad_words) and the eigen
+families G_l and H_l (eigen_words), whose words of commuting shift levels
+come from inverting a shift generating function order by order.  A
+transfer at parameter values is sum_l (-1)^l e_l(values) times level l of
+its family, compiled once per (kind, values, n) and kept in a bounded,
+process-wide store (_compiled, at most MAX_TRANSFERS entries).  Applying
+it runs integer column sums and one field product, so the coefficients
+never run a gcd.  eigen_ops_* apply the levels of the same families as a
+list.  transfer_* return maps of scaled images; verify builds its
+residuals from them and reads their support without normalizing, and a
+caller that wants values wraps them in qops.on_values.
 
 Every series and operator here lives at q and t.  Inversion (q -> 1/q,
 t -> 1/t, written iota) is conjugation by invert_qt and invert_coeffs:
@@ -47,10 +53,11 @@ from .macdonald import (MacdonaldCache, binomial_by_expansion,
 from .partitions import (Partition, enumerate_partitions, format_partition,
                          lower_covers, make_partition, n_stat, n_stat_conj,
                          pochhammer_list, size, upper_covers)
-from .qops import (Scaled, apply_ad_lower_upto, apply_ad_raise_upto,
-                   apply_kind, apply_literal, combine)
-from .ratfunc import (ONE, Q, RatFuncQT, T, elementary_symmetric, invert_qt,
-                      qt_monomial, rf, t_integer, t_monomial)
+from . import stats
+from .qops import (Compiled, Scaled, ad_words, apply_compiled, apply_levels,
+                   apply_literal, compile_words)
+from .ratfunc import (ONE, Q, ZERO, RatFuncQT, T, elementary_symmetric,
+                      invert_qt, qt_monomial, rf, t_integer, t_monomial)
 from .sympoly import BiSymPoly, SymPoly, invert_coeffs
 
 FLAVORS = ("macdonald", "kaneko")
@@ -217,69 +224,83 @@ def scale_alphabet(f: SymPoly, c: RatFuncQT) -> SymPoly:
 # ---------------------------------------------------------------------------
 # transfer operators (the annihilator components)
 
-def _signed_esum(values, images):
-    """The operator on scaled images gs -> sum over l of
-    (-1)^l e_l(values) * images(r, gs)[l], where images(r, gs) lists the
-    scaled images for l = 0..r and r = len(values); the levels are
-    combined over the lcm of their scalars' denominators."""
-    es = elementary_symmetric([rf(v) for v in values])
-    def op(gs: Scaled) -> Scaled:
-        return combine(gs[0].n_vars,
-                       ((-es[l] if l % 2 else es[l], img)
-                        for l, img in enumerate(images(len(es) - 1, gs))))
-    return op
+# the transfer store's bound; a transfer past it is evicted and compiled
+# again on use
+MAX_TRANSFERS = 512
 
 
-def transfer_lower(blist):
-    """Degree-lowering transfer: sum over l of (-1)^l e_l(b) times the
-    l-fold weight-commutator of the lowering operator."""
-    return _signed_esum(blist, apply_ad_lower_upto)
+def _times_shift(m: int, words: dict, c: RatFuncQT, acc: dict) -> None:
+    """acc += c * D_m * words, for a map words of shift-level words to
+    field coefficients (D_0 is the identity).  The levels commute, so a
+    word of levels is kept sorted."""
+    for w, x in words.items():
+        key = tuple(sorted(w + (m,))) if m else w
+        acc[key] = acc.get(key, ZERO) + c * x
 
 
-def transfer_raise(alist):
-    """Degree-raising transfer: sum over l of (-1)^l e_l(a) times the
-    l-fold weight-commutator of the raising operator."""
-    return _signed_esum(alist, apply_ad_raise_upto)
+def _genfun_bases(kind: str, n: int) -> tuple[RatFuncQT, RatFuncQT]:
+    """(numerator, denominator) base of the ratio of shift generating
+    functions behind the diagonal family of kind "raise" or "lower"."""
+    if kind == "raise":
+        return -(T ** (-n)), -(T ** (1 - n))
+    return -(Q * T ** (n - 2)).inverse(), -(Q * T ** (n - 1)).inverse()
 
 
-# -- the diagonal families built from ratios of shift generating functions --
+@lru_cache(maxsize=64)
+def _inverse_words(kind: str, n: int, k: int) -> dict:
+    """The u^k coefficient of genfun(den_base * u)^-1 as shift words, by
+    inverting order by order: w_k = -sum_m den_base^m D_m w_(k-m)."""
+    if k == 0:
+        return {(): ONE}
+    den = _genfun_bases(kind, n)[1]
+    acc: dict = {}
+    for m in range(1, min(k, n) + 1):
+        _times_shift(m, _inverse_words(kind, n, k - m), -den ** m, acc)
+    return acc
 
-def _genfun_ratio(gs: Scaled, top: int, num_base: RatFuncQT,
-                  den_base: RatFuncQT) -> list[Scaled]:
-    """u^0..u^top coefficients of genfun(num_base * u) / genfun(den_base * u)
-    applied to the scaled image gs, with genfun the shift generating
-    function.
 
-    The denominator is inverted order by order (w = genfun(den_base u)^-1 f),
-    and every shift family application serves both numerator and
-    denominator; the last row is only needed at level 0.  Each w_k and
-    each output is one scaled image combined from the levels it sums.
+def _ratio_words(kind: str, n: int, l: int) -> dict:
+    """The u^l coefficient of genfun(num_base * u) / genfun(den_base * u)
+    as shift words."""
+    num = _genfun_bases(kind, n)[0]
+    acc: dict = {}
+    for m in range(min(l, n) + 1):
+        _times_shift(m, _inverse_words(kind, n, l - m), num ** m, acc)
+    return acc
+
+
+@lru_cache(maxsize=64)
+def eigen_words(kind: str, n: int, l: int) -> dict:
+    """G_l (kind "raise") or H_l (kind "lower") as shift words with field
+    coefficients; the words hold no parameter.
+
+    G_l = scal * (-t^n * ratio_l + [l = 0]) for the ratio with offsets
+    t^-n over t^(1-n), scal = 1/((1-q)(1-t)).  H_l = scal_h * (b_l -
+    q t^(n-1) b_(l+1)) with b_l = t^(-n) ratio_l - [l = 0], for the ratio
+    with offsets 1/(q t^(n-2)) over 1/(q t^(n-1)); its 1/u pole
+    cancellation is checked once per n.
     """
-    n = gs[0].n_vars
-    den_pows = [den_base ** m for m in range(n + 1)]
-    num_pows = [num_base ** m for m in range(n + 1)]
-    fams = []
-    for k in range(top + 1):
-        wk = gs if k == 0 else combine(n, ((-den_pows[m], fams[k - m][m])
-                                           for m in range(1, min(k, n) + 1)))
-        fams.append([apply_kind(l, wk) for l in range(n + 1)] if k < top
-                    else [wk])
-    return [combine(n, ((num_pows[m], fams[l - m][m])
-                        for m in range(min(l, n) + 1)))
-            for l in range(top + 1)]
+    acc: dict = {}
+    if kind == "raise":
+        scal = ((ONE - Q) * (ONE - T)).inverse()
+        _times_shift(0, _ratio_words(kind, n, l), -(T ** n) * scal, acc)
+        ident = scal
+    else:
+        scal = _lower_scale(n)
+        _times_shift(0, _ratio_words(kind, n, l), scal * T ** (-n), acc)
+        _times_shift(0, _ratio_words(kind, n, l + 1), -scal * Q / T, acc)
+        ident = -scal
+    if l == 0:
+        acc[()] = acc.get((), ZERO) + ident
+    return {w: c for w, c in acc.items() if not c.is_zero()}
 
 
 def eigen_ops_raise(max_l: int, gs: Scaled) -> list[Scaled]:
     """[G_0 gs, ..., G_max_l gs]: u-expansion of the normalized difference
     of two shift generating functions (offsets t^-n and t^(1-n))."""
     n = gs[0].n_vars
-    scal = ((ONE - Q) * (ONE - T)).inverse()
-    # numerator genfun at -u t^(-n), denominator genfun at -u t^(1-n);
-    # G_l = scal * (-t^n * ratio_l + [l = 0] f)
-    ratio = _genfun_ratio(gs, max_l, -(T ** (-n)), -(T ** (1 - n)))
-    c = -(T ** n) * scal
-    return [combine(n, [(c, img)] + ([(scal, gs)] if l == 0 else []))
-            for l, img in enumerate(ratio)]
+    return apply_levels([eigen_words("raise", n, l)
+                         for l in range(max_l + 1)], gs)
 
 
 @lru_cache(maxsize=None)
@@ -298,26 +319,67 @@ def eigen_ops_lower(max_l: int, gs: Scaled) -> list[Scaled]:
     generating functions (offsets 1/(q t^(n-2)) and 1/(q t^(n-1))),
     including the 1/u pole cancellation, which is checked once per n."""
     n = gs[0].n_vars
-    scal_h = _lower_scale(n)
-    ratio = _genfun_ratio(gs, max_l + 1, -(Q * T ** (n - 2)).inverse(),
-                          -(Q * T ** (n - 1)).inverse())
-    # with b_l = t^(-n) ratio_l - [l = 0] f:
-    # H_l = scal_h * (b_l - q t^(n-1) b_(l+1))
-    here = scal_h * T ** (-n)
-    ahead = -scal_h * Q / T
-    return [combine(n, [(here, ratio[l]), (ahead, ratio[l + 1])]
-                    + ([(-scal_h, gs)] if l == 0 else []))
-            for l in range(max_l + 1)]
+    return apply_levels([eigen_words("lower", n, l)
+                         for l in range(max_l + 1)], gs)
+
+
+def _family(kind: str, n: int, l: int) -> dict:
+    """Level l of the word family of the transfer kind in n variables:
+    ad^l for "lower" and "raise" (these hold no n), G_l for "diag_raise"
+    and H_l for "diag_lower"."""
+    if kind in ("lower", "raise"):
+        return ad_words(kind, l)
+    return eigen_words(kind.removeprefix("diag_"), n, l)
+
+
+@lru_cache(maxsize=MAX_TRANSFERS)
+def _compiled(kind: str, values: tuple[RatFuncQT, ...], n: int) -> Compiled:
+    """The transfer kind at the parameter values in n variables,
+    sum over l of (-1)^l e_l(values) times level l of its family,
+    compiled once and kept."""
+    stats.COUNTS["transfers_compiled"] += 1
+    terms: dict = {}
+    for l, e in enumerate(elementary_symmetric(list(values))):
+        c = -e if l % 2 else e
+        for w, x in _family(kind, n, l).items():
+            terms[w] = terms.get(w, ZERO) + c * x
+    return compile_words(n, terms)
+
+
+def _transfer(kind: str, values):
+    """The transfer kind at values, as a map of scaled images that reads
+    its compiled word sum from the store."""
+    values = tuple(rf(v) for v in values)
+
+    def op(gs: Scaled) -> Scaled:
+        built = stats.COUNTS["transfers_compiled"]
+        compiled = _compiled(kind, values, gs[0].n_vars)
+        # a lookup that compiled nothing was read from the store
+        stats.COUNTS["transfers_reused"] += built == stats.COUNTS["transfers_compiled"]
+        return apply_compiled(compiled, gs)
+    return op
+
+
+def transfer_lower(blist):
+    """Degree-lowering transfer: sum over l of (-1)^l e_l(b) times the
+    l-fold weight-commutator of the lowering operator."""
+    return _transfer("lower", blist)
+
+
+def transfer_raise(alist):
+    """Degree-raising transfer: sum over l of (-1)^l e_l(a) times the
+    l-fold weight-commutator of the raising operator."""
+    return _transfer("raise", alist)
 
 
 def transfer_diag_raise(alist):
     """Diagonal transfer paired with raising: sum of (-1)^l e_l(a) G_l."""
-    return _signed_esum(alist, eigen_ops_raise)
+    return _transfer("diag_raise", alist)
 
 
 def transfer_diag_lower(blist):
     """Diagonal transfer paired with lowering: sum of (-1)^l e_l(b) H_l."""
-    return _signed_esum(blist, eigen_ops_lower)
+    return _transfer("diag_lower", blist)
 
 
 # -- closed-form eigenvalues of the diagonal families -----------------------

@@ -1,6 +1,6 @@
 """Plain counters of the work the library does, read through snapshot().
 
-This first slice covers the field layer (ratfunc):
+It covers the field layer (ratfunc) and the transfer store (series):
 
 - gcd_calls: bivariate polynomial gcds (ratfunc._pgcd), shortcuts included;
 - divisions_screened: trial divisions by a base element that the value
@@ -13,6 +13,10 @@ This first slice covers the field layer (ratfunc):
 - factorizations: denominators the base factored by screening every
   element (misses of its memo of factorizations);
 - factorizations_reused: denominators whose factorization the memo held;
+- transfers_compiled: transfers compiled into a word sum (misses of the
+  transfer store);
+- transfers_reused: transfer applications that read their word sum from
+  the store;
 - base_size: the number of elements the base holds now (a level, not a
   count, so reset() leaves it alone).
 
@@ -27,7 +31,7 @@ from typing import Callable
 COUNTS: dict[str, int] = dict.fromkeys(
     ("gcd_calls", "divisions_screened", "divisions_certified",
      "divisions_refused", "base_refinements", "factorizations",
-     "factorizations_reused"), 0)
+     "factorizations_reused", "transfers_compiled", "transfers_reused"), 0)
 
 LEVELS: dict[str, Callable[[], int]] = {}
 

@@ -11,9 +11,11 @@ The paper's three operators are defined once each: A^(x,y) in _resid_A
 (two alphabets), B^(x) and C^(x) in _resid_B and _resid_C (one
 alphabet).  The plain, alphabet-swapped, Kaneko and tilde checks all
 apply them through these functions.  They build on the transfers
-(series.transfer_*), which map scaled images, and never divide a
-coefficient; the pair format itself stays behind the functions qops
-exports for it.  B and C return the residual as a scaled image, whose
+(series.transfer_*), which map scaled images: each transfer is compiled
+once per parameter list into a sum of operator words with one scalar, so
+applying it costs integer column sums and one field product, and never
+divides a coefficient.  The pair format itself stays behind the functions
+qops exports for it.  B and C return the residual as a scaled image, whose
 support the checks read with qops.support_degrees; A is
 qops.alphabet_difference of the two transfers, which applies each side
 to the slices of the rendering, each slice cleared on its own, and finds
@@ -43,6 +45,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .errors import LimitError, MacHyperError, PoleError, ResourceGuardError
@@ -795,10 +798,12 @@ def _deformed_inner(fp: dict[Partition, RatFuncQT],
     return tot
 
 
+@lru_cache(maxsize=64)
 def jack_oracle(lam: Partition, k: int, n: int) -> SymPoly:
     """Independent construction of the integral-form limit: Gram-Schmidt
     against the alpha-deformed power-sum pairing (alpha = 1/k), then the
     diagram hook normalization alpha^-|lam| prod(alpha*arm + leg + 1).
+    It has no parameter, so each (lam, k, n) is built once and kept.
     """
     lam = make_partition(lam)
     alpha = Fraction(1, k)

@@ -1,6 +1,7 @@
 """Tests for the command-line front end: expression parsing, golden
 outputs, exit codes, JSON determinism, and cache management."""
 
+import json
 import os
 import random
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import machyper.cli as cli
 import machyper.ratfunc as ratfunc
+from machyper import stats
 from machyper.cli import (EXIT_INTERNAL, EXIT_PASS, EXIT_POLE, EXIT_RESOURCE,
                           EXIT_USAGE, EXIT_VERIFY_FAIL, MAX_D, MAX_EXPONENT,
                           MAX_LEVEL, MAX_N, MAX_SIZE, ParamExprError, main,
@@ -368,6 +370,33 @@ def test_eigen_refuses_more_parts_than_variables(capsys):
         assert captured.out == ""
         assert captured.err == ("machyper: partition [1,1,1] has more parts "
                                 "than variables (n=2)\n")
+
+
+def test_stats_flag_writes_one_json_line(capsys):
+    # --stats adds one JSON line of machyper.stats to stderr and changes
+    # neither stdout nor the exit code, on a pass, a failure and a guard
+    runs = ((["verify", "C", "--n", "2", "--D", "2", "--draws", "1"], EXIT_PASS),
+            (["verify", "univariate", "--D", "2", "--draws", "1",
+              "--mutate", "C[1]"], EXIT_VERIFY_FAIL),
+            (["compute", "P", "--partition", "[9,9,9]", "--n", "3"], EXIT_RESOURCE),
+            (["cache", "dir"], EXIT_PASS))
+    for argv, code in runs:
+        assert main(argv) == code
+        plain = capsys.readouterr()
+        assert main(argv + ["--stats"]) == code
+        counted = capsys.readouterr()
+        assert counted.out == plain.out
+        assert counted.err.startswith(plain.err)
+        line = counted.err[len(plain.err):]
+        assert line.endswith("\n") and line.count("\n") == 1
+        snap = json.loads(line)
+        assert set(snap) == set(stats.snapshot())
+        assert all(isinstance(v, int) for v in snap.values())
+        if argv[1] == "C":
+            # the counts are this command's: the first run compiled each
+            # transfer, so the second reads every one from the store
+            assert snap["transfers_compiled"] == 0
+            assert snap["transfers_reused"] > 0
 
 
 def test_help_exits_zero(capsys):

@@ -6,18 +6,20 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import pytest
 
 import machyper.series as series
+from machyper import stats
 from machyper.errors import MacHyperError, PoleError
 from machyper.macdonald import (binomial_by_expansion, jstar_principal,
                                 macdonald_forms, principal_m)
 from machyper.partitions import (enumerate_partitions, lower_covers,
                                  make_partition, n_stat, partitions_of,
                                  rho_stat, upper_covers)
-from machyper.qops import apply_kind, on_values, to_scaled, unscale
+from machyper.qops import (apply_kind, apply_literal, on_values, to_scaled,
+                           unscale)
 from machyper.ratfunc import ONE, Q, T, qt_monomial, rf, t_monomial
 from machyper.series import (HyperParams, TruncatedSeries, check_lower_poles,
                              eigen_ops_lower, eigen_ops_lower_from_shifts,
@@ -30,7 +32,7 @@ from machyper.series import (HyperParams, TruncatedSeries, check_lower_poles,
                              transfer_diag_raise, transfer_diag_raise_uv,
                              transfer_lower, transfer_lower_uv,
                              transfer_raise, transfer_raise_uv, uv_shift)
-from machyper.sympoly import SymPoly
+from machyper.sympoly import SymPoly, basis_poly
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +221,89 @@ def test_transfers_are_homogeneous(c, cache):
                        (transfer_diag_lower(b), ONE)):
         value = on_values(op)
         assert value(fc) == scale_alphabet(value(f), c).scale_rf(factor)
+
+
+# ---------------------------------------------------------------------------
+# compiled transfers against level-by-level sums, and the transfer store
+
+def _nested_ad(l, base, f, negate):
+    """l-fold commutator [W, .] of the weight operator W around the kind
+    base, nested through literal assemblies; negate uses -W."""
+    if l == 0:
+        return apply_literal(base, f)
+    outer = apply_literal("weight", _nested_ad(l - 1, base, f, negate))
+    inner = _nested_ad(l - 1, base, apply_literal("weight", f), negate)
+    return inner - outer if negate else outer - inner
+
+
+def _level_sum(levels, values):
+    """sum over l of (-1)^l e_l(values) levels[l], for at most two values."""
+    es = [ONE, sum(values, ONE - ONE), values[0] * values[1]
+          if len(values) == 2 else ONE - ONE]
+    out = SymPoly.zero(levels[0].n_vars)
+    for l in range(len(values) + 1):
+        out = out + levels[l].scale_rf(-es[l] if l % 2 else es[l])
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_compiled_transfers_match_level_routes(n):
+    # each transfer against the sum, level by level, of routes that share
+    # no word with it: the commutators nested through literal assemblies,
+    # and the eigen families assembled from shift-operator words
+    lists = ([], [rf(Fraction(2, 3)) * Q], [rf(Fraction(2, 3)) * Q, T.inverse()])
+    for d in range(4):
+        for mu in partitions_of(d, n):
+            f = basis_poly("m", mu, n)
+            routes = (
+                (transfer_lower, [_nested_ad(l, "lower", f, True) for l in range(3)]),
+                (transfer_raise, [_nested_ad(l, "raise", f, False) for l in range(3)]),
+                (transfer_diag_raise, [eigen_ops_raise_from_shifts(l, f)
+                                       for l in range(3)]),
+                (transfer_diag_lower, [eigen_ops_lower_from_shifts(l, f)
+                                       for l in range(3)]))
+            for transfer, levels in routes:
+                for values in lists:
+                    assert on_values(transfer(values))(f) == \
+                        _level_sum(levels, values), (transfer.__name__, mu, values)
+
+
+def test_transfer_store_is_bounded(monkeypatch, cache):
+    assert series._compiled.cache_info().maxsize == series.MAX_TRANSFERS
+    # an evicted transfer is compiled again on use and applies unchanged
+    a, b = [rf(Fraction(1, 2)), rf(2) * Q], [rf(Fraction(3, 7)) / T]
+    f = TruncatedSeries.build(2, 2, HyperParams.make(upper=a, lower=b)
+                              ).render_one(cache)
+    ops = ((transfer_lower, b), (transfer_raise, a),
+           (transfer_diag_raise, a), (transfer_diag_lower, b))
+    want = [on_values(transfer(values))(f) for transfer, values in ops]
+    small = lru_cache(maxsize=2)(series._compiled.__wrapped__)
+    monkeypatch.setattr(series, "_compiled", small)
+    for _ in range(2):
+        assert [on_values(transfer(values))(f) for transfer, values in ops] == want
+        assert small.cache_info().currsize == 2
+    # four transfers cycled through two entries: every lookup compiled
+    assert small.cache_info().misses == 8
+
+
+def test_transfer_store_keys_on_field_values(monkeypatch):
+    fresh = lru_cache(maxsize=series.MAX_TRANSFERS)(series._compiled.__wrapped__)
+    monkeypatch.setattr(series, "_compiled", fresh)
+    gs = to_scaled(basis_poly("m", (2, 1), 3))
+    stats.reset()
+    # one value given three ways: one entry, compiled once
+    for half in (rf(Fraction(1, 2)), Fraction(2, 4), (ONE + ONE).inverse()):
+        transfer_lower([half, Q])(gs)
+    assert fresh.cache_info().currsize == 1
+    snap = stats.snapshot()
+    assert (snap["transfers_compiled"], snap["transfers_reused"]) == (1, 2)
+    # another value, another kind, another n, another list: new entries
+    transfer_lower([rf(Fraction(1, 3)), Q])(gs)
+    transfer_raise([rf(Fraction(1, 2)), Q])(gs)
+    transfer_lower([rf(Fraction(1, 2)), Q])(to_scaled(basis_poly("m", (2, 1), 2)))
+    transfer_lower([rf(Fraction(1, 2))])(gs)
+    assert fresh.cache_info().currsize == 5
+    assert stats.snapshot()["transfers_compiled"] == 5
 
 
 def test_balanced_flavors_coincide(cache):

@@ -174,18 +174,32 @@ def test_perfbench_operator_counters_see_the_work(cache):
     # the benchmark counts operator applications on the public entry points
     # (qops.apply_*, series.eigen_ops_*, BiSymPoly.apply_x); the transfers
     # and residuals must reach the work through them, or a counter reads
-    # zero while the work runs
+    # zero while the work runs.  A transfer applies its compiled word sum
+    # (qops.apply_compiled), which holds the commutator and eigen-family
+    # words, so those two families are counted where they are applied as
+    # level lists
+    import machyper.qops as qops
+    import machyper.series as series
     import machyper.verify as verify
+    from machyper.ratfunc import Q
+    from machyper.sympoly import basis_poly
     tracer = _load_bench_module("tracer")
     worker = _load_bench_module("worker")
     tr = tracer.Tracer()
     try:
         tr.install(worker.trace_specs())
         verify.run_suite("all", n=2, D=1, draws=1, cache=cache)
+        for name in ("qops.apply_calls", "sympoly.apply_x_calls"):
+            assert tr.counts[name] > 0, name
+        before = tr.counts["qops.apply_calls"]
+        gs = qops.to_scaled(basis_poly("m", (1,), 2))
+        series.transfer_lower([Q])(gs)
+        assert tr.counts["qops.apply_calls"] > before
+        qops.apply_ad_raise_upto(1, gs)
+        series.eigen_ops_raise(1, gs)
     finally:
         tr.uninstall()
-    for name in ("qops.ad_calls", "series.eigen_ops_calls", "qops.apply_calls",
-                 "sympoly.apply_x_calls"):
+    for name in ("qops.ad_calls", "series.eigen_ops_calls"):
         assert tr.counts[name] > 0, name
 
 
