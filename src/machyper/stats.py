@@ -22,6 +22,7 @@ It covers the field layer (ratfunc) and the transfer store (series):
 
 The counters are module-level integers in a dict, so counting costs one
 dict update.  A level is read through the function its module registers.
+The command line's --stats flag writes snapshot() to stderr.
 """
 
 from __future__ import annotations
