@@ -251,6 +251,22 @@ def _guard(args, *names) -> None:
                 f"{flag} {value} exceeds the limit of {limits[name]}")
 
 
+# the object-specific flags of compute (all without a default), and the
+# objects that read each
+_COMPUTE_FLAGS = {"partition": ("P", "J", "Jstar", "eigen"),
+                  "upper": ("binomial",), "lower": ("binomial",),
+                  "a": ("series",), "b": ("series",),
+                  "r": ("series",), "s": ("series",)}
+
+
+def _refuse_unread(args) -> None:
+    """Raise UsageError for an object-specific flag given to compute for
+    an object that does not read it."""
+    for name, objects in _COMPUTE_FLAGS.items():
+        if getattr(args, name) is not None and args.object not in objects:
+            raise UsageError(f"--{name} is not used by compute {args.object}")
+
+
 def _need(args, *names) -> None:
     for name in names:
         if getattr(args, name, None) is None:
@@ -261,6 +277,7 @@ def _need(args, *names) -> None:
 # commands
 
 def cmd_compute(args) -> int:
+    _refuse_unread(args)
     _guard(args, "n", "D")
     cache = _cache_from_args(args)
     obj = args.object

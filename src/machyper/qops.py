@@ -60,13 +60,18 @@ A fixed combination of kinds is a sum of words.  A word is a tuple of
 kinds applied right to left, and a map word -> field coefficient is
 compiled once (compile_words): each coefficient takes the scalar of every
 kind in its word, and all are cleared over one common denominator, which
-leaves integer-polynomial multipliers and one shared scalar.
-apply_compiled then runs integer column sums only, with the image of each
-word suffix made once, and one field product with the input's scalar.
-The iterated weight commutators are such sums: ad_words(base, l) is the
-binomial expansion ad^l(B) = sum_k (-1)^k C(l,k) W^(l-k) B W^k, and
-apply_ad_raise_upto and apply_ad_lower_upto apply its levels as a list
-(apply_levels).  series compiles its transfers from the same words.
+leaves integer-polynomial multipliers and one shared scalar.  The
+compiled sum (Compiled) keeps its own columns on the monomial basis: the
+column of mu is the multiplier-weighted sum of the word images of m_mu,
+made from the stored columns of each kind the first time mu is met, so
+it is the sum's matrix on m_mu with its parameters folded in.
+apply_compiled is then one column sum, as apply_kind is, and one field
+product with the input's scalar.  The columns live on the compiled sum
+and go with it.  The iterated weight commutators are such sums:
+ad_words(base, l) is the binomial expansion
+ad^l(B) = sum_k (-1)^k C(l,k) W^(l-k) B W^k, and apply_ad_raise_upto and
+apply_ad_lower_upto apply its levels as a list (apply_levels).  series
+compiles its transfers from the same words.
 support_degrees and alphabet_difference read where an image, or a
 difference of two alphabets' images, is nonzero without dividing
 anything.
@@ -99,6 +104,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
+from . import stats
 from .errors import InexactDivisionError, MacHyperError, ResourceGuardError
 from .partitions import Partition, dominates
 from .ratfunc import (ONE, Q, ZERO, RatFuncQT, T, elementary_symmetric,
@@ -213,16 +219,22 @@ def column(kind, mu: Partition, n: int) -> SymPoly:
     return col
 
 
+def _column_sum(col, g: SymPoly) -> SymPoly:
+    """The sum over mu of g_mu * col(mu), for a map col from partitions
+    to columns."""
+    acc: dict = {}
+    for mu, c in g.coeffs.items():
+        img = col(mu).coeffs
+        raw_add_into(acc, img if c.is_one()
+                     else {nu: c * v for nu, v in img.items()})
+    return SymPoly(g.n_vars, acc)
+
+
 def _image(kind, g: SymPoly) -> SymPoly:
     """The unscaled image of g under kind: the sum over mu of
     g_mu * column(kind, mu, n)."""
     n = g.n_vars
-    acc: dict = {}
-    for mu, c in g.coeffs.items():
-        col = column(kind, mu, n).coeffs
-        raw_add_into(acc, col if c.is_one()
-                     else {nu: c * v for nu, v in col.items()})
-    return SymPoly(n, acc)
+    return _column_sum(lambda mu: column(kind, mu, n), g)
 
 
 def apply_kind(kind, gs: Scaled) -> Scaled:
@@ -375,10 +387,45 @@ def apply_shift_genfun(gs: Scaled, uval: RatFuncQT) -> Scaled:
 
 # A word is a tuple of kinds, applied right to left: ("weight", "lower")
 # is the weight operator after the lowering operator, and () the identity.
-Word = tuple
-# a compiled word sum: the words with their integer-polynomial multipliers,
-# and the one scalar they share
-Compiled = tuple[tuple[tuple[Word, RatFuncQT], ...], RatFuncQT]
+
+class Compiled:
+    """A compiled word sum in n variables: the words with their
+    integer-polynomial multipliers, the one scalar they share, and its
+    columns on the monomial basis made so far.
+
+    The column of mu is the unscaled image of m_mu, the multiplier-weighted
+    sum of the word images of m_mu, made on first use from the stored
+    columns of each kind and kept here, so it lives and goes with the
+    compiled sum."""
+
+    __slots__ = ("n", "words", "scalar", "columns")
+
+    def __init__(self, n: int, words: tuple, scalar: RatFuncQT):
+        self.n = n
+        self.words = words
+        self.scalar = scalar
+        self.columns: dict[Partition, SymPoly] = {}
+
+    def column(self, mu: Partition) -> SymPoly:
+        """The image of m_mu, made once; counted in stats as built or
+        reused."""
+        col = self.columns.get(mu)
+        if col is not None:
+            stats.COUNTS["transfer_columns_reused"] += 1
+            return col
+        stats.COUNTS["transfer_columns_built"] += 1
+        # the image of each word suffix at m_mu, innermost kind first
+        images = {(): SymPoly(self.n, {mu: ONE})}
+        acc: dict = {}
+        for word, m in self.words:
+            for i in range(len(word) - 1, -1, -1):
+                if word[i:] not in images:
+                    images[word[i:]] = _image(word[i], images[word[i + 1:]])
+            img = images[word].coeffs
+            raw_add_into(acc, img if m.is_one()
+                         else {nu: v * m for nu, v in img.items()})
+        col = self.columns[mu] = SymPoly(self.n, acc)
+        return col
 
 
 def compile_words(n: int, terms: dict) -> Compiled:
@@ -396,41 +443,20 @@ def compile_words(n: int, terms: dict) -> Compiled:
         words.append(word)
         coefs.append(c)
     mults, s = over_common_denominator(coefs)
-    return tuple(zip(words, mults)), s
+    return Compiled(n, tuple(zip(words, mults)), s)
 
 
-def apply_compiled(op: Compiled, gs: Scaled, images: dict | None = None) -> Scaled:
-    """The compiled word sum op at the scaled image gs = (g, s): integer
-    column sums and one field product.  The image of each suffix of a
-    word is made once, in images (word -> unscaled image of g), which
-    calls on the same g may share."""
-    words, S = op
+def apply_compiled(op: Compiled, gs: Scaled) -> Scaled:
+    """The compiled word sum op at the scaled image gs = (g, s): the sum
+    over mu of g_mu * op.column(mu), and one field product."""
     g, s = gs
-    if images is None:
-        images = {}
-    images[()] = g
-
-    def image(word: Word) -> SymPoly:
-        img = images.get(word)
-        if img is None:
-            img = images[word] = _image(word[0], image(word[1:]))
-        return img
-
-    acc: dict = {}
-    for word, m in words:
-        col = image(word).coeffs
-        raw_add_into(acc, col if m.is_one()
-                     else {nu: v * m for nu, v in col.items()})
-    return SymPoly(g.n_vars, acc), S * s
+    return _column_sum(op.column, g), op.scalar * s
 
 
 def apply_levels(families, gs: Scaled) -> list[Scaled]:
-    """Each word sum of families (maps word -> field coefficient) at gs,
-    the suffix images shared between them."""
+    """Each word sum of families (maps word -> field coefficient) at gs."""
     n = gs[0].n_vars
-    images: dict = {}
-    return [apply_compiled(compile_words(n, terms), gs, images)
-            for terms in families]
+    return [apply_compiled(compile_words(n, terms), gs) for terms in families]
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,11 @@ families G_l and H_l (eigen_words), whose words of commuting shift levels
 come from inverting a shift generating function order by order.  A
 transfer at parameter values is sum_l (-1)^l e_l(values) times level l of
 its family, compiled once per (kind, values, n) and kept in a bounded,
-process-wide store (_compiled, at most MAX_TRANSFERS entries).  Applying
-it runs integer column sums and one field product, so the coefficients
-never run a gcd.  eigen_ops_* apply the levels of the same families as a
+process-wide store (_compiled, at most MAX_TRANSFERS entries).  A
+compiled transfer keeps its image of each m_mu it meets (qops.Compiled),
+so applying it is one sum of stored integer columns and one field
+product, and the coefficients never run a gcd; the columns leave the
+store with their transfer.  eigen_ops_* apply the levels of the same families as a
 list.  transfer_* return maps of scaled images; verify builds its
 residuals from them and reads their support without normalizing, and a
 caller that wants values wraps them in qops.on_values.

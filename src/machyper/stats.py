@@ -1,6 +1,7 @@
 """Plain counters of the work the library does, read through snapshot().
 
-It covers the field layer (ratfunc) and the transfer store (series):
+It covers the field layer (ratfunc), the transfer store (series) and the
+columns of the compiled transfers (qops):
 
 - gcd_calls: bivariate polynomial gcds (ratfunc._pgcd), shortcuts included;
 - divisions_screened: trial divisions by a base element that the value
@@ -17,6 +18,9 @@ It covers the field layer (ratfunc) and the transfer store (series):
   transfer store);
 - transfers_reused: transfer applications that read their word sum from
   the store;
+- transfer_columns_built: columns of a compiled word sum made (its image
+  of one m_mu, qops.Compiled.column), one per lookup that found none;
+- transfer_columns_reused: column lookups that found the column made;
 - base_size: the number of elements the base holds now (a level, not a
   count, so reset() leaves it alone).
 
@@ -32,7 +36,8 @@ from typing import Callable
 COUNTS: dict[str, int] = dict.fromkeys(
     ("gcd_calls", "divisions_screened", "divisions_certified",
      "divisions_refused", "base_refinements", "factorizations",
-     "factorizations_reused", "transfers_compiled", "transfers_reused"), 0)
+     "factorizations_reused", "transfers_compiled", "transfers_reused",
+     "transfer_columns_built", "transfer_columns_reused"), 0)
 
 LEVELS: dict[str, Callable[[], int]] = {}
 

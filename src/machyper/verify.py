@@ -12,9 +12,10 @@ The paper's three operators are defined once each: A^(x,y) in _resid_A
 alphabet).  The plain, alphabet-swapped, Kaneko and tilde checks all
 apply them through these functions.  They build on the transfers
 (series.transfer_*), which map scaled images: each transfer is compiled
-once per parameter list into a sum of operator words with one scalar, so
-applying it costs integer column sums and one field product, and never
-divides a coefficient.  The pair format itself stays behind the functions
+once per parameter list into a sum of operator words with one scalar,
+and keeps its image of each monomial it meets, so applying it costs one
+sum of stored integer columns and one field product, and never divides a
+coefficient.  The pair format itself stays behind the functions
 qops exports for it.  B and C return the residual as a scaled image, whose
 support the checks read with qops.support_degrees; A is
 qops.alphabet_difference of the two transfers, which applies each side
@@ -28,7 +29,11 @@ qops.on_values.
 
 All checks run over the exact coefficient field; there are no
 tolerances anywhere.  Parameter draws are seeded, so a fixed
-(selection, n, D, seed) reproduces byte-identical reports.
+(selection, n, D, seed) reproduces byte-identical reports.  What holds
+no parameter is computed once per process and kept for every check and
+seed: the cover coefficients that the B and C cover recursions read
+(_cover_binomial, per (upper, lower, n)) and the Jack oracle
+(jack_oracle, per (lam, k, n)).
 
 The tilde identities concern the series at reciprocal q, t and
 reciprocal parameters.  They run on its iota-image, the series at
@@ -200,6 +205,15 @@ def draw_hyper_params(rng: random.Random, r: int, s: int, n: int,
 # ---------------------------------------------------------------------------
 # shared recursion helpers
 
+@lru_cache(maxsize=64)
+def _cover_binomial(upper: Partition, lower: Partition, n: int) -> RatFuncQT:
+    """The cover coefficient binomial_raising_closed(upper, lower, n) that
+    the cover recursions read, keyed on the covers' own (normalized)
+    partitions.  It has no parameter, so each (upper, lower, n) is
+    computed once and kept, for every check and seed."""
+    return binomial_raising_closed(upper, lower, n)
+
+
 def _cover_factor(rho: RatFuncQT, values) -> RatFuncQT:
     out = ONE
     for v in values:
@@ -366,7 +380,7 @@ def _stability_walk(series: TruncatedSeries) -> tuple[bool, list[str]]:
             for cv in upper_covers(mu, max_length=n):
                 rho = cv.rho_skew
                 w = (t_monomial(2 * cv.n_skew)
-                     * binomial_raising_closed(cv.upper, mu, n)
+                     * _cover_binomial(cv.upper, mu, n)
                      * jhook(mu) / jhook(cv.upper))
                 data.append((cv.upper, rho,
                              w * _cover_factor(rho, p.upper),
@@ -505,7 +519,7 @@ def check_single_alphabet(series: TruncatedSeries,
             num = ONE - ONE
             den = ONE - ONE
             for cv in lower_covers(lam):
-                bino = binomial_raising_closed(lam, cv.lower, n)
+                bino = _cover_binomial(lam, cv.lower, n)
                 num = num + series.coeffs[cv.lower] \
                     * _cover_factor(cv.rho_skew, p.upper) * bino
                 den = den + _cover_factor(cv.rho_skew, p.lower) * bino

@@ -348,6 +348,24 @@ def test_exit_usage(capsys):
     # missing required flag for the object
     assert main(["compute", "P"]) == EXIT_USAGE
     capsys.readouterr()
+    # a flag the object does not read is refused, not silently ignored
+    for argv, flag in (
+            (["series", "--n", "2", "--D", "2", "--upper", "1/2",
+              "--lower", "1/3"], "--upper"),
+            (["series", "--lower", "[]"], "--lower"),
+            (["series", "--a", "1/2", "--partition", "[1]"], "--partition"),
+            (["P", "--partition", "[1]", "--a", "1/2"], "--a"),
+            (["J", "--partition", "[1]", "--b", "1/3"], "--b"),
+            (["Jstar", "--partition", "[1]", "--upper", "[1]"], "--upper"),
+            (["eigen", "--partition", "[1]", "--r", "0"], "--r"),
+            (["binomial", "--upper", "[1]", "--lower", "[]", "--s", "0"], "--s"),
+            (["binomial", "--upper", "[1]", "--lower", "[]",
+              "--partition", "[1]"], "--partition")):
+        assert main(["compute"] + argv) == EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"machyper: {flag} is not used by "
+                                f"compute {argv[0]}\n")
     # a negative eigen operator level, in either direction
     for level, direction in (("-1", "raise"), ("-2", "raise"),
                              ("-1", "lower"), ("-2", "lower")):
@@ -394,9 +412,12 @@ def test_stats_flag_writes_one_json_line(capsys):
         assert all(isinstance(v, int) for v in snap.values())
         if argv[1] == "C":
             # the counts are this command's: the first run compiled each
-            # transfer, so the second reads every one from the store
+            # transfer and made its columns, so the second reads every one
+            # from the store
             assert snap["transfers_compiled"] == 0
             assert snap["transfers_reused"] > 0
+            assert snap["transfer_columns_built"] == 0
+            assert snap["transfer_columns_reused"] > 0
 
 
 def test_help_exits_zero(capsys):

@@ -268,6 +268,12 @@ def test_compiled_transfers_match_level_routes(n):
                         _level_sum(levels, values), (transfer.__name__, mu, values)
 
 
+def _fresh_store(monkeypatch, size=series.MAX_TRANSFERS):
+    store = lru_cache(maxsize=size)(series._compiled.__wrapped__)
+    monkeypatch.setattr(series, "_compiled", store)
+    return store
+
+
 def test_transfer_store_is_bounded(monkeypatch, cache):
     assert series._compiled.cache_info().maxsize == series.MAX_TRANSFERS
     # an evicted transfer is compiled again on use and applies unchanged
@@ -277,8 +283,7 @@ def test_transfer_store_is_bounded(monkeypatch, cache):
     ops = ((transfer_lower, b), (transfer_raise, a),
            (transfer_diag_raise, a), (transfer_diag_lower, b))
     want = [on_values(transfer(values))(f) for transfer, values in ops]
-    small = lru_cache(maxsize=2)(series._compiled.__wrapped__)
-    monkeypatch.setattr(series, "_compiled", small)
+    small = _fresh_store(monkeypatch, 2)
     for _ in range(2):
         assert [on_values(transfer(values))(f) for transfer, values in ops] == want
         assert small.cache_info().currsize == 2
@@ -286,9 +291,50 @@ def test_transfer_store_is_bounded(monkeypatch, cache):
     assert small.cache_info().misses == 8
 
 
+def test_transfer_columns_are_made_once(monkeypatch):
+    # a transfer keeps its image of each m_mu it meets: applied again to
+    # another input over the same partitions, it builds no column, runs no
+    # gcd and gives what a transfer compiled afresh gives
+    n, scal = 3, (ONE - Q * T).inverse()
+    first = SymPoly(n, {(2, 1): ONE, (3,): Q, (1, 1, 1): rf(2)})
+    second = SymPoly(n, {(2, 1): T - ONE, (3,): rf(-3), (1, 1, 1): Q * Q})
+    a, b = [rf(Fraction(2, 3)) * Q, T.inverse()], [rf(Fraction(5, 7)) / T]
+    ops = ((transfer_lower, b), (transfer_raise, a),
+           (transfer_diag_raise, a), (transfer_diag_lower, b))
+    _fresh_store(monkeypatch)
+    want = [transfer(values)((second, scal)) for transfer, values in ops]
+    _fresh_store(monkeypatch)
+    for (transfer, values), w in zip(ops, want):
+        op = transfer(values)
+        op((first, scal))
+        stats.reset()
+        assert op((second, scal)) == w, transfer.__name__
+        snap = stats.snapshot()
+        assert (snap["transfer_columns_built"], snap["transfer_columns_reused"],
+                snap["gcd_calls"]) == (0, len(second.coeffs), 0)
+
+
+def test_transfer_columns_leave_with_the_transfer(monkeypatch, cache):
+    # the columns live on the compiled transfer: under a 2-entry store each
+    # lookup of three transfers compiles afresh and builds its columns
+    # anew, and the values stay those of the full store
+    a, b = [rf(Fraction(1, 2)), rf(2) * Q], [rf(Fraction(3, 7)) / T]
+    gs = to_scaled(TruncatedSeries.build(2, 2, HyperParams.make(upper=a, lower=b)
+                                         ).render_one(cache))
+    ops = (transfer_lower(b), transfer_lower([Q * Q]), transfer_raise(a))
+    want = [op(gs) for op in ops]
+    small = _fresh_store(monkeypatch, 2)
+    stats.reset()
+    for _ in range(2):
+        assert [op(gs) for op in ops] == want
+    snap = stats.snapshot()
+    assert small.cache_info().misses == 6
+    assert snap["transfer_columns_built"] == 6 * len(gs[0].coeffs)
+    assert snap["transfer_columns_reused"] == 0
+
+
 def test_transfer_store_keys_on_field_values(monkeypatch):
-    fresh = lru_cache(maxsize=series.MAX_TRANSFERS)(series._compiled.__wrapped__)
-    monkeypatch.setattr(series, "_compiled", fresh)
+    fresh = _fresh_store(monkeypatch)
     gs = to_scaled(basis_poly("m", (2, 1), 3))
     stats.reset()
     # one value given three ways: one entry, compiled once
