@@ -241,30 +241,42 @@ def _parse_mutate(text: str):
 
 
 def _guard(args, *names) -> None:
-    """Raise ResourceGuardError for a flag beyond its bound."""
+    """Raise ResourceGuardError for a flag beyond its bound; a flag left
+    unset (None) is within it."""
     limits = {"n": MAX_N, "D": MAX_D, "max_size": MAX_SIZE, "level": MAX_LEVEL}
     for name in names:
         value = getattr(args, name)
-        if value > limits[name]:
+        if value is not None and value > limits[name]:
             flag = "--" + name.replace("_", "-")
             raise ResourceGuardError(
                 f"{flag} {value} exceeds the limit of {limits[name]}")
 
 
-# the object-specific flags of compute (all without a default), and the
+# the object-specific flags of compute (all None unless given), and the
 # objects that read each
 _COMPUTE_FLAGS = {"partition": ("P", "J", "Jstar", "eigen"),
                   "upper": ("binomial",), "lower": ("binomial",),
                   "a": ("series",), "b": ("series",),
-                  "r": ("series",), "s": ("series",)}
+                  "r": ("series",), "s": ("series",),
+                  "D": ("series",), "flavor": ("series",),
+                  "level": ("eigen",), "direction": ("eigen",)}
+
+# the values of the object-specific flags that have a default, filled in
+# for the objects that read them
+_COMPUTE_DEFAULTS = {"D": 4, "flavor": "macdonald", "level": 1,
+                     "direction": "raise"}
 
 
 def _refuse_unread(args) -> None:
     """Raise UsageError for an object-specific flag given to compute for
-    an object that does not read it."""
+    an object that does not read it; then fill in the defaults of the
+    flags the object reads and was not given."""
     for name, objects in _COMPUTE_FLAGS.items():
         if getattr(args, name) is not None and args.object not in objects:
             raise UsageError(f"--{name} is not used by compute {args.object}")
+    for name, value in _COMPUTE_DEFAULTS.items():
+        if getattr(args, name) is None and args.object in _COMPUTE_FLAGS[name]:
+            setattr(args, name, value)
 
 
 def _need(args, *names) -> None:
@@ -430,7 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     com.add_argument("--upper", help="upper partition of a cover pair")
     com.add_argument("--lower", help="lower partition of a cover pair")
     com.add_argument("--n", type=int, default=2, help="number of variables")
-    com.add_argument("--D", type=int, default=4, help="truncation degree")
+    com.add_argument("--D", type=int, default=None,
+                     help="truncation degree of a series (default 4)")
     com.add_argument("--r", type=int, default=None,
                      help="expected count of --a flags (consistency check)")
     com.add_argument("--s", type=int, default=None,
@@ -439,11 +452,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="numerator parameter (repeatable)")
     com.add_argument("--b", action="append", metavar="EXPR",
                      help="denominator parameter (repeatable)")
-    com.add_argument("--flavor", choices=FLAVORS, default="macdonald")
-    com.add_argument("--level", type=int, default=1,
-                     help="eigen operator level l")
-    com.add_argument("--direction", choices=("raise", "lower"),
-                     default="raise", help="eigen operator direction")
+    com.add_argument("--flavor", choices=FLAVORS, default=None,
+                     help="series flavor (default macdonald)")
+    com.add_argument("--level", type=int, default=None,
+                     help="eigen operator level l (default 1)")
+    com.add_argument("--direction", choices=("raise", "lower"), default=None,
+                     help="eigen operator direction (default raise)")
     common(com)
     com.set_defaults(func=cmd_compute)
 

@@ -30,10 +30,12 @@ n: for n > |lam| the entry at (lam, |lam|), read from the cache when it
 holds it and built otherwise, is re-wrapped at n, audited at n and stored
 at (lam, n) only.  Every function
 that reads the basis takes its caller's cache; there is no default one.  The
-principal-value audit runs on J, on polynomials only: it compares J at
-the staircase point with its closed form whenever a basis element is
-built or a file is read, and a read file must also be monic and
-dominance-triangular; a file that fails is rebuilt.  Its terms are read
+principal-value audit runs on integer polynomials only: it compares J at
+the staircase point, times the lcm of the integer contents of P's
+denominators, with that multiple of the closed form, one integer
+product of binomials, whenever a basis element is built or a file is
+read; a read file must also be monic and dominance-triangular, and a
+file that fails is rebuilt.  Its terms are read
 only if they hold integer exponents up to |lam|^2 and rational strings,
 so damage costs a rebuild, never a crash or a huge power.  A file is
 written to a temporary name and moved into place, so readers never see
@@ -53,13 +55,13 @@ from collections import Counter
 from functools import cached_property, lru_cache
 
 from .errors import InexactDivisionError, MacHyperError
-from .partitions import (Partition, SkewCover, conjugate, dominates,
+from .partitions import (Partition, SkewCover, cells, conjugate, dominates,
                          format_partition, hook_products, length,
                          lower_upper_hooks, make_partition, n_stat,
-                         partitions_of, pochhammer_qt, size, upper_covers)
+                         partitions_of, size, upper_covers)
 from .qops import apply_literal, column, eigen_shift
-from .ratfunc import (ONE, Q, RatFuncQT, T, qt_monomial, rf, t_monomial,
-                      times_multiple)
+from .ratfunc import (ONE, Q, PolyDict, RatFuncQT, T, multiple_sum,
+                      poly_product, qt_monomial, rf, t_monomial, times_multiple)
 from .sympoly import BiSymPoly, SymPoly, orbit
 
 _FORMAT = 1
@@ -302,25 +304,39 @@ def principal_eval(f: SymPoly) -> RatFuncQT:
     return out
 
 
+def _principal_J_poly(lam: Partition, n: int) -> PolyDict:
+    """The closed form of J at the staircase as one integer polynomial,
+    t^(n(lam)) * prod over cells (i, j) of (1 - q^(j-1) t^(n+1-i)), for
+    lam with at most n parts."""
+    return poly_product([{(0, n_stat(lam)): 1}]
+                        + [{(0, 0): 1, (j - 1, n + 1 - i): -1}
+                           for i, j in cells(lam)])
+
+
 def principal_J_closed(lam: Partition, n: int) -> RatFuncQT:
     """Closed form for the integral form at the staircase:
     t^(n(lam)) * prod over cells (1 - t^n q^(j-1) t^(1-i))."""
     if length(lam) > n:
         return rf(0)
-    return t_monomial(n_stat(lam)) * pochhammer_qt(t_monomial(n), lam)
+    return RatFuncQT.from_poly(_principal_J_poly(lam, n))
 
 
 def _principal_matches(P: SymPoly, lam: Partition, n: int) -> bool:
-    """The principal-value audit, on the polynomial coefficients of J.
+    """The principal-value audit, on integer polynomials.
 
-    A coefficient of P whose denominator does not divide the lower hook
-    product fails it.
+    J = c * P for the lower hook product c, so with L the lcm of the
+    integer contents of P's denominators, L * J at the staircase is an
+    integer polynomial (ratfunc.multiple_sum); it must equal L times the
+    closed form.  A coefficient of P whose denominator's primitive part
+    does not divide c fails the audit.
     """
     try:
-        J = _integral_form(P, lam)
+        S, L = multiple_sum(((v, principal_m(mu, n).num)
+                             for mu, v in P.coeffs.items()),
+                            lower_upper_hooks(lam)[0].num)
     except InexactDivisionError:
         return False
-    return principal_eval(J) == principal_J_closed(lam, n)
+    return S == {e: L * x for e, x in _principal_J_poly(lam, n).items()}
 
 
 def _monic_triangular(P: SymPoly, lam: Partition) -> bool:

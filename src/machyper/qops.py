@@ -47,9 +47,10 @@ whose coefficients are integer polynomials (denominator 1) and one
 RatFuncQT scalar s, standing for s * g.  The pair format is known here
 only; series and verify handle it through the functions of the scaled
 image section.  An input is cleared once (to_scaled: g is f times the
-lcm in Z[q,t] of its coefficient denominators); with integer-polynomial
-g_mu and columns, every product and sum of a column application is an
-integer polynomial operation without a gcd.  Each operator has one
+lcm in Z[q,t] of its coefficient denominators, for a SymPoly or a
+two-alphabet BiSymPoly alike); with integer-polynomial g_mu and columns,
+every product and sum of a column application is an integer polynomial
+operation without a gcd.  Each operator has one
 function, on scaled images: apply_kind(kind, gs) for one kind (a shift
 level above n is zero) and apply_shift_genfun for the generating-function
 operator.  combine adds scaled images over the lcm of their scalars'
@@ -74,7 +75,10 @@ apply_ad_lower_upto apply its levels as a list (apply_levels).  series
 compiles its transfers from the same words.
 support_degrees and alphabet_difference read where an image, or a
 difference of two alphabets' images, is nonzero without dividing
-anything.
+anything.  A two-alphabet value is cleared once, as a whole: its slices
+enter the operators as integer images at scalar one, so the two sides
+differ only by the operators' own scalars, and by nothing where those
+are equal.
 
 Values leave at one boundary: on_values(op) turns a map of scaled
 images into a map of values, with unscale as the one normalization.
@@ -208,7 +212,9 @@ def column(kind, mu: Partition, n: int) -> SymPoly:
 
     A shift-family column D_l(m_mu) must have only dominance-lower terms
     and the eigenvalue eigen_shift(l, mu, n) at mu; MacHyperError if not.
+    Each build is counted in stats as operator_columns_built.
     """
+    stats.COUNTS["operator_columns_built"] += 1
     col = _literal(kind, basis_poly("m", mu, n))
     if not isinstance(kind, str):
         if not all(dominates(mu, nu) for nu in col.coeffs):
@@ -217,6 +223,9 @@ def column(kind, mu: Partition, n: int) -> SymPoly:
             raise MacHyperError(
                 f"shift operator D_{kind} diagonal is wrong at {mu}")
     return col
+
+
+stats.LEVELS["operator_columns_held"] = lambda: column.cache_info().currsize
 
 
 def _column_sum(col, g: SymPoly) -> SymPoly:
@@ -254,11 +263,13 @@ def apply_kind(kind, gs: Scaled) -> Scaled:
 Scaled = tuple[SymPoly, RatFuncQT]
 
 
-def to_scaled(f: SymPoly) -> Scaled:
+def to_scaled(f: SymPoly | BiSymPoly
+              ) -> tuple[SymPoly | BiSymPoly, RatFuncQT]:
     """f as a scaled image (den * f, 1/den), with den the lcm in Z[q,t] of
-    the coefficient denominators."""
+    the coefficient denominators: one clearing for a SymPoly or a
+    BiSymPoly, whose image has f's type."""
     vals, s = over_common_denominator(list(f.coeffs.values()))
-    return SymPoly(f.n_vars, dict(zip(f.coeffs, vals))), s
+    return type(f)(f.n_vars, dict(zip(f.coeffs, vals))), s
 
 
 def unscale(gs: Scaled) -> SymPoly:
@@ -299,27 +310,32 @@ def support_degrees(gs: Scaled) -> list[int]:
     return gs[0].degrees()
 
 
-def alphabet_difference(F: BiSymPoly, x_op, y_op) -> BiSymPoly:
-    """x_op(F) - y_op(F) up to a nonzero factor on each coefficient,
-    for maps x_op, y_op of scaled images applied to the x and to the y
-    alphabet of F.
+def alphabet_difference(Gs: tuple[BiSymPoly, RatFuncQT], x_op,
+                        y_op) -> BiSymPoly:
+    """x_op(F) - y_op(F) up to a nonzero factor on each coefficient, for
+    the two-alphabet value F of the scaled image Gs = (G, s) (a BiSymPoly
+    G with integer-polynomial coefficients) and maps x_op, y_op of scaled
+    images applied to the x and to the y alphabet of F.
 
-    Each slice of F (the x-polynomial at one y-partition, and the
-    y-polynomial at one x-partition) is cleared on its own.  With
-    s_X = alpha/beta for the x-image's scalar and s_Y = gamma/delta for
-    the y-image's, the coefficient at (lx, ly) is
-    alpha * delta * X - gamma * beta * Y: integer polynomials only, zero
-    exactly where X - Y is.  The result has the support of the
-    difference, not its values.
+    F is cleared once, so its scalar s is common to both sides and drops
+    out: each slice of G (the x-polynomial at one y-partition, and the
+    y-polynomial at one x-partition) goes to its operator at scalar ONE.
+    With s_X = alpha/beta for the x-image's scalar and s_Y = gamma/delta
+    for the y-image's, the operators' own scalars, the coefficient at
+    (lx, ly) is alpha * delta * X - gamma * beta * Y: integer polynomials
+    only, zero exactly where X - Y is.  Where the two scalars are equal,
+    as for one shift level on both alphabets, it is X - Y.  The result
+    has the support of the difference, not its values.
     """
+    G = Gs[0]
     unit = (ONE, ONE)
     xs = {}
-    for ly, sl in F.x_slices().items():
-        g, s = x_op(to_scaled(sl))
+    for ly, sl in G.x_slices().items():
+        g, s = x_op((sl, ONE))
         xs[ly] = (g.coeffs, s.parts())
     ys = {}
-    for lx, sl in F.swap().x_slices().items():
-        g, s = y_op(to_scaled(sl))
+    for lx, sl in G.swap().x_slices().items():
+        g, s = y_op((sl, ONE))
         ys[lx] = (g.coeffs, s.parts())
     keys = {(lx, ly) for ly, (gx, _) in xs.items() for lx in gx}
     keys.update((lx, ly) for lx, (gy, _) in ys.items() for ly in gy)
@@ -331,7 +347,7 @@ def alphabet_difference(F: BiSymPoly, x_op, y_op) -> BiSymPoly:
              - gamma * beta * gy.get(ly, ZERO))
         if not d.is_zero():
             out[(lx, ly)] = d
-    return BiSymPoly(F.n_vars, out)
+    return BiSymPoly(G.n_vars, out)
 
 
 # ---------------------------------------------------------------------------

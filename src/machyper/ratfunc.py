@@ -1274,16 +1274,52 @@ def over_common_denominator(values: list[RatFuncQT]) -> tuple[list[RatFuncQT], R
         mults.append(RatFuncQT(_pscale(a, u // uv), _PONE, 1, _NOEXP, _BASE.gen))
     return mults, RatFuncQT(_PONE, _pscale(_BASE.expand(K), u), u, K, gen0, 1)
 
+def _content_split(b: PolyDict) -> tuple[int, PolyDict]:
+    """(g, d) with b = g * d, g the integer content of b."""
+    g = _content(b)
+    return g, b if g == 1 else {e: v // g for e, v in b.items()}
+
 def times_multiple(f: RatFuncQT, m: PolyDict) -> RatFuncQT:
     """f * m for an integer polynomial m that f's denominator divides: the
     product is a polynomial, found by one exact division."""
-    a, b = f._a, f._b
-    g = _content(b)
-    den = b if g == 1 else {e: v // g for e, v in b.items()}
+    a = f._a
+    g, den = _content_split(f._b)
     if den == m:
         return RatFuncQT(a, {(0, 0): g})
     return _lowest_terms(_pmul(a, _pdiv_exact(m, den)), {(0, 0): g}, g, _NOEXP,
                          None, _BASE.gen)
+
+def multiple_sum(terms, m: PolyDict) -> tuple[PolyDict, int]:
+    """(S, L) with S / L the sum of f * w * m over the (f, w) terms, for
+    field elements f and integer polynomials w, where m is an integer
+    polynomial that the primitive part of every f's denominator divides.
+
+    With f = a / (g * d), g the integer content of f's denominator and d
+    its primitive part, L is the lcm of the g and S the sum of
+    (L / g) * a * w * (m / d): integer polynomials only, one exact division
+    per distinct d, and no gcd.  InexactDivisionError when a d does not
+    divide m.
+    """
+    split = [(f._a, w, *_content_split(f._b)) for f, w in terms]
+    L = int_lcm(*(g for _, _, g, _ in split))
+    # the terms over one d are summed before the one product with m / d
+    groups: dict[frozenset, tuple[PolyDict, PolyDict]] = {}
+    for a, w, g, d in split:
+        key = frozenset(d.items())
+        acc = groups.get(key)
+        term = _pscale(_pmul(a, w), L // g)
+        groups[key] = (d, term if acc is None else _padd(acc[1], term))
+    out: PolyDict = {}
+    for d, acc in groups.values():
+        out = _padd(out, _pmul(acc, m if d == _PONE else _pdiv_exact(m, d)))
+    return out, L
+
+def poly_product(factors) -> PolyDict:
+    """The product of integer polynomials (term dicts)."""
+    out = _PONE
+    for f in factors:
+        out = _pmul(out, f)
+    return out
 
 def elementary_symmetric(values: list[RatFuncQT]) -> list[RatFuncQT]:
     """[e_0, e_1, ..., e_r] of the given field elements."""

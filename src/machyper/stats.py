@@ -1,7 +1,7 @@
 """Plain counters of the work the library does, read through snapshot().
 
-It covers the field layer (ratfunc), the transfer store (series) and the
-columns of the compiled transfers (qops):
+It covers the field layer (ratfunc), the transfer store (series), the
+columns of the compiled transfers and the operator column store (qops):
 
 - gcd_calls: bivariate polynomial gcds (ratfunc._pgcd), shortcuts included;
 - divisions_screened: trial divisions by a base element that the value
@@ -21,8 +21,12 @@ columns of the compiled transfers (qops):
 - transfer_columns_built: columns of a compiled word sum made (its image
   of one m_mu, qops.Compiled.column), one per lookup that found none;
 - transfer_columns_reused: column lookups that found the column made;
+- operator_columns_built: columns of a single operator kind built by the
+  literal assembly (qops.column), one per miss of its store;
 - base_size: the number of elements the base holds now (a level, not a
-  count, so reset() leaves it alone).
+  count, so reset() leaves it alone);
+- operator_columns_held: the number of columns the store of qops.column
+  holds now (a level).
 
 The counters are module-level integers in a dict, so counting costs one
 dict update.  A level is read through the function its module registers.
@@ -37,7 +41,8 @@ COUNTS: dict[str, int] = dict.fromkeys(
     ("gcd_calls", "divisions_screened", "divisions_certified",
      "divisions_refused", "base_refinements", "factorizations",
      "factorizations_reused", "transfers_compiled", "transfers_reused",
-     "transfer_columns_built", "transfer_columns_reused"), 0)
+     "transfer_columns_built", "transfer_columns_reused",
+     "operator_columns_built"), 0)
 
 LEVELS: dict[str, Callable[[], int]] = {}
 

@@ -18,14 +18,18 @@ sum of stored integer columns and one field product, and never divides a
 coefficient.  The pair format itself stays behind the functions
 qops exports for it.  B and C return the residual as a scaled image, whose
 support the checks read with qops.support_degrees; A is
-qops.alphabet_difference of the two transfers, which applies each side
-to the slices of the rendering, each slice cleared on its own, and finds
-where the two sides differ by cross-multiplying their scalars.  The
-Kaneko check's factored second-order operator is a qops.combine of
-single operator kinds (qops.apply_kind), never of the transfers, and it
-matches B where the combine of the two sides has a zero image.  Only
-the one-variable and diagonal-kernel checks read values, through
-qops.on_values.
+qops.alphabet_difference of the two transfers on the rendering cleared
+once: each side applies to the integer slices of that one image, and
+the two sides differ only by the transfers' own scalars, which it
+cross-multiplies.  The diagonal-kernel check clears its rendering once
+too and runs every test on that integer image: the level differences
+(the same shift level on both alphabets, so no scalar at all), both
+swap tests, the shift operator at u = t (scalar one on an integer
+image) and the negative control.  The Kaneko check's factored
+second-order operator is a qops.combine of single operator kinds
+(qops.apply_kind), never of the transfers, and it matches B where the
+combine of the two sides has a zero image.  Only the one-variable check
+reads values, through qops.on_values.
 
 All checks run over the exact coefficient field; there are no
 tolerances anywhere.  Parameter draws are seeded, so a fixed
@@ -132,8 +136,8 @@ class TheoremReport:
 
 def _resid_A(F: BiSymPoly, p: HyperParams) -> BiSymPoly:
     """A^(x,y) F up to a nonzero factor on each coefficient: the lowering
-    transfer on x, minus the raising transfer on y."""
-    return alphabet_difference(F, transfer_lower(p.lower),
+    transfer on x, minus the raising transfer on y, on F cleared once."""
+    return alphabet_difference(to_scaled(F), transfer_lower(p.lower),
                                transfer_raise(p.upper))
 
 
@@ -292,9 +296,10 @@ def check_diagonal_match(series: TruncatedSeries,
     The two-alphabet rendering must (i) satisfy level-l shift-operator
     equality between the alphabets for every l, (ii) be invariant under
     the alphabet swap, before and after the generating-function shift
-    operator.  All operators here preserve degree, so every bidegree is
-    trusted.  A deliberately off-diagonal product is run as a negative
-    control and must violate the conditions.  `cross` injects an
+    operator.  Each is tested on the rendering's one integer image, a
+    nonzero multiple of it.  All operators here preserve degree, so every
+    bidegree is trusted.  A deliberately off-diagonal product is run as a
+    negative control and must violate the conditions.  `cross` injects an
     off-diagonal monomial term (the mutation hook).
     """
     n, D = series.n, series.D
@@ -303,18 +308,26 @@ def check_diagonal_match(series: TruncatedSeries,
     if cross is not None:
         F = F + BiSymPoly(n, {(make_partition(cross), ()): ONE})
         notes.append(f"off-diagonal term injected at {format_partition(cross)}")
+    # one clearing: G is F times a nonzero scalar, with integer coefficients,
+    # and every test below reads G
+    Gs = to_scaled(F)
+    G = Gs[0]
 
     # level 0 is the identity on both sides
     level_ops = [lambda gs, l=l: apply_kind(l, gs) for l in range(1, n + 1)]
 
-    def level_difference(G: BiSymPoly, op) -> BiSymPoly:
-        return alphabet_difference(G, op, op)
+    def shift(sl: SymPoly) -> SymPoly:
+        img, s = apply_shift_genfun((sl, ONE), T)
+        if not s.is_one():
+            raise MacHyperError("shift operator at u = t left a scalar on an "
+                                "integer image")
+        return img
 
     observed = set()
     for op in level_ops:
-        observed.update(level_difference(F, op).bidegrees())
-    sym_before = F.swap() == F
-    shifted = F.apply_x(on_values(lambda gs: apply_shift_genfun(gs, T)))
+        observed.update(alphabet_difference(Gs, op, op).bidegrees())
+    sym_before = G.swap() == G
+    shifted = G.apply_x(shift)
     sym_after = shifted.swap() == shifted
     if not sym_before:
         notes.append("swap invariance fails on the series itself")
@@ -328,7 +341,9 @@ def check_diagonal_match(series: TruncatedSeries,
     control = neg.swap() != neg
     if not control:
         notes.append("negative control unexpectedly swap-invariant")
-    hit = any(not level_difference(neg, op).is_zero() for op in level_ops)
+    neg_s = to_scaled(neg)
+    hit = any(not alphabet_difference(neg_s, op, op).is_zero()
+              for op in level_ops)
     if not hit:
         notes.append("negative control passed the level checks (it must not)")
     control = control and hit

@@ -90,6 +90,9 @@ def test_compute_eigen_golden(capsys):
                  "--partition", "[1]", "--n", "2"]) == EXIT_PASS
     out = capsys.readouterr().out
     assert out == "eigen raise l=1 at [1] (n=2) = (-1 - q*t)/(-1 + q)\n"
+    # level 1 and direction raise are the defaults
+    assert main(["compute", "eigen", "--partition", "[1]", "--n", "2"]) == EXIT_PASS
+    assert capsys.readouterr().out == out
 
 
 def test_compute_series_golden(capsys):
@@ -98,6 +101,10 @@ def test_compute_series_golden(capsys):
     out = capsys.readouterr().out
     assert out == ("series r=0 s=0 n=1 D=2 flavor=macdonald\n"
                    "  C[] = 1\n  C[1] = 1\n  C[2] = 1\n")
+    # D = 4 and the macdonald flavor are the defaults
+    assert main(["compute", "series", "--n", "1"]) == EXIT_PASS
+    assert capsys.readouterr().out.startswith(
+        "series r=0 s=0 n=1 D=4 flavor=macdonald\n")
 
 
 def test_table_text(capsys):
@@ -360,7 +367,17 @@ def test_exit_usage(capsys):
             (["eigen", "--partition", "[1]", "--r", "0"], "--r"),
             (["binomial", "--upper", "[1]", "--lower", "[]", "--s", "0"], "--s"),
             (["binomial", "--upper", "[1]", "--lower", "[]",
-              "--partition", "[1]"], "--partition")):
+              "--partition", "[1]"], "--partition"),
+            # the flags with a default are refused too when given
+            (["P", "--partition", "[1]", "--level", "5", "--direction",
+              "lower", "--flavor", "kaneko", "--D", "9"], "--D"),
+            (["J", "--partition", "[1]", "--flavor", "kaneko"], "--flavor"),
+            (["Jstar", "--partition", "[1]", "--level", "2"], "--level"),
+            (["binomial", "--upper", "[1]", "--lower", "[]",
+              "--direction", "lower"], "--direction"),
+            (["eigen", "--partition", "[1]", "--D", "3"], "--D"),
+            (["series", "--n", "1", "--level", "1"], "--level"),
+            (["series", "--n", "1", "--direction", "raise"], "--direction")):
         assert main(["compute"] + argv) == EXIT_USAGE, argv
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -390,7 +407,7 @@ def test_eigen_refuses_more_parts_than_variables(capsys):
                                 "than variables (n=2)\n")
 
 
-def test_stats_flag_writes_one_json_line(capsys):
+def test_stats_flag_writes_one_json_line(capsys, monkeypatch, empty_store):
     # --stats adds one JSON line of machyper.stats to stderr and changes
     # neither stdout nor the exit code, on a pass, a failure and a guard
     runs = ((["verify", "C", "--n", "2", "--D", "2", "--draws", "1"], EXIT_PASS),
@@ -418,6 +435,19 @@ def test_stats_flag_writes_one_json_line(capsys):
             assert snap["transfers_reused"] > 0
             assert snap["transfer_columns_built"] == 0
             assert snap["transfer_columns_reused"] > 0
+            # and the operator columns under them are all held
+            assert snap["operator_columns_built"] == 0
+            assert snap["operator_columns_held"] > 0
+    # a basis build from an empty operator store builds and holds the
+    # shift columns D_1(m_nu) of its triangular solve: for [3] at n = 3,
+    # those of [3] and [2,1], the downset above its lowest partition
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    empty_store.cache_clear()
+    assert main(["compute", "P", "--partition", "[3]", "--n", "3",
+                 "--stats"]) == EXIT_PASS
+    snap = json.loads(capsys.readouterr().err)
+    assert snap["operator_columns_built"] == 2
+    assert snap["operator_columns_held"] == 2
 
 
 def test_help_exits_zero(capsys):

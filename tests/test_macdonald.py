@@ -21,10 +21,11 @@ from machyper.macdonald import (MacdonaldCache, binomial_by_expansion,
                                 jstar_principal, macdonald_P, macdonald_forms,
                                 principal_J_closed, principal_eval)
 from machyper.partitions import (conjugate, dominates, enumerate_partitions,
-                                 hook_products, length, lower_covers,
-                                 partitions_of, upper_covers)
+                                 hook_products, length, lower_covers, n_stat,
+                                 partitions_of, pochhammer_qt, upper_covers)
 from machyper.qops import apply_kind, eigen_shift, on_values
-from machyper.ratfunc import ONE, Q, T, rf, substitute, times_multiple
+from machyper.ratfunc import (ONE, Q, T, rf, substitute, t_monomial,
+                              times_multiple)
 from machyper.sympoly import SymPoly, basis_poly, hall_inner
 
 F = Fraction
@@ -157,13 +158,16 @@ def test_forms_normalizations(cache):
 
 
 def _principal_by_field(P, lam, n):
-    # the audit in field arithmetic: P at the staircase times the hook product
-    return principal_eval(P) * hook_products(lam)[0] == principal_J_closed(lam, n)
+    # the audit in field arithmetic: P at the staircase times the hook
+    # product, against the closed form as a field product of its cells
+    closed = t_monomial(n_stat(lam)) * pochhammer_qt(t_monomial(n), lam)
+    return principal_eval(P) * hook_products(lam)[0] == closed
 
 
 def test_principal_audit_matches_field_route(cache):
-    # the gcd-free audit on J gives the field route's verdict on every
-    # element of |lam| <= 6, n in {2, 3, 4}, and on tampered copies of them
+    # the audit on integer polynomials gives the field route's verdict on
+    # every element of |lam| <= 6, n in {2, 3, 4}, and on tampered copies
+    # of them
     elements = [(lam, n) for n in (2, 3, 4) for lam in enumerate_partitions(6, n)]
     assert len(elements) == 66
     not_dividing = (ONE + Q + T).inverse()    # divides no hook product
@@ -178,14 +182,17 @@ def test_principal_audit_matches_field_route(cache):
         mu = min(lower)
         changed = P.coeffs[mu] + ONE
         foreign = P.coeffs[mu] * not_dividing
+        # a change of the integer content only: the denominator's primitive
+        # part still divides the hook product
+        halved = P.coeffs[mu] * rf(F(1, 2))
         with pytest.raises(InexactDivisionError):
             times_multiple(foreign, hook_products(lam)[0].num)
-        for value in (changed, foreign):
+        for value in (changed, foreign, halved):
             bad = SymPoly(n, {**P.coeffs, mu: value})
             assert not macdonald._principal_matches(bad, lam, n), (lam, n)
             assert not _principal_by_field(bad, lam, n), (lam, n)
             tampered += 1
-    assert tampered == 2 * 45    # the elements with terms below lam
+    assert tampered == 3 * 45    # the elements with terms below lam
 
 
 def test_principal_closed_form(cache):

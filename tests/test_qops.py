@@ -31,7 +31,7 @@ from machyper.qops import (
     weight_from_shift1,
 )
 from machyper.ratfunc import ONE, Q, T, ZERO, invert_qt, qt_monomial, rf
-from machyper.sympoly import SymPoly, basis_poly, invert_coeffs
+from machyper.sympoly import BiSymPoly, SymPoly, basis_poly, invert_coeffs
 
 
 def apply_stored(kind, f):
@@ -338,3 +338,18 @@ def test_clear_denominators():
     assert s.parts()[0] == ONE
     h, s2 = qops.to_scaled(g)
     assert s2 == ONE and h == g
+
+
+def test_two_alphabet_clearing(cache):
+    # one clearing for two alphabets: the image of a BiSymPoly is a
+    # BiSymPoly with integer-polynomial coefficients, and its value is F
+    lam_x, lam_y = (2, 1), (1,)
+    forms_x = macdonald_forms(lam_x, 2, cache)
+    forms_y = macdonald_forms(lam_y, 2, cache)
+    F = BiSymPoly.zero(2).add_product((ONE - Q * T).inverse(), forms_x.Jnorm,
+                                      forms_y.Jstar)
+    F = F + BiSymPoly(2, {((1,), ()): rf(Fraction(1, 3))})
+    G, s = qops.to_scaled(F)
+    assert type(G) is BiSymPoly and G.coeffs.keys() == F.coeffs.keys()
+    assert all(c.parts()[1] == ONE for c in G.coeffs.values())
+    assert unscale((G, s)) == F

@@ -3,6 +3,7 @@ mutation sensitivity, and the classical-limit oracle."""
 
 import json
 import random
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -10,12 +11,13 @@ import pytest
 import machyper.verify as verify
 from machyper.errors import (LimitError, MacHyperError, PoleError,
                              ResourceGuardError)
-from machyper.qops import on_values, unscale
+from machyper.qops import (alphabet_difference, apply_kind, on_values,
+                           to_scaled, unscale)
 from machyper.ratfunc import ONE, Q, T, rf
 from machyper.series import (HyperParams, TruncatedSeries, check_lower_poles,
                              transfer_diag_lower, transfer_diag_raise,
                              transfer_lower, transfer_raise)
-from machyper.sympoly import basis_poly
+from machyper.sympoly import BiSymPoly, basis_poly
 from machyper.verify import (DEFAULT_SEED, MAX_SUITE_VARS, PARAM_GRID,
                              SUITE_ORDER, _resid_A, _resid_B, _resid_C,
                              check_classical_limit, draw_hyper_params,
@@ -168,6 +170,37 @@ def test_residual_support_from_numerators(cache, n, mutate):
     for got, ref in ((_resid_B(f, p), ref_B), (_resid_C(f, p), ref_C)):
         assert got[0].coeffs and set(got[0].coeffs) == set(ref.coeffs)
         assert unscale(got) == ref
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_kernel_residual_support_from_cleared_image(cache, n):
+    # the kernel check clears the rendering once and compares integer
+    # images; each level difference has the support of the literal value
+    # difference, and the report lists exactly its bidegrees.  A plain or
+    # mutated series lies in the kernel; an injected off-diagonal term
+    # leaves it.
+    D = 2
+    p = draw_hyper_params(random.Random(5), 1, 1, n, D)
+    for mutate in (None, (1,)):
+        ser = TruncatedSeries.build(n, D, p)
+        if mutate is not None:
+            ser = ser.mutate(mutate)
+        for cross in (None, (1,), (2,)):
+            F = ser.render_two(cache)
+            if cross is not None:
+                F = F + BiSymPoly(n, {(cross, ()): ONE})
+            want = set()
+            for l in range(1, n + 1):
+                D_l = partial(apply_kind, l)
+                ref = (F.apply_x(on_values(D_l))
+                       - F.swap().apply_x(on_values(D_l)).swap())
+                got = alphabet_difference(to_scaled(F), D_l, D_l)
+                assert set(got.coeffs) == set(ref.coeffs), (mutate, cross, l)
+                want.update(ref.bidegrees())
+            assert bool(want) == (cross is not None)
+            report = verify.check_diagonal_match(ser, cache, cross=cross)
+            assert report.residual_degrees == [list(k) for k in sorted(want)]
+            assert report.passed == (cross is None)
 
 
 # ---------------------------------------------------------------------------
