@@ -3,11 +3,12 @@
 Computes single objects, dumps tables, runs the verification suites, and
 manages the on-disk polynomial cache.  Exit codes: 0 success (all selected
 checks pass), 1 verification failure, 2 usage error (bad flags, expressions,
-or partitions, division by zero in an expression, a negative level), 3
-resource guard (a request beyond MAX_N, MAX_D, MAX_SIZE, MAX_LEVEL or
-MAX_EXPONENT, or beyond a library guard), 4 parameter pole, 5 internal
-error (a broken invariant or a division by zero inside the library, never a
-failed check).
+or partitions, division by zero in an expression, a negative level, --n
+below 1 or --max-size below 0), 3 resource guard (a request beyond MAX_N,
+MAX_D, MAX_SIZE, MAX_LEVEL or MAX_EXPONENT, or beyond a library guard), 4
+parameter pole, 5 internal error (a broken invariant, a division by zero
+inside the library or any other exception that escapes a command, never
+a failed check).
 """
 
 from __future__ import annotations
@@ -241,13 +242,20 @@ def _parse_mutate(text: str):
 
 
 def _guard(args, *names) -> None:
-    """Raise ResourceGuardError for a flag beyond its bound; a flag left
-    unset (None) is within it."""
+    """Raise UsageError for a size flag below its minimum and
+    ResourceGuardError for a flag beyond its bound; a flag left unset
+    (None) is within both."""
     limits = {"n": MAX_N, "D": MAX_D, "max_size": MAX_SIZE, "level": MAX_LEVEL}
+    minimums = {"n": 1, "max_size": 0}
     for name in names:
         value = getattr(args, name)
-        if value is not None and value > limits[name]:
-            flag = "--" + name.replace("_", "-")
+        if value is None:
+            continue
+        flag = "--" + name.replace("_", "-")
+        if name in minimums and value < minimums[name]:
+            raise UsageError(
+                f"{flag} {value} is below the minimum of {minimums[name]}")
+        if value > limits[name]:
             raise ResourceGuardError(
                 f"{flag} {value} exceeds the limit of {limits[name]}")
 
@@ -516,6 +524,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (MacHyperError, ZeroDivisionError) as exc:
         print(f"machyper: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        # any other escape is a bug, and must not read as a failed check
+        print(f"machyper: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return EXIT_INTERNAL
     finally:
         if args.stats:

@@ -27,15 +27,16 @@ commutators ad^l of lowering and raising (qops.ad_words) and the eigen
 families G_l and H_l (eigen_words), whose words of commuting shift levels
 come from inverting a shift generating function order by order.  A
 transfer at parameter values is sum_l (-1)^l e_l(values) times level l of
-its family, compiled once per (kind, values, n) and kept in a bounded,
-process-wide store (_compiled, at most MAX_TRANSFERS entries).  A
-compiled transfer keeps its image of each m_mu it meets (qops.Compiled),
-so applying it is one sum of stored integer columns and one field
-product, and the coefficients never run a gcd; the columns leave the
-store with their transfer.  eigen_ops_* apply the levels of the same families as a
-list.  transfer_* return maps of scaled images; verify builds its
-residuals from them and reads their support without normalizing, and a
-caller that wants values wraps them in qops.on_values.
+its family.  A signed sum of transfers (transfer_sum: each transfer_* is
+one part, verify's B and C are two) is compiled into one word sum once
+per (parts, n) and kept in a bounded, process-wide store (_compiled, at
+most MAX_TRANSFERS entries).  A compiled sum keeps its image of each m_mu
+it meets (qops.Compiled), so applying it is one sum of stored integer
+columns and one field product, and the coefficients never run a gcd; the
+columns leave the store with their sum.  eigen_ops_* apply the levels of
+the same families as a list.  The sums map scaled images; verify reads
+its residuals' support without normalizing, and a caller that wants
+values wraps them in qops.on_values.
 
 Every series and operator here lives at q and t.  Inversion (q -> 1/q,
 t -> 1/t, written iota) is conjugation by invert_qt and invert_coeffs:
@@ -335,27 +336,29 @@ def _family(kind: str, n: int, l: int) -> dict:
 
 
 @lru_cache(maxsize=MAX_TRANSFERS)
-def _compiled(kind: str, values: tuple[RatFuncQT, ...], n: int) -> Compiled:
-    """The transfer kind at the parameter values in n variables,
-    sum over l of (-1)^l e_l(values) times level l of its family,
-    compiled once and kept."""
+def _compiled(parts: tuple, n: int) -> Compiled:
+    """The sum over parts (sign 1 or -1, kind, values) of sign times the
+    sum over l of (-1)^l e_l(values) times level l of the kind's family in
+    n variables, by word, compiled once and kept."""
     stats.COUNTS["transfers_compiled"] += 1
     terms: dict = {}
-    for l, e in enumerate(elementary_symmetric(list(values))):
-        c = -e if l % 2 else e
-        for w, x in _family(kind, n, l).items():
-            terms[w] = terms.get(w, ZERO) + c * x
+    for sign, kind, values in parts:
+        for l, e in enumerate(elementary_symmetric(list(values))):
+            c = e if l % 2 == (sign < 0) else -e    # sign * (-1)^l * e_l
+            for w, x in _family(kind, n, l).items():
+                terms[w] = terms.get(w, ZERO) + c * x
     return compile_words(n, terms)
 
 
-def _transfer(kind: str, values):
-    """The transfer kind at values, as a map of scaled images that reads
-    its compiled word sum from the store."""
-    values = tuple(rf(v) for v in values)
+def transfer_sum(*parts):
+    """The signed sum of the transfers over parts (sign, kind, values), as
+    a map of scaled images that reads its compiled word sum from the store."""
+    parts = tuple((sign, kind, tuple(rf(v) for v in values))
+                  for sign, kind, values in parts)
 
     def op(gs: Scaled) -> Scaled:
         built = stats.COUNTS["transfers_compiled"]
-        compiled = _compiled(kind, values, gs[0].n_vars)
+        compiled = _compiled(parts, gs[0].n_vars)
         # a lookup that compiled nothing was read from the store
         stats.COUNTS["transfers_reused"] += built == stats.COUNTS["transfers_compiled"]
         return apply_compiled(compiled, gs)
@@ -365,23 +368,23 @@ def _transfer(kind: str, values):
 def transfer_lower(blist):
     """Degree-lowering transfer: sum over l of (-1)^l e_l(b) times the
     l-fold weight-commutator of the lowering operator."""
-    return _transfer("lower", blist)
+    return transfer_sum((1, "lower", blist))
 
 
 def transfer_raise(alist):
     """Degree-raising transfer: sum over l of (-1)^l e_l(a) times the
     l-fold weight-commutator of the raising operator."""
-    return _transfer("raise", alist)
+    return transfer_sum((1, "raise", alist))
 
 
 def transfer_diag_raise(alist):
     """Diagonal transfer paired with raising: sum of (-1)^l e_l(a) G_l."""
-    return _transfer("diag_raise", alist)
+    return transfer_sum((1, "diag_raise", alist))
 
 
 def transfer_diag_lower(blist):
     """Diagonal transfer paired with lowering: sum of (-1)^l e_l(b) H_l."""
-    return _transfer("diag_lower", blist)
+    return transfer_sum((1, "diag_lower", blist))
 
 
 # -- closed-form eigenvalues of the diagonal families -----------------------

@@ -14,10 +14,10 @@ columns of the compiled transfers and the operator column store (qops):
 - factorizations: denominators the base factored by screening every
   element (misses of its memo of factorizations);
 - factorizations_reused: denominators whose factorization the memo held;
-- transfers_compiled: transfers compiled into a word sum (misses of the
-  transfer store);
-- transfers_reused: transfer applications that read their word sum from
-  the store;
+- transfers_compiled: transfer sums (series.transfer_sum) compiled into
+  a word sum (misses of the transfer store);
+- transfers_reused: transfer sum applications that read their word sum
+  from the store;
 - transfer_columns_built: columns of a compiled word sum made (its image
   of one m_mu, qops.Compiled.column), one per lookup that found none;
 - transfer_columns_reused: column lookups that found the column made;

@@ -10,13 +10,13 @@ count as failures.
 The paper's three operators are defined once each: A^(x,y) in _resid_A
 (two alphabets), B^(x) and C^(x) in _resid_B and _resid_C (one
 alphabet).  The plain, alphabet-swapped, Kaneko and tilde checks all
-apply them through these functions.  They build on the transfers
-(series.transfer_*), which map scaled images: each transfer is compiled
-once per parameter list into a sum of operator words with one scalar,
-and keeps its image of each monomial it meets, so applying it costs one
-sum of stored integer columns and one field product, and never divides a
-coefficient.  The pair format itself stays behind the functions
-qops exports for it.  B and C return the residual as a scaled image, whose
+apply them through these functions.  B and C are each one transfer sum
+(series.transfer_sum: the diagonal transfer minus the other one), and A
+applies two transfers (series.transfer_*).  Each sum is compiled once per
+parameter list into operator words with one scalar, and keeps its image
+of each monomial it meets, so applying it costs one sum of stored integer
+columns and one field product, and never divides a coefficient.  The
+pair format itself stays behind the functions qops exports for it.  B and C return the residual as a scaled image, whose
 support the checks read with qops.support_degrees; A is
 qops.alphabet_difference of the two transfers on the rendering cleared
 once: each side applies to the integer slices of that one image, and
@@ -75,7 +75,8 @@ from .series import (HyperParams, TruncatedSeries, check_lower_poles,
                      scale_alphabet, transfer_diag_lower, transfer_diag_raise,
                      transfer_diag_lower_uv, transfer_diag_raise_uv,
                      transfer_lower, transfer_lower_uv, transfer_raise,
-                     transfer_raise_uv, uv_delta_chain, uv_mul_z, uv_shift)
+                     transfer_raise_uv, transfer_sum, uv_delta_chain, uv_mul_z,
+                     uv_shift)
 
 SUITE_ORDER = ("A", "Aprime", "kernel", "B", "C", "kaneko", "tilde",
                "univariate", "jack")
@@ -143,21 +144,17 @@ def _resid_A(F: BiSymPoly, p: HyperParams) -> BiSymPoly:
 
 def _resid_B(f: SymPoly, p: HyperParams) -> Scaled:
     """B^(x) f as a scaled image: the raising-paired diagonal transfer,
-    minus the lowering transfer.  At (r, s) = (2, 1) this is Kaneko's
-    operator."""
-    gs = to_scaled(f)
-    diag = transfer_diag_raise(p.upper)(gs)
-    lower = transfer_lower(p.lower)(gs)
-    return combine(f.n_vars, ((ONE, diag), (-ONE, lower)))
+    minus the lowering transfer, compiled as one sum.  At (r, s) = (2, 1)
+    this is Kaneko's operator."""
+    return transfer_sum((1, "diag_raise", p.upper),
+                        (-1, "lower", p.lower))(to_scaled(f))
 
 
 def _resid_C(f: SymPoly, p: HyperParams) -> Scaled:
     """C^(x) f as a scaled image: the lowering-paired diagonal transfer,
-    minus the raising transfer."""
-    gs = to_scaled(f)
-    diag = transfer_diag_lower(p.lower)(gs)
-    raised = transfer_raise(p.upper)(gs)
-    return combine(f.n_vars, ((ONE, diag), (-ONE, raised)))
+    minus the raising transfer, compiled as one sum."""
+    return transfer_sum((1, "diag_lower", p.lower),
+                        (-1, "raise", p.upper))(to_scaled(f))
 
 
 def _renderings(series: TruncatedSeries, cache: MacdonaldCache):

@@ -195,6 +195,19 @@ def test_exit_internal_error(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "machyper: internal error: invariant broken\n"
+    # any other exception that escapes a command names its type, and exits
+    # as an internal error too
+    for exc, text in ((IndexError("list index out of range"),
+                       "IndexError: list index out of range"),
+                      (KeyError((2, 1)), "KeyError: (2, 1)")):
+        def escapes(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(cli, "macdonald_forms", escapes)
+        assert main(["compute", "P", "--partition", "[1]",
+                     "--n", "2"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"machyper: internal error: {text}\n"
 
 
 def test_exit_internal_gcd_and_zero_division(monkeypatch, capsys):
@@ -262,6 +275,46 @@ def test_resource_guards_before_work(monkeypatch, capsys):
             == EXIT_RESOURCE
         assert capsys.readouterr().err.startswith(
             "machyper: resource guard: --partition ")
+
+
+def test_size_flags_below_minimum_are_usage_errors(monkeypatch, capsys,
+                                                   tmp_path):
+    # --n below 1 and --max-size below 0 are refused in every subcommand
+    # that reads them, before any work
+    import machyper.verify as verify
+    def unreachable(*args, **kwargs):
+        raise AssertionError("refused request reached the computation")
+    for name in ("macdonald_forms", "eigen_value_raise", "eigen_value_lower",
+                 "binomial_raising_closed", "enumerate_partitions"):
+        monkeypatch.setattr(cli, name, unreachable)
+    monkeypatch.setattr(cli.TruncatedSeries, "build", unreachable)
+    monkeypatch.setattr(cli.MacdonaldCache, "get_P", unreachable)
+    monkeypatch.setattr(verify, "draw_hyper_params", unreachable)
+    d = str(tmp_path)
+    cases = [
+        (["compute", "P", "--partition", "[]", "--n", "0"], "--n 0", 1),
+        (["compute", "series", "--n", "-1", "--D", "2"], "--n -1", 1),
+        (["compute", "binomial", "--upper", "[1]", "--lower", "[]",
+          "--n", "0"], "--n 0", 1),
+        (["compute", "eigen", "--partition", "[]", "--n", "0"], "--n 0", 1),
+        (["table", "P", "--n", "0"], "--n 0", 1),
+        (["table", "binomial", "--max-size", "-1"], "--max-size -1", 0),
+        (["table", "P", "--max-size", "-1"], "--max-size -1", 0),
+        (["cache", "warm", "--n", "0", "--dir", d], "--n 0", 1),
+        (["cache", "warm", "--max-size", "-1", "--dir", d],
+         "--max-size -1", 0),
+    ]
+    for argv, flag, low in cases:
+        assert main(argv) == EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"machyper: {flag} is below the minimum "
+                                f"of {low}\n")
+    assert os.listdir(d) == []
+    for value in ("0", "-1"):
+        assert main(["verify", "B", "--n", value, "--draws", "1"]) \
+            == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
 
 def test_verify_guards_before_work(monkeypatch, capsys):

@@ -203,34 +203,54 @@ def test_perfbench_operator_counters_see_the_work(cache):
         assert tr.counts[name] > 0, name
 
 
+def _scopes_naming(path, name):
+    """(line, scope) of every reference to name in the module at path, by
+    a Name or an Attribute; the scope is the module-level function, class
+    or method that holds it ("" at module level), and a nested function
+    or lambda counts as part of the function that holds it."""
+    found = []
+
+    def visit(node, scope, in_class):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.Attribute) and child.attr == name):
+                found.append((child.lineno, scope))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)) and (not scope or in_class):
+                visit(child, f"{scope}.{child.name}".lstrip("."),
+                      isinstance(child, ast.ClassDef))
+            else:
+                visit(child, scope, in_class)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "", False)
+    return found
+
+
 # the one function that may turn a scaled image into a value: the adapter
 # of qops
 UNSCALE_SCOPES = {"qops.on_values"}
 
 
 def test_values_leave_the_operator_layer_at_one_boundary():
-    # unscale is named only inside the listed functions (a nested function
-    # or lambda counts as part of the function that holds it); everywhere
-    # else an operator maps scaled images
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        mod = path.stem
+    # unscale is named only inside the listed functions; everywhere else an
+    # operator maps scaled images
+    found = [f"{path.name}:{line} {scope}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, scope in _scopes_naming(path, "unscale")
+             if f"{path.stem}.{scope}" not in UNSCALE_SCOPES]
+    assert found == []
 
-        def visit(node, scope, in_class):
-            for child in ast.iter_child_nodes(node):
-                if (isinstance(child, ast.Name) and child.id == "unscale"
-                        or isinstance(child, ast.Attribute)
-                        and child.attr == "unscale"):
-                    if f"{mod}.{scope}" not in UNSCALE_SCOPES:
-                        found.append(f"{path.name}:{child.lineno} {scope}")
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                      ast.ClassDef)) and (not scope or in_class):
-                    visit(child, f"{scope}.{child.name}".lstrip("."),
-                          isinstance(child, ast.ClassDef))
-                else:
-                    visit(child, scope, in_class)
 
-        visit(ast.parse(path.read_text(), filename=str(path)), "", False)
+# the functions of verify that may add scaled images: the Kaneko oracle,
+# which sums single operator kinds, and its comparison with B.  B and C
+# are one compiled transfer sum each, never a combine of two transfers
+COMBINE_SCOPES = {"_factored_second_order", "_matches_B"}
+
+
+def test_verify_combines_only_in_the_kaneko_oracle():
+    found = [f"verify.py:{line} {scope}"
+             for line, scope in _scopes_naming(SRC / "verify.py", "combine")
+             if scope not in COMBINE_SCOPES]
     assert found == []
 
 

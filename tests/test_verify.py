@@ -8,11 +8,14 @@ from pathlib import Path
 
 import pytest
 
+import machyper.series as series
 import machyper.verify as verify
+from machyper import stats
 from machyper.errors import (LimitError, MacHyperError, PoleError,
                              ResourceGuardError)
-from machyper.qops import (alphabet_difference, apply_kind, on_values,
-                           to_scaled, unscale)
+from machyper.partitions import enumerate_partitions
+from machyper.qops import (alphabet_difference, apply_compiled, apply_kind,
+                           on_values, to_scaled, unscale)
 from machyper.ratfunc import ONE, Q, T, rf
 from machyper.series import (HyperParams, TruncatedSeries, check_lower_poles,
                              transfer_diag_lower, transfer_diag_raise,
@@ -170,6 +173,31 @@ def test_residual_support_from_numerators(cache, n, mutate):
     for got, ref in ((_resid_B(f, p), ref_B), (_resid_C(f, p), ref_C)):
         assert got[0].coeffs and set(got[0].coeffs) == set(ref.coeffs)
         assert unscale(got) == ref
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_B_and_C_apply_one_compiled_sum(n):
+    # B and C are one stored matrix each: the compiled sum at m_mu, for
+    # every |mu| <= D+1, is the value of its diagonal transfer minus that
+    # of its other transfer, and a warm residual reads that one sum
+    D = 2
+    p = draw_hyper_params(random.Random(1), 2, 1, n, D)
+    cases = ((_resid_B, ((1, "diag_raise", p.upper), (-1, "lower", p.lower)),
+              transfer_diag_raise(p.upper), transfer_lower(p.lower)),
+             (_resid_C, ((1, "diag_lower", p.lower), (-1, "raise", p.upper)),
+              transfer_diag_lower(p.lower), transfer_raise(p.upper)))
+    for resid, parts, diag, other in cases:
+        compiled = series._compiled(parts, n)
+        for mu in enumerate_partitions(D + 1, n):
+            m = basis_poly("m", mu, n)
+            assert unscale(apply_compiled(compiled, (m, ONE))) == \
+                on_values(diag)(m) - on_values(other)(m), (resid.__name__, mu)
+        f = basis_poly("m", (1,), n)
+        resid(f, p)
+        stats.reset()
+        resid(f, p)
+        snap = stats.snapshot()
+        assert (snap["transfers_compiled"], snap["transfers_reused"]) == (0, 1)
 
 
 @pytest.mark.parametrize("n", (2, 3))
