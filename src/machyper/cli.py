@@ -246,7 +246,7 @@ def _guard(args, *names) -> None:
     ResourceGuardError for a flag beyond its bound; a flag left unset
     (None) is within both."""
     limits = {"n": MAX_N, "D": MAX_D, "max_size": MAX_SIZE, "level": MAX_LEVEL}
-    minimums = {"n": 1, "max_size": 0}
+    minimums = {"n": 1, "D": 0, "max_size": 0}
     for name in names:
         value = getattr(args, name)
         if value is None:

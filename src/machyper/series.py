@@ -34,9 +34,12 @@ most MAX_TRANSFERS entries).  A compiled sum keeps its image of each m_mu
 it meets (qops.Compiled), so applying it is one sum of stored integer
 columns and one field product, and the coefficients never run a gcd; the
 columns leave the store with their sum.  eigen_ops_* apply the levels of
-the same families as a list.  The sums map scaled images; verify reads
-its residuals' support without normalizing, and a caller that wants
-values wraps them in qops.on_values.
+the same families as a list.  The sums map scaled images; a series keeps
+each rendering's cleared image beside the rendering
+(TruncatedSeries.cleared), so verify applies its operators to one
+cleared image per rendering and reads the residuals' support without
+normalizing, and a caller that wants values wraps them in
+qops.on_values.
 
 Every series and operator here lives at q and t.  Inversion (q -> 1/q,
 t -> 1/t, written iota) is conjugation by invert_qt and invert_coeffs:
@@ -58,7 +61,7 @@ from .partitions import (Partition, enumerate_partitions, format_partition,
                          pochhammer_list, size, upper_covers)
 from . import stats
 from .qops import (Compiled, Scaled, ad_words, apply_compiled, apply_levels,
-                   apply_literal, compile_words)
+                   apply_literal, compile_words, to_scaled)
 from .ratfunc import (ONE, Q, ZERO, RatFuncQT, T, elementary_symmetric,
                       invert_qt, qt_monomial, rf, t_integer, t_monomial)
 from .sympoly import BiSymPoly, SymPoly, invert_coeffs
@@ -135,15 +138,17 @@ def _kaneko_factor(lam: Partition, expo: int) -> RatFuncQT:
 class TruncatedSeries:
     """All coefficients C_lam with |lam| <= D, length <= n.
 
-    flavor "macdonald" or "kaneko".
+    flavor "macdonald" or "kaneko".  Each rendering, in one or two
+    alphabets, is made once per basis cache and kept, and so is its
+    cleared image (cleared), which every operator check reads.
     """
     n: int
     D: int
     params: HyperParams
     flavor: str = "macdonald"
     coeffs: dict[Partition, RatFuncQT] = field(default_factory=dict)
-    # renderings made so far, by (alphabets, basis cache): the series is
-    # immutable, so each is made once
+    # renderings and their cleared images made so far, by (alphabets,
+    # basis cache): the series is immutable, so each is made once
     _rendered: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
@@ -199,6 +204,16 @@ class TruncatedSeries:
                 scal = c * t_monomial(n_stat(lam))
                 out = out.add_product(scal, forms.Jnorm, forms.Jstar)
             self._rendered[key] = out
+        return self._rendered[key]
+
+    def cleared(self, alphabets: str, cache: MacdonaldCache
+                ) -> tuple[SymPoly | BiSymPoly, RatFuncQT]:
+        """The rendering in "one" or "two" alphabets as a scaled image
+        (qops.to_scaled), cleared once and kept beside the rendering."""
+        key = ("cleared", alphabets, cache)
+        if key not in self._rendered:
+            render = self.render_one if alphabets == "one" else self.render_two
+            self._rendered[key] = to_scaled(render(cache))
         return self._rendered[key]
 
     def to_json(self) -> dict:

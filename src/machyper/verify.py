@@ -9,27 +9,26 @@ count as failures.
 
 The paper's three operators are defined once each: A^(x,y) in _resid_A
 (two alphabets), B^(x) and C^(x) in _resid_B and _resid_C (one
-alphabet).  The plain, alphabet-swapped, Kaneko and tilde checks all
-apply them through these functions.  B and C are each one transfer sum
-(series.transfer_sum: the diagonal transfer minus the other one), and A
-applies two transfers (series.transfer_*).  Each sum is compiled once per
-parameter list into operator words with one scalar, and keeps its image
-of each monomial it meets, so applying it costs one sum of stored integer
-columns and one field product, and never divides a coefficient.  The
-pair format itself stays behind the functions qops exports for it.  B and C return the residual as a scaled image, whose
-support the checks read with qops.support_degrees; A is
-qops.alphabet_difference of the two transfers on the rendering cleared
-once: each side applies to the integer slices of that one image, and
-the two sides differ only by the transfers' own scalars, which it
-cross-multiplies.  The diagonal-kernel check clears its rendering once
-too and runs every test on that integer image: the level differences
-(the same shift level on both alphabets, so no scalar at all), both
-swap tests, the shift operator at u = t (scalar one on an integer
-image) and the negative control.  The Kaneko check's factored
-second-order operator is a qops.combine of single operator kinds
-(qops.apply_kind), never of the transfers, and it matches B where the
-combine of the two sides has a zero image.  Only the one-variable check
-reads values, through qops.on_values.
+alphabet).  They take a cleared image, never a value; a series clears
+each rendering once and keeps the image (TruncatedSeries.cleared).  B and
+C are each one compiled transfer sum (series.transfer_sum: the diagonal
+transfer minus the other one), so applying one is a sum of stored
+integer columns and one field product; they return the residual as a
+scaled image, whose support qops.support_degrees reads.  A is
+qops.alphabet_difference of two transfers (series.transfer_*) on the
+slices of the one image, cross-multiplying their own scalars.  Aprime
+is A on the same image with the two transfers exchanged between the
+alphabets: the difference is nonzero exactly where the two sides' values
+differ, whichever side sits on x, so nothing is swapped.  Each trusted
+degree window is stated once, where the support is split into window and
+leak (_support_A in both orientations, _support_B, _support_C); the
+plain, alphabet-swapped and tilde checks format what these return.  The
+diagonal-kernel check runs the level differences, both swap tests and
+the shift operator at u = t on the same integer image, and its negative
+control on its own.  The Kaneko check's factored second-order operator
+is a qops.combine of single operator kinds (qops.apply_kind), never of
+the transfers, and matches B on a monomial cleared once for both.  Only
+the one-variable check reads values, through qops.on_values.
 
 All checks run over the exact coefficient field; there are no
 tolerances anywhere.  Parameter draws are seeded, so a fixed
@@ -46,7 +45,8 @@ every residual zero or nonzero and keeps its degree.  The transport also
 scales the alphabets by constants, which need no parameter: x -> c x
 multiplies a lowering transfer's value by c (degree -1 in its alphabet),
 a raising one's by 1/c (degree +1) and leaves a diagonal one's alone, so
-a residual's support is that of the plain residual on the mirror series.
+a residual's support is that of the plain residual on the mirror series,
+read in the same windows.
 """
 
 from __future__ import annotations
@@ -133,37 +133,67 @@ class TheoremReport:
 
 
 # ---------------------------------------------------------------------------
-# the paper's operators A, B and C, applied to a rendering
+# the paper's operators A, B and C, applied to a cleared rendering
 
-def _resid_A(F: BiSymPoly, p: HyperParams) -> BiSymPoly:
-    """A^(x,y) F up to a nonzero factor on each coefficient: the lowering
-    transfer on x, minus the raising transfer on y, on F cleared once."""
-    return alphabet_difference(to_scaled(F), transfer_lower(p.lower),
-                               transfer_raise(p.upper))
+def _resid_A(Fs: tuple[BiSymPoly, RatFuncQT], p: HyperParams,
+             swapped: bool = False) -> BiSymPoly:
+    """A^(x,y) F up to a nonzero factor on each coefficient, at F's
+    cleared image Fs: the lowering transfer on x minus the raising
+    transfer on y, or with the two exchanged between the alphabets."""
+    ops = transfer_lower(p.lower), transfer_raise(p.upper)
+    return alphabet_difference(Fs, *(ops[::-1] if swapped else ops))
 
 
-def _resid_B(f: SymPoly, p: HyperParams) -> Scaled:
-    """B^(x) f as a scaled image: the raising-paired diagonal transfer,
-    minus the lowering transfer, compiled as one sum.  At (r, s) = (2, 1)
-    this is Kaneko's operator."""
+def _resid_B(fs: Scaled, p: HyperParams) -> Scaled:
+    """B^(x) as one compiled sum: the raising-paired diagonal transfer,
+    minus the lowering transfer.  At (r, s) = (2, 1) it is Kaneko's."""
     return transfer_sum((1, "diag_raise", p.upper),
-                        (-1, "lower", p.lower))(to_scaled(f))
+                        (-1, "lower", p.lower))(fs)
 
 
-def _resid_C(f: SymPoly, p: HyperParams) -> Scaled:
-    """C^(x) f as a scaled image: the lowering-paired diagonal transfer,
-    minus the raising transfer, compiled as one sum."""
+def _resid_C(fs: Scaled, p: HyperParams) -> Scaled:
+    """C^(x) as one compiled sum: the lowering-paired diagonal transfer,
+    minus the raising transfer."""
     return transfer_sum((1, "diag_lower", p.lower),
-                        (-1, "raise", p.upper))(to_scaled(f))
+                        (-1, "raise", p.upper))(fs)
 
 
-def _renderings(series: TruncatedSeries, cache: MacdonaldCache):
-    """(m, one-alphabet rendering in m variables) for m = 1..n; the
-    series itself serves m = n, smaller counts are rebuilt unchanged."""
+# (residual support, its part in the trusted window) of each operator on
+# the series' cleared renderings
+def _support_A(series: TruncatedSeries, cache: MacdonaldCache,
+               swapped: bool = False) -> tuple[list, list]:
+    """Bidegrees of A's residual.  The lowering side reaches (e, e+1)
+    only for e <= D-1, so the single expected leak is (D, D+1), mirrored
+    when swapped."""
+    observed = _resid_A(series.cleared("two", cache), series.params,
+                        swapped).bidegrees()
+    step = -1 if swapped else 1
+    return observed, [(dx, dy) for dx, dy in observed
+                      if dy - dx == step and min(dx, dy) <= series.D - 1]
+
+
+def _support_B(series: TruncatedSeries,
+               cache: MacdonaldCache) -> tuple[list, list]:
+    """(m, degree) of B's residual on the one-alphabet rendering in m
+    variables, for m = 1..n; the series itself serves m = n, smaller
+    counts are rebuilt unmutated.  The lowering side reaches degree d
+    only from d+1 <= D, so degrees <= D-1 are trusted (leak at D)."""
+    observed = []
     for m in range(1, series.n + 1):
         sm = series if m == series.n else TruncatedSeries.build(
             m, series.D, series.params, series.flavor)
-        yield m, sm.render_one(cache)
+        fs = sm.cleared("one", cache)
+        observed += [(m, d) for d in support_degrees(_resid_B(fs, sm.params))]
+    return observed, [(m, d) for m, d in observed if d <= series.D - 1]
+
+
+def _support_C(series: TruncatedSeries,
+               cache: MacdonaldCache) -> tuple[list, list]:
+    """Degrees of C's residual.  The raising side only adds degrees above
+    the truncation, so every degree <= D is trusted (leak at D+1)."""
+    observed = support_degrees(_resid_C(series.cleared("one", cache),
+                                        series.params))
+    return observed, [d for d in observed if d <= series.D]
 
 
 # ---------------------------------------------------------------------------
@@ -229,29 +259,16 @@ def check_two_alphabet(series: TruncatedSeries,
                        cache: MacdonaldCache,
                        swapped: bool = False) -> TheoremReport:
     """A kills the two-alphabet rendering; swapped, A acts with the
-    alphabets exchanged.
-
-    Trusted bidegrees: the lowering side reaches (e, e+1) only for
-    e <= D-1, so the single expected leak is (D, D+1) (mirrored when
-    swapped).  The per-cover coefficient recursion is re-derived as an
-    independent route.
+    alphabets exchanged.  The trusted window is _support_A's.  The
+    per-cover coefficient recursion is re-derived as an independent
+    route.
     """
     n, D, p = series.n, series.D, series.params
-    F = series.render_two(cache)
-    if swapped:
-        resid = _resid_A(F.swap(), p).swap()
-        def in_window(dx, dy):
-            return dx == dy + 1 and dy <= D - 1
-        trusted = "bidegrees (e+1, e) with e <= D-1"
-    else:
-        resid = _resid_A(F, p)
-        def in_window(dx, dy):
-            return dy == dx + 1 and dx <= D - 1
-        trusted = "bidegrees (e, e+1) with e <= D-1"
-    observed = resid.bidegrees()
-    bad = [k for k in observed if in_window(*k)]
+    observed, bad = _support_A(series, cache, swapped)
+    trusted = ("bidegrees (e+1, e) with e <= D-1" if swapped
+               else "bidegrees (e, e+1) with e <= D-1")
     notes = []
-    leaks = [k for k in observed if not in_window(*k)]
+    leaks = [k for k in observed if k not in bad]
     if leaks:
         notes.append(f"leakage outside the window at {leaks} (expected at the "
                      f"truncation edge)")
@@ -300,14 +317,15 @@ def check_diagonal_match(series: TruncatedSeries,
     off-diagonal monomial term (the mutation hook).
     """
     n, D = series.n, series.D
-    F = series.render_two(cache)
     notes = []
-    if cross is not None:
-        F = F + BiSymPoly(n, {(make_partition(cross), ()): ONE})
+    # G is the rendering times a nonzero scalar, with integer coefficients,
+    # and every test below reads G; an injected term is cleared with it
+    if cross is None:
+        Gs = series.cleared("two", cache)
+    else:
+        Gs = to_scaled(series.render_two(cache)
+                       + BiSymPoly(n, {(make_partition(cross), ()): ONE}))
         notes.append(f"off-diagonal term injected at {format_partition(cross)}")
-    # one clearing: G is F times a nonzero scalar, with integer coefficients,
-    # and every test below reads G
-    Gs = to_scaled(F)
     G = Gs[0]
 
     # level 0 is the identity on both sides
@@ -475,20 +493,11 @@ def _stability_walk(series: TruncatedSeries) -> tuple[bool, list[str]]:
 def check_stability(series: TruncatedSeries,
                     cache: MacdonaldCache) -> TheoremReport:
     """B kills the one-alphabet rendering at every variable count
-    m = 1..n.
-
-    The lowering side reaches degree d only from d+1 <= D, so degrees
-    <= D-1 are trusted and the expected leak is at D.  The cover-sum
-    walk re-derives all coefficients as the independent route.
+    m = 1..n, in _support_B's trusted window.  The cover-sum walk
+    re-derives all coefficients as the independent route.
     """
     n, D, p = series.n, series.D, series.params
-    observed = set()
-    bad = []
-    for m, Fm in _renderings(series, cache):
-        for d in support_degrees(_resid_B(Fm, p)):
-            observed.add(d)
-            if d <= D - 1:
-                bad.append((m, d))
+    observed, bad = _support_B(series, cache)
     notes = []
     if bad:
         notes.append(f"in-window residuals at (m, degree) {sorted(bad)}")
@@ -503,7 +512,7 @@ def check_stability(series: TruncatedSeries,
         n=n, D=D, params=p.to_json(),
         passed=not bad and walk_ok,
         trusted="degrees <= D-1 at every variable count",
-        residual_degrees=sorted(observed),
+        residual_degrees=sorted({d for _, d in observed}),
         notes=notes)
 
 
@@ -512,15 +521,13 @@ def check_stability(series: TruncatedSeries,
 
 def check_single_alphabet(series: TruncatedSeries,
                           cache: MacdonaldCache) -> TheoremReport:
-    """C kills the one-alphabet rendering; the raising side only adds
-    degrees above the truncation, so every degree <= D is trusted (leak
-    at D+1).  The downward cover recursion re-derives each coefficient.
+    """C kills the one-alphabet rendering in _support_C's trusted window.
+    The downward cover recursion re-derives each coefficient.
     """
     n, D, p = series.n, series.D, series.params
-    observed = support_degrees(_resid_C(series.render_one(cache), p))
-    bad = [d for d in observed if d <= D]
+    observed, bad = _support_C(series, cache)
     notes = []
-    leaks = [d for d in observed if d > D]
+    leaks = [d for d in observed if d not in bad]
     if leaks:
         notes.append(f"leakage at degrees {leaks} (truncation edge)")
 
@@ -600,10 +607,11 @@ def _factored_second_order(gs: Scaled, a: RatFuncQT, b: RatFuncQT,
 def _matches_B(lam: Partition, p: HyperParams, scal: RatFuncQT,
                n: int) -> bool:
     """scal times the factored operator at p = (a, b; c) equals B at p on
-    m_lam: their difference has a zero image."""
-    f = basis_poly("m", lam, n)
-    lhs = _factored_second_order(to_scaled(f), *p.upper, p.lower[0], n)
-    return not combine(n, ((scal, lhs), (-ONE, _resid_B(f, p))))[0].coeffs
+    m_lam, cleared once for both: their difference has no support."""
+    fs = to_scaled(basis_poly("m", lam, n))
+    lhs = _factored_second_order(fs, *p.upper, p.lower[0], n)
+    return not support_degrees(combine(n, ((scal, lhs),
+                                           (-ONE, _resid_B(fs, p)))))
 
 
 def check_factored_form(series: TruncatedSeries,
@@ -641,8 +649,8 @@ def check_factored_form(series: TruncatedSeries,
     notes.append("zero-parameter collapse "
                  + ("verified" if col_bad == 0 else "FAILED"))
 
-    F = series.render_one(cache)
-    observed = support_degrees(_factored_second_order(to_scaled(F), a, b, c, n))
+    observed = support_degrees(_factored_second_order(
+        series.cleared("one", cache), a, b, c, n))
     bad = [d for d in observed if d <= D - 1]
     leaks = [d for d in observed if d > D - 1]
     if leaks:
@@ -673,37 +681,23 @@ def check_inverted_theorems(params: HyperParams, plain: TruncatedSeries,
     iota(1/q) = q must equal the falling q-product, which is checked
     directly.  The inversion keeps every residual degree.
     """
-    n, D, p = plain.n, plain.D, plain.params
+    n, D = plain.n, plain.D
     notes = []
-    bad = []
-    observed = set()
-
-    # two-alphabet form: A
-    for dx, dy in _resid_A(plain.render_two(cache), p).bidegrees():
-        observed.add((dx, dy))
-        if dy == dx + 1 and dx <= D - 1:
-            bad.append(("xy", dx, dy))
-
-    # variable-count loop: B at each m
-    for m, Fm in _renderings(plain, cache):
-        for dg in support_degrees(_resid_B(Fm, p)):
-            observed.add((m, dg))
-            if dg <= D - 1:
-                bad.append(("loop", m, dg))
-
-    # one-alphabet raising form: C on the rendering at m = n, where the
-    # loop ended
-    for dg in support_degrees(_resid_C(Fm, p)):
-        observed.add(("raise", dg))
-        if dg <= D:
-            bad.append(("raise", dg))
+    # A on two alphabets, B at each m (the loop) and C (raising), each in
+    # its plain window
+    obs_A, bad_A = _support_A(plain, cache)
+    obs_B, bad_B = _support_B(plain, cache)
+    obs_C, bad_C = _support_C(plain, cache)
+    observed = {*obs_A, *obs_B, *(("raise", dg) for dg in obs_C)}
+    bad = ([("xy", *k) for k in bad_A] + [("loop", *k) for k in bad_B]
+           + [("raise", dg) for dg in bad_C])
 
     if params.r == 0 and params.s == 0:
         # closing identity: the empty-shape series is the falling q-product
         c = invert_qt(flavor_scale_one(params))
         if c != Q:
             raise MacHyperError("empty-shape scaling constant is not 1/q")
-        if invert_coeffs(scale_alphabet(Fm, c)) == \
+        if invert_coeffs(scale_alphabet(plain.render_one(cache), c)) == \
                 product_series_one("dir", n, D):
             notes.append("empty-shape rendering equals the falling q-product")
         else:

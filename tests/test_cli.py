@@ -279,8 +279,8 @@ def test_resource_guards_before_work(monkeypatch, capsys):
 
 def test_size_flags_below_minimum_are_usage_errors(monkeypatch, capsys,
                                                    tmp_path):
-    # --n below 1 and --max-size below 0 are refused in every subcommand
-    # that reads them, before any work
+    # --n below 1, and --D and --max-size below 0, are refused in every
+    # subcommand that reads them, before any work
     import machyper.verify as verify
     def unreachable(*args, **kwargs):
         raise AssertionError("refused request reached the computation")
@@ -294,6 +294,7 @@ def test_size_flags_below_minimum_are_usage_errors(monkeypatch, capsys,
     cases = [
         (["compute", "P", "--partition", "[]", "--n", "0"], "--n 0", 1),
         (["compute", "series", "--n", "-1", "--D", "2"], "--n -1", 1),
+        (["compute", "series", "--n", "2", "--D", "-1"], "--D -1", 0),
         (["compute", "binomial", "--upper", "[1]", "--lower", "[]",
           "--n", "0"], "--n 0", 1),
         (["compute", "eigen", "--partition", "[]", "--n", "0"], "--n 0", 1),

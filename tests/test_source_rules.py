@@ -254,6 +254,20 @@ def test_verify_combines_only_in_the_kaneko_oracle():
     assert found == []
 
 
+# the functions of verify that may clear a value: the kernel check, for
+# the rendering with an injected term and for its negative control, and
+# the Kaneko comparison, for a monomial.  A series keeps the cleared image
+# of each of its renderings, and every other check reads that
+TO_SCALED_SCOPES = {"check_diagonal_match", "_matches_B"}
+
+
+def test_verify_clears_only_what_no_series_keeps():
+    found = [f"verify.py:{line} {scope}"
+             for line, scope in _scopes_naming(SRC / "verify.py", "to_scaled")
+             if scope not in TO_SCALED_SCOPES]
+    assert found == []
+
+
 # where a rational number may enter or leave the field layer; everything
 # else in ratfunc computes over Z
 RATIONAL_SCOPES = {

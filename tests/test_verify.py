@@ -157,20 +157,25 @@ def test_reports_frozen(cache):
 def test_residual_support_from_numerators(cache, n, mutate):
     # the residuals never divide: their support, read from the numerators,
     # is the support of the normalized residual built from the transfers'
-    # values, on a mutated series where it is nonempty
+    # values, on a mutated series where it is nonempty.  A in the exchanged
+    # orientation reads the same cleared image as A, in F's orientation
     D = 3
     p = draw_hyper_params(random.Random(11), 2, 1, n, D)
     ser = TruncatedSeries.build(n, D, p).mutate(mutate)
     F, f = ser.render_two(cache), ser.render_one(cache)
+    Fs, fs = ser.cleared("two", cache), ser.cleared("one", cache)
+    assert (Fs, fs) == (to_scaled(F), to_scaled(f))
     lower = on_values(transfer_lower(p.lower))
     raised = on_values(transfer_raise(p.upper))
     ref_A = F.apply_x(lower) - F.swap().apply_x(raised).swap()
-    got_A = _resid_A(F, p)
-    assert got_A.coeffs and set(got_A.coeffs) == set(ref_A.coeffs)
-    assert got_A.bidegrees() == ref_A.bidegrees()
+    ref_Aprime = F.swap().apply_x(lower).swap() - F.apply_x(raised)
+    for swapped, ref in ((False, ref_A), (True, ref_Aprime)):
+        got_A = _resid_A(Fs, p, swapped)
+        assert got_A.coeffs and set(got_A.coeffs) == set(ref.coeffs), swapped
+        assert got_A.bidegrees() == ref.bidegrees(), swapped
     ref_B = on_values(transfer_diag_raise(p.upper))(f) - lower(f)
     ref_C = on_values(transfer_diag_lower(p.lower))(f) - raised(f)
-    for got, ref in ((_resid_B(f, p), ref_B), (_resid_C(f, p), ref_C)):
+    for got, ref in ((_resid_B(fs, p), ref_B), (_resid_C(fs, p), ref_C)):
         assert got[0].coeffs and set(got[0].coeffs) == set(ref.coeffs)
         assert unscale(got) == ref
 
@@ -192,10 +197,10 @@ def test_B_and_C_apply_one_compiled_sum(n):
             m = basis_poly("m", mu, n)
             assert unscale(apply_compiled(compiled, (m, ONE))) == \
                 on_values(diag)(m) - on_values(other)(m), (resid.__name__, mu)
-        f = basis_poly("m", (1,), n)
-        resid(f, p)
+        fs = to_scaled(basis_poly("m", (1,), n))
+        resid(fs, p)
         stats.reset()
-        resid(f, p)
+        resid(fs, p)
         snap = stats.snapshot()
         assert (snap["transfers_compiled"], snap["transfers_reused"]) == (0, 1)
 
@@ -229,6 +234,24 @@ def test_kernel_residual_support_from_cleared_image(cache, n):
             report = verify.check_diagonal_match(ser, cache, cross=cross)
             assert report.residual_degrees == [list(k) for k in sorted(want)]
             assert report.passed == (cross is None)
+
+
+def test_each_two_alphabet_rendering_is_cleared_once(cache, monkeypatch):
+    # A, Aprime and the kernel check read one cleared image of each
+    # series, and tilde's A one of each mirror; the kernel check's negative
+    # control is cleared on its own.  Four draws at n = 2 give 4 series,
+    # 4 mirrors and 4 negative controls
+    real = verify.to_scaled
+    cleared = []
+
+    def counting(f):
+        cleared.append(type(f))
+        return real(f)
+    monkeypatch.setattr(series, "to_scaled", counting)
+    monkeypatch.setattr(verify, "to_scaled", counting)
+    reports = run_suite("all", n=2, D=2, draws=1, seed=1, cache=cache)
+    assert suite_passed(reports)
+    assert cleared.count(BiSymPoly) == 12
 
 
 # ---------------------------------------------------------------------------
