@@ -275,15 +275,16 @@ _COMPUTE_DEFAULTS = {"D": 4, "flavor": "macdonald", "level": 1,
                      "direction": "raise"}
 
 
-def _refuse_unread(args) -> None:
-    """Raise UsageError for an object-specific flag given to compute for
-    an object that does not read it; then fill in the defaults of the
-    flags the object reads and was not given."""
-    for name, objects in _COMPUTE_FLAGS.items():
-        if getattr(args, name) is not None and args.object not in objects:
-            raise UsageError(f"--{name} is not used by compute {args.object}")
-    for name, value in _COMPUTE_DEFAULTS.items():
-        if getattr(args, name) is None and args.object in _COMPUTE_FLAGS[name]:
+def _refuse_unread(args, choice, flags, defaults) -> None:
+    """Raise UsageError for a flag given for a choice (compute's object,
+    cache's action) that does not read it, as flags says; then fill in the
+    defaults of the flags the choice reads and was not given."""
+    for name, choices in flags.items():
+        if getattr(args, name) is not None and choice not in choices:
+            raise UsageError(f"--{name.replace('_', '-')} is not used by "
+                             f"{args.command} {choice}")
+    for name, value in defaults.items():
+        if getattr(args, name) is None and choice in flags[name]:
             setattr(args, name, value)
 
 
@@ -297,7 +298,7 @@ def _need(args, *names) -> None:
 # commands
 
 def cmd_compute(args) -> int:
-    _refuse_unread(args)
+    _refuse_unread(args, args.object, _COMPUTE_FLAGS, _COMPUTE_DEFAULTS)
     _guard(args, "n", "D")
     cache = _cache_from_args(args)
     obj = args.object
@@ -368,8 +369,10 @@ def cmd_table(args) -> int:
         else:
             for lam, p in rows:
                 print(f"{args.object}{format_partition(lam)} = {p.render()}")
-    else:  # binomial
-        for mu in enumerate_partitions(max(args.max_size - 1, 0), args.n):
+    else:  # binomial: the covers whose upper has at most max_size boxes
+        lowers = (enumerate_partitions(args.max_size - 1, args.n)
+                  if args.max_size else [])
+        for mu in lowers:
             for cv in upper_covers(mu, args.n):
                 val = binomial_raising_closed(cv.upper, mu, args.n)
                 rows.append((cv.upper, mu, val))
@@ -400,6 +403,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cache(args) -> int:
+    _refuse_unread(args, args.action, {"n": ("warm",), "max_size": ("warm",)},
+                   {"n": 2, "max_size": 4})
     cache = _cache_from_args(args)
     if args.action == "dir":
         print(cache.cache_dir or "(memory only)")
@@ -490,8 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cac = sub.add_parser("cache", help="manage the polynomial cache")
     cac.add_argument("action", choices=("dir", "list", "clear", "warm"))
-    cac.add_argument("--n", type=int, default=2)
-    cac.add_argument("--max-size", type=int, default=4, dest="max_size")
+    cac.add_argument("--n", type=int, default=None)
+    cac.add_argument("--max-size", type=int, default=None, dest="max_size")
     common(cac, cache_only=True)
     cac.set_defaults(func=cmd_cache)
 

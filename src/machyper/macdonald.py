@@ -503,7 +503,8 @@ def cauchy_truncated(n: int, D: int, cache: MacdonaldCache
     for d in range(D + 1):
         for lam in partitions_of(d, n):
             forms = macdonald_forms(lam, n, cache)
-            sum_side = sum_side.add_product(forms.hook_pair.inverse(), forms.J, forms.J)
+            jx = forms.J.scale_rf(forms.hook_pair.inverse())
+            sum_side = sum_side + BiSymPoly.outer(jx, forms.J)
 
     gk = [ONE]
     for k in range(1, D + 1):

@@ -201,8 +201,8 @@ class TruncatedSeries:
             out = BiSymPoly.zero(self.n)
             for lam, c in self.coeffs.items():
                 forms = macdonald_forms(lam, self.n, cache)
-                scal = c * t_monomial(n_stat(lam))
-                out = out.add_product(scal, forms.Jnorm, forms.Jstar)
+                jx = forms.Jnorm.scale_rf(c * t_monomial(n_stat(lam)))
+                out = out + BiSymPoly.outer(jx, forms.Jstar)
             self._rendered[key] = out
         return self._rendered[key]
 

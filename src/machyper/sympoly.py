@@ -379,19 +379,13 @@ class BiSymPoly(MonomialExpansion):
 
     __slots__ = ()
 
-    def add_product(self, c: RatFuncQT, fx: SymPoly, gy: SymPoly) -> "BiSymPoly":
-        out = dict(self.coeffs)
-        for lx, cx in fx.coeffs.items():
-            for ly, cy in gy.coeffs.items():
-                v = c * cx * cy
-                k = (lx, ly)
-                s = out.get(k)
-                s = v if s is None else s + v
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return BiSymPoly(self.n_vars, out)
+    @classmethod
+    def outer(cls, fx: SymPoly, gy: SymPoly) -> "BiSymPoly":
+        """The product fx(x) * gy(y), which holds no zero coefficient."""
+        if fx.n_vars != gy.n_vars:
+            raise ValueError("variable counts differ")
+        return cls(fx.n_vars, {(lx, ly): cx * cy for lx, cx in fx.coeffs.items()
+                               for ly, cy in gy.coeffs.items()})
 
     def swap(self) -> "BiSymPoly":
         return BiSymPoly(self.n_vars, {(ly, lx): c for (lx, ly), c in self.coeffs.items()})

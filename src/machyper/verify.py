@@ -25,10 +25,11 @@ leak (_support_A in both orientations, _support_B, _support_C); the
 plain, alphabet-swapped and tilde checks format what these return.  The
 diagonal-kernel check runs the level differences, both swap tests and
 the shift operator at u = t on the same integer image, and its negative
-control on its own.  The Kaneko check's factored second-order operator
-is a qops.combine of single operator kinds (qops.apply_kind), never of
-the transfers, and matches B on a monomial cleared once for both.  Only
-the one-variable check reads values, through qops.on_values.
+control on m_(1)(x) m_(2)(y), which is its own integer image.  The Kaneko
+check's factored second-order operator is a qops.combine of single
+operator kinds (qops.apply_kind), never of the transfers, and matches B
+on a monomial cleared once for both.  Only the one-variable check reads
+values, through qops.on_values.
 
 All checks run over the exact coefficient field; there are no
 tolerances anywhere.  Parameter draws are seeded, so a fixed
@@ -349,15 +350,13 @@ def check_diagonal_match(series: TruncatedSeries,
     if not sym_after:
         notes.append("swap invariance fails after the shift operator")
 
-    # negative control: an off-diagonal product must be rejected
-    f1 = macdonald_forms((1,), n, cache).J
-    f2 = macdonald_forms((2,), n, cache).J
-    neg = BiSymPoly.zero(n).add_product(ONE, f1, f2)
+    # negative control: the off-diagonal m_(1)(x) m_(2)(y), its own integer
+    # image, must be rejected (D_1 separates (1) from (2))
+    neg = BiSymPoly(n, {((1,), (2,)): ONE})
     control = neg.swap() != neg
     if not control:
         notes.append("negative control unexpectedly swap-invariant")
-    neg_s = to_scaled(neg)
-    hit = any(not alphabet_difference(neg_s, op, op).is_zero()
+    hit = any(not alphabet_difference((neg, ONE), op, op).is_zero()
               for op in level_ops)
     if not hit:
         notes.append("negative control passed the level checks (it must not)")

@@ -18,6 +18,7 @@ from machyper.cli import (EXIT_INTERNAL, EXIT_PASS, EXIT_POLE, EXIT_RESOURCE,
                           parse_param_expr)
 from machyper.errors import (InexactDivisionError, LimitError, MacHyperError,
                              NotSymmetricError, ResourceGuardError)
+from machyper.partitions import enumerate_partitions
 from machyper.ratfunc import ONE, Q, T, rf
 from machyper.verify import (MAX_SUITE_DEGREE, MAX_SUITE_DRAWS, MAX_SUITE_VARS,
                              _draw_field_value)
@@ -120,6 +121,17 @@ def test_table_binomial(capsys):
                  "--max-size", "2"]) == EXIT_PASS
     out = capsys.readouterr().out
     assert "binomial [1] over [] = 1" in out
+    # no cover pair has an upper partition of at most 0 boxes, as table P
+    # at 0 lists only P[]; size 1 still lists the one pair
+    assert main(["table", "binomial", "--max-size", "0", "--n", "2"]) \
+        == EXIT_PASS
+    assert capsys.readouterr().out == ""
+    assert main(["table", "binomial", "--max-size", "0", "--n", "2",
+                 "--format", "json"]) == EXIT_PASS
+    assert capsys.readouterr().out == "[]\n"
+    assert main(["table", "binomial", "--max-size", "1", "--n", "2"]) \
+        == EXIT_PASS
+    assert capsys.readouterr().out == "binomial [1] over [] = 1\n"
 
 
 def test_json_outputs_byte_identical(capsys):
@@ -526,6 +538,34 @@ def test_cache_flow(tmp_path, capsys):
     assert "removed 4" in capsys.readouterr().out
     assert main(["cache", "list", "--dir", d]) == EXIT_PASS
     assert capsys.readouterr().out.strip() == ""
+
+
+def test_cache_refuses_size_flags_it_does_not_read(tmp_path, capsys):
+    # only warm reads --n and --max-size; dir, list and clear refuse them
+    # before the directory is touched, and warm keeps its defaults
+    d = str(tmp_path / "cachedir")
+    assert main(["cache", "warm", "--dir", d, "--n", "2",
+                 "--max-size", "2"]) == EXIT_PASS
+    capsys.readouterr()
+    kept = sorted(os.listdir(d))
+    assert len(kept) == 4
+    fresh = str(tmp_path / "fresh")
+    for action in ("dir", "list", "clear"):
+        for flags, flag in ((["--n", "3"], "--n"),
+                            (["--max-size", "9"], "--max-size"),
+                            (["--n", "3", "--max-size", "9"], "--n")):
+            for where in (d, fresh):
+                argv = ["cache", action] + flags + ["--dir", where]
+                assert main(argv) == EXIT_USAGE, argv
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == (f"machyper: {flag} is not used by "
+                                        f"cache {action}\n")
+    assert sorted(os.listdir(d)) == kept
+    assert not os.path.exists(fresh)
+    assert main(["cache", "warm", "--dir", fresh]) == EXIT_PASS
+    assert capsys.readouterr().out == (
+        f"cached {len(enumerate_partitions(4, 2))} entries under {fresh}\n")
 
 
 def test_cache_requires_directory(monkeypatch, capsys):

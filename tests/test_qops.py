@@ -346,8 +346,8 @@ def test_two_alphabet_clearing(cache):
     lam_x, lam_y = (2, 1), (1,)
     forms_x = macdonald_forms(lam_x, 2, cache)
     forms_y = macdonald_forms(lam_y, 2, cache)
-    F = BiSymPoly.zero(2).add_product((ONE - Q * T).inverse(), forms_x.Jnorm,
-                                      forms_y.Jstar)
+    F = BiSymPoly.outer(forms_x.Jnorm.scale_rf((ONE - Q * T).inverse()),
+                        forms_y.Jstar)
     F = F + BiSymPoly(2, {((1,), ()): rf(Fraction(1, 3))})
     G, s = qops.to_scaled(F)
     assert type(G) is BiSymPoly and G.coeffs.keys() == F.coeffs.keys()

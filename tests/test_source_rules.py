@@ -255,9 +255,9 @@ def test_verify_combines_only_in_the_kaneko_oracle():
 
 
 # the functions of verify that may clear a value: the kernel check, for
-# the rendering with an injected term and for its negative control, and
-# the Kaneko comparison, for a monomial.  A series keeps the cleared image
-# of each of its renderings, and every other check reads that
+# the rendering with an injected term, and the Kaneko comparison, for a
+# monomial.  A series keeps the cleared image of each of its renderings,
+# and every other check reads that
 TO_SCALED_SCOPES = {"check_diagonal_match", "_matches_B"}
 
 

@@ -115,11 +115,25 @@ def test_hall_inner_bilinear():
 
 def test_bisym_swap_involution():
     n = 2
-    F2 = BiSymPoly.zero(n).add_product(Q, m((1,), n), m((2,), n))
-    F2 = F2.add_product(ONE, m((1, 1), n), SymPoly.one(n))
+    F2 = (BiSymPoly.outer(m((1,), n).scale_rf(Q), m((2,), n))
+          + BiSymPoly.outer(m((1, 1), n), SymPoly.one(n)))
     assert F2.swap().swap() == F2
-    sym = BiSymPoly.zero(n).add_product(ONE, m((1,), n), m((1,), n))
+    sym = BiSymPoly.outer(m((1,), n), m((1,), n))
     assert sym.swap() == sym
+
+
+def test_bisym_outer():
+    n = 2
+    f = m((1,), n).scale_rf(Q) + m((1, 1), n)
+    g = m((2,), n) + SymPoly.one(n).scale_rf(T)
+    F2 = BiSymPoly.outer(f, g)
+    assert F2.coeffs == {(lx, ly): cx * cy for lx, cx in f.coeffs.items()
+                         for ly, cy in g.coeffs.items()}
+    assert BiSymPoly.outer(f, g + g) == F2 + F2
+    assert BiSymPoly.outer(g, f) == F2.swap()
+    assert BiSymPoly.outer(f, SymPoly.zero(n)).is_zero()
+    with pytest.raises(ValueError):
+        BiSymPoly.outer(f, m((1,), 3))
 
 
 def test_bisym_apply_x_y():
@@ -128,7 +142,7 @@ def test_bisym_apply_x_y():
     def double(f: SymPoly) -> SymPoly:
         return f.scale_rf(rf(2))
 
-    F2 = BiSymPoly.zero(n).add_product(Q, m((1,), n), m((2,), n))
+    F2 = BiSymPoly.outer(m((1,), n).scale_rf(Q), m((2,), n))
     assert F2.apply_x(double) == F2.scale_rf(rf(2))
     # x-side op acts only on the x slice
     def raise_deg(f: SymPoly) -> SymPoly:
@@ -142,7 +156,6 @@ def test_bisym_apply_x_y():
 
 def test_bisym_bidegrees():
     n = 2
-    F2 = BiSymPoly.zero(n)
-    F2 = F2.add_product(ONE, SymPoly.one(n), SymPoly.one(n))
-    F2 = F2.add_product(T, m((1,), n), m((1,), n))
+    F2 = (BiSymPoly.outer(SymPoly.one(n), SymPoly.one(n))
+          + BiSymPoly.outer(m((1,), n).scale_rf(T), m((1,), n)))
     assert F2.bidegrees() == [(0, 0), (1, 1)]

@@ -14,13 +14,14 @@ from machyper import stats
 from machyper.errors import (LimitError, MacHyperError, PoleError,
                              ResourceGuardError)
 from machyper.partitions import enumerate_partitions
-from machyper.qops import (alphabet_difference, apply_compiled, apply_kind,
+from machyper.qops import (alphabet_difference, apply_ad_lower_upto,
+                           apply_ad_raise_upto, apply_compiled, apply_kind,
                            on_values, to_scaled, unscale)
-from machyper.ratfunc import ONE, Q, T, rf
+from machyper.ratfunc import ONE, Q, T, elementary_symmetric, rf
 from machyper.series import (HyperParams, TruncatedSeries, check_lower_poles,
                              transfer_diag_lower, transfer_diag_raise,
                              transfer_lower, transfer_raise)
-from machyper.sympoly import BiSymPoly, basis_poly
+from machyper.sympoly import BiSymPoly, SymPoly, basis_poly
 from machyper.verify import (DEFAULT_SEED, MAX_SUITE_VARS, PARAM_GRID,
                              SUITE_ORDER, _resid_A, _resid_B, _resid_C,
                              check_classical_limit, draw_hyper_params,
@@ -206,6 +207,38 @@ def test_B_and_C_apply_one_compiled_sum(n):
 
 
 @pytest.mark.parametrize("n", (2, 3))
+def test_A_applies_two_stored_transfers(n):
+    # A's two sides are the one-part compiled sums of the lowering and the
+    # raising transfer: at m_mu, for every |mu| <= D+1, each is that
+    # transfer's value, which is also sum_l (-1)^l e_l(values) times the
+    # l-fold commutator read from the uncompiled level list; a warm
+    # residual of one term, one slice per alphabet, reads the two sums
+    D = 2
+    p = draw_hyper_params(random.Random(1), 2, 1, n, D)
+    cases = ((("lower", p.lower), transfer_lower(p.lower), apply_ad_lower_upto),
+             (("raise", p.upper), transfer_raise(p.upper), apply_ad_raise_upto))
+    for (kind, values), transfer, levels in cases:
+        compiled = series._compiled(((1, kind, values),), n)
+        coeffs = elementary_symmetric(list(values))
+        for mu in enumerate_partitions(D + 1, n):
+            m = basis_poly("m", mu, n)
+            got = unscale(apply_compiled(compiled, (m, ONE)))
+            assert got == on_values(transfer)(m), (kind, mu)
+            want = SymPoly.zero(n)
+            for l, gs in enumerate(levels(len(values), (m, ONE))):
+                want = want + unscale(gs).scale_rf(coeffs[l] if l % 2 == 0
+                                                   else -coeffs[l])
+            assert got == want, (kind, mu)
+    Fs = (BiSymPoly(n, {((1,), ()): ONE}), ONE)
+    for swapped in (False, True):
+        _resid_A(Fs, p, swapped)
+        stats.reset()
+        _resid_A(Fs, p, swapped)
+        snap = stats.snapshot()
+        assert (snap["transfers_compiled"], snap["transfers_reused"]) == (0, 2)
+
+
+@pytest.mark.parametrize("n", (2, 3))
 def test_kernel_residual_support_from_cleared_image(cache, n):
     # the kernel check clears the rendering once and compares integer
     # images; each level difference has the support of the literal value
@@ -239,8 +272,8 @@ def test_kernel_residual_support_from_cleared_image(cache, n):
 def test_each_two_alphabet_rendering_is_cleared_once(cache, monkeypatch):
     # A, Aprime and the kernel check read one cleared image of each
     # series, and tilde's A one of each mirror; the kernel check's negative
-    # control is cleared on its own.  Four draws at n = 2 give 4 series,
-    # 4 mirrors and 4 negative controls
+    # control is a monomial product, its own integer image.  Four draws at
+    # n = 2 give 4 series and 4 mirrors
     real = verify.to_scaled
     cleared = []
 
@@ -251,7 +284,7 @@ def test_each_two_alphabet_rendering_is_cleared_once(cache, monkeypatch):
     monkeypatch.setattr(verify, "to_scaled", counting)
     reports = run_suite("all", n=2, D=2, draws=1, seed=1, cache=cache)
     assert suite_passed(reports)
-    assert cleared.count(BiSymPoly) == 12
+    assert cleared.count(BiSymPoly) == 8
 
 
 # ---------------------------------------------------------------------------
