@@ -54,6 +54,7 @@ import threading
 from collections import Counter
 from functools import cached_property, lru_cache
 
+from . import stats
 from .errors import InexactDivisionError, MacHyperError
 from .partitions import (Partition, SkewCover, cells, conjugate, dominates,
                          format_partition, hook_products, length,
@@ -91,38 +92,17 @@ class MacdonaldCache:
         return os.path.join(self.cache_dir, f"P_n{n}_{name}.json")
 
     def _load_disk(self, lam: Partition, n: int) -> SymPoly | None:
+        """The entry at (lam, n) read from its file, or None when there is
+        none; a file that exists but is rejected counts in stats as
+        cache_files_rejected."""
         if not self.cache_dir:
             return None
         path = self._path(lam, n)
         if not os.path.exists(path):
             return None
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            if (not isinstance(data, dict) or data.get("format") != _FORMAT
-                    or data.get("n") != n):
-                return None
-            if make_partition(data.get("partition", [])) != lam:
-                return None
-            # degrees stay within the lower hook product's: n(lam') in q,
-            # n(lam) + |lam| in t, both at most |lam|^2
-            top = size(lam) ** 2
-            coeffs = {}
-            for entry in data["coeffs"]:
-                mu = make_partition(entry["partition"])
-                value = entry["value"]
-                for dq, dt, c in value["num"] + value["den"]:
-                    if not (type(dq) is int and 0 <= dq <= top
-                            and type(dt) is int and 0 <= dt <= top
-                            and type(c) is str and _RATIONAL.fullmatch(c)):
-                        return None
-                coeffs[mu] = RatFuncQT.from_json(value)
-            poly = SymPoly.from_coeffs(n, coeffs)
-        except (KeyError, ValueError, TypeError, OverflowError,
-                ZeroDivisionError, json.JSONDecodeError):
-            return None
-        if not _monic_triangular(poly, lam) or not _principal_matches(poly, lam, n):
-            return None
+        poly = _read_entry(path, lam, n)
+        if poly is None:
+            stats.COUNTS["cache_files_rejected"] += 1
         return poly
 
     def _store_disk(self, lam: Partition, n: int, poly: SymPoly) -> None:
@@ -194,6 +174,40 @@ class MacdonaldCache:
         if hit is None:
             hit = self._forms[key] = MacForms(lam, n, self.get_P(lam, n))
         return hit
+
+
+def _read_entry(path: str, lam: Partition, n: int) -> SymPoly | None:
+    """The basis element in the cache file at path, or None unless the file
+    holds (lam, n) in the current format, with bounded terms, monic,
+    dominance-triangular and passing the principal-value audit."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        if (not isinstance(data, dict) or data.get("format") != _FORMAT
+                or data.get("n") != n):
+            return None
+        if make_partition(data.get("partition", [])) != lam:
+            return None
+        # degrees stay within the lower hook product's: n(lam') in q,
+        # n(lam) + |lam| in t, both at most |lam|^2
+        top = size(lam) ** 2
+        coeffs = {}
+        for entry in data["coeffs"]:
+            mu = make_partition(entry["partition"])
+            value = entry["value"]
+            for dq, dt, c in value["num"] + value["den"]:
+                if not (type(dq) is int and 0 <= dq <= top
+                        and type(dt) is int and 0 <= dt <= top
+                        and type(c) is str and _RATIONAL.fullmatch(c)):
+                    return None
+            coeffs[mu] = RatFuncQT.from_json(value)
+        poly = SymPoly.from_coeffs(n, coeffs)
+    except (KeyError, ValueError, TypeError, OverflowError,
+            ZeroDivisionError, json.JSONDecodeError):
+        return None
+    if not _monic_triangular(poly, lam) or not _principal_matches(poly, lam, n):
+        return None
+    return poly
 
 
 # ---------------------------------------------------------------------------

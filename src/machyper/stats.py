@@ -1,7 +1,9 @@
 """Plain counters of the work the library does, read through snapshot().
 
 It covers the field layer (ratfunc), the transfer store (series), the
-columns of the compiled transfers and the operator column store (qops):
+columns of the compiled transfers and the operator column store (qops),
+the Kaneko check's store of monomial images (verify) and the basis
+cache files (macdonald):
 
 - gcd_calls: bivariate polynomial gcds (ratfunc._pgcd), shortcuts included;
 - divisions_screened: trial divisions by a base element that the value
@@ -23,6 +25,12 @@ columns of the compiled transfers and the operator column store (qops):
 - transfer_columns_reused: column lookups that found the column made;
 - operator_columns_built: columns of a single operator kind built by the
   literal assembly (qops.column), one per miss of its store;
+- factored_images_built: monomial inputs whose parameter-free images under
+  the Kaneko check's literal operator were built (verify._factored_monomial),
+  one per miss of its store;
+- cache_files_rejected: basis cache files that exist but failed to parse
+  or to pass the audit on reading (MacdonaldCache._load_disk), each then
+  rebuilt; a missing file does not count;
 - base_size: the number of elements the base holds now (a level, not a
   count, so reset() leaves it alone);
 - operator_columns_held: the number of columns the store of qops.column
@@ -42,7 +50,8 @@ COUNTS: dict[str, int] = dict.fromkeys(
      "divisions_refused", "base_refinements", "factorizations",
      "factorizations_reused", "transfers_compiled", "transfers_reused",
      "transfer_columns_built", "transfer_columns_reused",
-     "operator_columns_built"), 0)
+     "operator_columns_built", "factored_images_built",
+     "cache_files_rejected"), 0)
 
 LEVELS: dict[str, Callable[[], int]] = {}
 

@@ -27,8 +27,9 @@ diagonal-kernel check runs the level differences, both swap tests and
 the shift operator at u = t on the same integer image, and its negative
 control on m_(1)(x) m_(2)(y), which is its own integer image.  The Kaneko
 check's factored second-order operator is a qops.combine of single
-operator kinds (qops.apply_kind), never of the transfers, and matches B
-on a monomial cleared once for both.  Only the one-variable check reads
+operator kinds (qops.apply_kind), never of the transfers: six images of
+its input weighted by six scalars in the parameters, and it matches B on
+a monomial cleared once for both.  Only the one-variable check reads
 values, through qops.on_values.
 
 All checks run over the exact coefficient field; there are no
@@ -36,8 +37,9 @@ tolerances anywhere.  Parameter draws are seeded, so a fixed
 (selection, n, D, seed) reproduces byte-identical reports.  What holds
 no parameter is computed once per process and kept for every check and
 seed: the cover coefficients that the B and C cover recursions read
-(_cover_binomial, per (upper, lower, n)) and the Jack oracle
-(jack_oracle, per (lam, k, n)).
+(_cover_binomial, per (upper, lower, n)), the Kaneko check's cleared
+monomials with their six images (_factored_monomial, per (lam, n)) and
+the Jack oracle (jack_oracle, per (lam, k, n)).
 
 The tilde identities concern the series at reciprocal q, t and
 reciprocal parameters.  They run on its iota-image, the series at
@@ -58,6 +60,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
+from . import stats
 from .errors import LimitError, MacHyperError, PoleError, ResourceGuardError
 from .ratfunc import (ONE, Q, RatFuncQT, T, invert_qt, rf, t_integer,
                       t_monomial)
@@ -564,19 +567,23 @@ def check_single_alphabet(series: TruncatedSeries,
 # ---------------------------------------------------------------------------
 # the factored second-order operator
 
-def _factored_second_order(gs: Scaled, a: RatFuncQT, b: RatFuncQT,
-                           c: RatFuncQT, n: int) -> Scaled:
-    """Literal term-by-term assembly of the second-order hypergeometric
-    operator with numerator parameters a, b and denominator parameter c,
-    at the scaled image gs.  Written against the classical shape (shifted
-    first- and second-level shift operators, and the commutator of the
-    weight and lowering operators as two compositions), not against the
-    transfer combination it is later compared to.
+# the monomial inputs whose images are kept: |lam| <= 4 in at most
+# MAX_SUITE_VARS variables makes 32 keys
+MAX_FACTORED_INPUTS = 64
+
+
+def _factored_images(gs: Scaled, n: int) -> tuple[Scaled, ...]:
+    """The parameter-free part of the literal second-order hypergeometric
+    operator at the scaled image gs: the six images that its terms weight
+    (_factored_scalars), namely the commutator of the weight and lowering
+    operators, X(X g), Y g, the lowering image, X g and g.  Written against
+    the classical shape (shifted first- and second-level shift operators,
+    and the commutator as two compositions), not against the transfer
+    combination it is later compared to.
     """
     one_q = ONE - Q
     nt = t_integer(n)
     nt1 = t_integer(n - 1)
-    tpow = t_monomial(n - 1)
     # X = (D_1 - [n]_t) / (1-q), Y = ((1+t) D_2 - t [n]_t [n-1]_t) / k
     x1, x0 = ONE / one_q, -nt / one_q
     k = one_q * (ONE - T ** 2)
@@ -585,30 +592,58 @@ def _factored_second_order(gs: Scaled, a: RatFuncQT, b: RatFuncQT,
     def X(hs: Scaled) -> Scaled:
         return combine(n, ((x1, apply_kind(1, hs)), (x0, hs)))
 
-    def Y(hs: Scaled) -> Scaled:
-        return combine(n, ((y2, apply_kind(2, hs)), (y0, hs)))
-
-    def comm(hs: Scaled) -> Scaled:
-        return combine(n, (
-            (ONE, apply_kind("weight", apply_kind("lower", hs))),
-            (-ONE, apply_kind("lower", apply_kind("weight", hs)))))
-
+    comm = combine(n, (
+        (ONE, apply_kind("weight", apply_kind("lower", gs))),
+        (-ONE, apply_kind("lower", apply_kind("weight", gs)))))
     xs = X(gs)
-    return combine(n, (
-        (c * tpow / one_q, comm(gs)),
-        (-a * b, X(xs)),
-        (a * b * (ONE - T ** 2) / (T * one_q), Y(gs)),
-        (tpow / one_q, apply_kind("lower", gs)),
-        (-(rf(2) * a * b * nt - (a + b) * tpow) / one_q, xs),
-        (-(ONE - a) * (ONE - b) * tpow * nt / one_q ** 2, gs)))
+    ys = combine(n, ((y2, apply_kind(2, gs)), (y0, gs)))
+    return comm, X(xs), ys, apply_kind("lower", gs), xs, gs
 
 
-def _matches_B(lam: Partition, p: HyperParams, scal: RatFuncQT,
-               n: int) -> bool:
-    """scal times the factored operator at p = (a, b; c) equals B at p on
-    m_lam, cleared once for both: their difference has no support."""
+def _factored_scalars(p: HyperParams, n: int) -> tuple[RatFuncQT, ...]:
+    """The parameter-dependent part of the literal operator: the six
+    scalars in the numerator parameters a, b and the denominator parameter
+    c of p = (a, b; c) that weight the images of _factored_images."""
+    a, b = p.upper
+    c = p.lower[0]
+    one_q = ONE - Q
+    nt = t_integer(n)
+    tpow = t_monomial(n - 1)
+    return (c * tpow / one_q,
+            -a * b,
+            a * b * (ONE - T ** 2) / (T * one_q),
+            tpow / one_q,
+            -(rf(2) * a * b * nt - (a + b) * tpow) / one_q,
+            -(ONE - a) * (ONE - b) * tpow * nt / one_q ** 2)
+
+
+def _factored_second_order(images: tuple[Scaled, ...],
+                           scalars: tuple[RatFuncQT, ...], n: int) -> Scaled:
+    """The literal operator: its images at one input, each weighted by
+    its scalar at one parameter point."""
+    return combine(n, zip(scalars, images))
+
+
+@lru_cache(maxsize=MAX_FACTORED_INPUTS)
+def _factored_monomial(lam: Partition,
+                       n: int) -> tuple[Scaled, tuple[Scaled, ...]]:
+    """m_lam cleared, and its images under _factored_images.  Neither
+    holds a parameter, so each (lam, n) is built once and kept, for every
+    draw and seed; each build is counted in stats as
+    factored_images_built."""
+    stats.COUNTS["factored_images_built"] += 1
     fs = to_scaled(basis_poly("m", lam, n))
-    lhs = _factored_second_order(fs, *p.upper, p.lower[0], n)
+    return fs, _factored_images(fs, n)
+
+
+def _matches_B(lam: Partition, p: HyperParams,
+               scalars: tuple[RatFuncQT, ...], scal: RatFuncQT,
+               n: int) -> bool:
+    """scal times the factored operator at p = (a, b; c), whose scalars
+    are given, equals B at p on m_lam, cleared once for both: their
+    difference has no support."""
+    fs, images = _factored_monomial(lam, n)
+    lhs = _factored_second_order(images, scalars, n)
     return not support_degrees(combine(n, ((scal, lhs),
                                            (-ONE, _resid_B(fs, p)))))
 
@@ -618,7 +653,9 @@ def check_factored_form(series: TruncatedSeries,
     """The literal second-order operator equals B at (a, b; c) up to the
     stated scalar, as operators on every monomial symmetric polynomial
     of degree <= 4, and at (0, 0; c) on two of them; and it annihilates
-    the (2,1) series in degrees <= D-1.
+    the (2,1) series in degrees <= D-1.  The operator's scalars are
+    computed once per parameter point, its images of the monomials once
+    per process (_factored_monomial).
     """
     n, D, p = series.n, series.D, series.params
     if p.r != 2 or p.s != 1:
@@ -626,13 +663,12 @@ def check_factored_form(series: TruncatedSeries,
                          "one lower parameter")
     if n < 2:
         raise ValueError("factored second-order check needs n >= 2")
-    a, b = p.upper
-    c = p.lower[0]
+    scalars = _factored_scalars(p, n)
     scal = -(ONE - Q) / t_monomial(n - 1)
     notes = []
 
     inputs = enumerate_partitions(4, n)
-    op_bad = sum(not _matches_B(lam, p, scal, n) for lam in inputs)
+    op_bad = sum(not _matches_B(lam, p, scalars, scal, n) for lam in inputs)
     if op_bad:
         notes.append(f"operator identity failed on {op_bad} of {len(inputs)} "
                      f"monomial inputs")
@@ -644,12 +680,14 @@ def check_factored_form(series: TruncatedSeries,
     # collapse of every a,b-proportional term
     zero = ONE - ONE
     p0 = HyperParams((zero, zero), p.lower)
-    col_bad = sum(not _matches_B(lam, p0, scal, n) for lam in ((1,), (2, 1)))
+    scalars0 = _factored_scalars(p0, n)
+    col_bad = sum(not _matches_B(lam, p0, scalars0, scal, n)
+                  for lam in ((1,), (2, 1)))
     notes.append("zero-parameter collapse "
                  + ("verified" if col_bad == 0 else "FAILED"))
 
     observed = support_degrees(_factored_second_order(
-        series.cleared("one", cache), a, b, c, n))
+        _factored_images(series.cleared("one", cache), n), scalars, n))
     bad = [d for d in observed if d <= D - 1]
     leaks = [d for d in observed if d > D - 1]
     if leaks:
@@ -912,11 +950,13 @@ def run_suite(selection="all", n: int = 2, D: int = 4,
     so narrowing the selection reproduces the same parameters.  `mutate`
     perturbs one series coefficient (and injects an off-diagonal term
     into the kernel check) to demonstrate detection power; a mutated run
-    must fail.  A `mutate` partition with more than n parts or more than
-    D boxes fits no series of the run and is refused (ValueError); one
-    that does not fit the n = 1 series of the univariate check leaves
-    that series alone.  Variable counts above 4 are refused: the operator
-    routes symmetrize over n! terms.  Degrees above 8 and more than 10 draws are
+    must fail.  A `mutate` partition that fits no series of the selected
+    checks is refused (ValueError) before any check runs: one with more
+    than D boxes, or with more parts than n, or than 1 when the univariate
+    check, which runs the series in one variable, is the only one
+    selected.  Otherwise one that does not fit that series leaves it
+    alone.  Variable counts above 4 are refused: the operator routes
+    symmetrize over n! terms.  Degrees above 8 and more than 10 draws are
     refused too: the work grows steeply with D (n = 3, D = 5 already takes
     minutes) and linearly with draws.
     """
@@ -932,9 +972,10 @@ def run_suite(selection="all", n: int = 2, D: int = 4,
     if "kaneko" in names and n < 2:
         raise ValueError("factored second-order check needs n >= 2")
     mut = make_partition(mutate) if mutate is not None else None
-    if mut is not None and not _fits(mut, n, D):
+    widest = 1 if set(names) == {"univariate"} else n
+    if mut is not None and not _fits(mut, widest, D):
         raise ValueError(f"mutated coefficient {format_partition(mut)} lies "
-                         f"outside the series at n={n}, D={D}")
+                         f"outside the series at n={widest}, D={D}")
 
     rng = random.Random(seed)
     combos: list[HyperParams] = []

@@ -373,15 +373,19 @@ def test_verify_refuses_kaneko_at_one_variable(monkeypatch, capsys):
 
 def test_verify_refuses_mutation_outside_series(monkeypatch, capsys):
     # a --mutate partition with more than n parts or more than D boxes
-    # would leave every series unmutated, so it is refused before any work
+    # would leave every series unmutated, so it is refused before any work;
+    # so is one with more than one part when the univariate check, which
+    # runs the series in one variable, is the only one selected
     import machyper.verify as verify
     def unreachable(*args, **kwargs):
         raise AssertionError("refused mutation reached the work")
     monkeypatch.setattr(verify, "draw_hyper_params", unreachable)
     monkeypatch.setattr(verify.TruncatedSeries, "build", unreachable)
-    for n, D, mut in (("4", "3", "C[1,1,1,1]"), ("2", "3", "C[1,1,1]"),
-                      ("2", "2", "C[3]")):
-        assert main(["verify", "all", "--n", n, "--D", D, "--draws", "1",
+    for suite, n, D, mut in (("all", "4", "3", "C[1,1,1,1]"),
+                             ("all", "2", "3", "C[1,1,1]"),
+                             ("all", "2", "2", "C[3]"),
+                             ("univariate", "2", "3", "C[1,1]")):
+        assert main(["verify", suite, "--n", n, "--D", D, "--draws", "1",
                      "--mutate", mut]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -13,6 +13,7 @@ import pytest
 
 import machyper.macdonald as macdonald
 import machyper.qops as qops
+from machyper import stats
 from machyper.errors import InexactDivisionError, MacHyperError
 from machyper.macdonald import (MacdonaldCache, binomial_by_expansion,
                                 binomial_lowering_closed,
@@ -282,12 +283,15 @@ def test_cauchy_kernel_product(cache):
 
 def test_cache_disk_round_trip(tmp_path):
     d = str(tmp_path)
+    stats.reset()
     c1 = MacdonaldCache(d)
     p1 = c1.get_P((2,), 2)
     files = c1.list_disk()
     assert "P_n2_2.json" in files
     c2 = MacdonaldCache(d)
     assert c2.get_P((2,), 2) == p1
+    # neither the missing file nor the undamaged one counts as rejected
+    assert stats.snapshot()["cache_files_rejected"] == 0
 
     # corrupted entries are ignored and rebuilt
     path = os.path.join(d, "P_n2_2.json")
@@ -309,8 +313,10 @@ def test_cache_disk_round_trip(tmp_path):
     data["coeffs"][0]["value"]["num"] = [[0, 0, "7"]]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh)
+    stats.reset()
     c4 = MacdonaldCache(d)
     assert c4.get_P((2,), 2) == p1
+    assert stats.snapshot()["cache_files_rejected"] == 1
 
     # a zero denominator cannot be parsed into a field element; rebuilt too
     with open(path, "r", encoding="utf-8") as fh:

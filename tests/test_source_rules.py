@@ -242,9 +242,10 @@ def test_values_leave_the_operator_layer_at_one_boundary():
 
 
 # the functions of verify that may add scaled images: the Kaneko oracle,
-# which sums single operator kinds, and its comparison with B.  B and C
-# are one compiled transfer sum each, never a combine of two transfers
-COMBINE_SCOPES = {"_factored_second_order", "_matches_B"}
+# which sums single operator kinds into its images and weights those by
+# its scalars, and its comparison with B.  B and C are one compiled
+# transfer sum each, never a combine of two transfers
+COMBINE_SCOPES = {"_factored_images", "_factored_second_order", "_matches_B"}
 
 
 def test_verify_combines_only_in_the_kaneko_oracle():
@@ -255,10 +256,10 @@ def test_verify_combines_only_in_the_kaneko_oracle():
 
 
 # the functions of verify that may clear a value: the kernel check, for
-# the rendering with an injected term, and the Kaneko comparison, for a
-# monomial.  A series keeps the cleared image of each of its renderings,
+# the rendering with an injected term, and the Kaneko oracle's store, for
+# a monomial.  A series keeps the cleared image of each of its renderings,
 # and every other check reads that
-TO_SCALED_SCOPES = {"check_diagonal_match", "_matches_B"}
+TO_SCALED_SCOPES = {"check_diagonal_match", "_factored_monomial"}
 
 
 def test_verify_clears_only_what_no_series_keeps():

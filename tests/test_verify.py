@@ -3,7 +3,7 @@ mutation sensitivity, and the classical-limit oracle."""
 
 import json
 import random
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import pytest
@@ -128,9 +128,18 @@ def test_mutation_flips_fast_suites(cache):
         assert not r.passed
 
 
+def _fresh_factored_store(monkeypatch):
+    store = lru_cache(maxsize=verify.MAX_FACTORED_INPUTS)(
+        verify._factored_monomial.__wrapped__)
+    monkeypatch.setattr(verify, "_factored_monomial", store)
+    return store
+
+
 def test_kaneko_identity_fails_on_a_wrong_factored_side(cache, monkeypatch):
     # only the factored side changes: its second shift level reads the
-    # first, while B still runs through the transfers
+    # first, while B still runs through the transfers.  The images of the
+    # monomials are built afresh, or the store would hold undamaged ones
+    _fresh_factored_store(monkeypatch)
     real = verify.apply_kind
     monkeypatch.setattr(verify, "apply_kind",
                         lambda kind, gs: real(1 if kind == 2 else kind, gs))
@@ -140,6 +149,27 @@ def test_kaneko_identity_fails_on_a_wrong_factored_side(cache, monkeypatch):
         assert not r.passed
         assert any(note.startswith("operator identity failed")
                    for note in r.notes)
+
+
+def test_kaneko_images_are_built_once_per_monomial(cache, monkeypatch):
+    # the parameter-free images of the nine monomials of degree <= 4 in two
+    # variables are built by the first seed's check and read by the
+    # second's, whose report is the one an empty store gives
+    assert verify._factored_monomial.cache_info().maxsize == \
+        verify.MAX_FACTORED_INPUTS
+    store = _fresh_factored_store(monkeypatch)
+    built = []
+    for seed in (1, 2):
+        stats.reset()
+        warm = run_suite(("kaneko",), n=2, D=2, seed=seed, draws=1,
+                         cache=cache)
+        built.append(stats.snapshot()["factored_images_built"])
+    assert built == [9, 0] and store.cache_info().currsize == 9
+    _fresh_factored_store(monkeypatch)
+    cold = run_suite(("kaneko",), n=2, D=2, seed=2, draws=1, cache=cache)
+    assert suite_passed(warm)
+    assert _json_list(warm) == _json_list(cold)
+    assert [r.render_text() for r in warm] == [r.render_text() for r in cold]
 
 
 def test_reports_frozen(cache):
