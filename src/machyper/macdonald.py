@@ -30,16 +30,19 @@ n: for n > |lam| the entry at (lam, |lam|), read from the cache when it
 holds it and built otherwise, is re-wrapped at n, audited at n and stored
 at (lam, n) only.  Every function
 that reads the basis takes its caller's cache; there is no default one.  The
-principal-value audit runs on integer polynomials only: it compares J at
-the staircase point, times the lcm of the integer contents of P's
-denominators, with that multiple of the closed form, one integer
-product of binomials, whenever a basis element is built or a file is
-read; a read file must also be monic and dominance-triangular, and a
-file that fails is rebuilt.  Its terms are read
-only if they hold integer exponents up to |lam|^2 and rational strings,
-so damage costs a rebuild, never a crash or a huge power.  A file is
-written to a temporary name and moved into place, so readers never see
-half of one.
+principal-value audit runs on integers only, whenever a basis element is
+built or a file is read: J at the staircase point, times the lcm of the
+integer contents of P's denominators, must equal that multiple of the
+closed form, a product of binomials, and the identity is decided by one
+exact Kronecker evaluation (ratfunc.multiple_sum_equals).  A read file
+must also be monic and dominance-triangular, and a file that fails is
+rebuilt.  Its terms are read only if they hold integer exponents up to
+|lam|^2, checked before any arithmetic (they bound the width of the
+evaluation), and each value only as RatFuncQT.to_json writes it (nonzero
+rational strings, no exponents twice; RatFuncQT.from_json), so damage
+costs a rebuild, never a crash, a huge power or an element out of normal
+form.  A file is written to a temporary name and moved into place, so
+readers never see half of one.
 
 Everything here works at q and t; the forms at reciprocal q and t are
 their images under sympoly.invert_coeffs.
@@ -49,7 +52,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import threading
 from collections import Counter
 from functools import cached_property, lru_cache
@@ -61,14 +63,11 @@ from .partitions import (Partition, SkewCover, cells, conjugate, dominates,
                          lower_upper_hooks, make_partition, n_stat,
                          partitions_of, size, upper_covers)
 from .qops import apply_literal, column, eigen_shift
-from .ratfunc import (ONE, Q, PolyDict, RatFuncQT, T, multiple_sum,
+from .ratfunc import (ONE, Q, PolyDict, RatFuncQT, T, multiple_sum_equals,
                       poly_product, qt_monomial, rf, t_monomial, times_multiple)
 from .sympoly import BiSymPoly, SymPoly, orbit
 
 _FORMAT = 1
-
-# a coefficient as RatFuncQT.to_json writes it: str of an int or Fraction
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 class MacdonaldCache:
@@ -93,16 +92,16 @@ class MacdonaldCache:
 
     def _load_disk(self, lam: Partition, n: int) -> SymPoly | None:
         """The entry at (lam, n) read from its file, or None when there is
-        none; a file that exists but is rejected counts in stats as
-        cache_files_rejected."""
+        none; a file that exists counts in stats as cache_files_read when
+        it is accepted and as cache_files_rejected when it is not."""
         if not self.cache_dir:
             return None
         path = self._path(lam, n)
         if not os.path.exists(path):
             return None
         poly = _read_entry(path, lam, n)
-        if poly is None:
-            stats.COUNTS["cache_files_rejected"] += 1
+        stats.COUNTS["cache_files_rejected" if poly is None
+                     else "cache_files_read"] += 1
         return poly
 
     def _store_disk(self, lam: Partition, n: int, poly: SymPoly) -> None:
@@ -123,12 +122,14 @@ class MacdonaldCache:
         tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(data, fh)
+                # the C encoder; json.dump would stream through the Python one
+                fh.write(json.dumps(data))
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
                 os.remove(tmp)
             raise
+        stats.COUNTS["cache_files_written"] += 1
 
     def list_disk(self) -> list[str]:
         if not self.cache_dir or not os.path.isdir(self.cache_dir):
@@ -178,7 +179,8 @@ class MacdonaldCache:
 
 def _read_entry(path: str, lam: Partition, n: int) -> SymPoly | None:
     """The basis element in the cache file at path, or None unless the file
-    holds (lam, n) in the current format, with bounded terms, monic,
+    holds (lam, n) in the current format, each partition once, with bounded
+    exponents and values as to_json writes them, monic,
     dominance-triangular and passing the principal-value audit."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -189,17 +191,18 @@ def _read_entry(path: str, lam: Partition, n: int) -> SymPoly | None:
         if make_partition(data.get("partition", [])) != lam:
             return None
         # degrees stay within the lower hook product's: n(lam') in q,
-        # n(lam) + |lam| in t, both at most |lam|^2
+        # n(lam) + |lam| in t, both at most |lam|^2; from_json refuses
+        # exponents that are not ints before any arithmetic
         top = size(lam) ** 2
         coeffs = {}
         for entry in data["coeffs"]:
             mu = make_partition(entry["partition"])
             value = entry["value"]
-            for dq, dt, c in value["num"] + value["den"]:
-                if not (type(dq) is int and 0 <= dq <= top
-                        and type(dt) is int and 0 <= dt <= top
-                        and type(c) is str and _RATIONAL.fullmatch(c)):
+            for dq, dt, _ in value["num"] + value["den"]:
+                if not (0 <= dq <= top and 0 <= dt <= top):
                     return None
+            if mu in coeffs:
+                return None
             coeffs[mu] = RatFuncQT.from_json(value)
         poly = SymPoly.from_coeffs(n, coeffs)
     except (KeyError, ValueError, TypeError, OverflowError,
@@ -235,6 +238,7 @@ def _build_P(lam: Partition, n: int) -> SymPoly:
         val = num / div
         if not val.is_zero():
             coeffs[mu] = val
+    stats.COUNTS["basis_built"] += 1
     return SymPoly.from_coeffs(n, coeffs)
 
 
@@ -318,13 +322,12 @@ def principal_eval(f: SymPoly) -> RatFuncQT:
     return out
 
 
-def _principal_J_poly(lam: Partition, n: int) -> PolyDict:
-    """The closed form of J at the staircase as one integer polynomial,
-    t^(n(lam)) * prod over cells (i, j) of (1 - q^(j-1) t^(n+1-i)), for
-    lam with at most n parts."""
-    return poly_product([{(0, n_stat(lam)): 1}]
-                        + [{(0, 0): 1, (j - 1, n + 1 - i): -1}
-                           for i, j in cells(lam)])
+def _principal_J_factors(lam: Partition, n: int) -> list[PolyDict]:
+    """The closed form of J at the staircase as integer polynomial factors,
+    t^(n(lam)) and 1 - q^(j-1) t^(n+1-i) for each cell (i, j), for lam with
+    at most n parts."""
+    return ([{(0, n_stat(lam)): 1}]
+            + [{(0, 0): 1, (j - 1, n + 1 - i): -1} for i, j in cells(lam)])
 
 
 def principal_J_closed(lam: Partition, n: int) -> RatFuncQT:
@@ -332,25 +335,27 @@ def principal_J_closed(lam: Partition, n: int) -> RatFuncQT:
     t^(n(lam)) * prod over cells (1 - t^n q^(j-1) t^(1-i))."""
     if length(lam) > n:
         return rf(0)
-    return RatFuncQT.from_poly(_principal_J_poly(lam, n))
+    return RatFuncQT.from_poly(poly_product(_principal_J_factors(lam, n)))
 
 
 def _principal_matches(P: SymPoly, lam: Partition, n: int) -> bool:
-    """The principal-value audit, on integer polynomials.
+    """The principal-value audit, one identity on integers.
 
-    J = c * P for the lower hook product c, so with L the lcm of the
-    integer contents of P's denominators, L * J at the staircase is an
-    integer polynomial (ratfunc.multiple_sum); it must equal L times the
-    closed form.  A coefficient of P whose denominator's primitive part
-    does not divide c fails the audit.
+    J = c * P for the lower hook product c, so J at the staircase is the
+    sum of v * principal_m(mu) * c over P's coefficients v; it must equal
+    the closed form, a product of binomials.  ratfunc.multiple_sum_equals
+    clears the sum by the lcm of the integer contents of P's denominators
+    and decides the identity by one exact Kronecker evaluation.  A
+    coefficient of P whose denominator's primitive part does not divide c
+    fails the audit.
     """
     try:
-        S, L = multiple_sum(((v, principal_m(mu, n).num)
-                             for mu, v in P.coeffs.items()),
-                            lower_upper_hooks(lam)[0].num)
+        return multiple_sum_equals(((v, principal_m(mu, n).num)
+                                    for mu, v in P.coeffs.items()),
+                                   lower_upper_hooks(lam)[0].num,
+                                   _principal_J_factors(lam, n))
     except InexactDivisionError:
         return False
-    return S == {e: L * x for e, x in _principal_J_poly(lam, n).items()}
 
 
 def _monic_triangular(P: SymPoly, lam: Partition) -> bool:

@@ -47,13 +47,22 @@ in q (primitive pseudo-remainder sequences over Z), interpolates the images
 over Z, certifies the candidate by trial division, and retries with fresh
 points when an evaluation point was unlucky.
 All polynomial arithmetic runs on int.  Fraction appears only where values
-enter or leave: constants and JSON coming in, the num view, as_fraction,
-substitution and rendering.  No external algebra package
+enter or leave: constants coming in, the num view, as_fraction,
+substitution and rendering.  JSON comes in as integer pairs: from_json
+reads each coefficient's text as p/d, accepts only what to_json writes
+and clears each list by one lcm.  No external algebra package
 is involved.
+
+kronecker_vanishes decides whether a sum of products of integer
+polynomials is zero by evaluating it once at a power of two large enough
+that distinct terms cannot overlap (Kronecker substitution), so the test
+is exact; multiple_sum_equals states the basis cache's principal-value
+audit through it.
 """
 
 from __future__ import annotations
 
+import re
 import threading
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -65,7 +74,7 @@ from .errors import GcdInterpolationError, InexactDivisionError
 
 Term = tuple[int, int]
 PolyDict = dict[Term, int]
-# a polynomial over Q, as the num view and JSON input hold it
+# a polynomial over Q, as the num view and from_poly hold it
 QPolyDict = dict[Term, int | Fraction]
 
 _F0 = Fraction(0)
@@ -510,10 +519,30 @@ def render_poly(terms: QPolyDict) -> str:
 def poly_to_json(terms: QPolyDict) -> list[list]:
     return [[e[0], e[1], str(c)] for e, c in sorted(terms.items(), key=lambda kv: _term_key(kv[0]))]
 
-def poly_from_json(data) -> QPolyDict:
-    out: QPolyDict = {}
+# a coefficient as poly_to_json writes it: str of a nonzero int or Fraction
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+def _terms_from_json(data) -> list[tuple[Term, int, int]]:
+    """The terms of a list that poly_to_json wrote, as (exponents, p, d)
+    for the coefficient p/d.  ValueError for anything else: a term that is
+    not two int exponents >= 0 and an ASCII rational string, a zero
+    coefficient or denominator, or exponents met twice."""
+    if type(data) is not list:
+        raise ValueError("a term list must be a JSON list")
+    out = []
+    seen = set()
     for dq, dt, c in data:
-        out[(int(dq), int(dt))] = Fraction(c)
+        match = (type(dq) is int and dq >= 0 and type(dt) is int and dt >= 0
+                 and type(c) is str and _RATIONAL.fullmatch(c))
+        if not match:
+            raise ValueError(f"not a term: {[dq, dt, c]!r}")
+        p, d = int(match[1]), int(match[2] or 1)
+        if not p or not d:
+            raise ValueError(f"zero in a coefficient: {c!r}")
+        if (dq, dt) in seen:
+            raise ValueError(f"exponents ({dq}, {dt}) repeated")
+        seen.add((dq, dt))
+        out.append(((dq, dt), p, d))
     return out
 
 
@@ -1062,7 +1091,14 @@ class RatFuncQT:
 
     @classmethod
     def from_json(cls, data) -> "RatFuncQT":
-        return _make(*_cleared(poly_from_json(data["num"]), poly_from_json(data["den"])))
+        """The element to_json wrote: each coefficient read as an integer
+        pair, both lists cleared by one lcm, and the pair reduced by _make.
+        ValueError for a list that to_json does not write
+        (_terms_from_json), ZeroDivisionError for an empty den."""
+        num, den = _terms_from_json(data["num"]), _terms_from_json(data["den"])
+        m = int_lcm(*(d for terms in (num, den) for _, _, d in terms))
+        return _make({e: p * (m // d) for e, p, d in num},
+                     {e: p * (m // d) for e, p, d in den})
 
     def __repr__(self):
         return f"RatFuncQT({self.render()})"
@@ -1289,30 +1325,68 @@ def times_multiple(f: RatFuncQT, m: PolyDict) -> RatFuncQT:
     return _lowest_terms(_pmul(a, _pdiv_exact(m, den)), {(0, 0): g}, g, _NOEXP,
                          None, _BASE.gen)
 
-def multiple_sum(terms, m: PolyDict) -> tuple[PolyDict, int]:
-    """(S, L) with S / L the sum of f * w * m over the (f, w) terms, for
-    field elements f and integer polynomials w, where m is an integer
-    polynomial that the primitive part of every f's denominator divides.
+def multiple_sum_equals(terms, m: PolyDict, factors) -> bool:
+    """Whether the sum of f * w * m over the (f, w) terms equals the product
+    of the integer polynomials in factors, for field elements f and
+    integer polynomials w, where m is an integer polynomial that the
+    primitive part of every f's denominator divides.
 
     With f = a / (g * d), g the integer content of f's denominator and d
-    its primitive part, L is the lcm of the g and S the sum of
-    (L / g) * a * w * (m / d): integer polynomials only, one exact division
-    per distinct d, and no gcd.  InexactDivisionError when a d does not
-    divide m.
+    its primitive part, and L the lcm of the g, the identity is
+    sum of (L / g) * a * w * (m / d) = L * prod(factors), decided by one
+    evaluation (kronecker_vanishes): one exact division per distinct d on
+    term dicts, and no gcd.  InexactDivisionError when a d does not divide
+    m.
     """
     split = [(f._a, w, *_content_split(f._b)) for f, w in terms]
     L = int_lcm(*(g for _, _, g, _ in split))
-    # the terms over one d are summed before the one product with m / d
-    groups: dict[frozenset, tuple[PolyDict, PolyDict]] = {}
+    quotients: dict[frozenset, PolyDict] = {}
+    products = []
     for a, w, g, d in split:
         key = frozenset(d.items())
-        acc = groups.get(key)
-        term = _pscale(_pmul(a, w), L // g)
-        groups[key] = (d, term if acc is None else _padd(acc[1], term))
-    out: PolyDict = {}
-    for d, acc in groups.values():
-        out = _padd(out, _pmul(acc, m if d == _PONE else _pdiv_exact(m, d)))
-    return out, L
+        md = quotients.get(key)
+        if md is None:
+            md = quotients[key] = m if d == _PONE else _pdiv_exact(m, d)
+        products.append((L // g, (a, w, md)))
+    products.append((-L, factors))
+    return kronecker_vanishes(products)
+
+def kronecker_vanishes(products) -> bool:
+    """Whether the sum of k * prod(factors) over the list of (k, factors)
+    products is the zero polynomial, for integers k and integer
+    polynomials with exponents >= 0.
+
+    One evaluation at q = X^W, t = X with X = 2^B (Kronecker substitution):
+    W exceeds every product's t-degree, so q^i t^j goes to its own slot
+    W*i + j, and 2^(B-1) exceeds the sum of |k| * prod of the factors' L1
+    norms, which bounds every coefficient of the sum.  A nonzero sum then
+    has a top slot whose coefficient outweighs all lower slots together,
+    so its value is nonzero: the verdict is exact.  Each distinct factor
+    (by identity) is evaluated once.
+    """
+    top, bound = 0, 0
+    for k, fs in products:
+        deg, b = 0, abs(k)
+        for f in fs:
+            deg += max(f, key=_deg_t, default=(0, 0))[1]
+            b *= sum(map(abs, f.values()))
+        top = max(top, deg)
+        bound += b
+    B = bound.bit_length() + 1
+    W = top + 1
+    st, sq = B, B * W
+    values: dict[int, int] = {}
+    total = 0
+    for k, fs in products:
+        v = k
+        for f in fs:
+            x = values.get(id(f))
+            if x is None:
+                x = values[id(f)] = sum(c << (i * sq + j * st)
+                                        for (i, j), c in f.items())
+            v *= x
+        total += v
+    return total == 0
 
 def poly_product(factors) -> PolyDict:
     """The product of integer polynomials (term dicts)."""

@@ -3,7 +3,7 @@
 It covers the field layer (ratfunc), the transfer store (series), the
 columns of the compiled transfers and the operator column store (qops),
 the Kaneko check's store of monomial images (verify) and the basis
-cache files (macdonald):
+builds and cache files (macdonald):
 
 - gcd_calls: bivariate polynomial gcds (ratfunc._pgcd), shortcuts included;
 - divisions_screened: trial divisions by a base element that the value
@@ -31,6 +31,12 @@ cache files (macdonald):
 - cache_files_rejected: basis cache files that exist but failed to parse
   or to pass the audit on reading (MacdonaldCache._load_disk), each then
   rebuilt; a missing file does not count;
+- cache_files_read: basis cache files that passed parsing and the audit
+  on reading (MacdonaldCache._load_disk);
+- cache_files_written: basis cache files written (MacdonaldCache._store_disk);
+- basis_built: basis elements built by the triangular solve
+  (macdonald._build_P), whether a file was missing or rejected; an element
+  at n > |lam| re-wrapped from the one at |lam| counts the build at |lam|;
 - base_size: the number of elements the base holds now (a level, not a
   count, so reset() leaves it alone);
 - operator_columns_held: the number of columns the store of qops.column
@@ -51,7 +57,8 @@ COUNTS: dict[str, int] = dict.fromkeys(
      "factorizations_reused", "transfers_compiled", "transfers_reused",
      "transfer_columns_built", "transfer_columns_reused",
      "operator_columns_built", "factored_images_built",
-     "cache_files_rejected"), 0)
+     "cache_files_rejected", "cache_files_read", "cache_files_written",
+     "basis_built"), 0)
 
 LEVELS: dict[str, Callable[[], int]] = {}
 

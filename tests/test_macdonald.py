@@ -375,6 +375,56 @@ def test_cache_disk_round_trip(tmp_path):
     assert c1.list_disk() == []
 
 
+def test_damaged_terms_are_rejected_and_rebuilt(tmp_path):
+    # a zero coefficient or a term written twice is not what to_json
+    # writes: the file is rejected, counted and rebuilt byte for byte,
+    # instead of loading an element out of normal form
+    d = str(tmp_path)
+    lam, n = (3, 1), 2
+    p1 = MacdonaldCache(d).get_P(lam, n)
+    path = os.path.join(d, "P_n2_3-1.json")
+    with open(path, encoding="utf-8") as fh:
+        written = fh.read()
+    entry = next(i for i, e in enumerate(json.loads(written)["coeffs"])
+                 if e["partition"] == [2, 2])
+    for side, damage in (("num", [3, 0, "0"]), ("den", [0, 0, "-0"]),
+                         ("num", None), ("den", None)):
+        data = json.loads(written)
+        terms = data["coeffs"][entry]["value"][side]
+        terms.append(damage if damage is not None else list(terms[0]))
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        stats.reset()
+        assert MacdonaldCache(d).get_P(lam, n) == p1, (side, damage)
+        snap = stats.snapshot()
+        assert (snap["cache_files_rejected"], snap["basis_built"],
+                snap["cache_files_written"]) == (1, 1, 1), (side, damage)
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == written, (side, damage)
+    # a partition listed twice is refused as well
+    data = json.loads(written)
+    data["coeffs"].append(data["coeffs"][entry])
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    assert MacdonaldCache(d)._load_disk(lam, n) is None
+
+
+def test_cache_counts_builds_reads_and_writes(tmp_path):
+    # one cold get_P builds and writes its element; a second cache on the
+    # same directory reads it back and builds nothing
+    d = str(tmp_path)
+    stats.reset()
+    p1 = MacdonaldCache(d).get_P((2, 1), 3)
+    cold = stats.snapshot()
+    assert (cold["basis_built"], cold["cache_files_written"],
+            cold["cache_files_read"], cold["cache_files_rejected"]) == (1, 1, 0, 0)
+    stats.reset()
+    assert MacdonaldCache(d).get_P((2, 1), 3) == p1
+    warm = stats.snapshot()
+    assert (warm["basis_built"], warm["cache_files_written"],
+            warm["cache_files_read"], warm["cache_files_rejected"]) == (0, 0, 1, 0)
+
+
 FROZEN_CACHE = os.path.join(os.path.dirname(__file__), "data", "cache")
 FROZEN_ENTRIES = (((2, 1), 3), ((3, 2, 1), 4), ((2, 2, 1, 1), 4))
 
@@ -421,15 +471,34 @@ def test_cache_write_is_atomic(tmp_path, monkeypatch):
     # removes its temporary file
     d = str(tmp_path)
     p1 = MacdonaldCache(d).get_P((2,), 2)
+    partial = []
 
-    def broken_dump(data, fh):
-        fh.write('{"format": ')
-        raise OSError("device full")
+    class HalfWriter:
+        # writes the first half of the text to the temporary file, then
+        # fails as a full device would
+        def __init__(self, path, *args, **kwargs):
+            self.path = path
+            self.fh = open(path, *args, **kwargs)
 
-    monkeypatch.setattr(json, "dump", broken_dump)
-    with pytest.raises(OSError):
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            self.fh.flush()
+            partial.append((self.path, os.path.getsize(self.path)))
+            raise OSError("device full")
+
+    # macdonald's own name open shadows the builtin for the one write
+    monkeypatch.setattr(macdonald, "open", HalfWriter, raising=False)
+    with pytest.raises(OSError, match="device full"):
         MacdonaldCache(d)._store_disk((2,), 2, p1)
     monkeypatch.undo()
+    [(tmp, written)] = partial
+    assert tmp.endswith(".tmp") and written > 0
     assert os.listdir(d) == ["P_n2_2.json"]
     assert MacdonaldCache(d)._load_disk((2,), 2) == p1
 

@@ -1,5 +1,6 @@
 """Field arithmetic: normal forms, axioms against a Fraction oracle."""
 
+import random
 import sys
 import threading
 import time
@@ -15,6 +16,7 @@ from machyper.ratfunc import (ONE, Q, T, ZERO, RatFuncQT, elementary_symmetric,
                               times_multiple)
 import machyper.ratfunc as ratfunc
 from machyper import stats
+from machyper.errors import InexactDivisionError
 from machyper.ratfunc import (_content, _normalize_primitive, _padd, _pdiv_exact,
                               _pgcd, _pmul, _pneg, _term_key)
 
@@ -65,6 +67,123 @@ def test_pow_and_inverse():
 def test_json_round_trip():
     x = (ONE + Q - T ** 2) / (rf(3) - Q * T)
     assert RatFuncQT.from_json(x.to_json()) == x
+
+
+def test_json_reader_accepts_only_what_to_json_writes():
+    # rational coefficients with unlike denominators are cleared by one lcm
+    x = (rf(F(2, 3)) + Q.scale(F(-5, 4)) * T) / (rf(2) + Q)
+    assert [c for _, _, c in x.to_json()["num"]] == ["2/3", "-5/4"]
+    assert RatFuncQT.from_json(x.to_json()) == x
+    good = x.to_json()
+    # each damage to a valid value raises ValueError, before any arithmetic
+    for side, term in (("num", [3, 0, "0"]), ("num", [3, 0, "-0"]),
+                       ("num", [3, 0, "0/5"]), ("num", [3, 0, "1/0"]),
+                       ("den", list(good["den"][0])),
+                       ("num", [3, 0, "1.5"]), ("num", [3, 0, "1e3"]),
+                       ("num", [3, 0, "+1"]), ("num", [3, 0, " 1"]),
+                       ("num", [3, 0, "1_0"]), ("num", [3, 0, "\u0661"]),
+                       ("num", [3, 0, 1]), ("num", [3.0, 0, "1"]),
+                       ("num", [True, 0, "1"]), ("num", [-1, 0, "1"]),
+                       ("num", ["3", 0, "1"])):
+        bad = {"num": list(good["num"]), "den": list(good["den"])}
+        bad[side] = bad[side] + [term]
+        with pytest.raises(ValueError):
+            RatFuncQT.from_json(bad)
+    for terms in ((("0", 0, "1"),), "001", {"a": 1}, [[0, 0]]):
+        with pytest.raises(ValueError):
+            RatFuncQT.from_json({"num": terms, "den": [[0, 0, "1"]]})
+    with pytest.raises(ZeroDivisionError):
+        RatFuncQT.from_json({"num": [[0, 0, "1"]], "den": []})
+
+
+def test_multiple_sum_equals_clears_by_the_lcm():
+    # f * w * m summed over terms whose denominators carry integer contents
+    # 2 and 3 and primitive parts that divide m
+    m = _pmul({(0, 0): 1, (1, 1): -1}, {(0, 0): 1, (0, 1): -1})
+    f1 = (ONE - Q * T).inverse().scale(F(1, 2))
+    f2 = (ONE - T).inverse().scale(F(2, 3))
+    w1, w2 = {(0, 0): 4}, {(0, 1): 3}
+    # 4/2 (1 - t) + 3t * 2/3 (1 - qt) = 2 (1 - q t^2)
+    target = [{(0, 0): 2}, {(0, 0): 1, (1, 2): -1}]
+    assert ratfunc.multiple_sum_equals([(f1, w1), (f2, w2)], m, target)
+    assert not ratfunc.multiple_sum_equals([(f1, w1), (f2, w2)], m, target[1:])
+    assert not ratfunc.multiple_sum_equals([(f1, w2), (f2, w1)], m, target)
+    with pytest.raises(InexactDivisionError):
+        ratfunc.multiple_sum_equals([(f1, w1), ((ONE + Q).inverse(), w2)],
+                                    m, target)
+
+
+def _dict_sum(products):
+    out = {}
+    for k, fs in products:
+        term = {(0, 0): k}
+        for f in fs:
+            term = _pmul(term, f)
+        out = _padd(out, term)
+    return out
+
+
+def test_kronecker_vanishes_matches_dict_equality():
+    rng = random.Random(27)
+
+    def poly():
+        # negative and multi-limb coefficients, and exponents up to 7
+        return {(rng.randrange(8), rng.randrange(8)):
+                rng.choice((-1, 1)) * rng.randrange(1, 2 ** rng.choice((3, 70, 200)))
+                for _ in range(rng.randrange(1, 6))}
+
+    for _ in range(300):
+        products = [(rng.choice((-1, 1)) * rng.randrange(1, 2 ** 90),
+                     tuple(poly() for _ in range(rng.randrange(1, 4))))
+                    for _ in range(rng.randrange(1, 4))]
+        total = _dict_sum(products)
+        assert ratfunc.kronecker_vanishes(products + [(-1, (total,))])
+        # against a perturbed value, one coefficient off by one or one term
+        # moved up in t, the sum does not vanish
+        e, c = rng.choice(sorted(total.items()))
+        moved = _padd(total, {e: -c, (e[0] + rng.randrange(2), e[1] + 1): c})
+        for target in (_padd(total, {e: 1}), moved):
+            assert not ratfunc.kronecker_vanishes(products + [(-1, (target,))])
+
+
+def test_kronecker_vanishes_has_room_for_every_slot():
+    # pairs that one slot too narrow or one t-stride too short would map
+    # to the same integer: 2^B t^j against t^(j+1) (a carry into the next
+    # slot) and q^i against t^(W i) (a t-power reaching the q stride)
+    vanishes = ratfunc.kronecker_vanishes
+    for B in range(1, 130):
+        for j in range(4):
+            for sign in (1, -1):
+                assert not vanishes([(1, ({(0, j): sign * 2 ** B},)),
+                                     (-1, ({(0, j + 1): sign},))]), (B, j)
+                assert not vanishes([(1, ({(0, j): sign * 2 ** B,
+                                          (0, j + 1): -sign},))]), (B, j)
+        # a negative coefficient as wide as a slot borrows from the slot above
+        assert not vanishes([(1, ({(0, 0): -2 ** (B - 1), (0, 1): 1},)),
+                             (-1, ({(0, 0): 2 ** (B - 1)},))]), B
+    for W in range(1, 12):
+        for i in range(1, 5):
+            assert not vanishes([(1, ({(i, 0): 1},)), (-1, ({(0, W * i): 1},))])
+    # the t-degree of a product is the sum over its factors: (t^a)^r against
+    # the q^i t^j that a stride of a + 1 would put in the same slot
+    for a in range(1, 6):
+        for r in range(2, 5):
+            i, j = divmod(r * a, a + 1)
+            assert not vanishes([(1, ({(i, j): 1},)),
+                                 (-1, tuple({(0, a): 1} for _ in range(r)))]), (a, r)
+    # the bound grows as the product of the factors' norms and as the sum
+    # over the products: 2^(a+b), as one product or as 2^b products of 2^a,
+    # against the t that a slot sized by a or b alone would equal
+    for x in range(1, 30):
+        for y in range(1, 8):
+            one = {(0, 0): 1}
+            assert not vanishes([(2 ** x, ({(0, 0): 2 ** y}, one)),
+                                 (-1, ({(0, 1): 1},))]), (x, y)
+            assert not vanishes([(2 ** x, (one,))] * 2 ** y
+                                + [(-1, ({(0, 1): 1},))]), (x, y)
+    # equal values still compare equal, and an empty sum vanishes
+    assert vanishes([(3, ({(0, 1): 2, (1, 0): -1},)), (-1, ({(0, 1): 6, (1, 0): -3},))])
+    assert vanishes([])
 
 
 # -- random value strategies --------------------------------------------------

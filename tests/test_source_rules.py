@@ -272,7 +272,7 @@ def test_verify_clears_only_what_no_series_keeps():
 # where a rational number may enter or leave the field layer; everything
 # else in ratfunc computes over Z
 RATIONAL_SCOPES = {
-    "_poly_text_term", "poly_from_json", "_ratio", "_cleared",
+    "_poly_text_term", "_ratio", "_cleared",
     "RatFuncQT.num", "RatFuncQT.__eq__", "RatFuncQT.as_fraction",
     "substitute",
 }
