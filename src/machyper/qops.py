@@ -42,20 +42,21 @@ construction (macdonald._build_P) reads the level-1 columns and relies on
 both.
 
 Every operator is linear over Q(q,t), and the operator layer passes its
-values around as scaled images (Scaled): a pair (g, s) of a SymPoly g
-whose coefficients are integer polynomials (denominator 1) and one
-RatFuncQT scalar s, standing for s * g.  The pair format is known here
-only; series and verify handle it through the functions of the scaled
-image section.  An input is cleared once (to_scaled: g is f times the
-lcm in Z[q,t] of its coefficient denominators, for a SymPoly or a
-two-alphabet BiSymPoly alike); with integer-polynomial g_mu and columns,
-every product and sum of a column application is an integer polynomial
-operation without a gcd.  Each operator has one
-function, on scaled images: apply_kind(kind, gs) for one kind (a shift
-level above n is zero) and apply_shift_genfun for the generating-function
-operator.  combine adds scaled images over the lcm of their scalars'
-denominators, so its field work (one product per term and the lcm, read
-off the factored denominators) runs on scalars, never on coefficients.
+values around as scaled images (Scaled): a pair (g, s) of a SymPoly (or
+a two-alphabet BiSymPoly) g whose coefficients are integer polynomials
+(denominator 1) and one RatFuncQT scalar s, standing for s * g.  The pair
+format is known here only; series and verify handle it through the
+functions of the scaled image section.  An input is cleared once
+(to_scaled: g is f times the lcm in Z[q,t] of its coefficient
+denominators, for a SymPoly or a two-alphabet BiSymPoly alike); with
+integer-polynomial g_mu and columns, every product and sum of a column
+application is an integer polynomial operation without a gcd.  Each
+operator has one function, on scaled images: apply_kind(kind, gs) for
+one kind (a shift level above n is zero) and apply_shift_genfun for the
+generating-function operator.  combine adds scaled images over the lcm of
+their scalars' denominators, so its field work (one product per term and
+the lcm, read off the factored denominators) runs on scalars, never on
+coefficients.
 
 A fixed combination of kinds is a sum of words.  A word is a tuple of
 kinds applied right to left, and a map word -> field coefficient is
@@ -75,8 +76,11 @@ apply_ad_lower_upto apply its levels as a list (apply_levels).  series
 compiles its transfers from the same words.
 support_degrees and alphabet_difference read where an image, or a
 difference of two alphabets' images, is nonzero without dividing
-anything.  A two-alphabet value is cleared once, as a whole: its slices
-enter the operators as integer images at scalar one, so the two sides
+anything.  Every operator map acts on the x alphabet of a two-alphabet
+image: the one column sum (_column_sum) reads the x partition of each
+key and keeps the y one.  A two-alphabet value is cleared once, as a
+whole, and each operator reads the whole integer image once per
+alphabet, at scalar one (the y side on its swap), so the two sides
 differ only by the operators' own scalars, and by nothing where those
 are equal.
 
@@ -98,8 +102,9 @@ altogether.  These oracles are used only by tests and checks.
 Every operator here is written at q and t.  Its image at reciprocal q
 and t is the conjugate f -> invert_coeffs(O(invert_coeffs(f))), since
 q -> 1/q, t -> 1/t is a field automorphism that leaves the variables
-alone; series builds the inverted transfers that way, so no operator
-carries a flag.  The named oracles above are unchanged by this.
+alone.  No operator is inverted: verify's tilde check runs the operators
+at q and t on the mirror series, the series at series.mirror_params(p),
+so no operator carries a flag.
 """
 
 from __future__ import annotations
@@ -111,7 +116,7 @@ from math import comb
 from . import stats
 from .errors import InexactDivisionError, MacHyperError, ResourceGuardError
 from .partitions import Partition, dominates
-from .ratfunc import (ONE, Q, ZERO, RatFuncQT, T, elementary_symmetric,
+from .ratfunc import (ONE, Q, RatFuncQT, T, elementary_symmetric,
                       over_common_denominator, qt_monomial, rf, t_integer)
 from .sympoly import (MINUS_ONE, BiSymPoly, Raw, SymPoly, basis_poly,
                       raw_add_into, raw_div_binomial, raw_mul, raw_mul_var,
@@ -228,18 +233,24 @@ def column(kind, mu: Partition, n: int) -> SymPoly:
 stats.LEVELS["operator_columns_held"] = lambda: column.cache_info().currsize
 
 
-def _column_sum(col, g: SymPoly) -> SymPoly:
+def _column_sum(col, g: SymPoly | BiSymPoly) -> SymPoly | BiSymPoly:
     """The sum over mu of g_mu * col(mu), for a map col from partitions
-    to columns."""
+    to columns, as a value of g's type.  A two-alphabet g (keys
+    (mu, ly)) is summed on its x alphabet: each product keeps its ly."""
+    pair = isinstance(g, BiSymPoly)
     acc: dict = {}
-    for mu, c in g.coeffs.items():
-        img = col(mu).coeffs
+    for key, c in g.coeffs.items():
+        if pair:
+            mu, ly = key
+            img = {(nu, ly): v for nu, v in col(mu).coeffs.items()}
+        else:
+            img = col(key).coeffs
         raw_add_into(acc, img if c.is_one()
-                     else {nu: c * v for nu, v in img.items()})
-    return SymPoly(g.n_vars, acc)
+                     else {k: c * v for k, v in img.items()})
+    return type(g)(g.n_vars, acc)
 
 
-def _image(kind, g: SymPoly) -> SymPoly:
+def _image(kind, g: SymPoly | BiSymPoly) -> SymPoly | BiSymPoly:
     """The unscaled image of g under kind: the sum over mu of
     g_mu * column(kind, mu, n)."""
     n = g.n_vars
@@ -247,24 +258,23 @@ def _image(kind, g: SymPoly) -> SymPoly:
 
 
 def apply_kind(kind, gs: Scaled) -> Scaled:
-    """The operator kind at the scaled image gs = (g, s), as a sum of
-    stored columns.  A shift level shares the input's scalar, and a level
-    above n is zero."""
+    """The operator kind at the scaled image gs = (g, s), on the x
+    alphabet if g is a BiSymPoly, as a sum of stored columns.  A shift
+    level shares the input's scalar, and a level above n is zero."""
     g, s = gs
     n = g.n_vars
     if isinstance(kind, str):
         return _image(kind, g), _scalar(kind, n) * s
-    return (_image(kind, g) if kind <= n else SymPoly.zero(n)), s
+    return (_image(kind, g) if kind <= n else type(g).zero(n)), s
 
 
 # ---------------------------------------------------------------------------
 # scaled images: (g, s) with integer-polynomial coefficients in g, worth s * g
 
-Scaled = tuple[SymPoly, RatFuncQT]
+Scaled = tuple[SymPoly | BiSymPoly, RatFuncQT]
 
 
-def to_scaled(f: SymPoly | BiSymPoly
-              ) -> tuple[SymPoly | BiSymPoly, RatFuncQT]:
+def to_scaled(f: SymPoly | BiSymPoly) -> Scaled:
     """f as a scaled image (den * f, 1/den), with den the lcm in Z[q,t] of
     the coefficient denominators: one clearing for a SymPoly or a
     BiSymPoly, whose image has f's type."""
@@ -272,7 +282,7 @@ def to_scaled(f: SymPoly | BiSymPoly
     return type(f)(f.n_vars, dict(zip(f.coeffs, vals))), s
 
 
-def unscale(gs: Scaled) -> SymPoly:
+def unscale(gs: Scaled) -> SymPoly | BiSymPoly:
     """The value s * g of a scaled image: one reduced field product per
     coefficient."""
     g, s = gs
@@ -315,37 +325,33 @@ def alphabet_difference(Gs: tuple[BiSymPoly, RatFuncQT], x_op,
     """x_op(F) - y_op(F) up to a nonzero factor on each coefficient, for
     the two-alphabet value F of the scaled image Gs = (G, s) (a BiSymPoly
     G with integer-polynomial coefficients) and maps x_op, y_op of scaled
-    images applied to the x and to the y alphabet of F.
+    images, each applied once to the whole of G: x_op to G and y_op to
+    G.swap(), so that each acts on its alphabet.
 
     F is cleared once, so its scalar s is common to both sides and drops
-    out: each slice of G (the x-polynomial at one y-partition, and the
-    y-polynomial at one x-partition) goes to its operator at scalar ONE.
-    With s_X = alpha/beta for the x-image's scalar and s_Y = gamma/delta
-    for the y-image's, the operators' own scalars, the coefficient at
-    (lx, ly) is alpha * delta * X - gamma * beta * Y: integer polynomials
-    only, zero exactly where X - Y is.  Where the two scalars are equal,
-    as for one shift level on both alphabets, it is X - Y.  The result
-    has the support of the difference, not its values.
+    out: G goes to each operator at scalar ONE.  With s_X = alpha/beta
+    for the x-image's scalar and s_Y = gamma/delta for the y-image's, the
+    operators' own scalars, the coefficient at an (lx, ly) where both
+    images are nonzero is alpha * delta * X - gamma * beta * Y: integer
+    polynomials only, zero exactly where X - Y is.  Where the two scalars
+    are equal, as for one shift level on both alphabets, it is X - Y.
+    Where one image is zero, the other's coefficient stands as it is.
+    The result has the support of the difference, not its values.
     """
     G = Gs[0]
-    unit = (ONE, ONE)
-    xs = {}
-    for ly, sl in G.x_slices().items():
-        g, s = x_op((sl, ONE))
-        xs[ly] = (g.coeffs, s.parts())
-    ys = {}
-    for lx, sl in G.swap().x_slices().items():
-        g, s = y_op((sl, ONE))
-        ys[lx] = (g.coeffs, s.parts())
-    keys = {(lx, ly) for ly, (gx, _) in xs.items() for lx in gx}
-    keys.update((lx, ly) for lx, (gy, _) in ys.items() for ly in gy)
-    out = {}
-    for lx, ly in keys:
-        gx, (alpha, beta) = xs.get(ly, ({}, unit))
-        gy, (gamma, delta) = ys.get(lx, ({}, unit))
-        d = (alpha * delta * gx.get(lx, ZERO)
-             - gamma * beta * gy.get(ly, ZERO))
-        if not d.is_zero():
+    X, sx = x_op((G, ONE))
+    Y, sy = y_op((G.swap(), ONE))
+    alpha, beta = sx.parts()
+    gamma, delta = sy.parts()
+    ad, gb = alpha * delta, gamma * beta
+    out = dict(X.coeffs)
+    # Y is keyed (ly, lx); only a key of both images needs the scalars
+    for (ly, lx), v in Y.coeffs.items():
+        x = out.get((lx, ly))
+        d = v if x is None else ad * x - gb * v
+        if d.is_zero():
+            del out[(lx, ly)]
+        else:
             out[(lx, ly)] = d
     return BiSymPoly(G.n_vars, out)
 

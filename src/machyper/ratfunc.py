@@ -368,10 +368,11 @@ def _content(a: PolyDict) -> int:
             break
     return g
 
-def _int_terms(a: PolyDict) -> PolyDict:
-    """a over its integer content: integer-primitive, with the same sign."""
+def _content_split(a: PolyDict) -> tuple[int, PolyDict]:
+    """(g, d) with a = g * d, g the integer content of a: d is
+    integer-primitive, with a's sign."""
     g = _content(a)
-    return a if g == 1 else {e: v // g for e, v in a.items()}
+    return g, a if g == 1 else {e: v // g for e, v in a.items()}
 
 def _pgcd(a: PolyDict, b: PolyDict) -> PolyDict:
     """gcd of two polynomials, integer-primitive with positive leading coeff."""
@@ -387,9 +388,11 @@ def _pgcd(a: PolyDict, b: PolyDict) -> PolyDict:
     if len(a) == 1 or len(b) == 1:
         # gcd with a monomial is a monomial
         return {(mq, mt): 1}
-    ia = _bv_from_int_terms(_int_terms(a if not (mq or mt) else {(e[0] - mq, e[1] - mt): c for e, c in a.items()}))
-    ib = _bv_from_int_terms(_int_terms(b if not (mq or mt) else {(e[0] - mq, e[1] - mt): c for e, c in b.items()}))
-    g = _bv_gcd(ia, ib)
+    if mq or mt:
+        a = {(e[0] - mq, e[1] - mt): c for e, c in a.items()}
+        b = {(e[0] - mq, e[1] - mt): c for e, c in b.items()}
+    g = _bv_gcd(_bv_from_int_terms(_content_split(a)[1]),
+                _bv_from_int_terms(_content_split(b)[1]))
     return {(dq + mq, dt + mt): c for dq, col in g.items() for dt, c in enumerate(col) if c}
 
 def _bv_gcd_prim(fp: dict[int, list[int]], gp: dict[int, list[int]]) -> dict[int, list[int]]:
@@ -479,7 +482,7 @@ def _bv_gcd(f: dict[int, list[int]], g: dict[int, list[int]]) -> dict[int, list[
 def _normalize_primitive(a: PolyDict) -> PolyDict:
     if not a:
         return {}
-    ia = _int_terms(a)
+    ia = _content_split(a)[1]
     lead = max(ia, key=_term_key)
     return _pneg(ia) if ia[lead] < 0 else ia
 
@@ -914,7 +917,7 @@ class RatFuncQT:
     @property
     def den(self) -> PolyDict:
         """b / content(b): integer-primitive, positive leading coefficient."""
-        return _int_terms(self._b)
+        return _content_split(self._b)[1]
 
     # -- predicates ---------------------------------------------------------
 
@@ -1309,11 +1312,6 @@ def over_common_denominator(values: list[RatFuncQT]) -> tuple[list[RatFuncQT], R
         a = _pmul(v._a, p) if cof else v._a
         mults.append(RatFuncQT(_pscale(a, u // uv), _PONE, 1, _NOEXP, _BASE.gen))
     return mults, RatFuncQT(_PONE, _pscale(_BASE.expand(K), u), u, K, gen0, 1)
-
-def _content_split(b: PolyDict) -> tuple[int, PolyDict]:
-    """(g, d) with b = g * d, g the integer content of b."""
-    g = _content(b)
-    return g, b if g == 1 else {e: v // g for e, v in b.items()}
 
 def times_multiple(f: RatFuncQT, m: PolyDict) -> RatFuncQT:
     """f * m for an integer polynomial m that f's denominator divides: the

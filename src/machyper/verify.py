@@ -15,11 +15,12 @@ C are each one compiled transfer sum (series.transfer_sum: the diagonal
 transfer minus the other one), so applying one is a sum of stored
 integer columns and one field product; they return the residual as a
 scaled image, whose support qops.support_degrees reads.  A is
-qops.alphabet_difference of two transfers (series.transfer_*) on the
-slices of the one image, cross-multiplying their own scalars.  Aprime
-is A on the same image with the two transfers exchanged between the
-alphabets: the difference is nonzero exactly where the two sides' values
-differ, whichever side sits on x, so nothing is swapped.  Each trusted
+qops.alphabet_difference of two transfers (series.transfer_*): each
+transfer reads the whole one image once, on its own alphabet, and the
+difference is formed over their own scalars.  Aprime is A on the same
+image with the two transfers exchanged between the alphabets: the
+difference is nonzero exactly where the two sides' values differ,
+whichever side sits on x, so nothing is swapped.  Each trusted
 degree window is stated once, where the support is split into window and
 leak (_support_A in both orientations, _support_B, _support_C); the
 plain, alphabet-swapped and tilde checks format what these return.  The
@@ -617,13 +618,6 @@ def _factored_scalars(p: HyperParams, n: int) -> tuple[RatFuncQT, ...]:
             -(ONE - a) * (ONE - b) * tpow * nt / one_q ** 2)
 
 
-def _factored_second_order(images: tuple[Scaled, ...],
-                           scalars: tuple[RatFuncQT, ...], n: int) -> Scaled:
-    """The literal operator: its images at one input, each weighted by
-    its scalar at one parameter point."""
-    return combine(n, zip(scalars, images))
-
-
 @lru_cache(maxsize=MAX_FACTORED_INPUTS)
 def _factored_monomial(lam: Partition,
                        n: int) -> tuple[Scaled, tuple[Scaled, ...]]:
@@ -643,7 +637,7 @@ def _matches_B(lam: Partition, p: HyperParams,
     are given, equals B at p on m_lam, cleared once for both: their
     difference has no support."""
     fs, images = _factored_monomial(lam, n)
-    lhs = _factored_second_order(images, scalars, n)
+    lhs = combine(n, zip(scalars, images))
     return not support_degrees(combine(n, ((scal, lhs),
                                            (-ONE, _resid_B(fs, p)))))
 
@@ -686,8 +680,8 @@ def check_factored_form(series: TruncatedSeries,
     notes.append("zero-parameter collapse "
                  + ("verified" if col_bad == 0 else "FAILED"))
 
-    observed = support_degrees(_factored_second_order(
-        _factored_images(series.cleared("one", cache), n), scalars, n))
+    observed = support_degrees(combine(n, zip(
+        scalars, _factored_images(series.cleared("one", cache), n))))
     bad = [d for d in observed if d <= D - 1]
     leaks = [d for d in observed if d > D - 1]
     if leaks:

@@ -34,6 +34,9 @@ def test_parse_examples():
     assert parse_param_expr("(1-t)^(-1)") == (ONE - T).inverse()
     assert parse_param_expr("-q + 2") == rf(2) - Q
     assert parse_param_expr("q^0") == ONE
+    # a unary plus, alone and after a binary operator
+    assert parse_param_expr("+q") == Q
+    assert parse_param_expr("2*+(1-t)") == rf(2) * (ONE - T)
 
 
 def test_parse_errors_carry_positions():
@@ -142,6 +145,47 @@ def test_json_outputs_byte_identical(capsys):
     assert main(args) == EXIT_PASS
     assert capsys.readouterr().out == first
     assert first.startswith("{") and '"coeffs"' in first
+
+
+# one small case of each JSON branch of compute and table, byte for byte
+_ONE = '{"den":[[0,0,"1"]],"num":[[0,0,"1"]]}'
+_P2 = ('{"coeffs":[{"partition":[2],"value":' + _ONE + '},'
+       '{"partition":[1,1],"value":{"den":[[0,0,"-1"],[1,1,"1"]],'
+       '"num":[[0,0,"-1"],[0,1,"1"],[1,0,"-1"],[1,1,"1"]]}}],"n":2}')
+_JSTAR1 = ('{"coeffs":[{"partition":[1],"value":{"den":[[0,0,"-1"],'
+           '[1,0,"1"]],"num":[[0,0,"-1"]]}}],"n":2}')
+JSON_GOLDEN = (
+    (["compute", "P", "--partition", "[2]", "--n", "2"],
+     '{"n":2,"object":"P","partition":[2],"value":' + _P2 + '}'),
+    (["compute", "J", "--partition", "[1,1]", "--n", "2"],
+     '{"n":2,"object":"J","partition":[1,1],"value":{"coeffs":[{"partition":'
+     '[1,1],"value":{"den":[[0,0,"1"]],"num":[[0,0,"1"],[0,1,"-1"],'
+     '[0,2,"-1"],[0,3,"1"]]}}],"n":2}}'),
+    (["compute", "Jstar", "--partition", "[1]", "--n", "2"],
+     '{"n":2,"object":"Jstar","partition":[1],"value":' + _JSTAR1 + '}'),
+    (["compute", "binomial", "--upper", "[2,1]", "--lower", "[1,1]",
+      "--n", "3"],
+     '{"lower":[1,1],"n":3,"object":"binomial","upper":[2,1],'
+     '"value":"(-1 + q^2*t)/(-1 + q*t)"}'),
+    (["compute", "eigen", "--partition", "[1]", "--n", "2"],
+     '{"direction":"raise","level":1,"n":2,"object":"eigen",'
+     '"partition":[1],"value":"(-1 - q*t)/(-1 + q)"}'),
+    (["table", "Jstar", "--n", "2", "--max-size", "1"],
+     '[{"partition":[],"value":{"coeffs":[{"partition":[],"value":' + _ONE
+     + '}],"n":2}},{"partition":[1],"value":' + _JSTAR1 + '}]'),
+    (["table", "P", "--n", "2", "--max-size", "2"],
+     '[{"partition":[],"value":{"coeffs":[{"partition":[],"value":' + _ONE
+     + '}],"n":2}},{"partition":[1],"value":{"coeffs":[{"partition":[1],'
+     '"value":' + _ONE + '}],"n":2}},{"partition":[2],"value":' + _P2
+     + '},{"partition":[1,1],"value":{"coeffs":[{"partition":[1,1],'
+     '"value":' + _ONE + '}],"n":2}}]'))
+
+
+@pytest.mark.parametrize("argv, want", JSON_GOLDEN,
+                         ids=[" ".join(argv[:2]) for argv, _ in JSON_GOLDEN])
+def test_json_golden(capsys, argv, want):
+    assert main(argv + ["--format", "json"]) == EXIT_PASS
+    assert capsys.readouterr().out == want + "\n"
 
 
 def test_parser_reuse_keeps_calls_apart(capsys):
@@ -410,6 +454,11 @@ def test_exit_usage(capsys):
     assert main(["compute", "series", "--n", "1", "--D", "2",
                  "--r", "2", "--a", "1/2"]) == EXIT_USAGE
     capsys.readouterr()
+    # --s disagrees with the number of --b flags
+    assert main(["compute", "series", "--n", "1", "--D", "2",
+                 "--s", "2", "--b", "1/2"]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "machyper: --s 2 disagrees with 1 --b flags\n")
     # malformed expression
     assert main(["compute", "series", "--n", "1", "--D", "2",
                  "--a", "1+"]) == EXIT_USAGE
@@ -578,6 +627,10 @@ def test_cache_requires_directory(monkeypatch, capsys):
     assert capsys.readouterr().out.strip() == "(memory only)"
     assert main(["cache", "clear"]) == EXIT_USAGE
     capsys.readouterr()
+    assert main(["cache", "warm"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "machyper: no cache directory "
+                                   "configured (set MACHYPER_CACHE_DIR or "
+                                   "pass --dir)\n")
 
 
 def test_cache_env_var(monkeypatch, tmp_path, capsys):

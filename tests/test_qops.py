@@ -353,3 +353,68 @@ def test_two_alphabet_clearing(cache):
     assert type(G) is BiSymPoly and G.coeffs.keys() == F.coeffs.keys()
     assert all(c.parts()[1] == ONE for c in G.coeffs.values())
     assert unscale((G, s)) == F
+
+
+# ---------------------------------------------------------------------------
+# operators on two-alphabet images
+
+def _two_alphabet_inputs(n, cache):
+    """Two-alphabet values: one with rational coefficients whose
+    slice at y-partition (2,) is a constant, which the lowering operator
+    annihilates; one made of constant slices only; and zero."""
+    P = macdonald_forms((2, 1) if n > 1 else (2,), n, cache).P
+    one = SymPoly.one(n)
+    F = (BiSymPoly.outer(P.scale_rf((ONE - Q * T).inverse()),
+                         basis_poly("m", (1,), n))
+         + BiSymPoly.outer(one, basis_poly("m", (2,), n)))
+    consts = BiSymPoly.outer(one, basis_poly("m", (1,), n))
+    return F, consts, BiSymPoly.zero(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_operators_act_on_the_x_alphabet_of_a_bisympoly(n, cache):
+    # every operator takes a two-alphabet scaled image whole and acts on
+    # its x alphabet: its value is that of the operator applied slice by
+    # slice, and an image that vanishes is still a BiSymPoly
+    a, b = [rf(Fraction(2, 3)) * Q, T.inverse()], [rf(Fraction(5, 7)) / T]
+    ops = [series.transfer_lower(b), series.transfer_raise(a)]
+    ops += [partial(apply_kind, kind)
+            for kind in ("lower", "weight", "raise", *range(n + 2))]
+    for F in _two_alphabet_inputs(n, cache):
+        for op in ops:
+            img = op(to_scaled(F))
+            assert type(img[0]) is BiSymPoly
+            assert unscale(img) == F.apply_x(on_values(op))
+    F, consts, zero = _two_alphabet_inputs(n, cache)
+    lower = partial(apply_kind, "lower")
+    assert not unscale(lower(to_scaled(F))).coeffs.keys() & {
+        (lx, (2,)) for lx, _ in F.coeffs}
+    for G in (consts, zero):
+        for op in (lower, partial(apply_kind, n + 1), ops[0]):
+            assert op(to_scaled(G))[0] == BiSymPoly.zero(n)
+
+
+def test_alphabet_difference_applies_each_operator_once(cache):
+    # one call per alphabet, on the whole image, whatever its slices
+    n = 2
+    F = _two_alphabet_inputs(n, cache)[0]
+    Gs = to_scaled(F)
+    assert len({ly for _, ly in Gs[0].coeffs}) > 1
+    assert len({lx for lx, _ in Gs[0].coeffs}) > 1
+    calls = {"x": 0, "y": 0}
+
+    def counted(side, op):
+        def run(gs):
+            calls[side] += 1
+            return op(gs)
+        return run
+    lower = series.transfer_lower([rf(Fraction(5, 7)) / T])
+    raised = series.transfer_raise([rf(Fraction(2, 3)) * Q])
+    got = qops.alphabet_difference(Gs, counted("x", lower),
+                                   counted("y", raised))
+    assert calls == {"x": 1, "y": 1}
+    ref = (F.apply_x(on_values(lower))
+           - F.swap().apply_x(on_values(raised)).swap())
+    assert type(got) is BiSymPoly and set(got.coeffs) == set(ref.coeffs)
+    zero = qops.alphabet_difference((BiSymPoly.zero(n), ONE), lower, raised)
+    assert zero == BiSymPoly.zero(n)

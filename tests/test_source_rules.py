@@ -242,10 +242,11 @@ def test_values_leave_the_operator_layer_at_one_boundary():
 
 
 # the functions of verify that may add scaled images: the Kaneko oracle,
-# which sums single operator kinds into its images and weights those by
-# its scalars, and its comparison with B.  B and C are one compiled
-# transfer sum each, never a combine of two transfers
-COMBINE_SCOPES = {"_factored_images", "_factored_second_order", "_matches_B"}
+# which sums single operator kinds into its images, and the Kaneko check
+# and its comparison with B, which weight those by the scalars.  B and C
+# are one compiled transfer sum each, never a combine of two transfers,
+# and no helper of verify hands combine to another caller
+COMBINE_SCOPES = {"_factored_images", "_matches_B", "check_factored_form"}
 
 
 def test_verify_combines_only_in_the_kaneko_oracle():

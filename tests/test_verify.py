@@ -242,7 +242,7 @@ def test_A_applies_two_stored_transfers(n):
     # raising transfer: at m_mu, for every |mu| <= D+1, each is that
     # transfer's value, which is also sum_l (-1)^l e_l(values) times the
     # l-fold commutator read from the uncompiled level list; a warm
-    # residual of one term, one slice per alphabet, reads the two sums
+    # residual of one term reads the two sums, one per alphabet
     D = 2
     p = draw_hyper_params(random.Random(1), 2, 1, n, D)
     cases = ((("lower", p.lower), transfer_lower(p.lower), apply_ad_lower_upto),
