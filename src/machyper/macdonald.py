@@ -22,7 +22,11 @@ binomial_by_expansion, an oracle for the closed cover coefficients,
 raises by the literal assembly (qops.apply_literal) instead.  The closed
 raising route divides the two principal values through the cells the
 added box changes (_principal_ratio); the lowering route and the
-expansion keep their full forms.
+expansion keep their full forms.  Both closed routes read one cover
+product (_cover_product) over the spectral points of
+partitions.spectral_points.  The product side of the truncated kernel
+identity (cauchy_truncated) is sympoly.raw_product_expansion of
+sympoly.product_coeffs, the expansion series.product_series_one reads.
 
 A MacdonaldCache memoizes the monic basis and its forms and can persist
 the basis to disk as JSON, one file per (n, partition).  P is stable in
@@ -61,11 +65,12 @@ from .errors import InexactDivisionError, MacHyperError
 from .partitions import (Partition, SkewCover, cells, conjugate, dominates,
                          format_partition, hook_products, length,
                          lower_upper_hooks, make_partition, n_stat,
-                         partitions_of, size, upper_covers)
+                         partitions_of, size, spectral_points, upper_covers)
 from .qops import apply_literal, column, eigen_shift
 from .ratfunc import (ONE, Q, PolyDict, RatFuncQT, T, multiple_sum_equals,
                       poly_product, qt_monomial, rf, t_monomial, times_multiple)
-from .sympoly import BiSymPoly, SymPoly, orbit
+from .sympoly import (BiSymPoly, SymPoly, orbit, product_coeffs,
+                      raw_product_expansion)
 
 _FORMAT = 1
 
@@ -421,14 +426,7 @@ def binomial_raising_closed(upper: Partition, lower: Partition, n: int) -> RatFu
     upper = make_partition(upper)
     lower = make_partition(lower)
     cover = _find_cover(upper, lower, n)
-    i0 = cover.row
-    z = [qt_monomial(lower[i - 1] if i <= len(lower) else 0, 1 - i)
-         for i in range(1, n + 1)]
-    prod = ONE
-    for i in range(1, n + 1):
-        if i == i0:
-            continue
-        prod = prod * ((T * z[i0 - 1] - z[i - 1]) / (z[i0 - 1] - z[i - 1]))
+    prod = _cover_product(spectral_points(lower, n), cover.row, T)
     lhs = prod / (ONE - Q)
     return lhs / (t_monomial(cover.n_skew) * _principal_ratio(cover, n))
 
@@ -475,16 +473,20 @@ def binomial_lowering_closed(upper: Partition, lower: Partition, n: int) -> RatF
     upper = make_partition(upper)
     lower = make_partition(lower)
     cover = _find_cover(upper, lower, n)
-    i0 = cover.row
-    z = [qt_monomial(upper[i - 1] if i <= len(upper) else 0, 1 - i)
-         for i in range(1, n + 1)]
+    z = spectral_points(upper, n)
+    prod = _cover_product(z, cover.row, t_monomial(-1))
+    return (ONE - t_monomial(n - 1) * z[cover.row - 1]) / (ONE - Q) * prod
+
+
+def _cover_product(z: list[RatFuncQT], i0: int, c: RatFuncQT) -> RatFuncQT:
+    """prod over i != i0 of (c z_i0 - z_i)/(z_i0 - z_i), over the spectral
+    points z of the closed cover coefficients (1-based i0)."""
+    zi0 = z[i0 - 1]
     prod = ONE
-    tinv = t_monomial(-1)
-    for i in range(1, n + 1):
-        if i == i0:
-            continue
-        prod = prod * ((tinv * z[i0 - 1] - z[i - 1]) / (z[i0 - 1] - z[i - 1]))
-    return (ONE - t_monomial(n - 1) * z[i0 - 1]) / (ONE - Q) * prod
+    for i, zi in enumerate(z, start=1):
+        if i != i0:
+            prod = prod * ((c * zi0 - zi) / (zi0 - zi))
+    return prod
 
 
 def jstar_principal(lam: Partition, n: int) -> RatFuncQT:
@@ -513,10 +515,11 @@ def cauchy_truncated(n: int, D: int, cache: MacdonaldCache
     """Both sides of the kernel identity through total degree D per alphabet.
 
     Sum side: sum over partitions of J(x) J(y) / hook_pair.  Product side:
-    the double product of (t x_i y_j; q)-type factors, expanded from the
-    one-variable coefficient recurrence g_k = g_(k-1)(1 - t q^(k-1))/(1 - q^k)
-    coming from the functional equation (1-z) g(z) = (1 - t z) g(q z).
-    The expanded product is checked to be bisymmetric.
+    the double product over x_i y_j of (t z; q)_inf/(z; q)_inf, whose
+    coefficients come from the functional equation
+    (1-z) g(z) = (1 - t z) g(q z) (sympoly.product_coeffs("ratio", D, t)),
+    truncated at degree D in x.  The expanded product is checked to be
+    bisymmetric.
     """
     sum_side = BiSymPoly.zero(n)
     for d in range(D + 1):
@@ -525,32 +528,9 @@ def cauchy_truncated(n: int, D: int, cache: MacdonaldCache
             jx = forms.J.scale_rf(forms.hook_pair.inverse())
             sum_side = sum_side + BiSymPoly.outer(jx, forms.J)
 
-    gk = [ONE]
-    for k in range(1, D + 1):
-        gk.append(gk[-1] * (ONE - qt_monomial(k - 1, 1)) / (ONE - qt_monomial(k, 0)))
-
-    width = 2 * n
-    raw: dict[tuple[int, ...], RatFuncQT] = {(0,) * width: ONE}
-    for i in range(n):
-        for j in range(n):
-            nxt: dict[tuple[int, ...], RatFuncQT] = {}
-            for e, c in raw.items():
-                xdeg = sum(e[:n])
-                for k in range(0, D - xdeg + 1):
-                    if k and gk[k].is_zero():
-                        continue
-                    e2 = list(e)
-                    e2[i] += k
-                    e2[n + j] += k
-                    key = tuple(e2)
-                    add = c * gk[k] if k else c
-                    cur = nxt.get(key)
-                    tot = add if cur is None else cur + add
-                    if tot.is_zero():
-                        nxt.pop(key, None)
-                    else:
-                        nxt[key] = tot
-            raw = nxt
+    gk = product_coeffs("ratio", D, T)
+    raw = raw_product_expansion(
+        gk, [(i, n + j) for i in range(n) for j in range(n)], 2 * n, n, D)
 
     coeffs: dict[tuple[Partition, Partition], RatFuncQT] = {}
     for e, c in raw.items():

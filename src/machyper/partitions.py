@@ -152,6 +152,10 @@ def rho_stat(lam: Partition) -> RatFuncQT:
             out = out + row
     return out
 
+def spectral_points(lam: Partition, n: int) -> list[RatFuncQT]:
+    """The points z_i = q^(lam_i) t^(1-i), i = 1..n, of the closed forms."""
+    return [qt_monomial(lam[i] if i < len(lam) else 0, -i) for i in range(n)]
+
 def z_stat(lam: Partition) -> int:
     """Order of the centralizer of a permutation of cycle type lam."""
     out = 1

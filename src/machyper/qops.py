@@ -56,7 +56,7 @@ one kind (a shift level above n is zero) and apply_shift_genfun for the
 generating-function operator.  combine adds scaled images over the lcm of
 their scalars' denominators, so its field work (one product per term and
 the lcm, read off the factored denominators) runs on scalars, never on
-coefficients.
+coefficients; its sum has its terms' image type.
 
 A fixed combination of kinds is a sum of words.  A word is a tuple of
 kinds applied right to left, and a map word -> field coefficient is
@@ -76,13 +76,13 @@ apply_ad_lower_upto apply its levels as a list (apply_levels).  series
 compiles its transfers from the same words.
 support_degrees and alphabet_difference read where an image, or a
 difference of two alphabets' images, is nonzero without dividing
-anything.  Every operator map acts on the x alphabet of a two-alphabet
-image: the one column sum (_column_sum) reads the x partition of each
-key and keeps the y one.  A two-alphabet value is cleared once, as a
-whole, and each operator reads the whole integer image once per
-alphabet, at scalar one (the y side on its swap), so the two sides
-differ only by the operators' own scalars, and by nothing where those
-are equal.
+anything.  Every operator map, apply_shift_genfun included, acts on the
+x alphabet of a two-alphabet image: the one column sum (_column_sum)
+reads the x partition of each key and keeps the y one.  A two-alphabet
+value is cleared once, as a whole, and each operator reads the whole
+integer image once per alphabet, at scalar one (the y side on its
+swap), so the two sides differ only by the operators' own scalars, and
+by nothing where those are equal.
 
 Values leave at one boundary: on_values(op) turns a map of scaled
 images into a map of values, with unscale as the one normalization.
@@ -295,14 +295,16 @@ def on_values(op):
 
 
 def combine(n: int, terms) -> Scaled:
-    """sum of c * s * g over the (c, (g, s)) terms, as one scaled image.
+    """sum of c * s * g over the (c, (g, s)) terms, as one scaled image of
+    the terms' image type (a SymPoly when there is no term).
 
     Each scalar c * s is one field product; the images are then added
     over the lcm of those scalars' denominators, with integer polynomial
     multiples, so no coefficient runs a gcd.
     """
-    scals, imgs = [], []
+    image_type, scals, imgs = SymPoly, [], []
     for c, (g, s) in terms:
+        image_type = type(g)
         if g.coeffs and not c.is_zero():
             scals.append(c * s)
             imgs.append(g)
@@ -311,7 +313,7 @@ def combine(n: int, terms) -> Scaled:
     for m, g in zip(mults, imgs):
         raw_add_into(acc, g.coeffs if m.is_one()
                      else {k: v * m for k, v in g.coeffs.items()})
-    return SymPoly(n, acc), s
+    return image_type(n, acc), s
 
 
 def support_degrees(gs: Scaled) -> list[int]:
@@ -399,7 +401,8 @@ def apply_lower_alt(f: SymPoly) -> SymPoly:
 
 def apply_shift_genfun(gs: Scaled, uval: RatFuncQT) -> Scaled:
     """The generating-function shift operator sum_l uval^l D_l at a
-    concrete parameter value."""
+    concrete parameter value, on the x alphabet if the image is a
+    BiSymPoly."""
     n = gs[0].n_vars
     return combine(n, ((uval ** l, apply_kind(l, gs)) for l in range(n + 1)))
 

@@ -17,7 +17,11 @@ tests and checks; they must not share the order-by-order inversion, the
 word families or the signed e_l-sum used by the transfer operators, or they
 would stop being independent witnesses.  The two operator oracles apply the shift family
 and the raising operator by qops.apply_literal, never through qops'
-column store.
+column store.  The closed eigenvalues (eigen_value_*) expand one
+u-product over the spectral points of partitions.spectral_points
+(_spectral_useries), and product_series_one expands the q-product
+coefficients of sympoly.product_coeffs by sympoly.raw_product_expansion,
+which macdonald.cauchy_truncated reads too.
 
 The transfers and eigen-operator families are each one function, on
 scaled images, the operator layer's (integer-polynomial image, one field
@@ -58,13 +62,14 @@ from .macdonald import (MacdonaldCache, binomial_by_expansion,
                         jstar_principal, macdonald_forms)
 from .partitions import (Partition, enumerate_partitions, format_partition,
                          lower_covers, make_partition, n_stat, n_stat_conj,
-                         pochhammer_list, size, upper_covers)
+                         pochhammer_list, size, spectral_points, upper_covers)
 from . import stats
 from .qops import (Compiled, Scaled, ad_words, apply_compiled, apply_levels,
                    apply_literal, compile_words, to_scaled)
 from .ratfunc import (ONE, Q, ZERO, RatFuncQT, T, elementary_symmetric,
                       invert_qt, qt_monomial, rf, t_integer, t_monomial)
-from .sympoly import BiSymPoly, SymPoly, invert_coeffs
+from .sympoly import (BiSymPoly, SymPoly, invert_coeffs, product_coeffs,
+                      raw_product_expansion)
 
 FLAVORS = ("macdonald", "kaneko")
 
@@ -416,28 +421,33 @@ def _useries_mul(a: list[RatFuncQT], b: list[RatFuncQT], top: int) -> list[RatFu
     return out
 
 
+def _spectral_useries(l: int, lam: Partition, n: int, c: RatFuncQT,
+                      a: RatFuncQT, top: int) -> list[RatFuncQT]:
+    """Coefficients of u^0..u^top in prod_i (c - u a z_i)/(1 - u a z_i)
+    over the spectral points z_i of lam (partitions.spectral_points), for
+    the eigen operator level l.  ValueError for l < 0 or for lam with
+    more than n parts."""
+    if l < 0:
+        raise ValueError(f"eigen operator level {l} is negative")
+    if len(lam) > n:
+        raise ValueError(f"partition {format_partition(lam)} has more parts "
+                         f"than variables (n={n})")
+    prod = [ONE] + [rf(0)] * top
+    for z in spectral_points(lam, n):
+        w = a * z
+        # (c - u w)/(1 - u w) = c + (c-1) * sum_{k>=1} (u w)^k
+        fac = [c] + [(c - ONE) * w ** k for k in range(1, top + 1)]
+        prod = _useries_mul(prod, fac, top)
+    return prod
+
+
 def eigen_value_raise(l: int, mu: Partition, n: int) -> RatFuncQT:
     """Closed-form eigenvalue of G_l on the dual integral element of mu.
 
     Coefficient of u^l in 1/((1-q)(1-t)) * (1 - prod_i (t - u z_i)/(1 - u z_i))
     with z_i the spectral point q^(mu_i) t^(1-i).  ValueError for l < 0
     or for mu with more than n parts."""
-    if l < 0:
-        raise ValueError(f"eigen operator level {l} is negative")
-    if len(mu) > n:
-        raise ValueError(f"partition {format_partition(mu)} has more parts "
-                         f"than variables (n={n})")
-    prod = [ONE] + [rf(0)] * l
-    for i in range(1, n + 1):
-        p = mu[i - 1] if i <= len(mu) else 0
-        z = qt_monomial(p, 1 - i)
-        # (t - u z)/(1 - u z) = t + (t-1) * sum_{k>=1} (u z)^k
-        fac = [T]
-        zk = ONE
-        for k in range(1, l + 1):
-            zk = zk * z
-            fac.append((T - ONE) * zk)
-        prod = _useries_mul(prod, fac, l)
+    prod = _spectral_useries(l, mu, n, T, ONE, l)
     scal = ((ONE - Q) * (ONE - T)).inverse()
     base = ONE - prod[0] if l == 0 else -prod[l]
     return scal * base
@@ -449,22 +459,7 @@ def eigen_value_lower(l: int, lam: Partition, n: int) -> RatFuncQT:
     u-expansion of scal_h*(u - q t^(n-1))/u*(prod_i (1/t - u z_i/q)/(1 - u z_i/q) - 1)
     plus the explicit 1/u counterterm; the pole cancellation is checked.
     ValueError for l < 0 or for lam with more than n parts."""
-    if l < 0:
-        raise ValueError(f"eigen operator level {l} is negative")
-    if len(lam) > n:
-        raise ValueError(f"partition {format_partition(lam)} has more parts "
-                         f"than variables (n={n})")
-    top = l + 1
-    prod = [ONE] + [rf(0)] * top
-    for i in range(1, n + 1):
-        p = lam[i - 1] if i <= len(lam) else 0
-        z = qt_monomial(p, 1 - i) / Q
-        fac = [T.inverse()]
-        zk = ONE
-        for k in range(1, top + 1):
-            zk = zk * z
-            fac.append((T.inverse() - ONE) * zk)
-        prod = _useries_mul(prod, fac, top)
+    prod = _spectral_useries(l, lam, n, T.inverse(), Q.inverse(), l + 1)
     s_series = [prod[0] - ONE] + prod[1:]
     scal_h = T * ((ONE - Q) * (ONE - T)).inverse()
     pole = -scal_h * Q * T ** (n - 1) * s_series[0] + Q * t_integer(n) / (ONE - Q)
@@ -674,53 +669,10 @@ def transfer_diag_lower_uv(blist, f: SymPoly) -> SymPoly:
 # ---------------------------------------------------------------------------
 # infinite-product expansions (independent oracles for small series)
 
-def product_coeffs(which: str, D: int, aval: RatFuncQT | None = None) -> list[RatFuncQT]:
-    """Taylor coefficients of classical q-products, from their functional
-    equations (no closed forms assumed):
-
-    - "inv":   1/(z;q)_inf        via g(z)(1-z) = g(qz)
-    - "dir":   (z;q)_inf          via p(z) = (1-z) p(qz)
-    - "ratio": (a z;q)_inf/(z;q)_inf via (1-z) g(z) = (1-a z) g(qz)
-    """
-    out = [ONE]
-    for k in range(1, D + 1):
-        den = ONE - qt_monomial(k, 0)
-        prev = out[k - 1]
-        if which == "inv":
-            out.append(prev / den)
-        elif which == "dir":
-            out.append(-qt_monomial(k - 1, 0) * prev / den)
-        elif which == "ratio":
-            if aval is None:
-                raise ValueError('product "ratio" needs aval')
-            out.append(prev * (ONE - aval * qt_monomial(k - 1, 0)) / den)
-        else:
-            raise ValueError(which)
-    return out
-
-
 def product_series_one(which: str, n: int, D: int,
                        aval: RatFuncQT | None = None) -> SymPoly:
     """Product over variables of a classical q-product, truncated at total
     degree D, as a symmetric polynomial."""
     gk = product_coeffs(which, D, aval)
-    raw: dict[tuple[int, ...], RatFuncQT] = {(0,) * n: ONE}
-    for i in range(n):
-        nxt: dict[tuple[int, ...], RatFuncQT] = {}
-        for e, c in raw.items():
-            deg = sum(e)
-            for k in range(0, D - deg + 1):
-                if gk[k].is_zero():
-                    continue
-                e2 = list(e)
-                e2[i] += k
-                key = tuple(e2)
-                add = c * gk[k]
-                cur = nxt.get(key)
-                tot = add if cur is None else cur + add
-                if tot.is_zero():
-                    nxt.pop(key, None)
-                else:
-                    nxt[key] = tot
-        raw = nxt
+    raw = raw_product_expansion(gk, [(i,) for i in range(n)], n, n, D)
     return SymPoly.from_raw(raw, n)

@@ -8,6 +8,11 @@ layer works on raws and collects back at the end.
 BiSymPoly is the same thing for two alphabets x and y with equally many
 variables, keyed by pairs of partitions.  Their common base
 MonomialExpansion holds the linear arithmetic.
+
+The classical q-product expansions live here too: their one-variable
+coefficients (product_coeffs) and their truncated product over variables
+(raw_product_expansion), read by series.product_series_one and
+macdonald.cauchy_truncated.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from itertools import permutations
 
 from .errors import InexactDivisionError, NotSymmetricError
 from .partitions import Partition, partitions_of, z_stat
-from .ratfunc import ONE, Q, RatFuncQT, T, ZERO, invert_qt, q_integer, rf
+from .ratfunc import (ONE, Q, RatFuncQT, T, ZERO, invert_qt, q_integer,
+                      qt_monomial, rf)
 
 Raw = dict[tuple[int, ...], RatFuncQT]
 
@@ -264,6 +270,52 @@ def raw_div_binomial(p: Raw, a: int, b: int) -> Raw:
     return quot
 
 
+def raw_product_expansion(gk: list[RatFuncQT], factors, width: int, m: int,
+                          D: int) -> Raw:
+    """The product over factors (tuples of variable indices) of
+    sum_k gk[k] * (the product of the factor's variables)^k, as a raw
+    polynomial in width variables truncated at total degree D in the first
+    m; each factor holds exactly one of the first m variables."""
+    raw: Raw = {(0,) * width: ONE}
+    for factor in factors:
+        nxt: Raw = {}
+        for e, c in raw.items():
+            for k in range(D - sum(e[:m]) + 1):
+                if k and gk[k].is_zero():
+                    continue
+                e2 = list(e)
+                for v in factor:
+                    e2[v] += k
+                raw_add_into(nxt, {tuple(e2): c * gk[k] if k else c})
+        raw = nxt
+    return raw
+
+
+def product_coeffs(which: str, D: int, aval: RatFuncQT | None = None) -> list[RatFuncQT]:
+    """Taylor coefficients of classical q-products, from their functional
+    equations (no closed forms assumed):
+
+    - "inv":   1/(z;q)_inf        via g(z)(1-z) = g(qz)
+    - "dir":   (z;q)_inf          via p(z) = (1-z) p(qz)
+    - "ratio": (a z;q)_inf/(z;q)_inf via (1-z) g(z) = (1-a z) g(qz)
+    """
+    out = [ONE]
+    for k in range(1, D + 1):
+        den = ONE - qt_monomial(k, 0)
+        prev = out[k - 1]
+        if which == "inv":
+            out.append(prev / den)
+        elif which == "dir":
+            out.append(-qt_monomial(k - 1, 0) * prev / den)
+        elif which == "ratio":
+            if aval is None:
+                raise ValueError('product "ratio" needs aval')
+            out.append(prev * (ONE - aval * qt_monomial(k - 1, 0)) / den)
+        else:
+            raise ValueError(which)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # classical bases
 
@@ -322,36 +374,18 @@ def to_power_sums(f: SymPoly) -> dict[Partition, RatFuncQT]:
             out[()] = f.coeffs.get((), ZERO)
             continue
         lams, cols = _p_in_m_matrix(d, n)
-        # triangular-ish dense solve by Gaussian elimination over the field
-        idx = {lam: k for k, lam in enumerate(lams)}
-        size_ = len(lams)
-        mat = [[ZERO] * size_ for _ in range(size_)]
-        for mu, col in cols.items():
-            jcol = idx[mu]
-            for lam, c in col.items():
-                mat[idx[lam]][jcol] = c
-        vec = [f.coeffs.get(lam, ZERO) for lam in lams]
-        sol = _solve_linear(mat, vec)
-        for mu, k in idx.items():
-            if not sol[k].is_zero():
-                out[mu] = sol[k]
+        # p_mu has m-terms only on the coarsenings of mu, which come before
+        # it in lams: back-substitute from the finest partition up
+        sol: dict[Partition, RatFuncQT] = {}
+        for lam in reversed(lams):
+            rest = f.coeffs.get(lam, ZERO)
+            for mu, c in sol.items():
+                a = cols[mu].get(lam)
+                if a is not None:
+                    rest = rest - a * c
+            sol[lam] = rest / cols[lam][lam]
+        out.update((mu, sol[mu]) for mu in lams if not sol[mu].is_zero())
     return out
-
-def _solve_linear(mat: list[list[RatFuncQT]], vec: list[RatFuncQT]) -> list[RatFuncQT]:
-    n = len(vec)
-    m = [row[:] + [vec[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
-        if piv is None:
-            raise ValueError("singular transition matrix")
-        m[col], m[piv] = m[piv], m[col]
-        inv = m[col][col].inverse()
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and not m[r][col].is_zero():
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
 
 def hall_inner(f: SymPoly, g: SymPoly) -> RatFuncQT:
     """Inner product with <p_lam, p_mu> = delta * z_lam * prod (1-q^l)/(1-t^l)."""

@@ -25,8 +25,10 @@ degree window is stated once, where the support is split into window and
 leak (_support_A in both orientations, _support_B, _support_C); the
 plain, alphabet-swapped and tilde checks format what these return.  The
 diagonal-kernel check runs the level differences, both swap tests and
-the shift operator at u = t on the same integer image, and its negative
-control on m_(1)(x) m_(2)(y), which is its own integer image.  The Kaneko
+the shift generating function at u = t on the same whole integer image
+(qops.apply_shift_genfun acts on its x alphabet, as every operator map
+does, so nothing is cut into slices), and its negative control on
+m_(1)(x) m_(2)(y), which is its own integer image.  The Kaneko
 check's factored second-order operator is a qops.combine of single
 operator kinds (qops.apply_kind), never of the transfers: six images of
 its input weighted by six scalars in the parameters, and it matches B on
@@ -336,18 +338,12 @@ def check_diagonal_match(series: TruncatedSeries,
     # level 0 is the identity on both sides
     level_ops = [lambda gs, l=l: apply_kind(l, gs) for l in range(1, n + 1)]
 
-    def shift(sl: SymPoly) -> SymPoly:
-        img, s = apply_shift_genfun((sl, ONE), T)
-        if not s.is_one():
-            raise MacHyperError("shift operator at u = t left a scalar on an "
-                                "integer image")
-        return img
-
     observed = set()
     for op in level_ops:
         observed.update(alphabet_difference(Gs, op, op).bidegrees())
     sym_before = G.swap() == G
-    shifted = G.apply_x(shift)
+    # a nonzero scalar keeps swap invariance as it is, so only the image counts
+    shifted = apply_shift_genfun((G, ONE), T)[0]
     sym_after = shifted.swap() == shifted
     if not sym_before:
         notes.append("swap invariance fails on the series itself")

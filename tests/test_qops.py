@@ -375,11 +375,18 @@ def _two_alphabet_inputs(n, cache):
 def test_operators_act_on_the_x_alphabet_of_a_bisympoly(n, cache):
     # every operator takes a two-alphabet scaled image whole and acts on
     # its x alphabet: its value is that of the operator applied slice by
-    # slice, and an image that vanishes is still a BiSymPoly
+    # slice, and an image that vanishes is still a BiSymPoly.  So do the
+    # shift generating function, at a monomial and a non-monomial u, and
+    # a combine of two two-alphabet images
     a, b = [rf(Fraction(2, 3)) * Q, T.inverse()], [rf(Fraction(5, 7)) / T]
     ops = [series.transfer_lower(b), series.transfer_raise(a)]
     ops += [partial(apply_kind, kind)
             for kind in ("lower", "weight", "raise", *range(n + 2))]
+    ops += [lambda gs: apply_shift_genfun(gs, T),
+            lambda gs: apply_shift_genfun(gs, (ONE - Q) / (ONE + T)),
+            lambda gs: qops.combine(n, ((rf(Fraction(3, 2)),
+                                         apply_kind("weight", gs)),
+                                        (ONE - T, apply_kind(1, gs))))]
     for F in _two_alphabet_inputs(n, cache):
         for op in ops:
             img = op(to_scaled(F))
@@ -389,9 +396,10 @@ def test_operators_act_on_the_x_alphabet_of_a_bisympoly(n, cache):
     lower = partial(apply_kind, "lower")
     assert not unscale(lower(to_scaled(F))).coeffs.keys() & {
         (lx, (2,)) for lx, _ in F.coeffs}
-    for G in (consts, zero):
-        for op in (lower, partial(apply_kind, n + 1), ops[0]):
-            assert op(to_scaled(G))[0] == BiSymPoly.zero(n)
+    for op in (lower, partial(apply_kind, n + 1), ops[0]):
+        assert op(to_scaled(consts))[0] == BiSymPoly.zero(n)
+    for op in ops:
+        assert op(to_scaled(zero))[0] == BiSymPoly.zero(n)
 
 
 def test_alphabet_difference_applies_each_operator_once(cache):

@@ -177,29 +177,31 @@ def test_perfbench_operator_counters_see_the_work(cache):
     # zero while the work runs.  A transfer applies its compiled word sum
     # (qops.apply_compiled), which holds the commutator and eigen-family
     # words, so those two families are counted where they are applied as
-    # level lists
+    # level lists, and the slice route BiSymPoly.apply_x, which only the
+    # tests take, where it is called
     import machyper.qops as qops
     import machyper.series as series
     import machyper.verify as verify
     from machyper.ratfunc import Q
-    from machyper.sympoly import basis_poly
+    from machyper.sympoly import BiSymPoly, basis_poly
     tracer = _load_bench_module("tracer")
     worker = _load_bench_module("worker")
     tr = tracer.Tracer()
     try:
         tr.install(worker.trace_specs())
         verify.run_suite("all", n=2, D=1, draws=1, cache=cache)
-        for name in ("qops.apply_calls", "sympoly.apply_x_calls"):
-            assert tr.counts[name] > 0, name
+        assert tr.counts["qops.apply_calls"] > 0
         before = tr.counts["qops.apply_calls"]
         gs = qops.to_scaled(basis_poly("m", (1,), 2))
         series.transfer_lower([Q])(gs)
         assert tr.counts["qops.apply_calls"] > before
         qops.apply_ad_raise_upto(1, gs)
         series.eigen_ops_raise(1, gs)
+        BiSymPoly.outer(gs[0], gs[0]).apply_x(lambda f: f)
     finally:
         tr.uninstall()
-    for name in ("qops.ad_calls", "series.eigen_ops_calls"):
+    for name in ("qops.ad_calls", "series.eigen_ops_calls",
+                 "sympoly.apply_x_calls"):
         assert tr.counts[name] > 0, name
 
 
@@ -253,6 +255,20 @@ def test_verify_combines_only_in_the_kaneko_oracle():
     found = [f"verify.py:{line} {scope}"
              for line, scope in _scopes_naming(SRC / "verify.py", "combine")
              if scope not in COMBINE_SCOPES]
+    assert found == []
+
+
+# the functions of verify that may cut a two-alphabet image into slices:
+# none, since every operator map takes the image whole, the kernel check's
+# shift generating function too
+SLICE_SCOPES: set[str] = set()
+
+
+def test_verify_cuts_no_image_into_slices():
+    found = [f"verify.py:{line} {scope}"
+             for name in ("apply_x", "x_slices")
+             for line, scope in _scopes_naming(SRC / "verify.py", name)
+             if scope not in SLICE_SCOPES]
     assert found == []
 
 
